@@ -171,15 +171,25 @@ def grover_angle(universe_size: int, marked_count: int) -> float:
     return 2.0 * math.asin(math.sqrt(marked_count / universe_size))
 
 
-def closed_form_state(qubit_count: int, marked: MarkedSet, iterations: int) -> StateVector:
-    """Analytic register state after ``iterations`` amplification steps.
+def class_amplitudes(universe_size: int, marked_count: int, iterations: int) -> tuple[float, float]:
+    """The two amplitudes of the state after ``iterations`` amplification steps.
 
-    Every marked amplitude equals sin[(2m+1)theta/2]/sqrt(M) and every
-    unmarked one cos[(2m+1)theta/2]/sqrt(N-M); ``iterations = 0`` gives the
-    uniform state.
+    Every marked label carries sin[(2m+1)theta/2]/sqrt(M) and every unmarked
+    one cos[(2m+1)theta/2]/sqrt(N-M); ``iterations = 0`` gives the uniform
+    state.  Returns ``(marked, unmarked)``.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    half_angle = (2 * iterations + 1) * grover_angle(universe_size, marked_count) / 2.0
+    return (
+        math.sin(half_angle) / math.sqrt(marked_count),
+        math.cos(half_angle) / math.sqrt(universe_size - marked_count),
+    )
+
+
+def closed_form_state(qubit_count: int, marked: MarkedSet, iterations: int) -> StateVector:
+    """Analytic register state after ``iterations`` amplification steps,
+    built from :func:`class_amplitudes`."""
     if not 1 <= qubit_count <= MAX_QUBITS:
         raise ValueError(
             f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
@@ -189,10 +199,7 @@ def closed_form_state(qubit_count: int, marked: MarkedSet, iterations: int) -> S
         raise ValueError(
             f"marked set universe {marked.universe_size} does not match 2**{qubit_count}"
         )
-    m_count = marked.count
-    half_angle = (2 * iterations + 1) * grover_angle(n, m_count) / 2.0
-    on_marked = math.sin(half_angle) / math.sqrt(m_count)
-    off_marked = math.cos(half_angle) / math.sqrt(n - m_count)
+    on_marked, off_marked = class_amplitudes(n, marked.count, iterations)
     amps = np.full(n, off_marked, dtype=np.complex128)
     amps[list(marked.locations)] = on_marked
     return StateVector(qubit_count, amps)

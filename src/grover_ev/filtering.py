@@ -12,6 +12,12 @@ branching: bit 0 is tried first, the final candidate is confirmed with a
 single oracle query, and failed candidates backtrack to the most recent
 unexplored branch.
 
+Runs are read out from the two-amplitude state: after m steps every marked
+label carries one amplitude and every other label another, and the
+correlation only moves labels, so a run needs the marked labels alone and
+no statevector is built.  The dense operations of :mod:`grover_ev.core` and
+:func:`apply_correlation` stay the reference this path is tested against.
+
 Bit sequences throughout are ordered least-significant first: element ``i``
 of a prefix is the value of qubit ``i + 1``.
 """
@@ -24,14 +30,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MarkedSet, OracleLedger, StateVector, apply_grover, new_uniform
+from .constants import MAX_QUBITS
+from .core import MarkedSet, StateVector, class_amplitudes
+from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .measurement import (
     CorrelationInfo,
     EnsembleModel,
     RunRecord,
     decide_sign,
-    measure_all,
+    measure_classes,
 )
+from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
 class SearchFailure(Exception):
@@ -132,14 +141,22 @@ def apply_correlation(state: StateVector, target: int, s_bits: Sequence[int]) ->
     if any(b not in (0, 1) for b in s_bits):
         raise ValueError(f"s_bits must be 0/1, got {s_bits}")
 
-    labels = np.arange(state.dim)
-    prefix_matches = np.ones(state.dim, dtype=bool)
-    for i, s in enumerate(s_bits):
-        prefix_matches &= ((labels >> i) & 1) == s
-    # Flipping the target bit never changes the low prefix bits, so sources
-    # and destinations agree on the filter value: a clean permutation.
-    sources = np.where(prefix_matches, labels, labels ^ (1 << (target - 1)))
+    # The map is its own inverse, so it also names each label's source.
+    sources = _correlated_labels(np.arange(state.dim), target, s_bits)
     return StateVector(state.qubit_count, state.amplitudes[sources])
+
+
+def _correlated_labels(labels: np.ndarray, target: int, s_bits: Sequence[int]) -> np.ndarray:
+    """Where the correlation sends each label: qubit ``target`` flips on
+    every label whose low bits miss ``s_bits``.
+
+    Flipping the target bit never changes the low prefix bits, so a label
+    and its image agree on the filter value: a clean permutation that is its
+    own inverse.
+    """
+    low_mask = (1 << len(s_bits)) - 1
+    keep = (labels & low_mask) == _bits_to_location(s_bits)
+    return np.where(keep, labels, labels ^ (1 << (target - 1)))
 
 
 def averaged_ev(plain: RunRecord, correlated: RunRecord, target: int) -> float:
@@ -198,9 +215,12 @@ def extract_location(
 
     One plain run (``iterations`` amplification steps, all qubits read out)
     is reused at every stage; each stage past the first adds one correlated
-    run.  Stage decisions go through :func:`decide_sign` at threshold
-    ``a_th``; undecided stages branch (bit 0 first) and the final candidate
-    is checked with a single oracle query, backtracking on failure.
+    run.  Each run is read out by :func:`measure_classes` from the marked
+    labels (moved by the correlation) and the two class weights, so a run
+    costs O(M L) exact or O(shots L) sampled, whatever the register size.
+    Stage decisions go through :func:`decide_sign` at threshold ``a_th``;
+    undecided stages branch (bit 0 first) and the final candidate is
+    checked with a single oracle query, backtracking on failure.
 
     Raises :class:`SearchFailure` once every live branch is exhausted.
     """
@@ -212,17 +232,25 @@ def extract_location(
     qubit_count = n.bit_length() - 1
     if 1 << qubit_count != n:
         raise ValueError(f"universe size must be a power of two, got {n}")
+    if qubit_count > MAX_QUBITS:
+        raise ValueError(
+            f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
+        )
 
-    ledger = OracleLedger()
-    state = new_uniform(qubit_count)
-    for _ in range(iterations):
-        state = apply_grover(state, marked, ledger)
-    plain = measure_all(
-        state,
-        _run_model(model, 0),
-        iterates_used=iterations,
-        oracle_invocations=iterations,
-    )
+    on, off = class_amplitudes(n, marked.count, iterations)
+    weights = (on * on, off * off)
+    locations = np.array(marked.locations, dtype=np.int64)
+
+    def run(index: int, heavy: np.ndarray, correlation=None) -> RunRecord:
+        return measure_classes(
+            qubit_count, heavy, weights,
+            _run_model(model, index),
+            iterates_used=iterations,
+            oracle_invocations=iterations,
+            correlation=correlation,
+        )
+
+    plain = run(0, locations)
 
     total_runs = 1
     branch_events = 0
@@ -236,13 +264,10 @@ def extract_location(
             if prefix.stage == 0:
                 ev = plain.evs[0]
             else:
-                correlated_state = apply_correlation(state, target, prefix.determined_bits)
-                record = measure_all(
-                    correlated_state,
-                    _run_model(model, total_runs),
-                    iterates_used=iterations,
-                    oracle_invocations=iterations,
-                    correlation=CorrelationInfo(target, prefix.determined_bits),
+                record = run(
+                    total_runs,
+                    _correlated_labels(locations, target, prefix.determined_bits),
+                    CorrelationInfo(target, prefix.determined_bits),
                 )
                 total_runs += 1
                 ev = averaged_ev(plain, record, target)

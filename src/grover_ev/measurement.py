@@ -9,7 +9,9 @@ ensemble member, so a single shared sample set feeds all qubits of a run.
 RNG streams are derived from the model seed and nothing else:
 
 * shot labels come from ``numpy.random.default_rng(seed)`` via inverse-CDF
-  lookup on the cumulative Born distribution;
+  lookup on the cumulative Born distribution (for a two-amplitude state,
+  :func:`measure_classes` inverts that CDF in closed form on the same
+  draws);
 * the additive readout noise on qubit ``k`` comes from
   ``default_rng((seed, k))``, truncated at three sigma so reported EVs stay
   within the documented bound |ev| <= 1 + 3*sigma.
@@ -119,12 +121,63 @@ def exact_ev(state: StateVector, k: int) -> float:
     return float(np.sum(probs[bits == 0]) - np.sum(probs[bits == 1]))
 
 
-def _shot_labels(state: StateVector, model: EnsembleModel) -> np.ndarray:
-    """Draw ``shots`` basis labels by inverse-CDF over the Born weights."""
-    rng = np.random.default_rng(model.seed)
+def _uniform_draws(model: EnsembleModel) -> np.ndarray:
+    """The ``shots`` uniform draws in [0, 1) behind one readout's shot labels."""
+    return np.random.default_rng(model.seed).random(model.shots)
+
+
+def _born_cdf(state: StateVector) -> np.ndarray:
+    """Cumulative Born weights over the basis labels, scaled to end at 1."""
     cdf = np.cumsum(state.probabilities())
     cdf /= cdf[-1]
-    return np.searchsorted(cdf, rng.random(model.shots), side="right")
+    return cdf
+
+
+def _shot_labels(state: StateVector, model: EnsembleModel) -> np.ndarray:
+    """Draw ``shots`` basis labels by inverse-CDF over the Born weights."""
+    return np.searchsorted(_born_cdf(state), _uniform_draws(model), side="right")
+
+
+def _class_shot_labels(
+    heavy: np.ndarray, dim: int, weights: tuple[float, float], model: EnsembleModel
+) -> np.ndarray:
+    """:func:`_shot_labels` of a two-amplitude state, from its heavy labels.
+
+    Each of the M ``heavy`` labels has Born weight ``weights[0]`` and each of
+    the other ``dim - M`` labels ``weights[1]``.  With the heavy labels sorted
+    as h_0 < h_1 < ..., the CDF is off * (x + 1) + (on - off) * #{h_j <= x}:
+    a step of width ``on`` at each h_j and linear in between.  One
+    searchsorted over the M steps finds each draw's segment; a draw that lies
+    between two steps is inverted by one division by ``off``.  Only such
+    draws divide, so a weight that underflows to zero empties its segments
+    instead of dividing by zero.
+    """
+    on, off = weights
+    heavy = np.sort(heavy)
+    count = heavy.size
+    rise = on - off
+    total = off * dim + rise * count
+    before = np.arange(count)
+    # CDF just below and at each heavy label, scaled to end at 1 as in
+    # _born_cdf; a sentinel start past 1 sends draws above the last step
+    # into the final unmarked segment.
+    starts = np.append((off * heavy + rise * before) / total, np.inf)
+    ends = (off * (heavy + 1) + rise * (before + 1)) / total
+    draws = _uniform_draws(model)
+    segment = np.searchsorted(ends, draws, side="right")
+    labels = np.append(heavy, 0)[segment]
+    between = draws < starts[segment]
+    seg = segment[between]
+    lowest = np.append(0, heavy + 1)[seg]
+    highest = np.append(heavy - 1, dim - 1)[seg]
+    offset = np.floor((draws[between] * total - rise * seg) / off)
+    labels[between] = np.clip(offset, lowest, highest).astype(labels.dtype)
+    return labels
+
+
+def _label_ev(labels: np.ndarray, k: int) -> float:
+    """Empirical sigma_z(k) over a set of shot labels."""
+    return float(np.mean(1.0 - 2.0 * ((labels >> (k - 1)) & 1)))
 
 
 def _readout_noise(model: EnsembleModel, k: int) -> float:
@@ -143,9 +196,7 @@ def sampled_ev(state: StateVector, k: int, model: EnsembleModel) -> float:
     if model.shots == 0:
         base = exact_ev(state, k)
     else:
-        labels = _shot_labels(state, model)
-        bits = (labels >> (k - 1)) & 1
-        base = float(np.mean(1.0 - 2.0 * bits))
+        base = _label_ev(_shot_labels(state, model), k)
     return base + _readout_noise(model, k)
 
 
@@ -164,6 +215,25 @@ def decide_sign(ev: float, threshold: float) -> int | None:
     return None
 
 
+def _run_record(
+    base: list[float],
+    model: EnsembleModel,
+    *,
+    iterates_used: int,
+    oracle_invocations: int,
+    correlation: CorrelationInfo | None,
+) -> RunRecord:
+    """Add each qubit's readout noise to its EV and wrap the run's record."""
+    evs = tuple(ev + _readout_noise(model, k) for k, ev in enumerate(base, start=1))
+    return RunRecord(
+        evs=evs,
+        iterates_used=iterates_used,
+        oracle_invocations=oracle_invocations,
+        correlation_applied=correlation,
+        noise_sigma=model.gaussian_noise_sigma,
+    )
+
+
 def measure_all(
     state: StateVector,
     model: EnsembleModel,
@@ -173,22 +243,53 @@ def measure_all(
     correlation: CorrelationInfo | None = None,
 ) -> RunRecord:
     """Read out every qubit of one run from a single shared sample set."""
-    n_qubits = state.qubit_count
+    qubits = range(1, state.qubit_count + 1)
     if model.shots == 0:
-        base = [exact_ev(state, k) for k in range(1, n_qubits + 1)]
+        base = [exact_ev(state, k) for k in qubits]
     else:
         labels = _shot_labels(state, model)
-        base = [
-            float(np.mean(1.0 - 2.0 * ((labels >> (k - 1)) & 1)))
-            for k in range(1, n_qubits + 1)
-        ]
-    evs = tuple(base[k - 1] + _readout_noise(model, k) for k in range(1, n_qubits + 1))
-    return RunRecord(
-        evs=evs,
+        base = [_label_ev(labels, k) for k in qubits]
+    return _run_record(
+        base, model,
         iterates_used=iterates_used,
         oracle_invocations=oracle_invocations,
-        correlation_applied=correlation,
-        noise_sigma=model.gaussian_noise_sigma,
+        correlation=correlation,
+    )
+
+
+def measure_classes(
+    qubit_count: int,
+    heavy: np.ndarray,
+    weights: tuple[float, float],
+    model: EnsembleModel,
+    *,
+    iterates_used: int,
+    oracle_invocations: int,
+    correlation: CorrelationInfo | None = None,
+) -> RunRecord:
+    """:func:`measure_all` of a two-amplitude state, without building it.
+
+    The state puts Born weight ``weights[0]`` (on) on each label in
+    ``heavy`` and ``weights[1]`` (off) on every other label of the
+    ``qubit_count``-qubit register.  Spread evenly over all labels, ``off``
+    cancels from every EV, so the exact readout is
+    EV_k = (on - off) * sum over heavy of (1 - 2 bit_k), in O(M L).
+    Sampled readout draws the same labels as :func:`measure_all` would from
+    the same seed, in O(shots L); the readout noise is the same.
+    """
+    heavy = np.asarray(heavy, dtype=np.int64)
+    if model.shots == 0:
+        on, off = weights
+        ones = ((heavy[:, None] >> np.arange(qubit_count)) & 1).sum(axis=0)
+        base = [(on - off) * float(heavy.size - 2 * c) for c in ones]
+    else:
+        labels = _class_shot_labels(heavy, 1 << qubit_count, weights, model)
+        base = [_label_ev(labels, k) for k in range(1, qubit_count + 1)]
+    return _run_record(
+        base, model,
+        iterates_used=iterates_used,
+        oracle_invocations=oracle_invocations,
+        correlation=correlation,
     )
 
 
@@ -211,10 +312,17 @@ def sign_error_rate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    truth = decide_sign(exact_ev(state, k), 0.0)
+    exact = exact_ev(state, k)
+    truth = decide_sign(exact, 0.0)
+    # One Born CDF serves every trial; each trial only draws its own shots.
+    cdf = _born_cdf(state) if shots else None
     errors = 0
     for t in range(trials):
         model = EnsembleModel(shots=shots, seed=seed + t, gaussian_noise_sigma=sigma)
-        if decide_sign(sampled_ev(state, k, model), threshold) != truth:
+        if shots:
+            base = _label_ev(np.searchsorted(cdf, _uniform_draws(model), side="right"), k)
+        else:
+            base = exact
+        if decide_sign(base + _readout_noise(model, k), threshold) != truth:
             errors += 1
     return errors / trials

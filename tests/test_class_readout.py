@@ -1,0 +1,183 @@
+"""The search's two-amplitude readout, checked against the dense reference.
+
+The dense side is the statevector path: the iterated register, the
+correlation applied as a permutation of amplitudes, and ``measure_all``.
+The images of the marked labels under the correlation are recomputed here
+from the prefix bits, independently of the implementation.
+"""
+
+import numpy as np
+import pytest
+from conftest import low_bits
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grover_ev import (
+    EXACT_ATOL,
+    MAX_QUBITS,
+    CorrelationInfo,
+    EnsembleModel,
+    MarkedSet,
+    OracleLedger,
+    StateVector,
+    apply_correlation,
+    apply_grover,
+    class_amplitudes,
+    extract_location,
+    m_truncated,
+    measure_all,
+    measure_classes,
+    new_uniform,
+)
+from grover_ev.measurement import (
+    _born_cdf,
+    _class_shot_labels,
+    _shot_labels,
+    _uniform_draws,
+)
+
+EXACT = EnsembleModel()
+BOUNDARY_GAP = 1e-9
+
+
+def dense_state(marked, iterations):
+    state, ledger = new_uniform(marked.universe_size.bit_length() - 1), OracleLedger()
+    for _ in range(iterations):
+        state = apply_grover(state, marked, ledger)
+    return state
+
+
+def class_weights(universe_size, marked_count, iterations):
+    on, off = class_amplitudes(universe_size, marked_count, iterations)
+    return on * on, off * off
+
+
+def correlated_image(label, target, s_bits):
+    """The label the correlation sends ``label`` to."""
+    if low_bits(label, len(s_bits)) == tuple(s_bits):
+        return label
+    return label ^ (1 << (target - 1))
+
+
+@st.composite
+def marked_runs(draw):
+    """A marked set with L <= 10 and M <= 4, an iterate count, and every
+    correlated run whose prefix is the low bits of a marked label or of one
+    more drawn label: ``(correlation, dense state, heavy labels)`` triples,
+    the plain run first."""
+    qubits = draw(st.integers(1, 10))
+    n = 1 << qubits
+    count = draw(st.integers(1, min(4, n - 1)))
+    locations = draw(
+        st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True)
+    )
+    probe = draw(st.integers(0, n - 1))
+    iterations = draw(st.integers(0, 12))
+    marked = MarkedSet(tuple(locations), n)
+    plain = dense_state(marked, iterations)
+    runs = [(None, plain, np.array(marked.locations))]
+    prefixes = {
+        (length + 1, low_bits(anchor, length))
+        for anchor in (*marked.locations, probe)
+        for length in range(1, qubits)
+    }
+    for target, s_bits in sorted(prefixes):
+        heavy = np.array([correlated_image(x, target, s_bits) for x in marked.locations])
+        runs.append(
+            (CorrelationInfo(target, s_bits), apply_correlation(plain, target, s_bits), heavy)
+        )
+    return qubits, marked, iterations, runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked_runs())
+def test_exact_readout_matches_dense_reference(case):
+    qubits, marked, m, runs = case
+    weights = class_weights(marked.universe_size, marked.count, m)
+    for info, dense, heavy in runs:
+        expected = measure_all(
+            dense, EXACT, iterates_used=m, oracle_invocations=m, correlation=info
+        )
+        got = measure_classes(
+            qubits, heavy, weights, EXACT,
+            iterates_used=m, oracle_invocations=m, correlation=info,
+        )
+        assert got.correlation_applied == expected.correlation_applied
+        assert np.max(np.abs(np.subtract(got.evs, expected.evs))) <= EXACT_ATOL, info
+
+
+def far_from_boundaries(cdf, draws):
+    """Mask of draws further than BOUNDARY_GAP from every CDF value."""
+    right = np.clip(np.searchsorted(cdf, draws), 0, cdf.size - 1)
+    left = np.clip(right - 1, 0, cdf.size - 1)
+    gap = np.minimum(np.abs(cdf[right] - draws), np.abs(draws - cdf[left]))
+    return gap > BOUNDARY_GAP
+
+
+@settings(max_examples=60, deadline=None)
+@given(marked_runs(), st.integers(1, 2048), st.integers(0, 2**64 - 1))
+def test_sampled_labels_match_dense_reference(case, shots, seed):
+    qubits, marked, m, runs = case
+    weights = class_weights(marked.universe_size, marked.count, m)
+    model = EnsembleModel(shots=shots, seed=seed)
+    draws = _uniform_draws(model)
+    for info, dense, heavy in runs:
+        far = far_from_boundaries(_born_cdf(dense), draws)
+        assert far.mean() > 0.99
+        expected = _shot_labels(dense, model)
+        got = _class_shot_labels(heavy, marked.universe_size, weights, model)
+        assert np.array_equal(got[far], expected[far]), info
+
+
+@pytest.mark.parametrize(
+    "n, locations, m",
+    [
+        # b^2 ~ 1e-33: every unmarked label all but vanishes.
+        (8, (2, 5), 1),
+        (8, (2, 5), 7),
+        (8, (0, 7), 1),
+        (8, (6, 7), 7),
+        # a^2 ~ 1e-33: the marked labels all but vanish.
+        (4, (0, 1, 3), 1),
+    ],
+)
+def test_sampled_labels_at_degenerate_weights(n, locations, m):
+    marked = MarkedSet(locations, n)
+    weights = class_weights(n, marked.count, m)
+    assert min(weights) < 1e-30
+    dense = dense_state(marked, m)
+    for seed in range(5):
+        model = EnsembleModel(shots=20_480, seed=seed)
+        got = _class_shot_labels(np.array(locations), n, weights, model)
+        assert np.array_equal(got, _shot_labels(dense, model))
+
+
+def test_sampled_record_matches_dense_record():
+    marked = MarkedSet((3, 9, 12), 16)
+    dense = apply_correlation(dense_state(marked, 1), 3, (1, 1))
+    heavy = np.array([correlated_image(x, 3, (1, 1)) for x in marked.locations])
+    info = CorrelationInfo(3, (1, 1))
+    model = EnsembleModel(shots=1000, seed=21, gaussian_noise_sigma=0.02)
+    expected = measure_all(dense, model, iterates_used=1, oracle_invocations=1,
+                           correlation=info)
+    got = measure_classes(4, heavy, class_weights(16, 3, 1), model,
+                          iterates_used=1, oracle_invocations=1, correlation=info)
+    assert got == expected
+
+
+def test_search_builds_no_statevector(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the search built a StateVector")
+
+    monkeypatch.setattr(StateVector, "__post_init__", refuse)
+    n = 1 << 20
+    result = extract_location(
+        MarkedSet((654_321,), n), m_truncated(n, 1, 0.25), EXACT, 0.25
+    )
+    assert result.total_runs == 20
+    assert result.verified and result.location == 654_321
+
+
+def test_search_rejects_register_past_cap():
+    with pytest.raises(ValueError, match="qubit_count"):
+        extract_location(MarkedSet((5,), 1 << (MAX_QUBITS + 1)), 1, EXACT, 0.25)

@@ -108,6 +108,16 @@ def test_search_failure_exit_code(capsys):
     assert payload["total_runs"] >= 3
 
 
+def test_search_rejects_register_past_cap(capsys):
+    n = 1 << (grover_ev.MAX_QUBITS + 1)
+    code, out, err = run_cli(
+        capsys, "search", "--n", str(n), "--marked", "5", "--a-th", "0.25", "--m", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "qubit_count" in err
+
+
 def test_search_random_marked_set_is_seeded(capsys):
     code1, out1, _ = run_cli(
         capsys, "search", "--n", "32", "--m-count", "2", "--a-th", "0.2", "--seed", "9"

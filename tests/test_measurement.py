@@ -246,3 +246,22 @@ def test_sign_error_rate_counts_ties_as_errors():
     state = closed_form_state(3, MarkedSet((5,), 8), 1)
     rate = sign_error_rate(state, 1, shots=2, trials=2000, seed=1)
     assert 0.19 <= rate <= 0.28
+
+
+def test_sign_error_rate_agrees_with_per_trial_readouts():
+    # The rate builds the Born CDF once; each trial must still decide exactly
+    # as a fresh sampled_ev readout with seed ``seed + t`` would.
+    state = closed_form_state(5, MarkedSet((3, 17), 32), 2)
+    truth = decide_sign(exact_ev(state, 1), 0.0)
+    for shots, sigma in ((64, 0.0), (16, 0.05), (0, 0.05)):
+        wrong = [
+            decide_sign(
+                sampled_ev(state, 1, EnsembleModel(shots=shots, seed=9 + t,
+                                                   gaussian_noise_sigma=sigma)),
+                0.1,
+            ) != truth
+            for t in range(50)
+        ]
+        rate = sign_error_rate(state, 1, shots=shots, sigma=sigma, threshold=0.1,
+                               trials=50, seed=9)
+        assert rate == sum(wrong) / 50
