@@ -262,8 +262,6 @@ def _sweep_row(config: ExperimentConfig, var: str, value, index: int, trials: in
         raise ConfigError(f"swept N must be a power of two >= 2, got {n}")
     if shots < 0:
         raise ConfigError(f"swept shots must be >= 0, got {shots}")
-    if not 0 <= a_th < 1:
-        raise ConfigError(f"swept a_th must satisfy 0 <= a_th < 1, got {a_th}")
 
     marked = _marked_set(n, config.m_count, config.marked, row_seed)
     plan = make_plan(n, marked.count, a_th)

@@ -168,6 +168,9 @@ def grover_angle(universe_size: int, marked_count: int) -> float:
         raise ValueError(
             f"marked_count must satisfy 1 <= M < N, got M={marked_count}, N={universe_size}"
         )
+    if universe_size > 1 << 62:
+        # Planning is checked up to here; far past it M/N underflows to theta = 0.
+        raise ValueError(f"universe_size must be at most 2**62, got N={universe_size}")
     return 2.0 * math.asin(math.sqrt(marked_count / universe_size))
 
 

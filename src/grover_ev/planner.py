@@ -3,14 +3,15 @@
 Everything here is pure arithmetic on (N, M, m): the attenuation factor by
 which per-qubit EV magnitudes fall short of full strength after m steps,
 the standard stopping point, and the smallest truncated stopping point
-whose attenuation clears a threshold.
+whose attenuation clears a threshold, found by an arcsine inversion of the
+curve and an integer correction: O(1) work for any N <= 2**62.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import grover_angle
 
@@ -36,18 +37,7 @@ class TruncationPlan:
     saturated: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "M": self.M,
-            "theta": self.theta,
-            "a_th": self.a_th,
-            "a_stand": self.a_stand,
-            "m_stand": self.m_stand,
-            "m_trunc": self.m_trunc,
-            "m_trunc_estimate": self.m_trunc_estimate,
-            "ratio": self.ratio,
-            "saturated": self.saturated,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -64,7 +54,7 @@ def attenuation(universe_size: int, marked_count: int, iterations: int) -> float
     angle = grover_angle(universe_size, marked_count)
     if iterations == 0:
         # sin^2(theta/2) = M/N by definition of the angle; return the exact
-        # zero rather than rounding residue (the truncation scan compares
+        # zero rather than rounding residue (the truncation point compares
         # this against thresholds as small as 0).
         return 0.0
     sin_sq = math.sin((2 * iterations + 1) * angle / 2.0) ** 2
@@ -73,30 +63,41 @@ def attenuation(universe_size: int, marked_count: int, iterations: int) -> float
 
 def m_standard(universe_size: int, marked_count: int) -> int:
     """Step count of the standard version, floor(pi / (2 theta))."""
-    ratio = math.pi / (2.0 * grover_angle(universe_size, marked_count))
+    return _standard_count(grover_angle(universe_size, marked_count))
+
+
+def _standard_count(theta: float) -> int:
     # Guard the floor against 1-ulp shortfall when pi/(2 theta) is an exact
     # integer (happens at the degenerate point M = N/2 where theta = pi/2).
-    return int(math.floor(ratio + 1e-12))
+    return int(math.floor(math.pi / (2.0 * theta) + 1e-12))
 
 
-def _truncation_scan(universe_size: int, marked_count: int, a_th: float) -> tuple[int, bool]:
+def _truncation_point(
+    n: int, m_count: int, a_th: float, theta: float, m_stand: int
+) -> tuple[int, bool]:
     """Smallest m with attenuation above a_th, capped at the standard count.
 
-    Returns (m, saturated); saturated means the cap was hit without the
-    threshold ever being cleared.
+    Inverts A_m = a_th in closed form, then steps that guess against
+    :func:`attenuation` itself until A(m - 1) <= a_th < A(m).  Returns
+    (m, saturated); saturated means A(m_stand) does not clear the threshold.
     """
     if not 0 <= a_th < 1:
         raise ValueError(f"a_th must satisfy 0 <= a_th < 1, got {a_th}")
-    m_stand = m_standard(universe_size, marked_count)
-    for m in range(m_stand + 1):
-        if attenuation(universe_size, marked_count, m) > a_th:
-            return m, False
-    return m_stand, True
+    if attenuation(n, m_count, m_stand) <= a_th:
+        return m_stand, True
+    crossing = 2.0 * math.asin(math.sqrt(a_th + (1.0 - a_th) * m_count / n)) / theta
+    m = min(max(math.floor((crossing - 1.0) / 2.0) + 1, 0), m_stand)
+    while m > 0 and attenuation(n, m_count, m - 1) > a_th:
+        m -= 1
+    while attenuation(n, m_count, m) <= a_th:
+        m += 1
+    return m, False
 
 
 def m_truncated(universe_size: int, marked_count: int, a_th: float) -> int:
     """Truncated stopping point: first m whose attenuation exceeds a_th."""
-    return _truncation_scan(universe_size, marked_count, a_th)[0]
+    theta = grover_angle(universe_size, marked_count)
+    return _truncation_point(universe_size, marked_count, a_th, theta, _standard_count(theta))[0]
 
 
 def m_truncated_estimate(universe_size: int, marked_count: int, a_th: float) -> float:
@@ -104,26 +105,22 @@ def m_truncated_estimate(universe_size: int, marked_count: int, a_th: float) -> 
 
     m_stand * (2/pi) * arcsin(sqrt(r + (1 - r) M/N)) with r = a_th/a_stand
     and a_stand = 1/M.  Only defined up to the standard version's tolerance
-    a_stand; the integer scan in :func:`m_truncated` is authoritative.
+    a_stand; the exact inversion in :func:`m_truncated` is authoritative.
     """
-    if not 0 <= a_th < 1:
-        raise ValueError(f"a_th must satisfy 0 <= a_th < 1, got {a_th}")
-    a_stand = 1.0 / marked_count
-    if a_th > a_stand:
-        raise ValueError(
-            f"a_th={a_th} exceeds the standard version's tolerance {a_stand}"
-        )
-    rel = a_th / a_stand
-    inner = rel + (1.0 - rel) * marked_count / universe_size
-    return m_standard(universe_size, marked_count) * (2.0 / math.pi) * math.asin(math.sqrt(inner))
+    return make_plan(universe_size, marked_count, a_th).m_trunc_estimate
 
 
 def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationPlan:
     """Aggregate angle, stopping points, and estimate into one plan."""
     theta = grover_angle(universe_size, marked_count)
-    m_stand = m_standard(universe_size, marked_count)
-    m_trunc, saturated = _truncation_scan(universe_size, marked_count, a_th)
-    estimate = m_truncated_estimate(universe_size, marked_count, a_th)
+    m_stand = _standard_count(theta)
+    m_trunc, saturated = _truncation_point(universe_size, marked_count, a_th, theta, m_stand)
+    a_stand = 1.0 / marked_count
+    if a_th > a_stand:
+        raise ValueError(f"a_th={a_th} exceeds the standard version's tolerance {a_stand}")
+    rel = a_th / a_stand
+    inner = rel + (1.0 - rel) * marked_count / universe_size
+    estimate = m_stand * (2.0 / math.pi) * math.asin(math.sqrt(inner))
     # A zero standard count (M >= N/2, outside the useful regime) makes the
     # ratio degenerate; report 1 since truncation cannot shorten anything.
     ratio = m_trunc / m_stand if m_stand > 0 else 1.0
@@ -132,7 +129,7 @@ def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationP
         M=marked_count,
         theta=theta,
         a_th=a_th,
-        a_stand=1.0 / marked_count,
+        a_stand=a_stand,
         m_stand=m_stand,
         m_trunc=m_trunc,
         m_trunc_estimate=estimate,

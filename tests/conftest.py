@@ -2,10 +2,13 @@
 
 Everything here recomputes expected values from first principles: explicit
 operator matrices, direct enumeration of filtered marked subsets, and
-straight bit arithmetic on labels.
+straight bit arithmetic on labels.  The planner's original linear scan
+over the attenuation curve is kept here as the reference for its inversion.
 """
 
 import numpy as np
+
+from grover_ev import attenuation, m_standard
 
 
 def oracle_matrix(qubit_count, locations):
@@ -69,3 +72,20 @@ def uniform_over(qubit_count, locations):
     amps = np.zeros(1 << qubit_count, dtype=complex)
     amps[list(locations)] = 1.0 / np.sqrt(len(locations))
     return amps
+
+
+def reference_truncation_scan(universe_size, marked_count, a_th):
+    """The planner's original O(m_stand) linear scan, kept as the reference
+    for its closed-form inversion: the smallest m whose attenuation exceeds
+    a_th, or (m_stand, True) when none up to the standard count does.
+
+    It walks the package's own ``attenuation`` so that float rounding in the
+    curve is the same on both sides of the comparison.
+    """
+    if not 0 <= a_th < 1:
+        raise ValueError(f"a_th must satisfy 0 <= a_th < 1, got {a_th}")
+    m_stand = m_standard(universe_size, marked_count)
+    for m in range(m_stand + 1):
+        if attenuation(universe_size, marked_count, m) > a_th:
+            return m, False
+    return m_stand, True

@@ -72,6 +72,24 @@ def test_plan_marked_count_consistency(capsys):
     assert "disagrees" in err
 
 
+def test_plan_at_largest_universe(capsys):
+    n = 2**62
+    code, out, _ = run_cli(capsys, "plan", "--n", str(n), "--m-count", "2", "--a-th", "0.1")
+    assert code == 0
+    plan = json.loads(out)["plan"]
+    m_trunc = plan["m_trunc"]
+    assert not plan["saturated"]
+    assert grover_ev.attenuation(n, 2, m_trunc - 1) <= 0.1 < grover_ev.attenuation(n, 2, m_trunc)
+
+
+@pytest.mark.parametrize("n", [2**63, 2**1100])
+def test_plan_rejects_universe_past_float_range(capsys, n):
+    code, out, err = run_cli(capsys, "plan", "--n", str(n), "--a-th", "0.1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --------------------------------------------------------------------- search
 
 def test_search_finds_explicit_marked_item(capsys):
@@ -214,6 +232,15 @@ def test_sweep_rejects_bad_n_value(capsys):
     )
     assert code == 2
     assert "power of two" in err
+
+
+def test_sweep_rejects_bad_a_th_value(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "1024", "--sweep", "a_th", "--values", "0.1,1.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: a_th must satisfy 0 <= a_th < 1, got 1.5\n"
 
 
 def test_sweep_parallelism_does_not_change_output(capsys, monkeypatch):

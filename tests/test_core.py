@@ -251,6 +251,13 @@ def test_angle_rejects_bad_counts(n, m):
         grover_angle(n, m)
 
 
+def test_angle_bounded_to_float_resolved_universes():
+    assert grover_angle(2**62, 1) > 0.0
+    for n in (2**62 + 1, 2**63, 2**1100):
+        with pytest.raises(ValueError, match="at most 2"):
+            grover_angle(n, 1)
+
+
 # ---------------------------------------------------------------- closed form
 
 def test_closed_form_zero_iterations_is_uniform():

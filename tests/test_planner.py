@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bit_of
+from conftest import bit_of, reference_truncation_scan
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grover_ev import (
     MarkedSet,
@@ -18,6 +20,7 @@ from grover_ev import (
     m_truncated_estimate,
     make_plan,
     new_uniform,
+    planner,
 )
 
 POWERS_OF_TWO = [2**e for e in range(2, 13)]
@@ -151,6 +154,94 @@ def test_make_plan_rejects_threshold_past_tolerance():
 def test_saturation_flag():
     plan = make_plan(16, 1, 0.99)
     assert plan.saturated and plan.m_trunc == plan.m_stand == 3
+
+
+# ------------------------------------------------- inversion vs. linear scan
+
+def truncation_point(n, m_count, a_th):
+    """(m_trunc, saturated) from the planner's closed-form inversion."""
+    theta = grover_angle(n, m_count)
+    return planner._truncation_point(n, m_count, a_th, theta, m_standard(n, m_count))
+
+
+def curve_thresholds(n, m_count):
+    """Every attenuation value up to the standard count, its float
+    neighbours, and both ends of the threshold range."""
+    thresholds = {0.0, 1.0 - 1e-12}
+    for m in range(m_standard(n, m_count) + 1):
+        value = attenuation(n, m_count, m)
+        thresholds.update((value, math.nextafter(value, -1.0), math.nextafter(value, 2.0)))
+    return sorted(t for t in thresholds if 0 <= t < 1)
+
+
+def test_inversion_matches_scan_exhaustively():
+    cases = 0
+    for qubits in range(1, 15):
+        n = 1 << qubits
+        for m_count in range(1, min(8, n - 1) + 1):
+            for a_th in curve_thresholds(n, m_count):
+                expected = reference_truncation_scan(n, m_count, a_th)
+                assert truncation_point(n, m_count, a_th) == expected, (n, m_count, a_th)
+                cases += 1
+    assert cases > 4000  # every (N, M) pair contributed its thresholds
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    qubits=st.integers(1, 30),
+    m_count=st.integers(1, 16),
+    position=st.floats(0.0, 1.0),
+    offset=st.sampled_from([-1, 0, 1]),
+    free=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_inversion_matches_scan_property(qubits, m_count, position, offset, free):
+    n = 1 << qubits
+    m_count = min(m_count, n - 1)
+    if free is None:
+        # A threshold on the curve itself or one ulp to either side.
+        value = attenuation(n, m_count, round(position * m_standard(n, m_count)))
+        a_th = min(max(value if offset == 0 else math.nextafter(value, offset * 2.0), 0.0),
+                   1.0 - 1e-12)
+    else:
+        a_th = free
+    assert truncation_point(n, m_count, a_th) == reference_truncation_scan(n, m_count, a_th)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    qubits=st.integers(28, 62),
+    m_count=st.integers(1, 64),
+    a_th=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(qubits=62, m_count=1, a_th=1.0 - 1e-15)
+@example(qubits=62, m_count=1, a_th=0.0)
+@example(qubits=28, m_count=64, a_th=1.0 - 1e-15)
+def test_inversion_meets_first_crossing_contract(qubits, m_count, a_th):
+    # Too large for the scan: check the first-crossing contract directly.
+    n = 1 << qubits
+    m_stand = m_standard(n, m_count)
+    m, saturated = truncation_point(n, m_count, a_th)
+    if saturated:
+        assert m == m_stand and attenuation(n, m_count, m_stand) <= a_th
+    else:
+        assert 1 <= m <= m_stand
+        assert attenuation(n, m_count, m - 1) <= a_th < attenuation(n, m_count, m)
+
+
+@pytest.mark.parametrize("m_count", [1, 2, 4])
+def test_plan_at_largest_n_takes_constant_work(m_count, monkeypatch):
+    calls = []
+
+    def counting_attenuation(*args):
+        calls.append(args)
+        return attenuation(*args)
+
+    monkeypatch.setattr(planner, "attenuation", counting_attenuation)
+    for a_th in (0.0, 1e-9, 0.1, 0.25):
+        calls.clear()
+        plan = make_plan(2**62, m_count, a_th)
+        assert len(calls) <= 5, (a_th, calls)
+        assert not plan.saturated and 1 <= plan.m_trunc <= plan.m_stand
 
 
 # ------------------------------------------------------------------- estimate
