@@ -12,7 +12,6 @@ an explicit :class:`OracleLedger` so query costs stay auditable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,16 +53,6 @@ class StateVector:
         """Born probabilities |amplitude|^2 for each basis label."""
         return np.abs(self.amplitudes) ** 2
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def to_pairs(self) -> list[list[float]]:
-        """Debug-dump form: one [re, im] pair per basis label, x = 0..N-1."""
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_pairs())
-
 
 @dataclass(frozen=True)
 class MarkedSet:
@@ -96,12 +85,6 @@ class MarkedSet:
 
     def __contains__(self, x: int) -> bool:
         return x in set(self.locations)
-
-    def indicator(self) -> np.ndarray:
-        """Boolean mask over basis labels, True on marked locations."""
-        mask = np.zeros(self.universe_size, dtype=bool)
-        mask[list(self.locations)] = True
-        return mask
 
 
 @dataclass
@@ -183,7 +166,13 @@ def class_amplitudes(universe_size: int, marked_count: int, iterations: int) -> 
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    half_angle = (2 * iterations + 1) * grover_angle(universe_size, marked_count) / 2.0
+    theta = grover_angle(universe_size, marked_count)
+    if iterations == 0:
+        # The formulas below give the uniform state only up to rounding, and
+        # its EVs must come out exactly 0.
+        uniform = 1.0 / math.sqrt(universe_size)
+        return uniform, uniform
+    half_angle = (2 * iterations + 1) * theta / 2.0
     return (
         math.sin(half_angle) / math.sqrt(marked_count),
         math.cos(half_angle) / math.sqrt(universe_size - marked_count),

@@ -30,13 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import MAX_QUBITS
-from .core import MarkedSet, StateVector, class_amplitudes
+from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .measurement import (
     CorrelationInfo,
     EnsembleModel,
     RunRecord,
+    class_state,
     decide_sign,
     measure_classes,
 )
@@ -226,20 +226,7 @@ def extract_location(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if a_th < 0:
-        raise ValueError(f"a_th must be >= 0, got {a_th}")
-    n = marked.universe_size
-    qubit_count = n.bit_length() - 1
-    if 1 << qubit_count != n:
-        raise ValueError(f"universe size must be a power of two, got {n}")
-    if qubit_count > MAX_QUBITS:
-        raise ValueError(
-            f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
-        )
-
-    on, off = class_amplitudes(n, marked.count, iterations)
-    weights = (on * on, off * off)
-    locations = np.array(marked.locations, dtype=np.int64)
+    qubit_count, locations, weights = class_state(marked, iterations)
 
     def run(index: int, heavy: np.ndarray, correlation=None) -> RunRecord:
         return measure_classes(

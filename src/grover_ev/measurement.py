@@ -10,8 +10,8 @@ RNG streams are derived from the model seed and nothing else:
 
 * shot labels come from ``numpy.random.default_rng(seed)`` via inverse-CDF
   lookup on the cumulative Born distribution (for a two-amplitude state,
-  :func:`measure_classes` inverts that CDF in closed form on the same
-  draws);
+  :func:`measure_classes` and :func:`sign_error_rate` invert that CDF in
+  closed form on the same draws);
 * the additive readout noise on qubit ``k`` comes from
   ``default_rng((seed, k))``, truncated at three sigma so reported EVs stay
   within the documented bound |ev| <= 1 + 3*sigma.
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, qubit_values
+from .constants import MAX_QUBITS
+from .core import MarkedSet, StateVector, class_amplitudes, qubit_values
 
 
 @dataclass(frozen=True)
@@ -190,14 +191,11 @@ def _readout_noise(model: EnsembleModel, k: int) -> float:
 
 
 def sampled_ev(state: StateVector, k: int, model: EnsembleModel) -> float:
-    """Estimate of sigma_z(k) under the given ensemble model."""
+    """Estimate of sigma_z(k) under the given ensemble model: qubit k of
+    :func:`measure_all`."""
     if not 1 <= k <= state.qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
-    if model.shots == 0:
-        base = exact_ev(state, k)
-    else:
-        base = _label_ev(_shot_labels(state, model), k)
-    return base + _readout_noise(model, k)
+    return measure_all(state, model, iterates_used=0, oracle_invocations=0).evs[k - 1]
 
 
 def decide_sign(ev: float, threshold: float) -> int | None:
@@ -257,6 +255,37 @@ def measure_all(
     )
 
 
+def class_state(
+    marked: MarkedSet, iterations: int
+) -> tuple[int, np.ndarray, tuple[float, float]]:
+    """The two-amplitude state after ``iterations`` steps, in the form
+    :func:`measure_classes` reads: ``(qubit_count, heavy, weights)``.
+
+    ``heavy`` holds the marked labels and ``weights`` the Born weight of one
+    marked and of one unmarked label.  The universe must be a power of two
+    of at most :data:`~grover_ev.constants.MAX_QUBITS` qubits.
+    """
+    n = marked.universe_size
+    qubit_count = n.bit_length() - 1
+    if 1 << qubit_count != n:
+        raise ValueError(f"universe size must be a power of two, got {n}")
+    if qubit_count > MAX_QUBITS:
+        raise ValueError(
+            f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
+        )
+    on, off = class_amplitudes(n, marked.count, iterations)
+    heavy = np.array(marked.locations, dtype=np.int64)
+    return qubit_count, heavy, (on * on, off * off)
+
+
+def _class_evs(qubit_count: int, heavy: np.ndarray, weights: tuple[float, float]) -> list[float]:
+    """Exact EVs of a two-amplitude state: (on - off) * sum over heavy of
+    (1 - 2 bit_k), since ``off``, spread evenly over all labels, cancels."""
+    on, off = weights
+    ones = ((heavy[:, None] >> np.arange(qubit_count)) & 1).sum(axis=0)
+    return [(on - off) * float(heavy.size - 2 * c) for c in ones]
+
+
 def measure_classes(
     qubit_count: int,
     heavy: np.ndarray,
@@ -271,17 +300,13 @@ def measure_classes(
 
     The state puts Born weight ``weights[0]`` (on) on each label in
     ``heavy`` and ``weights[1]`` (off) on every other label of the
-    ``qubit_count``-qubit register.  Spread evenly over all labels, ``off``
-    cancels from every EV, so the exact readout is
-    EV_k = (on - off) * sum over heavy of (1 - 2 bit_k), in O(M L).
-    Sampled readout draws the same labels as :func:`measure_all` would from
-    the same seed, in O(shots L); the readout noise is the same.
+    ``qubit_count``-qubit register.  Exact readout costs O(M L).  Sampled
+    readout draws the same labels as :func:`measure_all` would from the same
+    seed, in O(shots L); the readout noise is the same.
     """
     heavy = np.asarray(heavy, dtype=np.int64)
     if model.shots == 0:
-        on, off = weights
-        ones = ((heavy[:, None] >> np.arange(qubit_count)) & 1).sum(axis=0)
-        base = [(on - off) * float(heavy.size - 2 * c) for c in ones]
+        base = _class_evs(qubit_count, heavy, weights)
     else:
         labels = _class_shot_labels(heavy, 1 << qubit_count, weights, model)
         base = [_label_ev(labels, k) for k in range(1, qubit_count + 1)]
@@ -294,7 +319,8 @@ def measure_classes(
 
 
 def sign_error_rate(
-    state: StateVector,
+    marked: MarkedSet,
+    iterations: int,
     k: int,
     *,
     shots: int,
@@ -303,24 +329,28 @@ def sign_error_rate(
     trials: int = 200,
     seed: int = 0,
 ) -> float:
-    """Fraction of seeded readout trials that misjudge the sign of qubit k.
+    """Fraction of seeded readout trials that misjudge the sign of qubit k
+    after ``iterations`` steps on ``marked``.
 
-    The reference answer is the sign of the exact EV; a trial errs when its
-    decision (at the given threshold) differs from that reference, counting
-    an undecided readout of a decidable qubit as an error.  Trial ``t`` uses
-    seed ``seed + t``.
+    The reference answer is the sign of the exact EV, undecided when that EV
+    is 0; a trial errs when its decision (at the given threshold) differs
+    from that reference, counting an undecided readout of a decidable qubit
+    as an error.  Trial ``t`` uses seed ``seed + t``.  Trials draw their
+    shots from the two-amplitude state (:func:`class_state`), so the rate
+    costs O(trials shots), whatever the register size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    exact = exact_ev(state, k)
+    qubit_count, heavy, weights = class_state(marked, iterations)
+    if not 1 <= k <= qubit_count:
+        raise ValueError(f"qubit index {k} out of range 1..{qubit_count}")
+    exact = _class_evs(qubit_count, heavy, weights)[k - 1]
     truth = decide_sign(exact, 0.0)
-    # One Born CDF serves every trial; each trial only draws its own shots.
-    cdf = _born_cdf(state) if shots else None
     errors = 0
     for t in range(trials):
         model = EnsembleModel(shots=shots, seed=seed + t, gaussian_noise_sigma=sigma)
         if shots:
-            base = _label_ev(np.searchsorted(cdf, _uniform_draws(model), side="right"), k)
+            base = _label_ev(_class_shot_labels(heavy, 1 << qubit_count, weights, model), k)
         else:
             base = exact
         if decide_sign(base + _readout_noise(model, k), threshold) != truth:

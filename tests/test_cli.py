@@ -243,17 +243,44 @@ def test_sweep_rejects_bad_a_th_value(capsys):
     assert err == "error: a_th must satisfy 0 <= a_th < 1, got 1.5\n"
 
 
-def test_sweep_parallelism_does_not_change_output(capsys, monkeypatch):
-    argv = [
-        "sweep", "--n", "256", "--m-count", "1", "--a-th", "0.25",
-        "--sweep", "m", "--values", "0..10", "--shots", "64", "--trials", "20",
-    ]
-    monkeypatch.setenv("GROVER_EV_THREADS", "4")
-    code1, out1, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("GROVER_EV_THREADS", "1")
-    code2, out2, _ = run_cli(capsys, *argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_sweep_builds_no_statevector(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the sweep built a StateVector")
+
+    monkeypatch.setattr(grover_ev.StateVector, "__post_init__", refuse)
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", str(1 << 20), "--marked", "654321", "--a-th", "0.25",
+        "--shots", "1024", "--sweep", "m", "--values", "0..3", "--trials", "20",
+    )
+    assert code == 0, err
+    assert [int(row["m"]) for row in parse_csv(out)] == [0, 1, 2, 3]
+
+
+def test_sweep_rejects_register_past_cap(capsys):
+    n = 1 << (grover_ev.MAX_QUBITS + 1)
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", str(n), "--marked", "5", "--a-th", "0.25",
+        "--sweep", "m", "--values", "1..1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "qubit_count" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--marked", "3,16"], "must lie in [0, 16)"),
+    (["search", "--marked", "-1"], "must lie in [0, 16)"),
+    (["search", "--marked", "3,3"], "must be distinct"),
+    (["sweep", "--marked", "3,3", "--sweep", "m", "--values", "1..1"], "must be distinct"),
+    (["plan", "--a-th", "1.5"], "0 <= a_th < 1"),
+    (["search", "--a-th", "-0.1"], "0 <= a_th < 1"),
+    (["sweep", "--a-th", "1.0", "--sweep", "m", "--values", "1..1"], "0 <= a_th < 1"),
+])
+def test_invalid_input_exits_two_with_empty_stdout(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv[0], "--n", "16", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_sweep_float_formatting_is_twelve_digits(capsys):

@@ -227,41 +227,66 @@ def test_correlation_info_validates():
 # ----------------------------------------------------------- sign error rates
 
 def test_sign_error_rate_exact_readout_is_zero():
-    state = closed_form_state(4, MarkedSet((5,), 16), 1)
-    assert sign_error_rate(state, 1, shots=0, trials=3, seed=0) == 0.0
+    assert sign_error_rate(MarkedSet((5,), 16), 1, 1, shots=0, trials=3, seed=0) == 0.0
 
 
 def test_sign_error_rate_counts_wrong_signs():
     # Three-shot readout of a 0.75-signal qubit (per-shot minority
     # probability 0.125, odd count so no ties): majority-wrong probability
     # is 3 * 0.125^2 * 0.875 + 0.125^3 = 0.043.
-    state = closed_form_state(3, MarkedSet((5,), 8), 1)
-    rate = sign_error_rate(state, 1, shots=3, trials=2000, seed=1)
+    rate = sign_error_rate(MarkedSet((5,), 8), 1, 1, shots=3, trials=2000, seed=1)
     assert 0.025 <= rate <= 0.065
 
 
 def test_sign_error_rate_counts_ties_as_errors():
     # Even shot counts can tie at EV exactly 0; an undecided readout of a
     # decidable qubit is an error.  P(tie) + P(wrong sign) = 0.234 here.
-    state = closed_form_state(3, MarkedSet((5,), 8), 1)
-    rate = sign_error_rate(state, 1, shots=2, trials=2000, seed=1)
+    rate = sign_error_rate(MarkedSet((5,), 8), 1, 1, shots=2, trials=2000, seed=1)
     assert 0.19 <= rate <= 0.28
 
 
 def test_sign_error_rate_agrees_with_per_trial_readouts():
-    # The rate builds the Born CDF once; each trial must still decide exactly
-    # as a fresh sampled_ev readout with seed ``seed + t`` would.
-    state = closed_form_state(5, MarkedSet((3, 17), 32), 2)
-    truth = decide_sign(exact_ev(state, 1), 0.0)
-    for shots, sigma in ((64, 0.0), (16, 0.05), (0, 0.05)):
-        wrong = [
-            decide_sign(
-                sampled_ev(state, 1, EnsembleModel(shots=shots, seed=9 + t,
-                                                   gaussian_noise_sigma=sigma)),
-                0.1,
-            ) != truth
-            for t in range(50)
-        ]
-        rate = sign_error_rate(state, 1, shots=shots, sigma=sigma, threshold=0.1,
-                               trials=50, seed=9)
-        assert rate == sum(wrong) / 50
+    # The rate reads the two-amplitude state; each trial must still decide
+    # exactly as a dense sampled_ev readout with seed ``seed + t`` would.
+    cases = [
+        (MarkedSet((3, 17), 32), 2),
+        (MarkedSet((5,), 8), 1),
+        (MarkedSet((6, 700, 1001), 1 << 10), 4),
+        (MarkedSet((2049,), 1 << 12), 10),
+        (MarkedSet((100, 3000), 1 << 12), 25),
+    ]
+    for marked, iterations in cases:
+        state = closed_form_state(marked.universe_size.bit_length() - 1, marked, iterations)
+        truth = decide_sign(exact_ev(state, 1), 0.0)
+        assert truth is not None
+        for shots, sigma in ((64, 0.0), (16, 0.05), (0, 0.05)):
+            wrong = [
+                decide_sign(
+                    sampled_ev(state, 1, EnsembleModel(shots=shots, seed=9 + t,
+                                                       gaussian_noise_sigma=sigma)),
+                    0.1,
+                ) != truth
+                for t in range(50)
+            ]
+            rate = sign_error_rate(marked, iterations, 1, shots=shots, sigma=sigma,
+                                   threshold=0.1, trials=50, seed=9)
+            assert rate == sum(wrong) / 50
+
+
+@pytest.mark.parametrize("marked, iterations", [
+    (MarkedSet((1, 2), 8), 1),  # the two marked labels split on bit 1
+    (MarkedSet((0, 7), 8), 2),  # the same, where a dense sum leaves a residue
+    (MarkedSet((5,), 8), 0),    # the uniform state
+], ids=["split", "split-residue", "uniform"])
+def test_sign_error_rate_zero_ev_reference_is_undecided(marked, iterations):
+    # With an exact EV of 0 there is no sign to get right: every trial whose
+    # readout decides errs, and every undecided trial is correct.
+    state = closed_form_state(3, marked, iterations)
+    decided = [
+        decide_sign(sampled_ev(state, 1, EnsembleModel(shots=64, seed=4 + t)), 0.0)
+        is not None
+        for t in range(100)
+    ]
+    rate = sign_error_rate(marked, iterations, 1, shots=64, trials=100, seed=4)
+    assert 0 < sum(decided) < 100
+    assert rate == sum(decided) / 100
