@@ -166,17 +166,25 @@ def class_amplitudes(universe_size: int, marked_count: int, iterations: int) -> 
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    theta = grover_angle(universe_size, marked_count)
-    if iterations == 0:
-        # The formulas below give the uniform state only up to rounding, and
-        # its EVs must come out exactly 0.
-        uniform = 1.0 / math.sqrt(universe_size)
-        return uniform, uniform
-    half_angle = (2 * iterations + 1) * theta / 2.0
-    return (
-        math.sin(half_angle) / math.sqrt(marked_count),
-        math.cos(half_angle) / math.sqrt(universe_size - marked_count),
-    )
+    half_angle = (2 * iterations + 1) * grover_angle(universe_size, marked_count) / 2.0
+    on = math.sin(half_angle) / math.sqrt(marked_count)
+    off = math.cos(half_angle) / math.sqrt(universe_size - marked_count)
+    if returns_to_uniform(universe_size, marked_count, iterations):
+        # Exactly |on| = |off|, so the EVs are exactly 0, not rounding residue.
+        on, off = (math.copysign(1.0 / math.sqrt(universe_size), x) for x in (on, off))
+    return on, off
+
+
+def returns_to_uniform(universe_size: int, marked_count: int, iterations: int) -> bool:
+    """Whether every label has the same Born weight after ``iterations`` steps.
+
+    That needs sin^2((2m+1) theta/2) = M/N, i.e. m theta or (m+1) theta a
+    multiple of pi: true at m = 0.  For m > 0, cos(theta) = 1 - 2M/N is
+    rational, so by Niven's theorem theta is a rational multiple of pi only
+    at M/N = 1/2 (every m) and M/N = 1/4 or 3/4 (every m but m = 1 mod 3).
+    """
+    quarters, rest = divmod(4 * marked_count, universe_size)
+    return iterations == 0 or rest == 0 and (quarters == 2 or iterations % 3 != 1)
 
 
 def closed_form_state(qubit_count: int, marked: MarkedSet, iterations: int) -> StateVector:

@@ -73,7 +73,12 @@ class FilterState:
         return len(self.determined_bits)
 
     def extended(self, bit: int) -> "FilterState":
-        return FilterState(self.determined_bits + (bit,))
+        """This prefix plus one more bit; only the new bit is checked."""
+        if bit not in (0, 1):
+            raise ValueError(f"bits must be 0/1, got {bit}")
+        state = object.__new__(FilterState)
+        object.__setattr__(state, "determined_bits", self.determined_bits + (int(bit),))
+        return state
 
 
 @dataclass(frozen=True)

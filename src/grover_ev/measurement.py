@@ -139,46 +139,57 @@ def _shot_labels(state: StateVector, model: EnsembleModel) -> np.ndarray:
     return np.searchsorted(_born_cdf(state), _uniform_draws(model), side="right")
 
 
-def _class_shot_labels(
-    heavy: np.ndarray, dim: int, weights: tuple[float, float], model: EnsembleModel
-) -> np.ndarray:
-    """:func:`_shot_labels` of a two-amplitude state, from its heavy labels.
+def _class_inverse_cdf(heavy: np.ndarray, dim: int, weights: tuple[float, float]):
+    """Inverse of the Born CDF of a two-amplitude state, from its heavy labels:
+    a function from uniform draws in [0, 1) to basis labels.
 
     Each of the M ``heavy`` labels has Born weight ``weights[0]`` and each of
     the other ``dim - M`` labels ``weights[1]``.  With the heavy labels sorted
     as h_0 < h_1 < ..., the CDF is off * (x + 1) + (on - off) * #{h_j <= x}:
     a step of width ``on`` at each h_j and linear in between.  One
-    searchsorted over the M steps finds each draw's segment; a draw that lies
-    between two steps is inverted by one division by ``off``.  Only such
-    draws divide, so a weight that underflows to zero empties its segments
-    instead of dividing by zero.
+    searchsorted over the M steps finds each draw's segment; only a draw
+    between two steps is inverted, by one division by ``off``, so a weight
+    that underflows to zero empties its segments instead of dividing by 0.
     """
     on, off = weights
     heavy = np.sort(heavy)
-    count = heavy.size
     rise = on - off
-    total = off * dim + rise * count
-    before = np.arange(count)
+    total = off * dim + rise * heavy.size
+    before = np.arange(heavy.size)
     # CDF just below and at each heavy label, scaled to end at 1 as in
     # _born_cdf; a sentinel start past 1 sends draws above the last step
     # into the final unmarked segment.
     starts = np.append((off * heavy + rise * before) / total, np.inf)
     ends = (off * (heavy + 1) + rise * (before + 1)) / total
-    draws = _uniform_draws(model)
-    segment = np.searchsorted(ends, draws, side="right")
-    labels = np.append(heavy, 0)[segment]
-    between = draws < starts[segment]
-    seg = segment[between]
-    lowest = np.append(0, heavy + 1)[seg]
-    highest = np.append(heavy - 1, dim - 1)[seg]
-    offset = np.floor((draws[between] * total - rise * seg) / off)
-    labels[between] = np.clip(offset, lowest, highest).astype(labels.dtype)
-    return labels
+    step_labels = np.append(heavy, 0)
+    lowest = np.append(0, heavy + 1)
+    highest = np.append(heavy - 1, dim - 1)
+
+    def labels_of(draws: np.ndarray) -> np.ndarray:
+        segment = np.searchsorted(ends, draws, side="right")
+        labels = step_labels[segment]
+        between = draws < starts[segment]
+        seg = segment[between]
+        offset = np.floor((draws[between] * total - rise * seg) / off)
+        labels[between] = np.clip(offset, lowest[seg], highest[seg]).astype(labels.dtype)
+        return labels
+
+    return labels_of
 
 
-def _label_ev(labels: np.ndarray, k: int) -> float:
-    """Empirical sigma_z(k) over a set of shot labels."""
-    return float(np.mean(1.0 - 2.0 * ((labels >> (k - 1)) & 1)))
+def _class_shot_labels(
+    heavy: np.ndarray, dim: int, weights: tuple[float, float], model: EnsembleModel
+) -> np.ndarray:
+    """:func:`_shot_labels` of a two-amplitude state, from its heavy labels."""
+    return _class_inverse_cdf(heavy, dim, weights)(_uniform_draws(model))
+
+
+def _label_evs(labels: np.ndarray, qubits: range | list[int]) -> np.ndarray:
+    """Empirical sigma_z of each qubit in ``qubits`` over one set of shot
+    labels, counted in one pass.  Each is a mean of +-1 terms whose sum is an
+    exact integer, so it equals ``np.mean(1 - 2 bit)`` bit for bit."""
+    ones = ((labels >> (np.asarray(qubits) - 1)[:, None]) & 1).sum(axis=1)
+    return (labels.size - 2 * ones) / labels.size
 
 
 def _readout_noise(model: EnsembleModel, k: int) -> float:
@@ -245,8 +256,7 @@ def measure_all(
     if model.shots == 0:
         base = [exact_ev(state, k) for k in qubits]
     else:
-        labels = _shot_labels(state, model)
-        base = [_label_ev(labels, k) for k in qubits]
+        base = _label_evs(_shot_labels(state, model), qubits).tolist()
     return _run_record(
         base, model,
         iterates_used=iterates_used,
@@ -309,7 +319,7 @@ def measure_classes(
         base = _class_evs(qubit_count, heavy, weights)
     else:
         labels = _class_shot_labels(heavy, 1 << qubit_count, weights, model)
-        base = [_label_ev(labels, k) for k in range(1, qubit_count + 1)]
+        base = _label_evs(labels, range(1, qubit_count + 1)).tolist()
     return _run_record(
         base, model,
         iterates_used=iterates_used,
@@ -336,8 +346,8 @@ def sign_error_rate(
     is 0; a trial errs when its decision (at the given threshold) differs
     from that reference, counting an undecided readout of a decidable qubit
     as an error.  Trial ``t`` uses seed ``seed + t``.  Trials draw their
-    shots from the two-amplitude state (:func:`class_state`), so the rate
-    costs O(trials shots), whatever the register size.
+    shots from the two-amplitude state (:func:`class_state`) through tables
+    built once, so the rate costs O(trials shots) whatever the register size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -346,11 +356,12 @@ def sign_error_rate(
         raise ValueError(f"qubit index {k} out of range 1..{qubit_count}")
     exact = _class_evs(qubit_count, heavy, weights)[k - 1]
     truth = decide_sign(exact, 0.0)
+    labels_of = _class_inverse_cdf(heavy, 1 << qubit_count, weights)
     errors = 0
     for t in range(trials):
         model = EnsembleModel(shots=shots, seed=seed + t, gaussian_noise_sigma=sigma)
         if shots:
-            base = _label_ev(_class_shot_labels(heavy, 1 << qubit_count, weights, model), k)
+            base = _label_evs(labels_of(_uniform_draws(model)), [k])[0]
         else:
             base = exact
         if decide_sign(base + _readout_noise(model, k), threshold) != truth:

@@ -9,11 +9,10 @@ curve and an integer correction: O(1) work for any N <= 2**62.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
-from .core import grover_angle
+from .core import grover_angle, returns_to_uniform
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,6 @@ class TruncationPlan:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def attenuation(universe_size: int, marked_count: int, iterations: int) -> float:
     """EV attenuation after ``iterations`` steps: (sin^2 * N - M) / (N - M).
@@ -52,10 +48,9 @@ def attenuation(universe_size: int, marked_count: int, iterations: int) -> float
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     angle = grover_angle(universe_size, marked_count)
-    if iterations == 0:
-        # sin^2(theta/2) = M/N by definition of the angle; return the exact
-        # zero rather than rounding residue (the truncation point compares
-        # this against thresholds as small as 0).
+    if returns_to_uniform(universe_size, marked_count, iterations):
+        # sin^2 = M/N exactly; return 0, not rounding residue (the truncation
+        # point compares this against thresholds as small as 0).
         return 0.0
     sin_sq = math.sin((2 * iterations + 1) * angle / 2.0) ** 2
     return (sin_sq * universe_size - marked_count) / (universe_size - marked_count)

@@ -23,15 +23,19 @@ from grover_ev import (
     apply_correlation,
     apply_grover,
     class_amplitudes,
+    decide_sign,
     extract_location,
     m_truncated,
     measure_all,
     measure_classes,
     new_uniform,
+    sign_error_rate,
 )
 from grover_ev.measurement import (
     _born_cdf,
     _class_shot_labels,
+    _label_evs,
+    _readout_noise,
     _shot_labels,
     _uniform_draws,
 )
@@ -181,3 +185,74 @@ def test_search_builds_no_statevector(monkeypatch):
 def test_search_rejects_register_past_cap():
     with pytest.raises(ValueError, match="qubit_count"):
         extract_location(MarkedSet((5,), 1 << (MAX_QUBITS + 1)), 1, EXACT, 0.25)
+
+
+# ------------------------------------------------------ one-pass label counts
+
+def mean_ev(labels, k):
+    """Empirical sigma_z(k) as a plain mean of 1 - 2 bit_k over the shots."""
+    return float(np.mean(1.0 - 2.0 * ((labels >> (k - 1)) & 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 4096), st.integers(0, 2**64 - 1),
+       st.sampled_from(("uniform", "mostly 0", "mostly 1", "constant")))
+def test_one_pass_counts_equal_per_qubit_means(qubits, shots, seed, shape):
+    rng = np.random.default_rng(seed)
+    top = 1 << qubits
+    labels = rng.integers(0, top, size=shots)
+    if shape == "mostly 0":
+        labels &= rng.integers(0, top, size=shots) & rng.integers(0, top, size=shots)
+    elif shape == "mostly 1":
+        labels |= rng.integers(0, top, size=shots) | rng.integers(0, top, size=shots)
+    elif shape == "constant":
+        labels[:] = labels[0]
+    expected = [mean_ev(labels, k) for k in range(1, qubits + 1)]
+    assert _label_evs(labels, range(1, qubits + 1)).tolist() == expected
+    for k in range(1, qubits + 1):
+        assert _label_evs(labels, [k])[0] == expected[k - 1]
+
+
+@st.composite
+def error_rate_cases(draw):
+    """A marked set with L <= 16 and M <= 4, an iterate count, a qubit, and
+    the readout settings of one sign_error_rate call."""
+    qubits = draw(st.integers(1, 16))
+    n = 1 << qubits
+    count = draw(st.integers(1, min(4, n - 1)))
+    locations = draw(
+        st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True)
+    )
+    return (
+        MarkedSet(tuple(locations), n),
+        draw(st.integers(0, 12)),
+        draw(st.integers(1, qubits)),
+        dict(
+            shots=draw(st.integers(1, 512)),
+            sigma=draw(st.sampled_from((0.0, 0.05))),
+            threshold=draw(st.sampled_from((0.0, 0.1))),
+            trials=draw(st.integers(1, 20)),
+            seed=draw(st.integers(0, 2**63)),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(error_rate_cases())
+def test_sign_error_rate_matches_per_trial_class_readouts(case):
+    # The rate builds its inverse-CDF tables once; each trial must still
+    # decide exactly as its own _class_shot_labels readout would.
+    marked, iterations, k, opts = case
+    n = marked.universe_size
+    weights = class_weights(n, marked.count, iterations)
+    exact = (weights[0] - weights[1]) * sum(1 - 2 * ((x >> (k - 1)) & 1)
+                                            for x in marked.locations)
+    truth = decide_sign(exact, 0.0)
+    wrong = 0
+    for t in range(opts["trials"]):
+        model = EnsembleModel(shots=opts["shots"], seed=opts["seed"] + t,
+                              gaussian_noise_sigma=opts["sigma"])
+        labels = _class_shot_labels(np.array(marked.locations), n, weights, model)
+        ev = mean_ev(labels, k) + _readout_noise(model, k)
+        wrong += decide_sign(ev, opts["threshold"]) != truth
+    assert sign_error_rate(marked, iterations, k, **opts) == wrong / opts["trials"]

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import grover_ev
+from grover_ev import cli
 from grover_ev.cli import CSV_COLUMNS, main
 
 
@@ -24,6 +25,21 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+def child_env():
+    """Environment for a child interpreter that imports this same grover_ev.
+
+    A child may run in another directory, where a relative PYTHONPATH entry
+    such as `src` finds nothing, so the directory that holds the package
+    this interpreter imported goes in front.  PYTHONHASHSEED is left alone.
+    """
+    env = dict(os.environ)
+    package_dir = str(Path(grover_ev.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        entry for entry in (package_dir, env.get("PYTHONPATH")) if entry
+    )
+    return env
 
 
 # ----------------------------------------------------------------------- plan
@@ -155,15 +171,8 @@ def test_search_byte_identical_across_processes(tmp_path):
         "--n", "16", "--marked", "11", "--a-th", "0.1",
         "--shots", "4096", "--seed", "7",
     ]
-    # The children run in tmp_path, where a relative PYTHONPATH entry such
-    # as `src` finds nothing, so put the directory that holds the package
-    # this interpreter imported in front of it. PYTHONHASHSEED is left
-    # alone: the two children may hash differently and must still agree.
-    env = dict(os.environ)
-    package_dir = str(Path(grover_ev.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        entry for entry in (package_dir, env.get("PYTHONPATH")) if entry
-    )
+    # The two children may hash differently and must still agree.
+    env = child_env()
     first = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env, timeout=120)
     second = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=env, timeout=120)
     assert first.returncode == second.returncode == 0, (first.stderr, second.stderr)
@@ -297,6 +306,30 @@ def test_sweep_float_formatting_is_twelve_digits(capsys):
     assert len(row["A_m"].replace("0.", "")) <= 12
 
 
+def test_sweep_at_half_marked_scores_against_undecided_reference(capsys):
+    # At M = N/2 every label keeps the same weight, so A_m and the exact EVs
+    # are exactly 0 and no trial has a sign to get right: a row's rate is
+    # the share of trials whose readout decides.
+    locations = (1, 3, 5, 7, 9, 11, 13, 15)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--n", "16", "--marked", ",".join(map(str, locations)),
+        "--a-th", "0.05", "--shots", "64", "--sweep", "m", "--values", "1..4",
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["A_m"] for row in rows] == ["0"] * 4
+    marked = grover_ev.MarkedSet(locations, 16)
+    for row in rows:
+        state = grover_ev.closed_form_state(4, marked, int(row["m"]))
+        decided = sum(
+            grover_ev.decide_sign(grover_ev.sampled_ev(
+                state, 1, grover_ev.EnsembleModel(shots=64, seed=int(row["seed"]) + t)), 0.0)
+            is not None
+            for t in range(200)
+        )
+        assert float(row["ev_sign_error_rate"]) == decided / 200
+
+
 # ------------------------------------------------------------- output routing
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -322,3 +355,63 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["plan"])  # --n is required
     assert excinfo.value.code == 2
+
+
+# ------------------------------------------------------- repeated main calls
+
+PLAN_ARGV = ["plan", "--n", "1024", "--m-count", "2", "--a-th", "0.2", "--format", "csv"]
+SEARCH_ARGV = ["search", "--n", "64", "--marked", "5,37", "--shots", "1024", "--seed", "3"]
+SWEEP_ARGV = ["sweep", "--n", "256", "--marked", "9", "--a-th", "0.25", "--shots", "64",
+              "--sweep", "m", "--values", "0..3", "--trials", "20", "--seed", "5"]
+
+
+def test_main_builds_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for i in range(100):
+            assert main(["plan", "--n", str(1 << (4 + i % 30)), "--a-th", "0.25"]) == 0
+        with pytest.raises(SystemExit):
+            main(["plan", "--n", "x"])
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+    # The public builder still gives a fresh parser on every call.
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    code = ("import grover_ev.cli as cli; "
+            "print(cli._parser.cache_info().currsize)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=child_env(), timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "0\n"
+
+
+@pytest.mark.parametrize("argv", [PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV])
+def test_earlier_calls_leave_no_state(capsys, argv):
+    # A usage error, then calls of every command with other options, then
+    # the call under test: its output must be what a fresh process prints.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["plan", "--n", "x"])
+    assert excinfo.value.code == 2
+    for other in (["plan", "--n", "16", "--a-th", "0.1", "--m", "3", "--format", "csv"],
+                  ["search", "--n", "16", "--marked", "3", "--m", "2", "--sigma", "0.01"],
+                  ["sweep", "--n", "16", "--m-count", "2", "--sweep", "shots",
+                   "--values", "8", "--trials", "3", "--m", "1"]):
+        assert main(other) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
+    fresh = subprocess.run([sys.executable, "-m", "grover_ev", *argv], capture_output=True,
+                           text=True, env=child_env(), timeout=120)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and out

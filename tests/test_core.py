@@ -1,6 +1,7 @@
 """Statevector register, oracle/diffusion unitaries, and the closed form."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from grover_ev import (
     apply_diffusion,
     apply_grover,
     apply_oracle,
+    attenuation,
+    class_amplitudes,
     closed_form_state,
     grover_angle,
     m_standard,
@@ -293,3 +296,64 @@ def test_two_amplitude_symmetry():
             off_values = state.amplitudes[~mask]
             assert np.max(np.abs(on_values - on_values[0])) <= 1e-12
             assert np.max(np.abs(off_values - off_values[0])) <= 1e-12
+
+
+# ------------------------------------------------------- return to uniform
+
+# M/N -> theta / pi at the three ratios where the state can return to equal
+# weights at m > 0.
+RETURN_RATIOS = {Fraction(1, 4): Fraction(1, 3), Fraction(1, 2): Fraction(1, 2),
+                 Fraction(3, 4): Fraction(2, 3)}
+
+
+def weights_equal_exactly(ratio, m):
+    """Whether sin^2((2m+1) theta/2) = M/N: m theta or (m+1) theta is a
+    multiple of pi."""
+    turn = RETURN_RATIOS[ratio]
+    return (m * turn).denominator == 1 or ((m + 1) * turn).denominator == 1
+
+
+@pytest.mark.parametrize("ratio", sorted(RETURN_RATIOS))
+def test_equal_weights_give_exact_zero(ratio):
+    for qubits in range(2, 13):
+        n = 1 << qubits
+        marked_count = int(ratio * n)
+        for m in range(25):
+            on, off = class_amplitudes(n, marked_count, m)
+            if weights_equal_exactly(ratio, m):
+                assert abs(on) == abs(off) == 1.0 / math.sqrt(n)
+                assert on * on - off * off == 0.0
+                assert attenuation(n, marked_count, m) == 0.0
+            else:
+                assert abs(attenuation(n, marked_count, m)) >= 1.0
+
+
+def test_equal_weights_only_at_return_ratios():
+    # Away from M/N in {1/4, 1/2, 3/4} and m = 0, the attenuation curve has
+    # no zero: the plain formula stays far from 0 while its residue at the
+    # exact zeros is rounding.
+    for qubits in range(1, 9):
+        n = 1 << qubits
+        for marked_count in range(1, n):
+            theta = grover_angle(n, marked_count)
+            for m in range(31):
+                plain = (math.sin((2 * m + 1) * theta / 2) ** 2 * n - marked_count) / (
+                    n - marked_count)
+                ratio = Fraction(marked_count, n)
+                exact_zero = m == 0 or (ratio in RETURN_RATIOS
+                                        and weights_equal_exactly(ratio, m))
+                assert (abs(plain) < 1e-9) == exact_zero
+                assert (attenuation(n, marked_count, m) == 0.0) == exact_zero
+
+
+def test_equal_weights_keep_their_signs():
+    # The exact amplitudes still match brute-force iteration, signs included.
+    for qubits, locations in [(2, (1,)), (3, (0, 3, 6, 7)), (4, (1, 3, 5, 7, 9, 11, 13, 15)),
+                              (4, tuple(range(12)))]:
+        n = 1 << qubits
+        marked = MarkedSet(locations, n)
+        state, ledger = new_uniform(qubits), OracleLedger()
+        for m in range(1, 13):
+            state = apply_grover(state, marked, ledger)
+            analytic = closed_form_state(qubits, marked, m)
+            assert np.max(np.abs(state.amplitudes - analytic.amplitudes)) <= 1e-10

@@ -355,6 +355,24 @@ def test_filter_state_tracks_stage():
         FilterState((2,))
 
 
+def test_filter_state_checks_each_bit_once(monkeypatch):
+    with pytest.raises(ValueError):
+        FilterState((0, 1, -1))
+    with pytest.raises(ValueError):
+        FilterState((1, 0)).extended(2)
+    prefix = FilterState((1, 0, 1))
+    checks = []
+    monkeypatch.setattr(FilterState, "__post_init__", lambda self: checks.append(self))
+    for bit in (0, 1) * 20:
+        prefix = prefix.extended(bit)
+    assert checks == []
+    monkeypatch.undo()
+    # An extended prefix is the same value a direct construction gives.
+    direct = FilterState((1, 0, 1) + (0, 1) * 20)
+    assert prefix == direct and hash(prefix) == hash(direct)
+    assert prefix.stage == 43
+
+
 # ------------------------------------------------------------- schedule cost
 
 def test_schedule_cost_small_registers():
