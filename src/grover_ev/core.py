@@ -13,6 +13,7 @@ an explicit :class:`OracleLedger` so query costs stay auditable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +85,8 @@ class MarkedSet:
         return len(self.locations)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.locations)
+        i = bisect_left(self.locations, x)
+        return i < len(self.locations) and self.locations[i] == x
 
 
 @dataclass

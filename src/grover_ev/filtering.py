@@ -15,7 +15,9 @@ unexplored branch.
 Runs are read out from the two-amplitude state: after m steps every marked
 label carries one amplitude and every other label another, and the
 correlation only moves labels, so a run needs the marked labels alone and
-no statevector is built.  The dense operations of :mod:`grover_ev.core` and
+no statevector is built.  The plain run reads every qubit, since each stage
+uses a different one of its EVs; a correlated run reads only its target
+qubit.  The dense operations of :mod:`grover_ev.core` and
 :func:`apply_correlation` stay the reference this path is tested against.
 
 Bit sequences throughout are ordered least-significant first: element ``i``
@@ -24,8 +26,7 @@ of a prefix is the value of qubit ``i + 1``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,11 +34,11 @@ import numpy as np
 from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .measurement import (
-    CorrelationInfo,
     EnsembleModel,
     RunRecord,
     class_state,
     decide_sign,
+    measure_class_qubit,
     measure_classes,
 )
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
@@ -58,15 +59,18 @@ class SearchFailure(Exception):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Bits of the marked location determined so far, low bits first."""
+    """Bits of the marked location determined so far, low bits first, and
+    the integer ``value`` they spell."""
 
     determined_bits: tuple[int, ...] = ()
+    value: int = field(init=False, repr=False)
 
     def __post_init__(self):
         bits = tuple(int(b) for b in self.determined_bits)
         object.__setattr__(self, "determined_bits", bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"bits must be 0/1, got {bits}")
+        object.__setattr__(self, "value", _bits_to_location(bits))
 
     @property
     def stage(self) -> int:
@@ -78,6 +82,7 @@ class FilterState:
             raise ValueError(f"bits must be 0/1, got {bit}")
         state = object.__new__(FilterState)
         object.__setattr__(state, "determined_bits", self.determined_bits + (int(bit),))
+        object.__setattr__(state, "value", self.value | int(bit) << self.stage)
         return state
 
 
@@ -102,9 +107,6 @@ class SearchResult:
             "branch_events": self.branch_events,
             "bits": list(self.bits),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def eval_g(x_bits: Sequence[int], s_bits: Sequence[int]) -> int:
@@ -147,20 +149,20 @@ def apply_correlation(state: StateVector, target: int, s_bits: Sequence[int]) ->
         raise ValueError(f"s_bits must be 0/1, got {s_bits}")
 
     # The map is its own inverse, so it also names each label's source.
-    sources = _correlated_labels(np.arange(state.dim), target, s_bits)
+    sources = _correlated_labels(np.arange(state.dim), target, FilterState(s_bits))
     return StateVector(state.qubit_count, state.amplitudes[sources])
 
 
-def _correlated_labels(labels: np.ndarray, target: int, s_bits: Sequence[int]) -> np.ndarray:
+def _correlated_labels(labels: np.ndarray, target: int, prefix: FilterState) -> np.ndarray:
     """Where the correlation sends each label: qubit ``target`` flips on
-    every label whose low bits miss ``s_bits``.
+    every label whose low bits miss the determined ``prefix``.
 
     Flipping the target bit never changes the low prefix bits, so a label
     and its image agree on the filter value: a clean permutation that is its
     own inverse.
     """
-    low_mask = (1 << len(s_bits)) - 1
-    keep = (labels & low_mask) == _bits_to_location(s_bits)
+    low_mask = (1 << prefix.stage) - 1
+    keep = (labels & low_mask) == prefix.value
     return np.where(keep, labels, labels ^ (1 << (target - 1)))
 
 
@@ -218,11 +220,14 @@ def extract_location(
 ) -> SearchResult:
     """Run the full bit-extraction protocol and return a verified location.
 
-    One plain run (``iterations`` amplification steps, all qubits read out)
-    is reused at every stage; each stage past the first adds one correlated
-    run.  Each run is read out by :func:`measure_classes` from the marked
-    labels (moved by the correlation) and the two class weights, so a run
-    costs O(M L) exact or O(shots L) sampled, whatever the register size.
+    One plain run (``iterations`` amplification steps, all qubits read out
+    by :func:`measure_classes`, O(M L) exact or O(shots L) sampled) is
+    reused at every stage.  Each stage past the first adds one correlated
+    run, of which only the target qubit is read, by
+    :func:`measure_class_qubit` from the marked labels the correlation
+    moved: O(M) exact or O(shots) sampled, whatever the register size.  The
+    stage's EV is the mean of the two runs' target-qubit EVs, as
+    :func:`averaged_ev` gives it.
     Stage decisions go through :func:`decide_sign` at threshold ``a_th``;
     undecided stages branch (bit 0 first) and the final candidate is
     checked with a single oracle query, backtracking on failure.
@@ -232,17 +237,10 @@ def extract_location(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     qubit_count, locations, weights = class_state(marked, iterations)
-
-    def run(index: int, heavy: np.ndarray, correlation=None) -> RunRecord:
-        return measure_classes(
-            qubit_count, heavy, weights,
-            _run_model(model, index),
-            iterates_used=iterations,
-            oracle_invocations=iterations,
-            correlation=correlation,
-        )
-
-    plain = run(0, locations)
+    plain = measure_classes(
+        qubit_count, locations, weights, _run_model(model, 0),
+        iterates_used=iterations, oracle_invocations=iterations,
+    )
 
     total_runs = 1
     branch_events = 0
@@ -256,13 +254,15 @@ def extract_location(
             if prefix.stage == 0:
                 ev = plain.evs[0]
             else:
-                record = run(
-                    total_runs,
-                    _correlated_labels(locations, target, prefix.determined_bits),
-                    CorrelationInfo(target, prefix.determined_bits),
+                correlated = measure_class_qubit(
+                    qubit_count,
+                    _correlated_labels(locations, target, prefix),
+                    weights,
+                    _run_model(model, total_runs),
+                    target,
                 )
                 total_runs += 1
-                ev = averaged_ev(plain, record, target)
+                ev = (plain.evs[target - 1] + correlated) / 2.0
             bit = decide_sign(ev, a_th)
             if bit is None:
                 branch_events += 1
@@ -270,7 +270,7 @@ def extract_location(
                 bit = 0
             prefix = prefix.extended(bit)
 
-        candidate = _bits_to_location(prefix.determined_bits)
+        candidate = prefix.value
         verifications += 1
         if candidate in marked:
             return SearchResult(

@@ -22,7 +22,6 @@ per-qubit estimator agrees bit-for-bit with a full-register readout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +87,7 @@ class RunRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "evs", tuple(float(e) for e in self.evs))
-        bound = 1.0 + 3.0 * self.noise_sigma
-        if any(abs(e) > bound + 1e-12 for e in self.evs):
-            raise ValueError(f"EV outside [-{bound}, {bound}]: {self.evs}")
+        _check_ev_bound(self.evs, self.noise_sigma)
         if self.oracle_invocations != self.iterates_used:
             raise ValueError(
                 f"oracle invocations ({self.oracle_invocations}) must equal "
@@ -111,8 +108,12 @@ class RunRecord:
             "correlation": corr,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+
+def _check_ev_bound(evs: tuple[float, ...], sigma: float) -> None:
+    """Reject an EV past the readout bound |ev| <= 1 + 3 sigma."""
+    bound = 1.0 + 3.0 * sigma
+    if any(abs(e) > bound + 1e-12 for e in evs):
+        raise ValueError(f"EV outside [-{bound}, {bound}]: {evs}")
 
 
 def exact_ev(state: StateVector, k: int) -> float:
@@ -146,33 +147,44 @@ def _class_inverse_cdf(heavy: np.ndarray, dim: int, weights: tuple[float, float]
     Each of the M ``heavy`` labels has Born weight ``weights[0]`` and each of
     the other ``dim - M`` labels ``weights[1]``.  With the heavy labels sorted
     as h_0 < h_1 < ..., the CDF is off * (x + 1) + (on - off) * #{h_j <= x}:
-    a step of width ``on`` at each h_j and linear in between.  One
-    searchsorted over the M steps finds each draw's segment; only a draw
-    between two steps is inverted, by one division by ``off``, so a weight
-    that underflows to zero empties its segments instead of dividing by 0.
+    a step of width ``on`` at each h_j and linear in between.  The tables
+    are indexed by segment j = 0..M: the unmarked labels just below h_j (or
+    above the last step, for j = M), then the step at h_j.  One searchsorted
+    over the M step ends finds each draw's segment, and every draw is then
+    inverted in one branch-free pass: the unmarked label
+    ``floor((u total - rise j) / off)``, clamped to its segment, or the step
+    label when the draw falls on the step.  When ``off`` is 0 every unmarked
+    segment is empty, so the step labels are returned and nothing divides.
     """
     on, off = weights
     heavy = np.sort(heavy)
     rise = on - off
     total = off * dim + rise * heavy.size
-    before = np.arange(heavy.size)
+    segments = np.arange(heavy.size + 1)
+    # Heavy labels with a sentinel on either side: -1 below, dim above.
+    bounds = np.concatenate(([-1], heavy, [dim]))
+    step_labels = bounds[1:]
+    lowest = bounds[:-1] + 1
+    highest = bounds[1:] - 1
     # CDF just below and at each heavy label, scaled to end at 1 as in
     # _born_cdf; a sentinel start past 1 sends draws above the last step
     # into the final unmarked segment.
-    starts = np.append((off * heavy + rise * before) / total, np.inf)
-    ends = (off * (heavy + 1) + rise * (before + 1)) / total
-    step_labels = np.append(heavy, 0)
-    lowest = np.append(0, heavy + 1)
-    highest = np.append(heavy - 1, dim - 1)
+    starts = (off * step_labels + rise * segments) / total
+    starts[-1] = np.inf
+    ends = (off * lowest[1:] + rise * segments[1:]) / total
 
     def labels_of(draws: np.ndarray) -> np.ndarray:
         segment = np.searchsorted(ends, draws, side="right")
-        labels = step_labels[segment]
-        between = draws < starts[segment]
-        seg = segment[between]
-        offset = np.floor((draws[between] * total - rise * seg) / off)
-        labels[between] = np.clip(offset, lowest[seg], highest[seg]).astype(labels.dtype)
-        return labels
+        steps = step_labels[segment]
+        if off == 0:
+            return steps
+        unmarked = np.multiply(draws, total)
+        unmarked -= rise * segment
+        unmarked /= off
+        np.floor(unmarked, out=unmarked)
+        np.maximum(unmarked, lowest[segment], out=unmarked)
+        np.minimum(unmarked, highest[segment], out=unmarked)
+        return np.where(draws < starts[segment], unmarked.astype(np.int64), steps)
 
     return labels_of
 
@@ -288,12 +300,30 @@ def class_state(
     return qubit_count, heavy, (on * on, off * off)
 
 
-def _class_evs(qubit_count: int, heavy: np.ndarray, weights: tuple[float, float]) -> list[float]:
-    """Exact EVs of a two-amplitude state: (on - off) * sum over heavy of
-    (1 - 2 bit_k), since ``off``, spread evenly over all labels, cancels."""
+def _class_evs(
+    heavy: np.ndarray, weights: tuple[float, float], qubits: range | list[int]
+) -> np.ndarray:
+    """Exact EVs of each qubit in ``qubits`` for a two-amplitude state:
+    (on - off) * sum over heavy of (1 - 2 bit_k), since ``off``, spread
+    evenly over all labels, cancels."""
     on, off = weights
-    ones = ((heavy[:, None] >> np.arange(qubit_count)) & 1).sum(axis=0)
-    return [(on - off) * float(heavy.size - 2 * c) for c in ones]
+    ones = ((heavy[:, None] >> (np.asarray(qubits) - 1)) & 1).sum(axis=0)
+    return (on - off) * (heavy.size - 2 * ones)
+
+
+def _class_base_evs(
+    qubit_count: int,
+    heavy: np.ndarray,
+    weights: tuple[float, float],
+    model: EnsembleModel,
+    qubits: range | list[int],
+) -> np.ndarray:
+    """EVs of the given qubits of one two-amplitude run, before readout
+    noise: exact, or counted over the run's shot labels."""
+    if model.shots == 0:
+        return _class_evs(heavy, weights, qubits)
+    labels = _class_shot_labels(heavy, 1 << qubit_count, weights, model)
+    return _label_evs(labels, qubits)
 
 
 def measure_classes(
@@ -315,17 +345,29 @@ def measure_classes(
     seed, in O(shots L); the readout noise is the same.
     """
     heavy = np.asarray(heavy, dtype=np.int64)
-    if model.shots == 0:
-        base = _class_evs(qubit_count, heavy, weights)
-    else:
-        labels = _class_shot_labels(heavy, 1 << qubit_count, weights, model)
-        base = _label_evs(labels, range(1, qubit_count + 1)).tolist()
+    base = _class_base_evs(qubit_count, heavy, weights, model, range(1, qubit_count + 1))
     return _run_record(
-        base, model,
+        base.tolist(), model,
         iterates_used=iterates_used,
         oracle_invocations=oracle_invocations,
         correlation=correlation,
     )
+
+
+def measure_class_qubit(
+    qubit_count: int,
+    heavy: np.ndarray,
+    weights: tuple[float, float],
+    model: EnsembleModel,
+    k: int,
+) -> float:
+    """EV of qubit ``k`` alone from :func:`measure_classes`' readout of the
+    same run: the same draws and the same readout noise, in O(M) exact or
+    O(shots) sampled.  The EV is held to the same bound as a record's."""
+    base = _class_base_evs(qubit_count, np.asarray(heavy, dtype=np.int64), weights, model, [k])
+    ev = float(base[0]) + _readout_noise(model, k)
+    _check_ev_bound((ev,), model.gaussian_noise_sigma)
+    return ev
 
 
 def sign_error_rate(
@@ -354,7 +396,7 @@ def sign_error_rate(
     qubit_count, heavy, weights = class_state(marked, iterations)
     if not 1 <= k <= qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{qubit_count}")
-    exact = _class_evs(qubit_count, heavy, weights)[k - 1]
+    exact = float(_class_evs(heavy, weights, [k])[0])
     truth = decide_sign(exact, 0.0)
     labels_of = _class_inverse_cdf(heavy, 1 << qubit_count, weights)
     errors = 0

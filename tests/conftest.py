@@ -3,12 +3,25 @@
 Everything here recomputes expected values from first principles: explicit
 operator matrices, direct enumeration of filtered marked subsets, and
 straight bit arithmetic on labels.  The planner's original linear scan
-over the attenuation curve is kept here as the reference for its inversion.
+over the attenuation curve is kept here as the reference for its inversion,
+as are the first closed-form inverse of the two-amplitude Born CDF and the
+search loop that read every qubit of every run.
 """
 
 import numpy as np
 
-from grover_ev import attenuation, m_standard
+from grover_ev import (
+    CorrelationInfo,
+    EnsembleModel,
+    SearchFailure,
+    SearchResult,
+    attenuation,
+    averaged_ev,
+    decide_sign,
+    m_standard,
+    measure_classes,
+)
+from grover_ev.measurement import class_state
 
 
 def oracle_matrix(qubit_count, locations):
@@ -89,3 +102,90 @@ def reference_truncation_scan(universe_size, marked_count, a_th):
         if attenuation(universe_size, marked_count, m) > a_th:
             return m, False
     return m_stand, True
+
+
+def reference_class_inverse_cdf(heavy, dim, weights):
+    """The two-amplitude Born CDF's first closed-form inverse: each draw's
+    segment by searchsorted, then only the draws between two steps inverted,
+    through boolean-mask gathers and ``np.clip``."""
+    on, off = weights
+    heavy = np.sort(heavy)
+    rise = on - off
+    total = off * dim + rise * heavy.size
+    before = np.arange(heavy.size)
+    starts = np.append((off * heavy + rise * before) / total, np.inf)
+    ends = (off * (heavy + 1) + rise * (before + 1)) / total
+    step_labels = np.append(heavy, 0)
+    lowest = np.append(0, heavy + 1)
+    highest = np.append(heavy - 1, dim - 1)
+
+    def labels_of(draws):
+        segment = np.searchsorted(ends, draws, side="right")
+        labels = step_labels[segment]
+        between = draws < starts[segment]
+        seg = segment[between]
+        offset = np.floor((draws[between] * total - rise * seg) / off)
+        labels[between] = np.clip(offset, lowest[seg], highest[seg]).astype(labels.dtype)
+        return labels
+
+    return labels_of
+
+
+def reference_extract_location(marked, iterations, model, a_th):
+    """The bit-extraction search as first written: every correlated run is
+    read out in full by ``measure_classes`` and averaged with the plain run
+    through ``averaged_ev``.  Run ``i`` draws from seed ``seed XOR i``."""
+    qubit_count, locations, weights = class_state(marked, iterations)
+
+    def run(index, heavy, correlation=None):
+        run_model = EnsembleModel(
+            shots=model.shots,
+            seed=model.seed ^ index,
+            gaussian_noise_sigma=model.gaussian_noise_sigma,
+        )
+        return measure_classes(
+            qubit_count, heavy, weights, run_model,
+            iterates_used=iterations, oracle_invocations=iterations,
+            correlation=correlation,
+        )
+
+    plain = run(0, locations)
+    total_runs, branch_events, verifications = 1, 0, 0
+    pending, bits = [], ()
+    while True:
+        while len(bits) < qubit_count:
+            target = len(bits) + 1
+            if not bits:
+                ev = plain.evs[0]
+            else:
+                prefix = sum(b << i for i, b in enumerate(bits))
+                low = locations & ((1 << len(bits)) - 1)
+                moved = np.where(low == prefix, locations, locations ^ (1 << (target - 1)))
+                record = run(total_runs, moved, CorrelationInfo(target, bits))
+                total_runs += 1
+                ev = averaged_ev(plain, record, target)
+            bit = decide_sign(ev, a_th)
+            if bit is None:
+                branch_events += 1
+                pending.append(bits + (1,))
+                bit = 0
+            bits += (bit,)
+        candidate = sum(b << i for i, b in enumerate(bits))
+        verifications += 1
+        if candidate in marked.locations:
+            return SearchResult(
+                location=candidate,
+                verified=True,
+                total_runs=total_runs,
+                total_oracle_invocations=iterations * total_runs + verifications,
+                branch_events=branch_events,
+                bits=bits,
+                verification_queries=verifications,
+            )
+        if not pending:
+            raise SearchFailure(
+                "all branch candidates failed verification",
+                total_runs=total_runs,
+                branch_events=branch_events,
+            )
+        bits = pending.pop()

@@ -8,8 +8,8 @@ from the prefix bits, independently of the implementation.
 
 import numpy as np
 import pytest
-from conftest import low_bits
-from hypothesis import given, settings
+from conftest import low_bits, reference_class_inverse_cdf, reference_extract_location
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
@@ -19,12 +19,14 @@ from grover_ev import (
     EnsembleModel,
     MarkedSet,
     OracleLedger,
+    SearchFailure,
     StateVector,
     apply_correlation,
     apply_grover,
     class_amplitudes,
     decide_sign,
     extract_location,
+    m_standard,
     m_truncated,
     measure_all,
     measure_classes,
@@ -33,11 +35,13 @@ from grover_ev import (
 )
 from grover_ev.measurement import (
     _born_cdf,
+    _class_inverse_cdf,
     _class_shot_labels,
     _label_evs,
     _readout_noise,
     _shot_labels,
     _uniform_draws,
+    measure_class_qubit,
 )
 
 EXACT = EnsembleModel()
@@ -167,6 +171,17 @@ def test_sampled_record_matches_dense_record():
     got = measure_classes(4, heavy, class_weights(16, 3, 1), model,
                           iterates_used=1, oracle_invocations=1, correlation=info)
     assert got == expected
+    for k in range(1, 5):
+        assert measure_class_qubit(4, heavy, class_weights(16, 3, 1), model, k) == expected.evs[k - 1]
+
+
+def test_one_qubit_readout_keeps_the_record_bound():
+    # Not a state: both heavy labels have bit 2 clear, so qubit 2 reads 1.5.
+    heavy, weights = np.array([0, 1]), (0.75, 0.0)
+    with pytest.raises(ValueError, match="EV outside"):
+        measure_class_qubit(2, heavy, weights, EXACT, 2)
+    with pytest.raises(ValueError, match="EV outside"):
+        measure_classes(2, heavy, weights, EXACT, iterates_used=1, oracle_invocations=1)
 
 
 def test_search_builds_no_statevector(monkeypatch):
@@ -256,3 +271,102 @@ def test_sign_error_rate_matches_per_trial_class_readouts(case):
         ev = mean_ev(labels, k) + _readout_noise(model, k)
         wrong += decide_sign(ev, opts["threshold"]) != truth
     assert sign_error_rate(marked, iterations, k, **opts) == wrong / opts["trials"]
+
+
+@st.composite
+def inverse_cases(draw):
+    """Heavy labels, a register size, class weights and a draw seed for one
+    inverse-CDF table.  Layouts put heavy labels next to each other or at
+    both ends of the register; weights come from a Grover state, or make
+    one class almost empty (weight 1e-33) or empty, or equal the other
+    class (M/N = 1/2 gives that, and then the CDF rises evenly)."""
+    qubits = draw(st.integers(1, 12))
+    dim = 1 << qubits
+    count = draw(st.integers(1, min(6, dim - 1)))
+    layout = draw(st.sampled_from(("random", "adjacent", "ends")))
+    if layout == "adjacent":
+        start = draw(st.integers(0, dim - count))
+        heavy = set(range(start, start + count))
+    else:
+        heavy = draw(st.sets(st.integers(0, dim - 1), min_size=count, max_size=count))
+        if layout == "ends" and dim > 2:
+            heavy = (heavy - {0, dim - 1}) | {0, dim - 1}
+            while len(heavy) >= dim:
+                heavy.pop()
+    count = len(heavy)
+    kind = draw(st.sampled_from(("grover", "tiny off", "tiny on", "equal", "zero off")))
+    if kind == "grover":
+        weights = class_weights(dim, count, draw(st.integers(0, 30)))
+    elif kind == "tiny off":
+        weights = ((1.0 - 1e-33 * (dim - count)) / count, 1e-33)
+    elif kind == "tiny on":
+        weights = (1e-33, (1.0 - 1e-33 * count) / (dim - count))
+    elif kind == "equal":
+        weights = (1.0 / dim, 1.0 / dim)
+    else:
+        weights = (1.0 / count, 0.0)
+    return tuple(sorted(heavy)), dim, weights, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inverse_cases())
+@example(((3, 4, 5), 16, class_weights(16, 3, 1), 0))
+@example(((0, 15), 16, class_weights(16, 2, 1), 1))
+@example(((0, 1, 2, 3), 16, class_weights(16, 4, 2), 2))
+@example(((2, 9), 16, ((1.0 - 1e-33 * 14) / 2, 1e-33), 3))
+@example(((2, 9), 16, (1e-33, (1.0 - 2e-33) / 14), 4))
+@example(((1, 3, 5, 7, 9, 11, 13, 15), 16, class_weights(16, 8, 3), 5))
+@example(((5,), 8, (1.0, 0.0), 6))
+def test_inverse_cdf_matches_reference_bit_for_bit(case):
+    heavy, dim, weights, seed = case
+    heavy = np.array(heavy, dtype=np.int64)
+    on, off = weights
+    rise = on - off
+    total = off * dim + rise * heavy.size
+    # Every CDF breakpoint and the floats on either side of it, so that
+    # draws land exactly on and next to each step's start and end.
+    breaks = np.concatenate([
+        (off * heavy + rise * np.arange(heavy.size)) / total,
+        (off * (heavy + 1) + rise * np.arange(1, heavy.size + 1)) / total,
+    ])
+    draws = np.concatenate([
+        np.random.default_rng(seed).random(512),
+        breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    draws = draws[(draws >= 0.0) & (draws < 1.0)]
+    got = _class_inverse_cdf(heavy, dim, weights)(draws)
+    expected = reference_class_inverse_cdf(heavy, dim, weights)(draws)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert got.min() >= 0 and got.max() < dim
+
+
+def search_outcome(search, *args):
+    """A search's result, or the counts its failure carries."""
+    try:
+        return search(*args)
+    except SearchFailure as exc:
+        return ("failure", exc.total_runs, exc.branch_events)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_search_matches_full_record_reference(qubits, data):
+    # A correlated run reads only its target qubit; the search must still
+    # take every decision the loop that read whole records took.
+    n = 1 << qubits
+    count = data.draw(st.integers(1, min(4, n - 1)))
+    locations = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True)
+    )
+    marked = MarkedSet(tuple(locations), n)
+    iterations = data.draw(st.integers(1, max(1, m_standard(n, count))))
+    model = EnsembleModel(
+        shots=data.draw(st.sampled_from((0, 64, 1024))),
+        seed=data.draw(st.integers(0, 2**64 - 1)),
+        gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))),
+    )
+    a_th = data.draw(st.floats(0.0, 0.5))
+    expected = search_outcome(reference_extract_location, marked, iterations, model, a_th)
+    assert search_outcome(extract_location, marked, iterations, model, a_th) == expected

@@ -72,6 +72,10 @@ def test_marked_set_sorts_locations():
     assert marked.locations == (1, 3, 5)
     assert marked.count == 3
     assert 5 in marked and 2 not in marked
+    # Membership is a search of the sorted tuple; check every label and
+    # the labels just outside the universe.
+    assert [x for x in range(-1, 9) if x in marked] == [1, 3, 5]
+    assert [x for x in range(-1, 9) if x in MarkedSet((0, 7), 8)] == [0, 7]
 
 
 @pytest.mark.parametrize(

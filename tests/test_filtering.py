@@ -35,6 +35,7 @@ from grover_ev import (
     measure_all,
     new_uniform,
 )
+from grover_ev import filtering, measurement
 
 EXACT = EnsembleModel()
 
@@ -334,7 +335,7 @@ def test_extract_validates_arguments():
 
 def test_search_result_json_schema():
     result = extract_location(MarkedSet((5,), 8), 2, EXACT, 0.25)
-    payload = json.loads(result.to_json())
+    payload = json.loads(json.dumps(result.to_json_dict()))
     assert payload == {
         "location": 5,
         "verified": True,
@@ -351,6 +352,7 @@ def test_filter_state_tracks_stage():
     extended = state.extended(1).extended(0)
     assert extended.determined_bits == (1, 0)
     assert extended.stage == 2
+    assert (state.value, extended.value, extended.extended(1).value) == (0, 1, 5)
     with pytest.raises(ValueError):
         FilterState((2,))
 
@@ -371,6 +373,41 @@ def test_filter_state_checks_each_bit_once(monkeypatch):
     direct = FilterState((1, 0, 1) + (0, 1) * 20)
     assert prefix == direct and hash(prefix) == hash(direct)
     assert prefix.stage == 43
+    assert prefix.value == direct.value == sum(b << i for i, b in enumerate(direct.determined_bits))
+
+
+def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
+    # L = 16 with one marked label; at this threshold about 1,100 runs
+    # branch and backtrack, and a correlated run must still read one qubit.
+    qubits = 16
+    records, widths, noise = [], [], []
+    measure_classes = filtering.measure_classes
+    label_evs = measurement._label_evs
+    readout_noise = measurement._readout_noise
+
+    def counted_records(*args, **kwargs):
+        records.append(args)
+        return measure_classes(*args, **kwargs)
+
+    def counted_label_evs(labels, qubit_list):
+        widths.append(len(qubit_list))
+        return label_evs(labels, qubit_list)
+
+    def counted_noise(model, k):
+        noise.append(k)
+        return readout_noise(model, k)
+
+    monkeypatch.setattr(filtering, "measure_classes", counted_records)
+    monkeypatch.setattr(measurement, "_label_evs", counted_label_evs)
+    monkeypatch.setattr(measurement, "_readout_noise", counted_noise)
+    model = EnsembleModel(shots=1024, seed=7, gaussian_noise_sigma=0.05)
+    result = extract_location(MarkedSet((40503,), 1 << qubits), 59, model, 0.16)
+    assert result.location == 40503 and result.branch_events > 0
+    runs = result.total_runs
+    assert runs > qubits
+    assert len(records) == 1
+    assert widths == [qubits] + [1] * (runs - 1)
+    assert len(noise) == qubits + runs - 1
 
 
 # ------------------------------------------------------------- schedule cost

@@ -197,7 +197,7 @@ def test_run_record_json_schema():
         oracle_invocations=3,
         correlation_applied=CorrelationInfo(2, (1,)),
     )
-    payload = json.loads(record.to_json())
+    payload = json.loads(json.dumps(record.to_json_dict()))
     assert payload == {
         "evs": [0.5, -0.25],
         "m": 3,
@@ -205,7 +205,7 @@ def test_run_record_json_schema():
         "correlation": {"target_qubit": 2, "fixed_bits": [1]},
     }
     plain = RunRecord(evs=(1.0,), iterates_used=2, oracle_invocations=2)
-    assert json.loads(plain.to_json())["correlation"] is None
+    assert json.loads(json.dumps(plain.to_json_dict()))["correlation"] is None
 
 
 def test_run_record_validates_cost_and_bounds():
