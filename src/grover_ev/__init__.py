@@ -1,6 +1,6 @@
 """Grover search simulator and planner for expectation-value quantum computers."""
 
-from .constants import EQUIV_ATOL, EXACT_ATOL, MAX_QUBITS, NORM_ATOL
+from .constants import EXACT_ATOL, MAX_QUBITS, NORM_ATOL
 from .core import (
     MarkedSet,
     OracleLedger,
@@ -19,15 +19,12 @@ from .filtering import (
     SearchFailure,
     SearchResult,
     apply_correlation,
-    averaged_ev,
-    eval_g,
     extract_location,
-    g_schedule_cost,
 )
 from .measurement import (
-    CorrelationInfo,
+    ClassState,
     EnsembleModel,
-    RunRecord,
+    class_state,
     decide_sign,
     exact_ev,
     measure_all,
@@ -45,7 +42,6 @@ from .planner import (
 )
 
 __all__ = [
-    "EQUIV_ATOL",
     "EXACT_ATOL",
     "MAX_QUBITS",
     "NORM_ATOL",
@@ -64,13 +60,10 @@ __all__ = [
     "SearchFailure",
     "SearchResult",
     "apply_correlation",
-    "averaged_ev",
-    "eval_g",
     "extract_location",
-    "g_schedule_cost",
-    "CorrelationInfo",
+    "ClassState",
     "EnsembleModel",
-    "RunRecord",
+    "class_state",
     "decide_sign",
     "exact_ev",
     "measure_all",

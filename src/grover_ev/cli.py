@@ -132,16 +132,14 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     shots = args.shots
     if shots < 0:
         raise ConfigError(f"--shots must be >= 0, got {shots}")
-    sigma = args.sigma
-    if sigma < 0:
-        raise ConfigError(f"--sigma must be >= 0, got {sigma}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    model = EnsembleModel(shots=shots, seed=args.seed, gaussian_noise_sigma=args.sigma)
 
     if args.a_th is not None:
         a_th = args.a_th
     else:
-        a_th = EnsembleModel(shots=shots, seed=args.seed).default_threshold()
+        a_th = model.default_threshold()
 
     return ExperimentConfig(
         command=args.command,
@@ -150,7 +148,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         marked=marked,
         a_th=a_th,
         shots=shots,
-        sigma=sigma,
+        sigma=args.sigma,
         seed=args.seed,
         m_override=getattr(args, "m", None),
         fmt=getattr(args, "format", "json"),

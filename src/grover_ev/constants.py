@@ -7,9 +7,6 @@ MAX_QUBITS = 24
 # |norm^2 - 1| allowed on any StateVector after an arbitrary operation sequence.
 NORM_ATOL = 1e-9
 
-# Agreement required between the iterated simulation and closed-form states.
-EQUIV_ATOL = 1e-10
-
 # Tolerance for cases that are exact up to floating-point rounding
 # (involutions, analytically exact expectation values).
 EXACT_ATOL = 1e-12

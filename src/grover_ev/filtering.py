@@ -15,10 +15,12 @@ unexplored branch.
 Runs are read out from the two-amplitude state: after m steps every marked
 label carries one amplitude and every other label another, and the
 correlation only moves labels, so a run needs the marked labels alone and
-no statevector is built.  The plain run reads every qubit, since each stage
-uses a different one of its EVs; a correlated run reads only its target
-qubit.  The dense operations of :mod:`grover_ev.core` and
-:func:`apply_correlation` stay the reference this path is tested against.
+no statevector is built.  Every run is read by
+:func:`~grover_ev.measurement.measure_classes`: the plain run on every
+qubit, since each stage uses a different one of its EVs, and a correlated
+run on its target qubit alone.  The dense operations of
+:mod:`grover_ev.core` and :func:`apply_correlation` stay the reference this
+path is tested against.
 
 Bit sequences throughout are ordered least-significant first: element ``i``
 of a prefix is the value of qubit ``i + 1``.
@@ -33,14 +35,7 @@ import numpy as np
 
 from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from .measurement import (
-    EnsembleModel,
-    RunRecord,
-    class_state,
-    decide_sign,
-    measure_class_qubit,
-    measure_classes,
-)
+from .measurement import ClassState, EnsembleModel, class_state, decide_sign, measure_classes
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
@@ -109,23 +104,6 @@ class SearchResult:
         }
 
 
-def eval_g(x_bits: Sequence[int], s_bits: Sequence[int]) -> int:
-    """Boolean filter: 0 when x_bits equals s_bits elementwise, else 1.
-
-    Computed as the product of per-position XNOR factors, complemented;
-    3k primitive XOR/multiply operations for a k-bit prefix.
-    """
-    if len(x_bits) != len(s_bits) or len(x_bits) == 0:
-        raise ValueError(
-            f"bit sequences must have equal nonzero length, "
-            f"got {len(x_bits)} and {len(s_bits)}"
-        )
-    product = 1
-    for x, s in zip(x_bits, s_bits):
-        product *= x ^ s ^ 1
-    return product ^ 1
-
-
 def apply_correlation(state: StateVector, target: int, s_bits: Sequence[int]) -> StateVector:
     """Flip qubit ``target`` on every basis label whose low bits miss s_bits.
 
@@ -166,39 +144,6 @@ def _correlated_labels(labels: np.ndarray, target: int, prefix: FilterState) -> 
     return np.where(keep, labels, labels ^ (1 << (target - 1)))
 
 
-def averaged_ev(plain: RunRecord, correlated: RunRecord, target: int) -> float:
-    """Mean of the target qubit's EV across the plain and correlated runs."""
-    if not 1 <= target <= len(plain.evs):
-        raise ValueError(f"target qubit {target} out of range 1..{len(plain.evs)}")
-    if plain.correlation_applied is not None:
-        raise ValueError("first record must come from an unmodified run")
-    info = correlated.correlation_applied
-    if info is None or info.target_qubit != target:
-        raise ValueError(
-            f"second record must carry a correlation on qubit {target}, got {info}"
-        )
-    if plain.iterates_used != correlated.iterates_used:
-        raise ValueError(
-            f"records measured at different iterate counts: "
-            f"{plain.iterates_used} vs {correlated.iterates_used}"
-        )
-    if len(plain.evs) != len(correlated.evs):
-        raise ValueError("records cover different register sizes")
-    return (plain.evs[target - 1] + correlated.evs[target - 1]) / 2.0
-
-
-def g_schedule_cost(qubit_count: int) -> int:
-    """Primitive-operation count for evaluating the filter at every stage.
-
-    One evaluation per stage k = 1..L-1; a k-bit evaluation costs 3k ops
-    (two XORs per factor, k-1 products, one final XOR), so the total is
-    3 L (L - 1) / 2 -- quadratic in the register size.
-    """
-    if qubit_count < 1:
-        raise ValueError(f"qubit_count must be >= 1, got {qubit_count}")
-    return 3 * qubit_count * (qubit_count - 1) // 2
-
-
 def _bits_to_location(bits: Sequence[int]) -> int:
     return sum(b << i for i, b in enumerate(bits))
 
@@ -220,14 +165,13 @@ def extract_location(
 ) -> SearchResult:
     """Run the full bit-extraction protocol and return a verified location.
 
-    One plain run (``iterations`` amplification steps, all qubits read out
-    by :func:`measure_classes`, O(M L) exact or O(shots L) sampled) is
-    reused at every stage.  Each stage past the first adds one correlated
-    run, of which only the target qubit is read, by
-    :func:`measure_class_qubit` from the marked labels the correlation
-    moved: O(M) exact or O(shots) sampled, whatever the register size.  The
-    stage's EV is the mean of the two runs' target-qubit EVs, as
-    :func:`averaged_ev` gives it.
+    One plain run (``iterations`` amplification steps, every qubit read by
+    :func:`measure_classes`, O(M L) exact or O(shots L) sampled) is reused at
+    every stage.  Each stage past the first adds one correlated run, of which
+    :func:`measure_classes` reads only the target qubit, from the marked
+    labels the correlation moved: O(M) exact or O(shots) sampled, whatever
+    the register size.  The stage's EV is the mean of the two runs'
+    target-qubit EVs.
     Stage decisions go through :func:`decide_sign` at threshold ``a_th``;
     undecided stages branch (bit 0 first) and the final candidate is
     checked with a single oracle query, backtracking on failure.
@@ -236,11 +180,9 @@ def extract_location(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    qubit_count, locations, weights = class_state(marked, iterations)
-    plain = measure_classes(
-        qubit_count, locations, weights, _run_model(model, 0),
-        iterates_used=iterations, oracle_invocations=iterations,
-    )
+    state = class_state(marked, iterations)
+    qubit_count = state.qubit_count
+    plain = measure_classes(state, _run_model(model, 0), range(1, qubit_count + 1))
 
     total_runs = 1
     branch_events = 0
@@ -252,17 +194,14 @@ def extract_location(
         while prefix.stage < qubit_count:
             target = prefix.stage + 1
             if prefix.stage == 0:
-                ev = plain.evs[0]
+                ev = plain[0]
             else:
-                correlated = measure_class_qubit(
-                    qubit_count,
-                    _correlated_labels(locations, target, prefix),
-                    weights,
-                    _run_model(model, total_runs),
-                    target,
+                moved = ClassState(
+                    qubit_count, _correlated_labels(state.heavy, target, prefix), state.weights
                 )
+                correlated = measure_classes(moved, _run_model(model, total_runs), [target])[0]
                 total_runs += 1
-                ev = (plain.evs[target - 1] + correlated) / 2.0
+                ev = (plain[target - 1] + correlated) / 2.0
             bit = decide_sign(ev, a_th)
             if bit is None:
                 branch_events += 1

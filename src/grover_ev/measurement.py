@@ -16,13 +16,16 @@ RNG streams are derived from the model seed and nothing else:
   ``default_rng((seed, k))``, truncated at three sigma so reported EVs stay
   within the documented bound |ev| <= 1 + 3*sigma.
 
-Identical seeds therefore give identical records, and the standalone
-per-qubit estimator agrees bit-for-bit with a full-register readout.
+Identical seeds therefore give identical EVs, and reading any subset of a
+run's qubits gives, bit for bit, the EVs a full-register readout gives them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +46,9 @@ class EnsembleModel:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.gaussian_noise_sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.gaussian_noise_sigma}")
+        sigma = self.gaussian_noise_sigma
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
 
     def default_threshold(self) -> float:
         """Smallest EV magnitude whose sign is trusted under this model.
@@ -57,63 +61,13 @@ class EnsembleModel:
         return 1e-9
 
 
-@dataclass(frozen=True)
-class CorrelationInfo:
-    """Record of a conditional bit-flip inserted before readout."""
-
-    target_qubit: int
-    fixed_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "fixed_bits", tuple(int(b) for b in self.fixed_bits))
-        if any(b not in (0, 1) for b in self.fixed_bits):
-            raise ValueError(f"fixed_bits must be 0/1, got {self.fixed_bits}")
-        if self.target_qubit != len(self.fixed_bits) + 1:
-            raise ValueError(
-                f"target qubit {self.target_qubit} does not extend "
-                f"{len(self.fixed_bits)} fixed bits"
-            )
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Readout of one algorithm run: per-qubit EVs plus cost metadata."""
-
-    evs: tuple[float, ...]
-    iterates_used: int
-    oracle_invocations: int
-    correlation_applied: CorrelationInfo | None = None
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "evs", tuple(float(e) for e in self.evs))
-        _check_ev_bound(self.evs, self.noise_sigma)
-        if self.oracle_invocations != self.iterates_used:
-            raise ValueError(
-                f"oracle invocations ({self.oracle_invocations}) must equal "
-                f"iterate count ({self.iterates_used}) for a single run"
-            )
-
-    def to_json_dict(self) -> dict:
-        corr = None
-        if self.correlation_applied is not None:
-            corr = {
-                "target_qubit": self.correlation_applied.target_qubit,
-                "fixed_bits": list(self.correlation_applied.fixed_bits),
-            }
-        return {
-            "evs": list(self.evs),
-            "m": self.iterates_used,
-            "oracle_invocations": self.oracle_invocations,
-            "correlation": corr,
-        }
-
-
-def _check_ev_bound(evs: tuple[float, ...], sigma: float) -> None:
-    """Reject an EV past the readout bound |ev| <= 1 + 3 sigma."""
+def _check_ev_bound(evs: list[float], sigma: float) -> None:
+    """Reject an EV past the readout bound |ev| <= 1 + 3 sigma, or NaN."""
     bound = 1.0 + 3.0 * sigma
-    if any(abs(e) > bound + 1e-12 for e in evs):
-        raise ValueError(f"EV outside [-{bound}, {bound}]: {evs}")
+    limit = bound + 1e-12
+    for e in evs:
+        if not abs(e) <= limit:
+            raise ValueError(f"EV outside [-{bound}, {bound}]: {evs}")
 
 
 def exact_ev(state: StateVector, k: int) -> float:
@@ -189,14 +143,7 @@ def _class_inverse_cdf(heavy: np.ndarray, dim: int, weights: tuple[float, float]
     return labels_of
 
 
-def _class_shot_labels(
-    heavy: np.ndarray, dim: int, weights: tuple[float, float], model: EnsembleModel
-) -> np.ndarray:
-    """:func:`_shot_labels` of a two-amplitude state, from its heavy labels."""
-    return _class_inverse_cdf(heavy, dim, weights)(_uniform_draws(model))
-
-
-def _label_evs(labels: np.ndarray, qubits: range | list[int]) -> np.ndarray:
+def _label_evs(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Empirical sigma_z of each qubit in ``qubits`` over one set of shot
     labels, counted in one pass.  Each is a mean of +-1 terms whose sum is an
     exact integer, so it equals ``np.mean(1 - 2 bit)`` bit for bit."""
@@ -207,8 +154,6 @@ def _label_evs(labels: np.ndarray, qubits: range | list[int]) -> np.ndarray:
 def _readout_noise(model: EnsembleModel, k: int) -> float:
     """Additive instrument noise for qubit k, truncated at three sigma."""
     sigma = model.gaussian_noise_sigma
-    if sigma == 0.0:
-        return 0.0
     draw = np.random.default_rng((model.seed, k)).normal(0.0, sigma)
     return float(np.clip(draw, -3.0 * sigma, 3.0 * sigma))
 
@@ -218,7 +163,7 @@ def sampled_ev(state: StateVector, k: int, model: EnsembleModel) -> float:
     :func:`measure_all`."""
     if not 1 <= k <= state.qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
-    return measure_all(state, model, iterates_used=0, oracle_invocations=0).evs[k - 1]
+    return measure_all(state, model)[k - 1]
 
 
 def decide_sign(ev: float, threshold: float) -> int | None:
@@ -236,52 +181,48 @@ def decide_sign(ev: float, threshold: float) -> int | None:
     return None
 
 
-def _run_record(
-    base: list[float],
-    model: EnsembleModel,
-    *,
-    iterates_used: int,
-    oracle_invocations: int,
-    correlation: CorrelationInfo | None,
-) -> RunRecord:
-    """Add each qubit's readout noise to its EV and wrap the run's record."""
-    evs = tuple(ev + _readout_noise(model, k) for k, ev in enumerate(base, start=1))
-    return RunRecord(
-        evs=evs,
-        iterates_used=iterates_used,
-        oracle_invocations=oracle_invocations,
-        correlation_applied=correlation,
-        noise_sigma=model.gaussian_noise_sigma,
-    )
+def _noisy(base: list[float], model: EnsembleModel, qubits: Sequence[int]) -> list[float]:
+    """Add each listed qubit's readout noise to its EV in ``base`` (none when
+    sigma is 0) and hold the result to the readout bound."""
+    sigma = model.gaussian_noise_sigma
+    if sigma:
+        base = [ev + _readout_noise(model, k) for ev, k in zip(base, qubits)]
+    _check_ev_bound(base, sigma)
+    return base
 
 
-def measure_all(
-    state: StateVector,
-    model: EnsembleModel,
-    *,
-    iterates_used: int,
-    oracle_invocations: int,
-    correlation: CorrelationInfo | None = None,
-) -> RunRecord:
-    """Read out every qubit of one run from a single shared sample set."""
+def measure_all(state: StateVector, model: EnsembleModel) -> list[float]:
+    """Read out every qubit of one dense run from a single shared sample set:
+    the EV of qubit k is entry k - 1."""
     qubits = range(1, state.qubit_count + 1)
     if model.shots == 0:
         base = [exact_ev(state, k) for k in qubits]
     else:
         base = _label_evs(_shot_labels(state, model), qubits).tolist()
-    return _run_record(
-        base, model,
-        iterates_used=iterates_used,
-        oracle_invocations=oracle_invocations,
-        correlation=correlation,
-    )
+    return _noisy(base, model, qubits)
 
 
-def class_state(
-    marked: MarkedSet, iterations: int
-) -> tuple[int, np.ndarray, tuple[float, float]]:
-    """The two-amplitude state after ``iterations`` steps, in the form
-    :func:`measure_classes` reads: ``(qubit_count, heavy, weights)``.
+@dataclass(frozen=True, eq=False)
+class ClassState:
+    """A two-amplitude state, in the form :func:`measure_classes` reads.
+
+    Each label in ``heavy`` has Born weight ``weights[0]`` (on) and every
+    other label of the ``qubit_count``-qubit register ``weights[1]`` (off).
+    """
+
+    qubit_count: int
+    heavy: np.ndarray
+    weights: tuple[float, float]
+
+    @functools.cached_property
+    def labels_of(self):
+        """The inverse of this state's Born CDF (:func:`_class_inverse_cdf`),
+        built on the first sampled readout and reused by later ones."""
+        return _class_inverse_cdf(self.heavy, 1 << self.qubit_count, self.weights)
+
+
+def class_state(marked: MarkedSet, iterations: int) -> ClassState:
+    """The two-amplitude state after ``iterations`` steps on ``marked``.
 
     ``heavy`` holds the marked labels and ``weights`` the Born weight of one
     marked and of one unmarked label.  The universe must be a power of two
@@ -297,11 +238,11 @@ def class_state(
         )
     on, off = class_amplitudes(n, marked.count, iterations)
     heavy = np.array(marked.locations, dtype=np.int64)
-    return qubit_count, heavy, (on * on, off * off)
+    return ClassState(qubit_count, heavy, (on * on, off * off))
 
 
 def _class_evs(
-    heavy: np.ndarray, weights: tuple[float, float], qubits: range | list[int]
+    heavy: np.ndarray, weights: tuple[float, float], qubits: Sequence[int]
 ) -> np.ndarray:
     """Exact EVs of each qubit in ``qubits`` for a two-amplitude state:
     (on - off) * sum over heavy of (1 - 2 bit_k), since ``off``, spread
@@ -311,63 +252,23 @@ def _class_evs(
     return (on - off) * (heavy.size - 2 * ones)
 
 
-def _class_base_evs(
-    qubit_count: int,
-    heavy: np.ndarray,
-    weights: tuple[float, float],
-    model: EnsembleModel,
-    qubits: range | list[int],
-) -> np.ndarray:
-    """EVs of the given qubits of one two-amplitude run, before readout
-    noise: exact, or counted over the run's shot labels."""
-    if model.shots == 0:
-        return _class_evs(heavy, weights, qubits)
-    labels = _class_shot_labels(heavy, 1 << qubit_count, weights, model)
-    return _label_evs(labels, qubits)
-
-
 def measure_classes(
-    qubit_count: int,
-    heavy: np.ndarray,
-    weights: tuple[float, float],
-    model: EnsembleModel,
-    *,
-    iterates_used: int,
-    oracle_invocations: int,
-    correlation: CorrelationInfo | None = None,
-) -> RunRecord:
-    """:func:`measure_all` of a two-amplitude state, without building it.
+    state: ClassState, model: EnsembleModel, qubits: Sequence[int]
+) -> list[float]:
+    """EVs of the listed qubits of one run on a two-amplitude state: the
+    entries :func:`measure_all` gives those qubits for the dense state, without
+    building it.
 
-    The state puts Born weight ``weights[0]`` (on) on each label in
-    ``heavy`` and ``weights[1]`` (off) on every other label of the
-    ``qubit_count``-qubit register.  Exact readout costs O(M L).  Sampled
-    readout draws the same labels as :func:`measure_all` would from the same
-    seed, in O(shots L); the readout noise is the same.
+    Exact readout costs O(M) per qubit.  Sampled readout draws the same
+    labels as :func:`measure_all` would from the same seed, in O(shots) per
+    qubit; each listed qubit gets the same readout noise, whichever other
+    qubits are read with it.
     """
-    heavy = np.asarray(heavy, dtype=np.int64)
-    base = _class_base_evs(qubit_count, heavy, weights, model, range(1, qubit_count + 1))
-    return _run_record(
-        base.tolist(), model,
-        iterates_used=iterates_used,
-        oracle_invocations=oracle_invocations,
-        correlation=correlation,
-    )
-
-
-def measure_class_qubit(
-    qubit_count: int,
-    heavy: np.ndarray,
-    weights: tuple[float, float],
-    model: EnsembleModel,
-    k: int,
-) -> float:
-    """EV of qubit ``k`` alone from :func:`measure_classes`' readout of the
-    same run: the same draws and the same readout noise, in O(M) exact or
-    O(shots) sampled.  The EV is held to the same bound as a record's."""
-    base = _class_base_evs(qubit_count, np.asarray(heavy, dtype=np.int64), weights, model, [k])
-    ev = float(base[0]) + _readout_noise(model, k)
-    _check_ev_bound((ev,), model.gaussian_noise_sigma)
-    return ev
+    if model.shots == 0:
+        base = _class_evs(state.heavy, state.weights, qubits)
+    else:
+        base = _label_evs(state.labels_of(_uniform_draws(model)), qubits)
+    return _noisy(base.tolist(), model, qubits)
 
 
 def sign_error_rate(
@@ -387,25 +288,21 @@ def sign_error_rate(
     The reference answer is the sign of the exact EV, undecided when that EV
     is 0; a trial errs when its decision (at the given threshold) differs
     from that reference, counting an undecided readout of a decidable qubit
-    as an error.  Trial ``t`` uses seed ``seed + t``.  Trials draw their
-    shots from the two-amplitude state (:func:`class_state`) through tables
-    built once, so the rate costs O(trials shots) whatever the register size.
+    as an error.  Trial ``t`` uses seed ``seed + t``.  Every trial reads qubit
+    k of the two-amplitude state (:func:`class_state`) through
+    :func:`measure_classes`, which builds the inverse-CDF tables on the first
+    sampled trial, so the rate costs O(trials shots) whatever the register
+    size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    qubit_count, heavy, weights = class_state(marked, iterations)
-    if not 1 <= k <= qubit_count:
-        raise ValueError(f"qubit index {k} out of range 1..{qubit_count}")
-    exact = float(_class_evs(heavy, weights, [k])[0])
-    truth = decide_sign(exact, 0.0)
-    labels_of = _class_inverse_cdf(heavy, 1 << qubit_count, weights)
+    state = class_state(marked, iterations)
+    if not 1 <= k <= state.qubit_count:
+        raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
+    truth = decide_sign(measure_classes(state, EnsembleModel(), [k])[0], 0.0)
     errors = 0
     for t in range(trials):
         model = EnsembleModel(shots=shots, seed=seed + t, gaussian_noise_sigma=sigma)
-        if shots:
-            base = _label_evs(labels_of(_uniform_draws(model)), [k])[0]
-        else:
-            base = exact
-        if decide_sign(base + _readout_noise(model, k), threshold) != truth:
+        if decide_sign(measure_classes(state, model, [k])[0], threshold) != truth:
             errors += 1
     return errors / trials

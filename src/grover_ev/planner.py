@@ -91,8 +91,7 @@ def _truncation_point(
 
 def m_truncated(universe_size: int, marked_count: int, a_th: float) -> int:
     """Truncated stopping point: first m whose attenuation exceeds a_th."""
-    theta = grover_angle(universe_size, marked_count)
-    return _truncation_point(universe_size, marked_count, a_th, theta, _standard_count(theta))[0]
+    return make_plan(universe_size, marked_count, a_th).m_trunc
 
 
 def m_truncated_estimate(universe_size: int, marked_count: int, a_th: float) -> float:

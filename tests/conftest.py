@@ -11,17 +11,16 @@ search loop that read every qubit of every run.
 import numpy as np
 
 from grover_ev import (
-    CorrelationInfo,
+    ClassState,
     EnsembleModel,
     SearchFailure,
     SearchResult,
     attenuation,
-    averaged_ev,
+    class_state,
     decide_sign,
     m_standard,
     measure_classes,
 )
-from grover_ev.measurement import class_state
 
 
 def oracle_matrix(qubit_count, locations):
@@ -132,22 +131,21 @@ def reference_class_inverse_cdf(heavy, dim, weights):
 
 
 def reference_extract_location(marked, iterations, model, a_th):
-    """The bit-extraction search as first written: every correlated run is
-    read out in full by ``measure_classes`` and averaged with the plain run
-    through ``averaged_ev``.  Run ``i`` draws from seed ``seed XOR i``."""
-    qubit_count, locations, weights = class_state(marked, iterations)
+    """The bit-extraction search as first written: every run, plain or
+    correlated, is read out on every qubit, and a stage averages the target
+    qubit's entries of the two full EV lists.  Run ``i`` draws from seed
+    ``seed XOR i``."""
+    state = class_state(marked, iterations)
+    qubit_count, locations = state.qubit_count, state.heavy
 
-    def run(index, heavy, correlation=None):
+    def run(index, heavy):
         run_model = EnsembleModel(
             shots=model.shots,
             seed=model.seed ^ index,
             gaussian_noise_sigma=model.gaussian_noise_sigma,
         )
-        return measure_classes(
-            qubit_count, heavy, weights, run_model,
-            iterates_used=iterations, oracle_invocations=iterations,
-            correlation=correlation,
-        )
+        full = ClassState(qubit_count, heavy, state.weights)
+        return measure_classes(full, run_model, range(1, qubit_count + 1))
 
     plain = run(0, locations)
     total_runs, branch_events, verifications = 1, 0, 0
@@ -156,14 +154,14 @@ def reference_extract_location(marked, iterations, model, a_th):
         while len(bits) < qubit_count:
             target = len(bits) + 1
             if not bits:
-                ev = plain.evs[0]
+                ev = plain[0]
             else:
                 prefix = sum(b << i for i, b in enumerate(bits))
                 low = locations & ((1 << len(bits)) - 1)
                 moved = np.where(low == prefix, locations, locations ^ (1 << (target - 1)))
-                record = run(total_runs, moved, CorrelationInfo(target, bits))
+                correlated = run(total_runs, moved)
                 total_runs += 1
-                ev = averaged_ev(plain, record, target)
+                ev = (plain[target - 1] + correlated[target - 1]) / 2.0
             bit = decide_sign(ev, a_th)
             if bit is None:
                 branch_events += 1

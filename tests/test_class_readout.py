@@ -1,7 +1,8 @@
 """The search's two-amplitude readout, checked against the dense reference.
 
-The dense side is the statevector path: the iterated register, the
-correlation applied as a permutation of amplitudes, and ``measure_all``.
+The dense side is the statevector path: the iterated register (or its
+closed form), the correlation applied as a permutation of amplitudes, and
+``measure_all``.
 The images of the marked labels under the correlation are recomputed here
 from the prefix bits, independently of the implementation.
 """
@@ -9,13 +10,13 @@ from the prefix bits, independently of the implementation.
 import numpy as np
 import pytest
 from conftest import low_bits, reference_class_inverse_cdf, reference_extract_location
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
     EXACT_ATOL,
     MAX_QUBITS,
-    CorrelationInfo,
+    ClassState,
     EnsembleModel,
     MarkedSet,
     OracleLedger,
@@ -24,6 +25,8 @@ from grover_ev import (
     apply_correlation,
     apply_grover,
     class_amplitudes,
+    class_state,
+    closed_form_state,
     decide_sign,
     extract_location,
     m_standard,
@@ -33,15 +36,14 @@ from grover_ev import (
     new_uniform,
     sign_error_rate,
 )
+from grover_ev import measurement
 from grover_ev.measurement import (
     _born_cdf,
     _class_inverse_cdf,
-    _class_shot_labels,
     _label_evs,
     _readout_noise,
     _shot_labels,
     _uniform_draws,
-    measure_class_qubit,
 )
 
 EXACT = EnsembleModel()
@@ -60,6 +62,11 @@ def class_weights(universe_size, marked_count, iterations):
     return on * on, off * off
 
 
+def class_labels(qubits, heavy, weights, model):
+    """Shot labels of one sampled run on a two-amplitude state."""
+    return ClassState(qubits, np.asarray(heavy), weights).labels_of(_uniform_draws(model))
+
+
 def correlated_image(label, target, s_bits):
     """The label the correlation sends ``label`` to."""
     if low_bits(label, len(s_bits)) == tuple(s_bits):
@@ -72,7 +79,8 @@ def marked_runs(draw):
     """A marked set with L <= 10 and M <= 4, an iterate count, and every
     correlated run whose prefix is the low bits of a marked label or of one
     more drawn label: ``(correlation, dense state, heavy labels)`` triples,
-    the plain run first."""
+    where the correlation is ``(target, s_bits)`` and None for the plain run,
+    which comes first."""
     qubits = draw(st.integers(1, 10))
     n = 1 << qubits
     count = draw(st.integers(1, min(4, n - 1)))
@@ -92,7 +100,7 @@ def marked_runs(draw):
     for target, s_bits in sorted(prefixes):
         heavy = np.array([correlated_image(x, target, s_bits) for x in marked.locations])
         runs.append(
-            (CorrelationInfo(target, s_bits), apply_correlation(plain, target, s_bits), heavy)
+            ((target, s_bits), apply_correlation(plain, target, s_bits), heavy)
         )
     return qubits, marked, iterations, runs
 
@@ -103,15 +111,9 @@ def test_exact_readout_matches_dense_reference(case):
     qubits, marked, m, runs = case
     weights = class_weights(marked.universe_size, marked.count, m)
     for info, dense, heavy in runs:
-        expected = measure_all(
-            dense, EXACT, iterates_used=m, oracle_invocations=m, correlation=info
-        )
-        got = measure_classes(
-            qubits, heavy, weights, EXACT,
-            iterates_used=m, oracle_invocations=m, correlation=info,
-        )
-        assert got.correlation_applied == expected.correlation_applied
-        assert np.max(np.abs(np.subtract(got.evs, expected.evs))) <= EXACT_ATOL, info
+        expected = measure_all(dense, EXACT)
+        got = measure_classes(ClassState(qubits, heavy, weights), EXACT, range(1, qubits + 1))
+        assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL, info
 
 
 def far_from_boundaries(cdf, draws):
@@ -133,7 +135,7 @@ def test_sampled_labels_match_dense_reference(case, shots, seed):
         far = far_from_boundaries(_born_cdf(dense), draws)
         assert far.mean() > 0.99
         expected = _shot_labels(dense, model)
-        got = _class_shot_labels(heavy, marked.universe_size, weights, model)
+        got = class_labels(qubits, heavy, weights, model)
         assert np.array_equal(got[far], expected[far]), info
 
 
@@ -156,7 +158,7 @@ def test_sampled_labels_at_degenerate_weights(n, locations, m):
     dense = dense_state(marked, m)
     for seed in range(5):
         model = EnsembleModel(shots=20_480, seed=seed)
-        got = _class_shot_labels(np.array(locations), n, weights, model)
+        got = class_labels(n.bit_length() - 1, locations, weights, model)
         assert np.array_equal(got, _shot_labels(dense, model))
 
 
@@ -164,24 +166,68 @@ def test_sampled_record_matches_dense_record():
     marked = MarkedSet((3, 9, 12), 16)
     dense = apply_correlation(dense_state(marked, 1), 3, (1, 1))
     heavy = np.array([correlated_image(x, 3, (1, 1)) for x in marked.locations])
-    info = CorrelationInfo(3, (1, 1))
+    state = ClassState(4, heavy, class_weights(16, 3, 1))
     model = EnsembleModel(shots=1000, seed=21, gaussian_noise_sigma=0.02)
-    expected = measure_all(dense, model, iterates_used=1, oracle_invocations=1,
-                           correlation=info)
-    got = measure_classes(4, heavy, class_weights(16, 3, 1), model,
-                          iterates_used=1, oracle_invocations=1, correlation=info)
-    assert got == expected
+    expected = measure_all(dense, model)
+    assert measure_classes(state, model, range(1, 5)) == expected
     for k in range(1, 5):
-        assert measure_class_qubit(4, heavy, class_weights(16, 3, 1), model, k) == expected.evs[k - 1]
+        assert measure_classes(state, model, [k]) == [expected[k - 1]]
 
 
 def test_one_qubit_readout_keeps_the_record_bound():
     # Not a state: both heavy labels have bit 2 clear, so qubit 2 reads 1.5.
-    heavy, weights = np.array([0, 1]), (0.75, 0.0)
+    state = ClassState(2, np.array([0, 1]), (0.75, 0.0))
     with pytest.raises(ValueError, match="EV outside"):
-        measure_class_qubit(2, heavy, weights, EXACT, 2)
+        measure_classes(state, EXACT, [2])
     with pytest.raises(ValueError, match="EV outside"):
-        measure_classes(2, heavy, weights, EXACT, iterates_used=1, oracle_invocations=1)
+        measure_classes(state, EXACT, range(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_qubit_subsets_match_dense_readout(qubits, data):
+    # Any subset of a run's qubits, in any order, reads the entries a dense
+    # full-register readout gives them: exactly when sampled (the same draws
+    # give the same labels away from the CDF's breakpoints), and to rounding
+    # when exact.
+    n = 1 << qubits
+    count = data.draw(st.integers(1, min(4, n - 1)))
+    locations = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True)
+    )
+    marked = MarkedSet(tuple(locations), n)
+    iterations = data.draw(st.integers(0, 12))
+    subset = data.draw(st.lists(st.integers(1, qubits), min_size=1, max_size=qubits,
+                                unique=True))
+    model = EnsembleModel(
+        shots=data.draw(st.sampled_from((0, 1, 64, 1024))),
+        seed=data.draw(st.integers(0, 2**64 - 1)),
+        gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))),
+    )
+    dense = closed_form_state(qubits, marked, iterations)
+    expected = [measure_all(dense, model)[k - 1] for k in subset]
+    got = measure_classes(class_state(marked, iterations), model, subset)
+    assert all(type(ev) is float for ev in got)
+    if model.shots == 0:
+        assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL
+    else:
+        assume(far_from_boundaries(_born_cdf(dense), _uniform_draws(model)).all())
+        assert got == expected
+
+
+def test_sign_error_rate_builds_its_tables_once(monkeypatch):
+    builds = []
+    inverse_cdf = measurement._class_inverse_cdf
+
+    def counted(*args):
+        builds.append(args)
+        return inverse_cdf(*args)
+
+    monkeypatch.setattr(measurement, "_class_inverse_cdf", counted)
+    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, shots=64, trials=20, seed=5)
+    assert len(builds) == 1
+    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, shots=0, sigma=0.05, trials=20, seed=5)
+    assert len(builds) == 1
 
 
 def test_search_builds_no_statevector(monkeypatch):
@@ -256,7 +302,7 @@ def error_rate_cases(draw):
 @given(error_rate_cases())
 def test_sign_error_rate_matches_per_trial_class_readouts(case):
     # The rate builds its inverse-CDF tables once; each trial must still
-    # decide exactly as its own _class_shot_labels readout would.
+    # decide exactly as a readout through tables of its own would.
     marked, iterations, k, opts = case
     n = marked.universe_size
     weights = class_weights(n, marked.count, iterations)
@@ -267,7 +313,7 @@ def test_sign_error_rate_matches_per_trial_class_readouts(case):
     for t in range(opts["trials"]):
         model = EnsembleModel(shots=opts["shots"], seed=opts["seed"] + t,
                               gaussian_noise_sigma=opts["sigma"])
-        labels = _class_shot_labels(np.array(marked.locations), n, weights, model)
+        labels = class_labels(n.bit_length() - 1, marked.locations, weights, model)
         ev = mean_ev(labels, k) + _readout_noise(model, k)
         wrong += decide_sign(ev, opts["threshold"]) != truth
     assert sign_error_rate(marked, iterations, k, **opts) == wrong / opts["trials"]

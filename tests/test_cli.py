@@ -284,6 +284,11 @@ def test_sweep_rejects_register_past_cap(capsys):
     (["plan", "--a-th", "1.5"], "0 <= a_th < 1"),
     (["search", "--a-th", "-0.1"], "0 <= a_th < 1"),
     (["sweep", "--a-th", "1.0", "--sweep", "m", "--values", "1..1"], "0 <= a_th < 1"),
+    (["search", "--sigma", "nan"], "sigma must be a finite number >= 0"),
+    (["search", "--sigma", "inf"], "sigma must be a finite number >= 0"),
+    (["sweep", "--sigma", "nan", "--sweep", "m", "--values", "1..1"], "sigma must be a finite"),
+    (["sweep", "--sigma", "inf", "--sweep", "m", "--values", "1..1"], "sigma must be a finite"),
+    (["plan", "--sigma", "-0.1"], "sigma must be a finite number >= 0"),
 ])
 def test_invalid_input_exits_two_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--n", "16", *argv[1:])

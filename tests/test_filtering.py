@@ -1,4 +1,4 @@
-"""Filter function, correlation operation, two-run averaging, bit extraction."""
+"""Filter predicate, correlation operation, two-run averaging, bit extraction."""
 
 import itertools
 import json
@@ -15,7 +15,6 @@ from conftest import (
 )
 
 from grover_ev import (
-    CorrelationInfo,
     EnsembleModel,
     FilterState,
     MarkedSet,
@@ -25,11 +24,8 @@ from grover_ev import (
     apply_correlation,
     apply_grover,
     attenuation,
-    averaged_ev,
     closed_form_state,
-    eval_g,
     extract_location,
-    g_schedule_cost,
     m_standard,
     m_truncated,
     measure_all,
@@ -40,28 +36,25 @@ from grover_ev import filtering, measurement
 EXACT = EnsembleModel()
 
 
-def exact_record(state, iterates=0, correlation=None):
-    return measure_all(
-        state, EXACT,
-        iterates_used=iterates, oracle_invocations=iterates,
-        correlation=correlation,
-    )
+def filtered_out(labels, s_bits):
+    """Which labels the correlation for prefix ``s_bits`` flips: the filter
+    is 1 on them, 0 on the labels whose low bits match the prefix."""
+    target = len(s_bits) + 1
+    moved = filtering._correlated_labels(np.asarray(labels), target, FilterState(s_bits))
+    return [int(m != x) for m, x in zip(moved, labels)]
 
 
-# --------------------------------------------------------------------- eval_g
+# ----------------------------------------------------------- filter predicate
 
 def test_filter_single_bit_truth_table():
-    assert eval_g((0,), (0,)) == 0
-    assert eval_g((1,), (0,)) == 1
-    assert eval_g((0,), (1,)) == 1
-    assert eval_g((1,), (1,)) == 0
+    # Labels 0..3 carry low bit 0, 1, 0, 1.
+    assert filtered_out(range(4), (0,)) == [0, 1, 0, 1]
+    assert filtered_out(range(4), (1,)) == [1, 0, 1, 0]
 
 
 def test_filter_two_bit_truth_table():
-    reference = (1, 0)
-    assert eval_g((1, 0), reference) == 0
-    assert eval_g((0, 0), reference) == 1
-    assert eval_g((1, 1), reference) == 1
+    # Low two bits, least significant first: (0,0), (1,0), (0,1), (1,1).
+    assert filtered_out(range(8), (1, 0)) == [1, 0, 1, 1, 1, 0, 1, 1]
 
 
 def test_filter_zero_on_exact_match():
@@ -69,14 +62,9 @@ def test_filter_zero_on_exact_match():
     for _ in range(50):
         k = int(rng.integers(1, 9))
         bits = tuple(int(b) for b in rng.integers(0, 2, size=k))
-        assert eval_g(bits, bits) == 0
-
-
-def test_filter_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        eval_g((0, 1), (0,))
-    with pytest.raises(ValueError):
-        eval_g((), ())
+        high = int(rng.integers(0, 1 << 8))
+        label = (high << k) | sum(b << i for i, b in enumerate(bits))
+        assert filtered_out([label], bits) == [0]
 
 
 # ---------------------------------------------------------------- correlation
@@ -122,7 +110,7 @@ def test_correlation_matches_per_label_filter():
             moved = apply_correlation(state, target, s_bits)
             expected = np.empty_like(amps)
             for label in range(16):
-                if eval_g(low_bits(label, prefix_len), s_bits):
+                if low_bits(label, prefix_len) != tuple(s_bits):
                     expected[label] = amps[label ^ (1 << (target - 1))]
                 else:
                     expected[label] = amps[label]
@@ -152,26 +140,21 @@ def test_correlation_preserves_other_qubit_evs():
         prefix_len = int(rng.integers(1, 5))
         target = prefix_len + 1
         s_bits = tuple(int(b) for b in rng.integers(0, 2, size=prefix_len))
-        plain = exact_record(state)
-        correlated = exact_record(
-            apply_correlation(state, target, s_bits),
-            correlation=CorrelationInfo(target, s_bits),
-        )
+        plain = measure_all(state, EXACT)
+        correlated = measure_all(apply_correlation(state, target, s_bits), EXACT)
         for k in range(1, 6):
             if k != target:
-                assert abs(plain.evs[k - 1] - correlated.evs[k - 1]) <= 1e-12
+                assert abs(plain[k - 1] - correlated[k - 1]) <= 1e-12
 
 
 # ------------------------------------------------------------------ averaging
 
-def two_run_average(state, target, s_bits, iterates=0):
-    plain = exact_record(state, iterates)
-    correlated = exact_record(
-        apply_correlation(state, target, s_bits),
-        iterates,
-        CorrelationInfo(target, tuple(s_bits)),
-    )
-    return averaged_ev(plain, correlated, target)
+def two_run_average(state, target, s_bits):
+    """The stage EV: the target qubit's exact EV, averaged over the plain
+    and the correlated run."""
+    plain = measure_all(state, EXACT)
+    correlated = measure_all(apply_correlation(state, target, s_bits), EXACT)
+    return (plain[target - 1] + correlated[target - 1]) / 2.0
 
 
 def test_averaging_restores_split_signal():
@@ -187,11 +170,11 @@ def test_averaging_trivial_for_single_item():
     for m in (1, 2, 3):
         state = closed_form_state(4, marked, m)
         expected = attenuation(16, 1, m) * (-1) ** bit_of(11, 2)
-        plain = exact_record(state, m)
-        assert two_run_average(state, 2, low_bits(11, 1), m) == pytest.approx(
-            plain.evs[1], abs=1e-12
+        plain = measure_all(state, EXACT)
+        assert two_run_average(state, 2, low_bits(11, 1)) == pytest.approx(
+            plain[1], abs=1e-12
         )
-        assert plain.evs[1] == pytest.approx(expected, abs=1e-12)
+        assert plain[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_averaging_enumeration_oracle_ideal_states():
@@ -233,28 +216,9 @@ def test_averaging_enumeration_oracle_truncated_states():
                     expected = filtered_ev_formula(
                         locations, s_bits, target, attenuation(n, m_count, m)
                     )
-                    assert two_run_average(state, target, s_bits, m) == pytest.approx(
+                    assert two_run_average(state, target, s_bits) == pytest.approx(
                         expected, abs=1e-10
                     )
-
-
-def test_averaging_validates_metadata():
-    state = StateVector(3, uniform_over(3, (1, 5)))
-    plain = exact_record(state)
-    correlated = exact_record(
-        apply_correlation(state, 2, (1,)), 0, CorrelationInfo(2, (1,))
-    )
-    with pytest.raises(ValueError):
-        averaged_ev(plain, plain, 2)  # second record lacks the correlation
-    with pytest.raises(ValueError):
-        averaged_ev(correlated, correlated, 2)  # first record must be plain
-    with pytest.raises(ValueError):
-        averaged_ev(plain, correlated, 3)  # wrong target
-    mismatched = exact_record(
-        apply_correlation(state, 2, (1,)), 1, CorrelationInfo(2, (1,))
-    )
-    with pytest.raises(ValueError):
-        averaged_ev(plain, mismatched, 2)  # different iterate counts
 
 
 # ------------------------------------------------------------- bit extraction
@@ -378,16 +342,17 @@ def test_filter_state_checks_each_bit_once(monkeypatch):
 
 def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     # L = 16 with one marked label; at this threshold about 1,100 runs
-    # branch and backtrack, and a correlated run must still read one qubit.
+    # branch and backtrack.  Every run goes through measure_classes, and a
+    # correlated run must still read one qubit.
     qubits = 16
-    records, widths, noise = [], [], []
+    reads, widths, noise = [], [], []
     measure_classes = filtering.measure_classes
     label_evs = measurement._label_evs
     readout_noise = measurement._readout_noise
 
-    def counted_records(*args, **kwargs):
-        records.append(args)
-        return measure_classes(*args, **kwargs)
+    def counted_reads(state, model, qubit_list):
+        reads.append(list(qubit_list))
+        return measure_classes(state, model, qubit_list)
 
     def counted_label_evs(labels, qubit_list):
         widths.append(len(qubit_list))
@@ -397,7 +362,7 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
         noise.append(k)
         return readout_noise(model, k)
 
-    monkeypatch.setattr(filtering, "measure_classes", counted_records)
+    monkeypatch.setattr(filtering, "measure_classes", counted_reads)
     monkeypatch.setattr(measurement, "_label_evs", counted_label_evs)
     monkeypatch.setattr(measurement, "_readout_noise", counted_noise)
     model = EnsembleModel(shots=1024, seed=7, gaussian_noise_sigma=0.05)
@@ -405,24 +370,8 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     assert result.location == 40503 and result.branch_events > 0
     runs = result.total_runs
     assert runs > qubits
-    assert len(records) == 1
+    assert reads[0] == list(range(1, qubits + 1)) and len(reads) == runs
+    assert all(len(read) == 1 for read in reads[1:])
     assert widths == [qubits] + [1] * (runs - 1)
     assert len(noise) == qubits + runs - 1
 
-
-# ------------------------------------------------------------- schedule cost
-
-def test_schedule_cost_small_registers():
-    assert g_schedule_cost(1) == 0
-    assert g_schedule_cost(2) == 3  # one stage, one-bit evaluation, 3 ops
-
-
-def test_schedule_cost_closed_form():
-    for qubits in range(1, 30):
-        assert g_schedule_cost(qubits) == 3 * qubits * (qubits - 1) // 2
-
-
-def test_schedule_cost_quadratic_growth():
-    for qubits in (8, 16, 32, 64, 128):
-        ratio = g_schedule_cost(2 * qubits) / g_schedule_cost(qubits)
-        assert ratio <= 4.5

@@ -1,16 +1,12 @@
 """Exact and sampled sigma_z expectation values, sign decisions, readout."""
 
-import json
-
 import numpy as np
 import pytest
 from conftest import basis_state_vector, bit_of
 
 from grover_ev import (
-    CorrelationInfo,
     EnsembleModel,
     MarkedSet,
-    RunRecord,
     StateVector,
     closed_form_state,
     decide_sign,
@@ -22,6 +18,7 @@ from grover_ev import (
     sign_error_rate,
     attenuation,
 )
+from grover_ev.measurement import _check_ev_bound
 
 
 # ------------------------------------------------------------------- exact_ev
@@ -118,9 +115,9 @@ def test_sampled_deterministic_given_seed():
 def test_sampled_matches_full_readout():
     state = closed_form_state(4, MarkedSet((9,), 16), 2)
     model = EnsembleModel(shots=250, seed=77, gaussian_noise_sigma=0.02)
-    record = measure_all(state, model, iterates_used=2, oracle_invocations=2)
+    evs = measure_all(state, model)
     for k in range(1, 5):
-        assert sampled_ev(state, k, model) == record.evs[k - 1]
+        assert sampled_ev(state, k, model) == evs[k - 1]
 
 
 def test_noise_stays_within_three_sigma():
@@ -137,8 +134,9 @@ def test_model_validation():
         EnsembleModel(shots=-1)
     with pytest.raises(ValueError):
         EnsembleModel(seed=-2)
-    with pytest.raises(ValueError):
-        EnsembleModel(gaussian_noise_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma must be a finite number"):
+            EnsembleModel(gaussian_noise_sigma=sigma)
 
 
 def test_default_threshold_policy():
@@ -173,55 +171,27 @@ def test_decide_sign_rejects_negative_threshold():
 def test_measure_all_basis_state_exact():
     label = 5
     state = StateVector(3, basis_state_vector(3, label))
-    record = measure_all(state, EnsembleModel(), iterates_used=0, oracle_invocations=0)
-    assert record.evs == tuple((-1) ** bit_of(label, k) for k in range(1, 4))
+    assert measure_all(state, EnsembleModel()) == [(-1) ** bit_of(label, k) for k in range(1, 4)]
 
 
 def test_measure_all_uniform_exact():
-    record = measure_all(new_uniform(3), EnsembleModel(), iterates_used=0, oracle_invocations=0)
-    assert all(abs(ev) <= 1e-15 for ev in record.evs)
+    assert all(abs(ev) <= 1e-15 for ev in measure_all(new_uniform(3), EnsembleModel()))
 
 
 def test_measure_all_deterministic():
     state = closed_form_state(3, MarkedSet((2,), 8), 1)
     model = EnsembleModel(shots=400, seed=5, gaussian_noise_sigma=0.03)
-    first = measure_all(state, model, iterates_used=1, oracle_invocations=1)
-    second = measure_all(state, model, iterates_used=1, oracle_invocations=1)
-    assert first == second
+    first = measure_all(state, model)
+    assert first == measure_all(state, model)
+    assert all(type(ev) is float for ev in first)
 
 
-def test_run_record_json_schema():
-    record = RunRecord(
-        evs=(0.5, -0.25),
-        iterates_used=3,
-        oracle_invocations=3,
-        correlation_applied=CorrelationInfo(2, (1,)),
-    )
-    payload = json.loads(json.dumps(record.to_json_dict()))
-    assert payload == {
-        "evs": [0.5, -0.25],
-        "m": 3,
-        "oracle_invocations": 3,
-        "correlation": {"target_qubit": 2, "fixed_bits": [1]},
-    }
-    plain = RunRecord(evs=(1.0,), iterates_used=2, oracle_invocations=2)
-    assert json.loads(json.dumps(plain.to_json_dict()))["correlation"] is None
-
-
-def test_run_record_validates_cost_and_bounds():
-    with pytest.raises(ValueError):
-        RunRecord(evs=(0.0,), iterates_used=2, oracle_invocations=3)
-    with pytest.raises(ValueError):
-        RunRecord(evs=(1.5,), iterates_used=1, oracle_invocations=1)
-    # bound widens with declared readout noise
-    RunRecord(evs=(1.2,), iterates_used=1, oracle_invocations=1, noise_sigma=0.1)
-
-
-def test_correlation_info_validates():
-    with pytest.raises(ValueError):
-        CorrelationInfo(3, (1,))
-    with pytest.raises(ValueError):
-        CorrelationInfo(2, (2,))
+def test_ev_bound_widens_with_noise_and_rejects_nan():
+    _check_ev_bound([1.2, -1.2], 0.1)
+    with pytest.raises(ValueError, match="EV outside"):
+        _check_ev_bound([1.2], 0.0)
+    with pytest.raises(ValueError, match="EV outside"):
+        _check_ev_bound([0.5, float("nan")], 0.1)
 
 
 # ----------------------------------------------------------- sign error rates

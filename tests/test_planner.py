@@ -129,6 +129,8 @@ def test_m_truncated_validates_threshold():
         m_truncated(16, 1, 1.0)
     with pytest.raises(ValueError):
         m_truncated(16, 1, -0.05)
+    with pytest.raises(ValueError, match="exceeds the standard version's tolerance"):
+        m_truncated(64, 2, 0.6)
 
 
 def test_truncation_plan_invariants():
