@@ -8,10 +8,12 @@ Subcommands::
 
 Every output embeds the fully resolved configuration, and all randomness
 derives from ``--seed``: sweep row ``i`` uses ``seed XOR i``, per-row error
-trials use consecutive seeds, and search runs derive their per-run streams
-the same way.  Sweep rows read their sign errors from the two-amplitude
-state, so no command builds a statevector.  Exit codes: 0 success, 1
-search failure, 2 usage or configuration error.
+trials use consecutive seeds mod 2**64, and search runs derive their per-run
+streams the same way.  Sweep rows read their sign errors from the
+two-amplitude state, so no command builds a statevector.  This module only
+parses (lists, ranges, ``--m-count`` against ``--marked``); the library checks
+every other rule once, and its message is printed as ``error: <rule>``.  Exit
+codes: 0 success, 1 search failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -54,9 +56,7 @@ class ExperimentConfig:
     m_count: int
     marked: tuple[int, ...] | None
     a_th: float
-    shots: int
-    sigma: float
-    seed: int
+    model: EnsembleModel
     m_override: int | None
     fmt: str
     out: str | None
@@ -68,17 +68,13 @@ class ExperimentConfig:
             "m_count": self.m_count,
             "marked": list(self.marked) if self.marked is not None else None,
             "a_th": self.a_th,
-            "shots": self.shots,
-            "sigma": self.sigma,
-            "seed": self.seed,
+            "shots": self.model.shots,
+            "sigma": self.model.gaussian_noise_sigma,
+            "seed": self.model.seed,
             "m": self.m_override,
             "format": self.fmt,
             "out": self.out,
         }
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -105,16 +101,10 @@ def _parse_sweep_values(var: str, text: str) -> list:
             values = [cast(part) for part in text.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad value list {text!r} for variable {var!r}") from exc
-    if not values:
-        raise ConfigError("sweep needs at least one value")
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    n = args.n
-    if not _is_power_of_two(n):
-        raise ConfigError(f"--n must be a power of two >= 2, got {n}")
-
     marked: tuple[int, ...] | None = None
     if args.marked is not None:
         marked = _parse_int_list(args.marked)
@@ -126,15 +116,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         m_count = len(marked)
     else:
         m_count = args.m_count if args.m_count is not None else 1
-    if not 1 <= m_count < n:
-        raise ConfigError(f"marked count must satisfy 1 <= M < N, got M={m_count}")
-
-    shots = args.shots
-    if shots < 0:
-        raise ConfigError(f"--shots must be >= 0, got {shots}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    model = EnsembleModel(shots=shots, seed=args.seed, gaussian_noise_sigma=args.sigma)
+    model = EnsembleModel(shots=args.shots, seed=args.seed, gaussian_noise_sigma=args.sigma)
 
     if args.a_th is not None:
         a_th = args.a_th
@@ -143,13 +125,11 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
     return ExperimentConfig(
         command=args.command,
-        n=n,
+        n=args.n,
         m_count=m_count,
         marked=marked,
         a_th=a_th,
-        shots=shots,
-        sigma=args.sigma,
-        seed=args.seed,
+        model=model,
         m_override=getattr(args, "m", None),
         fmt=getattr(args, "format", "json"),
         out=args.out,
@@ -204,7 +184,7 @@ def _plan_csv_row(config: ExperimentConfig, plan) -> dict:
         "m_trunc": plan.m_trunc,
         "m_trunc_estimate": plan.m_trunc_estimate,
         "ev_sign_error_rate": None,
-        "seed": config.seed,
+        "seed": config.model.seed,
     }
 
 
@@ -219,17 +199,14 @@ def cmd_plan(config: ExperimentConfig) -> int:
 
 
 def cmd_search(config: ExperimentConfig) -> int:
-    marked = _marked_set(config.n, config.m_count, config.marked, config.seed)
     plan = make_plan(config.n, config.m_count, config.a_th)
+    marked = _marked_set(config.n, config.m_count, config.marked, config.model.seed)
     iterations = config.m_override if config.m_override is not None else max(1, plan.m_trunc)
-    model = EnsembleModel(
-        shots=config.shots, seed=config.seed, gaussian_noise_sigma=config.sigma
-    )
     resolved = config.to_json_dict()
     resolved["marked"] = list(marked.locations)
     resolved["m"] = iterations
     try:
-        result = extract_location(marked, iterations, model, config.a_th)
+        result = extract_location(marked, iterations, config.model, config.a_th)
     except SearchFailure as exc:
         payload = {
             "config": resolved,
@@ -246,33 +223,24 @@ def cmd_search(config: ExperimentConfig) -> int:
 
 
 def _sweep_row(config: ExperimentConfig, var: str, value, index: int, trials: int) -> dict:
-    row_seed = config.seed ^ index
+    row_seed = config.model.seed ^ index
     n = value if var == "N" else config.n
-    shots = value if var == "shots" else config.shots
+    shots = value if var == "shots" else config.model.shots
     a_th = value if var == "a_th" else config.a_th
 
-    if not _is_power_of_two(n):
-        raise ConfigError(f"swept N must be a power of two >= 2, got {n}")
-    if shots < 0:
-        raise ConfigError(f"swept shots must be >= 0, got {shots}")
-
+    plan = make_plan(n, config.m_count, a_th)
     marked = _marked_set(n, config.m_count, config.marked, row_seed)
-    plan = make_plan(n, marked.count, a_th)
     if var == "m":
         m = value
     elif config.m_override is not None:
         m = config.m_override
     else:
         m = plan.m_trunc
-    if m < 0:
-        raise ConfigError(f"swept m must be >= 0, got {m}")
 
-    # Exact noiseless readouts are deterministic, one trial tells all.
-    effective_trials = 1 if (shots == 0 and config.sigma == 0.0) else trials
     error_rate = sign_error_rate(
         marked, m, 1,
-        shots=shots, sigma=config.sigma,
-        threshold=0.0, trials=effective_trials, seed=row_seed,
+        shots=shots, sigma=config.model.gaussian_noise_sigma,
+        threshold=0.0, trials=trials, seed=row_seed,
     )
     return {
         "N": n,
@@ -363,8 +331,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "search":
             return cmd_search(config)
         values = _parse_sweep_values(args.sweep_var, args.values)
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be >= 1, got {args.trials}")
         return cmd_sweep(config, args.sweep_var, values, args.trials)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -147,16 +147,26 @@ def apply_grover(state: StateVector, marked: MarkedSet, ledger: OracleLedger) ->
 def grover_angle(universe_size: int, marked_count: int) -> float:
     """Rotation angle per amplification step, sin(theta/2) = sqrt(M/N).
 
-    For a single marked item this satisfies cos(theta) = 1 - 2/N.
+    For a single marked item this satisfies cos(theta) = 1 - 2/N.  The one
+    check of (N, M): N a power of two of at most 2**62, and 1 <= M < N.
     """
+    if universe_size > 1 << 62:
+        # Planning is checked up to here; far past it M/N underflows to theta = 0.
+        raise ValueError(f"universe_size must be at most 2**62, got N={universe_size}")
+    if universe_size < 2 or universe_size & (universe_size - 1):
+        raise ValueError(f"universe_size must be a power of two >= 2, got N={universe_size}")
     if marked_count < 1 or marked_count >= universe_size:
         raise ValueError(
             f"marked_count must satisfy 1 <= M < N, got M={marked_count}, N={universe_size}"
         )
-    if universe_size > 1 << 62:
-        # Planning is checked up to here; far past it M/N underflows to theta = 0.
-        raise ValueError(f"universe_size must be at most 2**62, got N={universe_size}")
     return 2.0 * math.asin(math.sqrt(marked_count / universe_size))
+
+
+def half_angle(universe_size: int, marked_count: int, iterations: int) -> float:
+    """(2m+1) theta / 2 after ``iterations`` = m >= 0 amplification steps."""
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    return (2 * iterations + 1) * grover_angle(universe_size, marked_count) / 2.0
 
 
 def class_amplitudes(universe_size: int, marked_count: int, iterations: int) -> tuple[float, float]:
@@ -166,11 +176,9 @@ def class_amplitudes(universe_size: int, marked_count: int, iterations: int) -> 
     one cos[(2m+1)theta/2]/sqrt(N-M); ``iterations = 0`` gives the uniform
     state.  Returns ``(marked, unmarked)``.
     """
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    half_angle = (2 * iterations + 1) * grover_angle(universe_size, marked_count) / 2.0
-    on = math.sin(half_angle) / math.sqrt(marked_count)
-    off = math.cos(half_angle) / math.sqrt(universe_size - marked_count)
+    angle = half_angle(universe_size, marked_count, iterations)
+    on = math.sin(angle) / math.sqrt(marked_count)
+    off = math.cos(angle) / math.sqrt(universe_size - marked_count)
     if returns_to_uniform(universe_size, marked_count, iterations):
         # Exactly |on| = |off|, so the EVs are exactly 0, not rounding residue.
         on, off = (math.copysign(1.0 / math.sqrt(universe_size), x) for x in (on, off))

@@ -226,17 +226,15 @@ def class_state(marked: MarkedSet, iterations: int) -> ClassState:
 
     ``heavy`` holds the marked labels and ``weights`` the Born weight of one
     marked and of one unmarked label.  The universe must be a power of two
-    of at most :data:`~grover_ev.constants.MAX_QUBITS` qubits.
+    (checked by ``grover_angle``) of at most ``MAX_QUBITS`` qubits.
     """
     n = marked.universe_size
+    on, off = class_amplitudes(n, marked.count, iterations)
     qubit_count = n.bit_length() - 1
-    if 1 << qubit_count != n:
-        raise ValueError(f"universe size must be a power of two, got {n}")
     if qubit_count > MAX_QUBITS:
         raise ValueError(
             f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
         )
-    on, off = class_amplitudes(n, marked.count, iterations)
     heavy = np.array(marked.locations, dtype=np.int64)
     return ClassState(qubit_count, heavy, (on * on, off * off))
 
@@ -288,21 +286,25 @@ def sign_error_rate(
     The reference answer is the sign of the exact EV, undecided when that EV
     is 0; a trial errs when its decision (at the given threshold) differs
     from that reference, counting an undecided readout of a decidable qubit
-    as an error.  Trial ``t`` uses seed ``seed + t``.  Every trial reads qubit
-    k of the two-amplitude state (:func:`class_state`) through
-    :func:`measure_classes`, which builds the inverse-CDF tables on the first
-    sampled trial, so the rate costs O(trials shots) whatever the register
-    size.
+    as an error.  Trial ``t`` uses seed ``(seed + t) mod 2**64``; exact,
+    noiseless readout (shots = sigma = 0) is deterministic, so it runs one
+    trial.  Every trial reads qubit k of the two-amplitude state
+    (:func:`class_state`) through :func:`measure_classes`, which builds the
+    inverse-CDF tables on the first sampled trial, so the rate costs
+    O(trials shots) whatever the register size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    model = EnsembleModel(shots=shots, seed=seed, gaussian_noise_sigma=sigma)
+    trials = 1 if shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
     if not 1 <= k <= state.qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
     truth = decide_sign(measure_classes(state, EnsembleModel(), [k])[0], 0.0)
     errors = 0
     for t in range(trials):
-        model = EnsembleModel(shots=shots, seed=seed + t, gaussian_noise_sigma=sigma)
+        if t:
+            model = EnsembleModel(shots=shots, seed=(seed + t) % 2**64, gaussian_noise_sigma=sigma)
         if decide_sign(measure_classes(state, model, [k])[0], threshold) != truth:
             errors += 1
     return errors / trials

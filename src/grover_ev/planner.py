@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .core import grover_angle, returns_to_uniform
+from .core import grover_angle, half_angle, returns_to_uniform
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,12 @@ def attenuation(universe_size: int, marked_count: int, iterations: int) -> float
     Zero before any amplification, close to one at the standard stopping
     point for N >> M.
     """
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    angle = grover_angle(universe_size, marked_count)
+    angle = half_angle(universe_size, marked_count, iterations)
     if returns_to_uniform(universe_size, marked_count, iterations):
         # sin^2 = M/N exactly; return 0, not rounding residue (the truncation
         # point compares this against thresholds as small as 0).
         return 0.0
-    sin_sq = math.sin((2 * iterations + 1) * angle / 2.0) ** 2
+    sin_sq = math.sin(angle) ** 2
     return (sin_sq * universe_size - marked_count) / (universe_size - marked_count)
 
 

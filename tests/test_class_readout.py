@@ -230,6 +230,20 @@ def test_sign_error_rate_builds_its_tables_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
+    reads = []
+    measure = measurement.measure_classes
+
+    def counted(state, model, qubits):
+        reads.append(model)
+        return measure(state, model, qubits)
+
+    monkeypatch.setattr(measurement, "measure_classes", counted)
+    assert sign_error_rate(MarkedSet((3, 17), 32), 2, 1, shots=0, trials=200, seed=5) == 0.0
+    # One read for the reference sign, one for the single trial.
+    assert len(reads) == 2
+
+
 def test_search_builds_no_statevector(monkeypatch):
     def refuse(self):
         raise AssertionError("the search built a StateVector")

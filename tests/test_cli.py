@@ -243,6 +243,15 @@ def test_sweep_rejects_bad_n_value(capsys):
     assert "power of two" in err
 
 
+def test_sweep_trial_seeds_wrap_at_the_top_of_the_seed_range(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "16", "--marked", "3", "--a-th", "0.25", "--shots", "16",
+        "--seed", str(2**64 - 2), "--sweep", "m", "--values", "1..2", "--trials", "5",
+    )
+    assert code == 0, err
+    assert [row["seed"] for row in parse_csv(out)] == [str(2**64 - 2), str(2**64 - 1)]
+
+
 def test_sweep_rejects_bad_a_th_value(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--n", "1024", "--sweep", "a_th", "--values", "0.1,1.5",
@@ -289,12 +298,35 @@ def test_sweep_rejects_register_past_cap(capsys):
     (["sweep", "--sigma", "nan", "--sweep", "m", "--values", "1..1"], "sigma must be a finite"),
     (["sweep", "--sigma", "inf", "--sweep", "m", "--values", "1..1"], "sigma must be a finite"),
     (["plan", "--sigma", "-0.1"], "sigma must be a finite number >= 0"),
+    # The rules below are checked by the library alone; a second --n
+    # overrides the default 16.
+    (["plan", "--n", "1"], "power of two >= 2, got N=1"),
+    (["plan", "--n", "17"], "power of two >= 2, got N=17"),
+    (["search", "--n", "1"], "power of two >= 2, got N=1"),
+    (["search", "--n", "17"], "power of two >= 2, got N=17"),
+    (["sweep", "--n", "1", "--sweep", "m", "--values", "1..1"], "power of two >= 2, got N=1"),
+    (["sweep", "--n", "17", "--sweep", "m", "--values", "1..1"], "power of two >= 2, got N=17"),
+    (["sweep", "--sweep", "N", "--values", "17"], "power of two >= 2, got N=17"),
+    (["plan", "--m-count", "0"], "1 <= M < N, got M=0, N=16"),
+    (["search", "--m-count", "16"], "1 <= M < N, got M=16, N=16"),
+    (["sweep", "--m-count", "16", "--sweep", "m", "--values", "1..1"], "1 <= M < N, got M=16"),
+    (["search", "--shots", "-1"], "shots must be >= 0, got -1"),
+    (["sweep", "--sweep", "shots", "--values=-1"], "shots must be >= 0, got -1"),
+    (["search", "--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
+    (["plan", "--seed", str(2**64)], f"seed must be a 64-bit unsigned integer, got {2**64}"),
+    (["sweep", "--trials", "0", "--sweep", "m", "--values", "1..1"], "trials must be >= 1"),
+    (["sweep", "--shots", "64", "--trials", "0", "--sweep", "m", "--values", "1..1"],
+     "trials must be >= 1"),
+    (["sweep", "--sweep", "m", "--values=-1..0"], "iterations must be >= 0, got -1"),
+    (["sweep", "--n", "64", "--m-count", "20", "--sweep", "N", "--values=16,32"],
+     "1 <= M < N, got M=20, N=16"),
 ])
 def test_invalid_input_exits_two_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--n", "16", *argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_sweep_float_formatting_is_twelve_digits(capsys):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from grover_ev import (
     apply_oracle,
     attenuation,
     class_amplitudes,
+    class_state,
     closed_form_state,
     grover_angle,
     m_standard,
+    make_plan,
     new_uniform,
     qubit_values,
 )
@@ -239,6 +242,21 @@ def test_angle_single_item_identity(n):
 def test_angle_rejects_bad_counts(n, m):
     with pytest.raises(ValueError):
         grover_angle(n, m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 17, 2**40 + 1])
+def test_every_entry_point_rejects_non_power_of_two(n):
+    # grover_angle makes the one check; MarkedSet cannot hold N <= 1, so
+    # class_state gets a stand-in with the fields it reads.
+    stand_in = SimpleNamespace(universe_size=n, count=1, locations=(0,))
+    for call in (
+        lambda: grover_angle(n, 1),
+        lambda: attenuation(n, 1, 1),
+        lambda: make_plan(n, 1, 0.1),
+        lambda: class_state(stand_in, 1),
+    ):
+        with pytest.raises(ValueError, match=f"power of two >= 2, got N={n}$"):
+            call()
 
 
 def test_angle_bounded_to_float_resolved_universes():

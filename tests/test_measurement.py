@@ -243,6 +243,21 @@ def test_sign_error_rate_agrees_with_per_trial_readouts():
             assert rate == sum(wrong) / 50
 
 
+def test_sign_error_rate_trial_seeds_wrap():
+    # Trial t reads seed (seed + t) mod 2**64, so a row seed at the top of
+    # the range runs as seeds 2**64 - 1, 0 and 1.
+    marked = MarkedSet((1,), 16)
+    state = closed_form_state(4, marked, 1)
+    truth = decide_sign(exact_ev(state, 1), 0.0)
+    wrong = [
+        decide_sign(sampled_ev(state, 1, EnsembleModel(shots=4, seed=s)), 0.0) != truth
+        for s in (2**64 - 1, 0, 1)
+    ]
+    rate = sign_error_rate(marked, 1, 1, shots=4, trials=3, seed=2**64 - 1)
+    assert 0 < rate < 1
+    assert rate == sum(wrong) / 3
+
+
 @pytest.mark.parametrize("marked, iterations", [
     (MarkedSet((1, 2), 8), 1),  # the two marked labels split on bit 1
     (MarkedSet((0, 7), 8), 2),  # the same, where a dense sum leaves a residue
