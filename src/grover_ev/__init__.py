@@ -1,6 +1,6 @@
 """Grover search simulator and planner for expectation-value quantum computers."""
 
-from .constants import EXACT_ATOL, MAX_QUBITS, NORM_ATOL
+from .constants import MAX_QUBITS, NORM_ATOL
 from .core import (
     MarkedSet,
     OracleLedger,
@@ -15,7 +15,6 @@ from .core import (
     qubit_values,
 )
 from .filtering import (
-    FilterState,
     SearchFailure,
     SearchResult,
     apply_correlation,
@@ -35,14 +34,10 @@ from .measurement import (
 from .planner import (
     TruncationPlan,
     attenuation,
-    m_standard,
-    m_truncated,
-    m_truncated_estimate,
     make_plan,
 )
 
 __all__ = [
-    "EXACT_ATOL",
     "MAX_QUBITS",
     "NORM_ATOL",
     "MarkedSet",
@@ -56,7 +51,6 @@ __all__ = [
     "grover_angle",
     "new_uniform",
     "qubit_values",
-    "FilterState",
     "SearchFailure",
     "SearchResult",
     "apply_correlation",
@@ -72,9 +66,6 @@ __all__ = [
     "sign_error_rate",
     "TruncationPlan",
     "attenuation",
-    "m_standard",
-    "m_truncated",
-    "m_truncated_estimate",
     "make_plan",
 ]
 

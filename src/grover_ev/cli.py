@@ -172,8 +172,9 @@ def _csv_text(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def _plan_csv_row(config: ExperimentConfig, plan) -> dict:
-    m = config.m_override if config.m_override is not None else plan.m_trunc
+def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> dict:
+    """One CSV row: the plan's (N, M, a_th) and counts, the attenuation at
+    iterate count ``m``, and the sign-error rate (None in a plan row)."""
     return {
         "N": plan.N,
         "M": plan.M,
@@ -183,15 +184,16 @@ def _plan_csv_row(config: ExperimentConfig, plan) -> dict:
         "m_stand": plan.m_stand,
         "m_trunc": plan.m_trunc,
         "m_trunc_estimate": plan.m_trunc_estimate,
-        "ev_sign_error_rate": None,
-        "seed": config.model.seed,
+        "ev_sign_error_rate": error_rate,
+        "seed": seed,
     }
 
 
 def cmd_plan(config: ExperimentConfig) -> int:
     plan = make_plan(config.n, config.m_count, config.a_th)
     if config.fmt == "csv":
-        _emit(_csv_text([_plan_csv_row(config, plan)]), config.out)
+        m = config.m_override if config.m_override is not None else plan.m_trunc
+        _emit(_csv_text([_csv_row(plan, m, None, config.model.seed)]), config.out)
     else:
         payload = {"config": config.to_json_dict(), "plan": plan.to_json_dict()}
         _emit(json.dumps(payload, indent=2), config.out)
@@ -242,18 +244,7 @@ def _sweep_row(config: ExperimentConfig, var: str, value, index: int, trials: in
         shots=shots, sigma=config.model.gaussian_noise_sigma,
         threshold=0.0, trials=trials, seed=row_seed,
     )
-    return {
-        "N": n,
-        "M": marked.count,
-        "m": m,
-        "a_th": a_th,
-        "A_m": attenuation(n, marked.count, m),
-        "m_stand": plan.m_stand,
-        "m_trunc": plan.m_trunc,
-        "m_trunc_estimate": plan.m_trunc_estimate,
-        "ev_sign_error_rate": error_rate,
-        "seed": row_seed,
-    }
+    return _csv_row(plan, m, error_rate, row_seed)
 
 
 def cmd_sweep(config: ExperimentConfig, var: str, values: list, trials: int) -> int:

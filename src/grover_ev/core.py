@@ -109,12 +109,15 @@ def qubit_values(qubit_count: int, k: int) -> np.ndarray:
     return (labels >> (k - 1)) & 1
 
 
+def check_qubit_count(qubit_count: int) -> None:
+    """Reject a register outside 1..MAX_QUBITS qubits."""
+    if not 1 <= qubit_count <= MAX_QUBITS:
+        raise ValueError(f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}")
+
+
 def new_uniform(qubit_count: int) -> StateVector:
     """Uniform superposition over all 2**L basis states."""
-    if not 1 <= qubit_count <= MAX_QUBITS:
-        raise ValueError(
-            f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
-        )
+    check_qubit_count(qubit_count)
     n = 1 << qubit_count
     amps = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     return StateVector(qubit_count, amps)
@@ -200,10 +203,7 @@ def returns_to_uniform(universe_size: int, marked_count: int, iterations: int) -
 def closed_form_state(qubit_count: int, marked: MarkedSet, iterations: int) -> StateVector:
     """Analytic register state after ``iterations`` amplification steps,
     built from :func:`class_amplitudes`."""
-    if not 1 <= qubit_count <= MAX_QUBITS:
-        raise ValueError(
-            f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
-        )
+    check_qubit_count(qubit_count)
     n = 1 << qubit_count
     if marked.universe_size != n:
         raise ValueError(

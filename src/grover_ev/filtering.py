@@ -22,13 +22,14 @@ run on its target qubit alone.  The dense operations of
 :mod:`grover_ev.core` and :func:`apply_correlation` stay the reference this
 path is tested against.
 
-Bit sequences throughout are ordered least-significant first: element ``i``
-of a prefix is the value of qubit ``i + 1``.
+Bit sequences (``s_bits``, :attr:`SearchResult.bits`) are ordered
+least-significant first: element ``i`` is the value of qubit ``i + 1``.
+The search keeps its determined prefix as the integer those bits spell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,35 +51,6 @@ class SearchFailure(Exception):
         super().__init__(message)
         self.total_runs = total_runs
         self.branch_events = branch_events
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Bits of the marked location determined so far, low bits first, and
-    the integer ``value`` they spell."""
-
-    determined_bits: tuple[int, ...] = ()
-    value: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.determined_bits)
-        object.__setattr__(self, "determined_bits", bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0/1, got {bits}")
-        object.__setattr__(self, "value", _bits_to_location(bits))
-
-    @property
-    def stage(self) -> int:
-        return len(self.determined_bits)
-
-    def extended(self, bit: int) -> "FilterState":
-        """This prefix plus one more bit; only the new bit is checked."""
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {bit}")
-        state = object.__new__(FilterState)
-        object.__setattr__(state, "determined_bits", self.determined_bits + (int(bit),))
-        object.__setattr__(state, "value", self.value | int(bit) << self.stage)
-        return state
 
 
 @dataclass(frozen=True)
@@ -126,26 +98,23 @@ def apply_correlation(state: StateVector, target: int, s_bits: Sequence[int]) ->
     if any(b not in (0, 1) for b in s_bits):
         raise ValueError(f"s_bits must be 0/1, got {s_bits}")
 
+    prefix = sum(b << i for i, b in enumerate(s_bits))
     # The map is its own inverse, so it also names each label's source.
-    sources = _correlated_labels(np.arange(state.dim), target, FilterState(s_bits))
+    sources = _correlated_labels(np.arange(state.dim), target, prefix)
     return StateVector(state.qubit_count, state.amplitudes[sources])
 
 
-def _correlated_labels(labels: np.ndarray, target: int, prefix: FilterState) -> np.ndarray:
+def _correlated_labels(labels: np.ndarray, target: int, prefix: int) -> np.ndarray:
     """Where the correlation sends each label: qubit ``target`` flips on
-    every label whose low bits miss the determined ``prefix``.
+    every label whose low ``target - 1`` bits are not the integer ``prefix``.
 
     Flipping the target bit never changes the low prefix bits, so a label
     and its image agree on the filter value: a clean permutation that is its
     own inverse.
     """
-    low_mask = (1 << prefix.stage) - 1
-    keep = (labels & low_mask) == prefix.value
-    return np.where(keep, labels, labels ^ (1 << (target - 1)))
-
-
-def _bits_to_location(bits: Sequence[int]) -> int:
-    return sum(b << i for i, b in enumerate(bits))
+    flip = 1 << (target - 1)
+    keep = (labels & (flip - 1)) == prefix
+    return np.where(keep, labels, labels ^ flip)
 
 
 def _run_model(model: EnsembleModel, run_index: int) -> EnsembleModel:
@@ -187,13 +156,15 @@ def extract_location(
     total_runs = 1
     branch_events = 0
     verifications = 0
-    pending: list[FilterState] = []
-    prefix = FilterState()
+    # prefix holds the ``stage`` bits determined so far (bit i is qubit i + 1);
+    # pending, the (prefix, stage) of each unexplored branch.
+    pending: list[tuple[int, int]] = []
+    prefix, stage = 0, 0
 
     while True:
-        while prefix.stage < qubit_count:
-            target = prefix.stage + 1
-            if prefix.stage == 0:
+        while stage < qubit_count:
+            target = stage + 1
+            if stage == 0:
                 ev = plain[0]
             else:
                 moved = ClassState(
@@ -205,20 +176,20 @@ def extract_location(
             bit = decide_sign(ev, a_th)
             if bit is None:
                 branch_events += 1
-                pending.append(prefix.extended(1))
+                pending.append((prefix | 1 << stage, target))
                 bit = 0
-            prefix = prefix.extended(bit)
+            prefix |= bit << stage
+            stage += 1
 
-        candidate = prefix.value
         verifications += 1
-        if candidate in marked:
+        if prefix in marked:
             return SearchResult(
-                location=candidate,
+                location=prefix,
                 verified=True,
                 total_runs=total_runs,
                 total_oracle_invocations=iterations * total_runs + verifications,
                 branch_events=branch_events,
-                bits=prefix.determined_bits,
+                bits=tuple(prefix >> i & 1 for i in range(qubit_count)),
                 verification_queries=verifications,
             )
         if not pending:
@@ -228,4 +199,4 @@ def extract_location(
                 total_runs=total_runs,
                 branch_events=branch_events,
             )
-        prefix = pending.pop()
+        prefix, stage = pending.pop()

@@ -29,8 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import MAX_QUBITS
-from .core import MarkedSet, StateVector, class_amplitudes, qubit_values
+from .core import MarkedSet, StateVector, check_qubit_count, class_amplitudes, qubit_values
 
 
 @dataclass(frozen=True)
@@ -231,10 +230,7 @@ def class_state(marked: MarkedSet, iterations: int) -> ClassState:
     n = marked.universe_size
     on, off = class_amplitudes(n, marked.count, iterations)
     qubit_count = n.bit_length() - 1
-    if qubit_count > MAX_QUBITS:
-        raise ValueError(
-            f"qubit_count must be in 1..{MAX_QUBITS}, got {qubit_count}"
-        )
+    check_qubit_count(qubit_count)
     heavy = np.array(marked.locations, dtype=np.int64)
     return ClassState(qubit_count, heavy, (on * on, off * off))
 

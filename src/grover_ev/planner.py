@@ -19,9 +19,13 @@ from .core import grover_angle, half_angle, returns_to_uniform
 class TruncationPlan:
     """Stopping-point summary for one (N, M, a_th) configuration.
 
-    ``saturated`` flags thresholds no attenuation value reaches before the
-    standard stopping point; the truncated count is then capped at
-    ``m_stand``.
+    ``m_stand`` is the standard step count floor(pi / (2 theta)) and
+    ``m_trunc`` the first m whose attenuation exceeds ``a_th``.
+    ``m_trunc_estimate`` is the closed form
+    m_stand * (2/pi) * arcsin(sqrt(r + (1 - r) M/N)) with r = a_th/a_stand and
+    a_stand = 1/M; ``m_trunc`` is authoritative.  ``saturated`` flags
+    thresholds no attenuation value reaches before the standard stopping
+    point; the truncated count is then capped at ``m_stand``.
     """
 
     N: int
@@ -54,11 +58,6 @@ def attenuation(universe_size: int, marked_count: int, iterations: int) -> float
     return (sin_sq * universe_size - marked_count) / (universe_size - marked_count)
 
 
-def m_standard(universe_size: int, marked_count: int) -> int:
-    """Step count of the standard version, floor(pi / (2 theta))."""
-    return _standard_count(grover_angle(universe_size, marked_count))
-
-
 def _standard_count(theta: float) -> int:
     # Guard the floor against 1-ulp shortfall when pi/(2 theta) is an exact
     # integer (happens at the degenerate point M = N/2 where theta = pi/2).
@@ -85,21 +84,6 @@ def _truncation_point(
     while attenuation(n, m_count, m) <= a_th:
         m += 1
     return m, False
-
-
-def m_truncated(universe_size: int, marked_count: int, a_th: float) -> int:
-    """Truncated stopping point: first m whose attenuation exceeds a_th."""
-    return make_plan(universe_size, marked_count, a_th).m_trunc
-
-
-def m_truncated_estimate(universe_size: int, marked_count: int, a_th: float) -> float:
-    """Closed-form estimate of the truncated stopping point.
-
-    m_stand * (2/pi) * arcsin(sqrt(r + (1 - r) M/N)) with r = a_th/a_stand
-    and a_stand = 1/M.  Only defined up to the standard version's tolerance
-    a_stand; the exact inversion in :func:`m_truncated` is authoritative.
-    """
-    return make_plan(universe_size, marked_count, a_th).m_trunc_estimate
 
 
 def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationPlan:

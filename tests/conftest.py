@@ -18,9 +18,13 @@ from grover_ev import (
     attenuation,
     class_state,
     decide_sign,
-    m_standard,
+    make_plan,
     measure_classes,
 )
+
+# Tolerance for cases that are exact up to floating-point rounding
+# (involutions, analytically exact expectation values).
+EXACT_ATOL = 1e-12
 
 
 def oracle_matrix(qubit_count, locations):
@@ -96,7 +100,7 @@ def reference_truncation_scan(universe_size, marked_count, a_th):
     """
     if not 0 <= a_th < 1:
         raise ValueError(f"a_th must satisfy 0 <= a_th < 1, got {a_th}")
-    m_stand = m_standard(universe_size, marked_count)
+    m_stand = make_plan(universe_size, marked_count, 0.0).m_stand
     for m in range(m_stand + 1):
         if attenuation(universe_size, marked_count, m) > a_th:
             return m, False

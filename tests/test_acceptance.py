@@ -23,8 +23,6 @@ from grover_ev import (
     closed_form_state,
     exact_ev,
     extract_location,
-    m_standard,
-    m_truncated,
     make_plan,
     measure_all,
     new_uniform,
@@ -55,7 +53,7 @@ def test_criterion_1_closed_form_equivalence():
                 marked = MarkedSet(random_marked_locations(rng, n, m_count), n)
                 state = new_uniform(qubits)
                 ledger = OracleLedger()
-                for m in range(1, m_standard(n, m_count) + 1):
+                for m in range(1, make_plan(n, m_count, 0.0).m_stand + 1):
                     state = apply_grover(state, marked, ledger)
                     analytic = closed_form_state(qubits, marked, m)
                     worst = max(
@@ -78,7 +76,7 @@ def test_criterion_2_ev_matches_attenuation():
         marked = MarkedSet((location,), n)
         state = new_uniform(qubits)
         ledger = OracleLedger()
-        for m in range(1, m_standard(n, 1) + 1):
+        for m in range(1, make_plan(n, 1, 0.0).m_stand + 1):
             state = apply_grover(state, marked, ledger)
             expected = attenuation(n, 1, m)
             for k in range(1, qubits + 1):
@@ -130,7 +128,7 @@ def test_criterion_5_filtered_search_completeness():
     for n in (8, 16):
         qubits = n.bit_length() - 1
         for m_count in (1, 2, 3):
-            m = m_truncated(n, m_count, 0.25)
+            m = make_plan(n, m_count, 0.25).m_trunc
             for locations in itertools.combinations(range(n), m_count):
                 result = extract_location(MarkedSet(locations, n), m, EXACT, 0.25)
                 searches += 1
@@ -148,7 +146,7 @@ def test_criterion_5_filtered_search_completeness():
 
 def test_criterion_6_cancellation_handled_by_branching():
     marked = MarkedSet((3, 5), 8)
-    m = m_truncated(8, 2, 0.25)
+    m = make_plan(8, 2, 0.25).m_trunc
     state = new_uniform(3)
     ledger = OracleLedger()
     for _ in range(m):
@@ -198,7 +196,8 @@ def test_criterion_8_monotonicity_and_involutions():
         for m_count in (1, 2, 3, 4):
             if m_count >= n or 2 * m_count == n:
                 continue  # half-marked: identically zero attenuation
-            values = [attenuation(n, m_count, m) for m in range(m_standard(n, m_count) + 1)]
+            m_stand = make_plan(n, m_count, 0.0).m_stand
+            values = [attenuation(n, m_count, m) for m in range(m_stand + 1)]
             if any(b <= a for a, b in zip(values, values[1:])):
                 ok = False
                 detail = f"not strictly increasing at N={n}, M={m_count}"

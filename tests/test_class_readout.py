@@ -9,12 +9,16 @@ from the prefix bits, independently of the implementation.
 
 import numpy as np
 import pytest
-from conftest import low_bits, reference_class_inverse_cdf, reference_extract_location
+from conftest import (
+    EXACT_ATOL,
+    low_bits,
+    reference_class_inverse_cdf,
+    reference_extract_location,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
-    EXACT_ATOL,
     MAX_QUBITS,
     ClassState,
     EnsembleModel,
@@ -29,8 +33,7 @@ from grover_ev import (
     closed_form_state,
     decide_sign,
     extract_location,
-    m_standard,
-    m_truncated,
+    make_plan,
     measure_all,
     measure_classes,
     new_uniform,
@@ -251,7 +254,7 @@ def test_search_builds_no_statevector(monkeypatch):
     monkeypatch.setattr(StateVector, "__post_init__", refuse)
     n = 1 << 20
     result = extract_location(
-        MarkedSet((654_321,), n), m_truncated(n, 1, 0.25), EXACT, 0.25
+        MarkedSet((654_321,), n), make_plan(n, 1, 0.25).m_trunc, EXACT, 0.25
     )
     assert result.total_runs == 20
     assert result.verified and result.location == 654_321
@@ -421,7 +424,7 @@ def test_search_matches_full_record_reference(qubits, data):
         st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True)
     )
     marked = MarkedSet(tuple(locations), n)
-    iterations = data.draw(st.integers(1, max(1, m_standard(n, count))))
+    iterations = data.draw(st.integers(1, max(1, make_plan(n, count, 0.0).m_stand)))
     model = EnsembleModel(
         shots=data.draw(st.sampled_from((0, 64, 1024))),
         seed=data.draw(st.integers(0, 2**64 - 1)),

@@ -20,11 +20,11 @@ from grover_ev import (
     class_state,
     closed_form_state,
     grover_angle,
-    m_standard,
     make_plan,
     new_uniform,
     qubit_values,
 )
+from grover_ev.cli import main
 
 
 # ---------------------------------------------------------------- StateVector
@@ -266,6 +266,29 @@ def test_angle_bounded_to_float_resolved_universes():
             grover_angle(n, 1)
 
 
+@pytest.mark.parametrize(
+    "entry", ["new_uniform", "closed_form_state", "class_state", "search", "sweep"]
+)
+def test_register_cap_has_one_message(entry, capsys):
+    message = "qubit_count must be in 1..24, got 25"
+    marked = MarkedSet((5,), 2**25)
+    library = {
+        "new_uniform": lambda: new_uniform(25),
+        "closed_form_state": lambda: closed_form_state(25, marked, 1),
+        "class_state": lambda: class_state(marked, 1),
+    }
+    if entry in library:
+        with pytest.raises(ValueError) as excinfo:
+            library[entry]()
+        assert str(excinfo.value) == message
+    else:
+        argv = [entry, "--n", str(2**25), "--marked", "5", "--a-th", "0.25"]
+        if entry == "sweep":
+            argv += ["--sweep", "m", "--values", "1..1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------- closed form
 
 def test_closed_form_zero_iterations_is_uniform():
@@ -295,7 +318,7 @@ def test_closed_form_matches_iteration_everywhere():
                 marked = MarkedSet(random_marked_locations(rng, n, marked_count), n)
                 state = new_uniform(qubits)
                 ledger = OracleLedger()
-                for m in range(1, m_standard(n, marked_count) + 1):
+                for m in range(1, make_plan(n, marked_count, 0.0).m_stand + 1):
                     state = apply_grover(state, marked, ledger)
                     analytic = closed_form_state(qubits, marked, m)
                     assert np.max(np.abs(state.amplitudes - analytic.amplitudes)) <= 1e-10
@@ -312,7 +335,7 @@ def test_two_amplitude_symmetry():
         mask[list(marked.locations)] = True
         state = new_uniform(qubits)
         ledger = OracleLedger()
-        for _ in range(m_standard(n, 3)):
+        for _ in range(make_plan(n, 3, 0.0).m_stand):
             state = apply_grover(state, marked, ledger)
             on_values = state.amplitudes[mask]
             off_values = state.amplitudes[~mask]

@@ -16,7 +16,6 @@ from conftest import (
 
 from grover_ev import (
     EnsembleModel,
-    FilterState,
     MarkedSet,
     OracleLedger,
     SearchFailure,
@@ -26,8 +25,7 @@ from grover_ev import (
     attenuation,
     closed_form_state,
     extract_location,
-    m_standard,
-    m_truncated,
+    make_plan,
     measure_all,
     new_uniform,
 )
@@ -40,7 +38,8 @@ def filtered_out(labels, s_bits):
     """Which labels the correlation for prefix ``s_bits`` flips: the filter
     is 1 on them, 0 on the labels whose low bits match the prefix."""
     target = len(s_bits) + 1
-    moved = filtering._correlated_labels(np.asarray(labels), target, FilterState(s_bits))
+    prefix = sum(b << i for i, b in enumerate(s_bits))
+    moved = filtering._correlated_labels(np.asarray(labels), target, prefix)
     return [int(m != x) for m, x in zip(moved, labels)]
 
 
@@ -207,7 +206,7 @@ def test_averaging_enumeration_oracle_truncated_states():
                 marked = MarkedSet(locations, n)
                 state = new_uniform(qubits)
                 ledger = OracleLedger()
-                for m in range(1, m_standard(n, m_count) + 1):
+                for m in range(1, make_plan(n, m_count, 0.0).m_stand + 1):
                     state = apply_grover(state, marked, ledger)
                     anchor = int(rng.choice(locations))
                     prefix_len = int(rng.integers(1, qubits))
@@ -252,7 +251,7 @@ def test_extract_survives_devastating_cancellation():
 def test_extract_counts_runs_without_branching():
     for n, location in [(8, 5), (16, 11), (64, 37)]:
         qubits = n.bit_length() - 1
-        m = m_truncated(n, 1, 0.25)
+        m = make_plan(n, 1, 0.25).m_trunc
         result = extract_location(MarkedSet((location,), n), m, EXACT, 0.25)
         assert result.location == location
         assert result.total_runs == qubits
@@ -265,7 +264,7 @@ def test_extract_exhaustive_small_databases():
     # must yield a verified member.
     for n in (8, 16, 32):
         for m_count in (1, 2, 3):
-            m = m_truncated(n, m_count, 0.25)
+            m = make_plan(n, m_count, 0.25).m_trunc
             for locations in itertools.combinations(range(n), m_count):
                 result = extract_location(MarkedSet(locations, n), m, EXACT, 0.25)
                 assert result.verified and result.location in locations, (
@@ -308,36 +307,6 @@ def test_search_result_json_schema():
         "branch_events": 0,
         "bits": [1, 0, 1],
     }
-
-
-def test_filter_state_tracks_stage():
-    state = FilterState()
-    assert state.stage == 0
-    extended = state.extended(1).extended(0)
-    assert extended.determined_bits == (1, 0)
-    assert extended.stage == 2
-    assert (state.value, extended.value, extended.extended(1).value) == (0, 1, 5)
-    with pytest.raises(ValueError):
-        FilterState((2,))
-
-
-def test_filter_state_checks_each_bit_once(monkeypatch):
-    with pytest.raises(ValueError):
-        FilterState((0, 1, -1))
-    with pytest.raises(ValueError):
-        FilterState((1, 0)).extended(2)
-    prefix = FilterState((1, 0, 1))
-    checks = []
-    monkeypatch.setattr(FilterState, "__post_init__", lambda self: checks.append(self))
-    for bit in (0, 1) * 20:
-        prefix = prefix.extended(bit)
-    assert checks == []
-    monkeypatch.undo()
-    # An extended prefix is the same value a direct construction gives.
-    direct = FilterState((1, 0, 1) + (0, 1) * 20)
-    assert prefix == direct and hash(prefix) == hash(direct)
-    assert prefix.stage == 43
-    assert prefix.value == direct.value == sum(b << i for i, b in enumerate(direct.determined_bits))
 
 
 def test_correlated_runs_read_only_their_target_qubit(monkeypatch):

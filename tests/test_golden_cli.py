@@ -1,0 +1,24 @@
+"""Golden outputs: exit code, stdout and stderr of a fixed set of commands.
+
+``golden_cli.json`` holds, for each command, the argv and the exact bytes the
+CLI printed for it: plans as JSON and CSV (up to N = 2**62), exact, branching,
+sampled, noisy, random-set and failing searches, a sweep over each variable,
+and two rejected inputs.  Every output is a pure function of its argv, so a
+refactor that keeps behaviour keeps every byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from grover_ev.cli import main
+
+CASES = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_is_byte_identical(case, capsys):
+    code = main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])

@@ -11,7 +11,7 @@ from grover_ev import (
     closed_form_state,
     decide_sign,
     exact_ev,
-    m_standard,
+    make_plan,
     measure_all,
     new_uniform,
     sampled_ev,
@@ -40,7 +40,7 @@ def test_exact_ev_closed_form_signal():
     # For one marked item every qubit reads the same attenuated magnitude,
     # signed by the corresponding bit of the location.
     marked = MarkedSet((5,), 16)
-    for m in range(0, m_standard(16, 1) + 1):
+    for m in range(0, make_plan(16, 1, 0.0).m_stand + 1):
         state = closed_form_state(4, marked, m)
         expected_magnitude = attenuation(16, 1, m)
         for k in range(1, 5):

@@ -15,9 +15,6 @@ from grover_ev import (
     attenuation,
     exact_ev,
     grover_angle,
-    m_standard,
-    m_truncated,
-    m_truncated_estimate,
     make_plan,
     new_uniform,
     planner,
@@ -59,7 +56,8 @@ def test_attenuation_strictly_increasing_to_standard_point():
         for m_count in (1, 2, 3, 4):
             if m_count >= n or 2 * m_count == n:
                 continue
-            values = [attenuation(n, m_count, m) for m in range(m_standard(n, m_count) + 1)]
+            m_stand = make_plan(n, m_count, 0.0).m_stand
+            values = [attenuation(n, m_count, m) for m in range(m_stand + 1)]
             for previous, current in zip(values, values[1:]):
                 assert current > previous, (n, m_count, values)
 
@@ -70,7 +68,7 @@ def test_attenuation_endpoint_near_one():
             if m_count >= n:
                 continue
             floor = 1.0 - 2.0 * m_count / (n - m_count)
-            assert attenuation(n, m_count, m_standard(n, m_count)) >= floor
+            assert attenuation(n, m_count, make_plan(n, m_count, 0.0).m_stand) >= floor
 
 
 def test_attenuation_matches_simulated_evs():
@@ -81,7 +79,7 @@ def test_attenuation_matches_simulated_evs():
         marked = MarkedSet((location,), n)
         state = new_uniform(qubits)
         ledger = OracleLedger()
-        for m in range(1, m_standard(n, 1) + 1):
+        for m in range(1, make_plan(n, 1, 0.0).m_stand + 1):
             state = apply_grover(state, marked, ledger)
             expected = attenuation(n, 1, m)
             for k in range(1, qubits + 1):
@@ -92,16 +90,16 @@ def test_attenuation_matches_simulated_evs():
 # ------------------------------------------------------------- stopping points
 
 def test_m_standard_examples():
-    assert m_standard(4, 1) == 1
-    assert m_standard(16, 1) == 3
-    assert m_standard(1024, 1) == 25
+    assert make_plan(4, 1, 0.0).m_stand == 1
+    assert make_plan(16, 1, 0.0).m_stand == 3
+    assert make_plan(1024, 1, 0.0).m_stand == 25
 
 
 def test_m_standard_degenerate_half_marked():
     # theta = pi/2 exactly, so pi/(2 theta) = 1; the floor guard keeps the
     # 1-ulp rounding of theta from dropping this to 0.
-    assert m_standard(4, 2) == 1
-    assert m_standard(8, 4) == 1
+    assert make_plan(4, 2, 0.0).m_stand == 1
+    assert make_plan(8, 4, 0.0).m_stand == 1
 
 
 def test_m_truncated_ideal_case_is_one_step():
@@ -109,28 +107,28 @@ def test_m_truncated_ideal_case_is_one_step():
         for m_count in (1, 2, 3):
             if 2 * m_count >= n:
                 continue  # no amplification possible at half-or-more marked
-            assert m_truncated(n, m_count, 0.0) == 1
+            assert make_plan(n, m_count, 0.0).m_trunc == 1
 
 
 def test_m_truncated_examples():
-    assert m_truncated(16, 1, 0.25) == 1
-    assert m_truncated(1024, 1, 0.25) == 8
+    assert make_plan(16, 1, 0.25).m_trunc == 1
+    assert make_plan(1024, 1, 0.25).m_trunc == 8
 
 
 def test_m_truncated_scan_cross_check():
     # Independent linear scan over the curve for the documented example.
     values = [attenuation(1024, 1, m) for m in range(26)]
     first_above = next(m for m, a in enumerate(values) if a > 0.25)
-    assert first_above == 8 == m_truncated(1024, 1, 0.25)
+    assert first_above == 8 == make_plan(1024, 1, 0.25).m_trunc
 
 
 def test_m_truncated_validates_threshold():
     with pytest.raises(ValueError):
-        m_truncated(16, 1, 1.0)
+        make_plan(16, 1, 1.0)
     with pytest.raises(ValueError):
-        m_truncated(16, 1, -0.05)
+        make_plan(16, 1, -0.05)
     with pytest.raises(ValueError, match="exceeds the standard version's tolerance"):
-        m_truncated(64, 2, 0.6)
+        make_plan(64, 2, 0.6)
 
 
 def test_truncation_plan_invariants():
@@ -162,15 +160,15 @@ def test_saturation_flag():
 
 def truncation_point(n, m_count, a_th):
     """(m_trunc, saturated) from the planner's closed-form inversion."""
-    theta = grover_angle(n, m_count)
-    return planner._truncation_point(n, m_count, a_th, theta, m_standard(n, m_count))
+    plan = make_plan(n, m_count, 0.0)
+    return planner._truncation_point(n, m_count, a_th, plan.theta, plan.m_stand)
 
 
 def curve_thresholds(n, m_count):
     """Every attenuation value up to the standard count, its float
     neighbours, and both ends of the threshold range."""
     thresholds = {0.0, 1.0 - 1e-12}
-    for m in range(m_standard(n, m_count) + 1):
+    for m in range(make_plan(n, m_count, 0.0).m_stand + 1):
         value = attenuation(n, m_count, m)
         thresholds.update((value, math.nextafter(value, -1.0), math.nextafter(value, 2.0)))
     return sorted(t for t in thresholds if 0 <= t < 1)
@@ -201,7 +199,7 @@ def test_inversion_matches_scan_property(qubits, m_count, position, offset, free
     m_count = min(m_count, n - 1)
     if free is None:
         # A threshold on the curve itself or one ulp to either side.
-        value = attenuation(n, m_count, round(position * m_standard(n, m_count)))
+        value = attenuation(n, m_count, round(position * make_plan(n, m_count, 0.0).m_stand))
         a_th = min(max(value if offset == 0 else math.nextafter(value, offset * 2.0), 0.0),
                    1.0 - 1e-12)
     else:
@@ -221,7 +219,7 @@ def test_inversion_matches_scan_property(qubits, m_count, position, offset, free
 def test_inversion_meets_first_crossing_contract(qubits, m_count, a_th):
     # Too large for the scan: check the first-crossing contract directly.
     n = 1 << qubits
-    m_stand = m_standard(n, m_count)
+    m_stand = make_plan(n, m_count, 0.0).m_stand
     m, saturated = truncation_point(n, m_count, a_th)
     if saturated:
         assert m == m_stand and attenuation(n, m_count, m_stand) <= a_th
@@ -251,34 +249,35 @@ def test_plan_at_largest_n_takes_constant_work(m_count, monkeypatch):
 def test_estimate_large_n_limit():
     # With a quarter threshold the arcsin tends to pi/6: one third of the
     # standard count.
-    estimate = m_truncated_estimate(2**22, 1, 0.25)
-    m_stand = m_standard(2**22, 1)
+    estimate = make_plan(2**22, 1, 0.25).m_trunc_estimate
+    m_stand = make_plan(2**22, 1, 0.0).m_stand
     assert estimate / m_stand == pytest.approx(1 / 3, abs=1e-4)
 
 
 def test_estimate_documented_value():
-    estimate = m_truncated_estimate(1024, 1, 0.25)
-    assert estimate == pytest.approx(8.34678695190636, abs=1e-9)
-    assert abs(estimate - m_truncated(1024, 1, 0.25)) <= 1.0
+    plan = make_plan(1024, 1, 0.25)
+    assert plan.m_trunc_estimate == pytest.approx(8.34678695190636, abs=1e-9)
+    assert abs(plan.m_trunc_estimate - plan.m_trunc) <= 1.0
 
 
 def test_estimate_at_standard_tolerance():
     for n in (64, 1024):
-        assert m_truncated_estimate(n, 1, 1.0 - 1e-12) == pytest.approx(
-            m_standard(n, 1), abs=1e-4
+        assert make_plan(n, 1, 1.0 - 1e-12).m_trunc_estimate == pytest.approx(
+            make_plan(n, 1, 0.0).m_stand, abs=1e-4
         )
-    assert m_truncated_estimate(64, 2, 0.5) == m_standard(64, 2)
+    assert make_plan(64, 2, 0.5).m_trunc_estimate == make_plan(64, 2, 0.0).m_stand
 
 
 def test_estimate_rejects_threshold_past_standard_tolerance():
     with pytest.raises(ValueError):
-        m_truncated_estimate(64, 2, 0.6)
+        make_plan(64, 2, 0.6)
 
 
 def test_estimate_tracks_exact_single_item():
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         for a_th in (0.05, 0.1, 0.25, 0.5):
-            assert abs(m_truncated_estimate(n, 1, a_th) - m_truncated(n, 1, a_th)) <= 1.0
+            plan = make_plan(n, 1, a_th)
+            assert abs(plan.m_trunc_estimate - plan.m_trunc) <= 1.0
 
 
 def test_estimate_tracks_ev_scale_scan_multi_item():
@@ -286,7 +285,7 @@ def test_estimate_tracks_ev_scale_scan_multi_item():
     # it predicts where the per-item EV magnitude A_m/M clears a_th.  The
     # matching integer scan therefore applies the threshold a_th * M.
     def ev_scale_scan(n, m_count, a_th):
-        cap = m_standard(n, m_count)
+        cap = make_plan(n, m_count, 0.0).m_stand
         for m in range(cap + 1):
             if attenuation(n, m_count, m) > a_th * m_count:
                 return m
@@ -297,7 +296,7 @@ def test_estimate_tracks_ev_scale_scan_multi_item():
             for a_th in (0.05, 0.1, 0.25, 0.5 / m_count):
                 if a_th > 1.0 / m_count:
                     continue
-                estimate = m_truncated_estimate(n, m_count, a_th)
+                estimate = make_plan(n, m_count, a_th).m_trunc_estimate
                 assert abs(estimate - ev_scale_scan(n, m_count, a_th)) <= 1.0, (
                     n, m_count, a_th,
                 )
