@@ -6,14 +6,16 @@ Subcommands::
     search  run the filtered bit-extraction search end to end, print JSON
     sweep   evaluate a grid over m / a_th / N / shots, write CSV
 
-Every output embeds the fully resolved configuration, and all randomness
-derives from ``--seed``: sweep row ``i`` uses ``seed XOR i``, per-row error
-trials use consecutive seeds mod 2**64, and search runs derive their per-run
-streams the same way.  Sweep rows read their sign errors from the
-two-amplitude state, so no command builds a statevector.  This module only
-parses (lists, ranges, ``--m-count`` against ``--marked``); the library checks
-every other rule once, and its message is printed as ``error: <rule>``.  Exit
-codes: 0 success, 1 search failure, 2 usage or configuration error.
+Every output embeds the resolved settings as a plain dict, and the readout
+settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
+randomness derives from ``--seed``: sweep row ``i`` reads the model at seed
+``seed XOR i``, per-row error trials use consecutive seeds mod 2**64, and
+search runs derive their per-run streams the same way.  Sweep rows read their
+sign errors from the two-amplitude state, so no command builds a statevector.
+This module only parses (lists, ranges, ``--m-count`` against ``--marked``);
+the library checks every other rule once.  Either raises ``ValueError``,
+printed as ``error: <rule>``.  Exit codes: 0 success, 1 search failure, 2
+usage or configuration error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,45 +45,11 @@ CSV_COLUMNS = [
 SWEEP_VARIABLES = ("m", "a_th", "N", "shots")
 
 
-class ConfigError(Exception):
-    """Invalid or inconsistent command configuration (exit code 2)."""
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved settings for one command invocation."""
-
-    command: str
-    n: int
-    m_count: int
-    marked: tuple[int, ...] | None
-    a_th: float
-    model: EnsembleModel
-    m_override: int | None
-    fmt: str
-    out: str | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "m_count": self.m_count,
-            "marked": list(self.marked) if self.marked is not None else None,
-            "a_th": self.a_th,
-            "shots": self.model.shots,
-            "sigma": self.model.gaussian_noise_sigma,
-            "seed": self.model.seed,
-            "m": self.m_override,
-            "format": self.fmt,
-            "out": self.out,
-        }
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> list[int]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def _parse_sweep_values(var: str, text: str) -> list:
@@ -91,25 +59,26 @@ def _parse_sweep_values(var: str, text: str) -> list:
         try:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError as exc:
-            raise ConfigError(f"bad range {text!r}: endpoints must be integers") from exc
+            raise ValueError(f"bad range {text!r}: endpoints must be integers") from exc
         if hi < lo:
-            raise ConfigError(f"bad range {text!r}: end below start")
+            raise ValueError(f"bad range {text!r}: end below start")
         values = list(range(lo, hi + 1))
     else:
         cast = float if var == "a_th" else int
         try:
             values = [cast(part) for part in text.split(",")]
         except ValueError as exc:
-            raise ConfigError(f"bad value list {text!r} for variable {var!r}") from exc
+            raise ValueError(f"bad value list {text!r} for variable {var!r}") from exc
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    marked: tuple[int, ...] | None = None
+def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
+    """The resolved settings every output embeds, and the readout model."""
+    marked: list[int] | None = None
     if args.marked is not None:
         marked = _parse_int_list(args.marked)
         if args.m_count is not None and args.m_count != len(marked):
-            raise ConfigError(
+            raise ValueError(
                 f"--m-count {args.m_count} disagrees with --marked "
                 f"({len(marked)} locations)"
             )
@@ -118,25 +87,23 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         m_count = args.m_count if args.m_count is not None else 1
     model = EnsembleModel(shots=args.shots, seed=args.seed, gaussian_noise_sigma=args.sigma)
 
-    if args.a_th is not None:
-        a_th = args.a_th
-    else:
-        a_th = model.default_threshold()
-
-    return ExperimentConfig(
-        command=args.command,
-        n=args.n,
-        m_count=m_count,
-        marked=marked,
-        a_th=a_th,
-        model=model,
-        m_override=getattr(args, "m", None),
-        fmt=getattr(args, "format", "json"),
-        out=args.out,
-    )
+    config = {
+        "command": args.command,
+        "n": args.n,
+        "m_count": m_count,
+        "marked": marked,
+        "a_th": args.a_th if args.a_th is not None else model.default_threshold(),
+        "shots": model.shots,
+        "sigma": model.gaussian_noise_sigma,
+        "seed": model.seed,
+        "m": args.m,
+        "format": getattr(args, "format", "json"),
+        "out": args.out,
+    }
+    return config, model
 
 
-def _marked_set(n: int, m_count: int, marked: tuple[int, ...] | None, seed: int) -> MarkedSet:
+def _marked_set(n: int, m_count: int, marked: list[int] | None, seed: int) -> MarkedSet:
     """Explicit locations when given, otherwise a seeded random draw."""
     if marked is not None:
         return MarkedSet(marked, n)
@@ -189,26 +156,30 @@ def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> dict:
     }
 
 
-def cmd_plan(config: ExperimentConfig) -> int:
-    plan = make_plan(config.n, config.m_count, config.a_th)
-    if config.fmt == "csv":
-        m = config.m_override if config.m_override is not None else plan.m_trunc
-        _emit(_csv_text([_csv_row(plan, m, None, config.model.seed)]), config.out)
+def _iterations(config: dict, plan) -> int:
+    """The iterate count of a plan CSV row or a non-m sweep row: ``--m``,
+    else the truncated plan's."""
+    return config["m"] if config["m"] is not None else plan.m_trunc
+
+
+def cmd_plan(config: dict, model: EnsembleModel) -> int:
+    plan = make_plan(config["n"], config["m_count"], config["a_th"])
+    if config["format"] == "csv":
+        row = _csv_row(plan, _iterations(config, plan), None, model.seed)
+        _emit(_csv_text([row]), config["out"])
     else:
-        payload = {"config": config.to_json_dict(), "plan": plan.to_json_dict()}
-        _emit(json.dumps(payload, indent=2), config.out)
+        payload = {"config": config, "plan": plan.to_json_dict()}
+        _emit(json.dumps(payload, indent=2), config["out"])
     return 0
 
 
-def cmd_search(config: ExperimentConfig) -> int:
-    plan = make_plan(config.n, config.m_count, config.a_th)
-    marked = _marked_set(config.n, config.m_count, config.marked, config.model.seed)
-    iterations = config.m_override if config.m_override is not None else max(1, plan.m_trunc)
-    resolved = config.to_json_dict()
-    resolved["marked"] = list(marked.locations)
-    resolved["m"] = iterations
+def cmd_search(config: dict, model: EnsembleModel) -> int:
+    plan = make_plan(config["n"], config["m_count"], config["a_th"])
+    marked = _marked_set(config["n"], config["m_count"], config["marked"], model.seed)
+    iterations = config["m"] if config["m"] is not None else max(1, plan.m_trunc)
+    resolved = {**config, "marked": list(marked.locations), "m": iterations}
     try:
-        result = extract_location(marked, iterations, config.model, config.a_th)
+        result = extract_location(marked, iterations, model, config["a_th"])
     except SearchFailure as exc:
         payload = {
             "config": resolved,
@@ -217,41 +188,34 @@ def cmd_search(config: ExperimentConfig) -> int:
             "total_runs": exc.total_runs,
             "branch_events": exc.branch_events,
         }
-        _emit(json.dumps(payload, indent=2), config.out)
+        _emit(json.dumps(payload, indent=2), config["out"])
         return 1
     payload = {"config": resolved, "result": result.to_json_dict()}
-    _emit(json.dumps(payload, indent=2), config.out)
+    _emit(json.dumps(payload, indent=2), config["out"])
     return 0
 
 
-def _sweep_row(config: ExperimentConfig, var: str, value, index: int, trials: int) -> dict:
-    row_seed = config.model.seed ^ index
-    n = value if var == "N" else config.n
-    shots = value if var == "shots" else config.model.shots
-    a_th = value if var == "a_th" else config.a_th
+def _sweep_row(
+    config: dict, model: EnsembleModel, var: str, value, index: int, trials: int
+) -> dict:
+    row_seed = model.seed ^ index
+    n = value if var == "N" else config["n"]
+    a_th = value if var == "a_th" else config["a_th"]
 
-    plan = make_plan(n, config.m_count, a_th)
-    marked = _marked_set(n, config.m_count, config.marked, row_seed)
-    if var == "m":
-        m = value
-    elif config.m_override is not None:
-        m = config.m_override
-    else:
-        m = plan.m_trunc
-
-    error_rate = sign_error_rate(
-        marked, m, 1,
-        shots=shots, sigma=config.model.gaussian_noise_sigma,
-        threshold=0.0, trials=trials, seed=row_seed,
-    )
+    plan = make_plan(n, config["m_count"], a_th)
+    marked = _marked_set(n, config["m_count"], config["marked"], row_seed)
+    m = value if var == "m" else _iterations(config, plan)
+    shots = value if var == "shots" else model.shots
+    row_model = replace(model, shots=shots, seed=row_seed)
+    error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials)
     return _csv_row(plan, m, error_rate, row_seed)
 
 
-def cmd_sweep(config: ExperimentConfig, var: str, values: list, trials: int) -> int:
-    rows = [_sweep_row(config, var, value, index, trials) for index, value in enumerate(values)]
-    _emit(_csv_text(rows), config.out)
+def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
+    rows = [_sweep_row(config, model, var, value, i, trials) for i, value in enumerate(values)]
+    _emit(_csv_text(rows), config["out"])
     audit = {
-        "config": config.to_json_dict(),
+        "config": config,
         "sweep": {"variable": var, "values": values, "trials": trials},
     }
     print(json.dumps(audit), file=sys.stderr)
@@ -316,14 +280,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config, model = _resolve_config(args)
         if args.command == "plan":
-            return cmd_plan(config)
+            return cmd_plan(config, model)
         if args.command == "search":
-            return cmd_search(config)
+            return cmd_search(config, model)
         values = _parse_sweep_values(args.sweep_var, args.values)
-        return cmd_sweep(config, args.sweep_var, values, args.trials)
-    except (ConfigError, ValueError) as exc:
+        return cmd_sweep(config, model, args.sweep_var, values, args.trials)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

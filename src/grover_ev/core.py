@@ -77,8 +77,6 @@ class MarkedSet:
             raise ValueError(
                 f"marked locations must lie in [0, {self.universe_size}): {locs}"
             )
-        if len(locs) >= self.universe_size:
-            raise ValueError("marked count must be smaller than the universe")
 
     @property
     def count(self) -> int:
@@ -95,10 +93,8 @@ class OracleLedger:
 
     invocations: int = field(default=0)
 
-    def charge(self, count: int = 1) -> None:
-        if count < 1:
-            raise ValueError(f"charge count must be >= 1, got {count}")
-        self.invocations += count
+    def charge(self) -> None:
+        self.invocations += 1
 
 
 def qubit_values(qubit_count: int, k: int) -> np.ndarray:

@@ -29,7 +29,7 @@ The search keeps its determined prefix as the integer those bits spell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -117,15 +117,6 @@ def _correlated_labels(labels: np.ndarray, target: int, prefix: int) -> np.ndarr
     return np.where(keep, labels, labels ^ flip)
 
 
-def _run_model(model: EnsembleModel, run_index: int) -> EnsembleModel:
-    """Per-run ensemble model; run ``i`` draws from seed ``seed XOR i``."""
-    return EnsembleModel(
-        shots=model.shots,
-        seed=model.seed ^ run_index,
-        gaussian_noise_sigma=model.gaussian_noise_sigma,
-    )
-
-
 def extract_location(
     marked: MarkedSet,
     iterations: int,
@@ -151,7 +142,8 @@ def extract_location(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     state = class_state(marked, iterations)
     qubit_count = state.qubit_count
-    plain = measure_classes(state, _run_model(model, 0), range(1, qubit_count + 1))
+    # Run i draws from seed ``model.seed XOR i``; the plain run is run 0.
+    plain = measure_classes(state, model, range(1, qubit_count + 1))
 
     total_runs = 1
     branch_events = 0
@@ -170,7 +162,8 @@ def extract_location(
                 moved = ClassState(
                     qubit_count, _correlated_labels(state.heavy, target, prefix), state.weights
                 )
-                correlated = measure_classes(moved, _run_model(model, total_runs), [target])[0]
+                run_model = replace(model, seed=model.seed ^ total_runs)
+                correlated = measure_classes(moved, run_model, [target])[0]
                 total_runs += 1
                 ev = (plain[target - 1] + correlated) / 2.0
             bit = decide_sign(ev, a_th)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -269,12 +269,10 @@ def sign_error_rate(
     marked: MarkedSet,
     iterations: int,
     k: int,
+    model: EnsembleModel,
     *,
-    shots: int,
-    sigma: float = 0.0,
     threshold: float = 0.0,
     trials: int = 200,
-    seed: int = 0,
 ) -> float:
     """Fraction of seeded readout trials that misjudge the sign of qubit k
     after ``iterations`` steps on ``marked``.
@@ -282,25 +280,24 @@ def sign_error_rate(
     The reference answer is the sign of the exact EV, undecided when that EV
     is 0; a trial errs when its decision (at the given threshold) differs
     from that reference, counting an undecided readout of a decidable qubit
-    as an error.  Trial ``t`` uses seed ``(seed + t) mod 2**64``; exact,
-    noiseless readout (shots = sigma = 0) is deterministic, so it runs one
-    trial.  Every trial reads qubit k of the two-amplitude state
-    (:func:`class_state`) through :func:`measure_classes`, which builds the
-    inverse-CDF tables on the first sampled trial, so the rate costs
-    O(trials shots) whatever the register size.
+    as an error.  Trial ``t`` reads ``model`` with seed
+    ``(model.seed + t) mod 2**64``; exact, noiseless readout (shots = sigma =
+    0) is deterministic, so it runs one trial.  Every trial reads qubit k of
+    the two-amplitude state (:func:`class_state`) through
+    :func:`measure_classes`, which builds the inverse-CDF tables on the first
+    sampled trial, so the rate costs O(trials shots) whatever the register
+    size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    model = EnsembleModel(shots=shots, seed=seed, gaussian_noise_sigma=sigma)
-    trials = 1 if shots == 0 and sigma == 0.0 else trials
+    trials = 1 if model.shots == 0 and model.gaussian_noise_sigma == 0.0 else trials
     state = class_state(marked, iterations)
     if not 1 <= k <= state.qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
     truth = decide_sign(measure_classes(state, EnsembleModel(), [k])[0], 0.0)
     errors = 0
     for t in range(trials):
-        if t:
-            model = EnsembleModel(shots=shots, seed=(seed + t) % 2**64, gaussian_noise_sigma=sigma)
-        if decide_sign(measure_classes(state, model, [k])[0], threshold) != truth:
+        trial = replace(model, seed=(model.seed + t) % 2**64)
+        if decide_sign(measure_classes(state, trial, [k])[0], threshold) != truth:
             errors += 1
     return errors / trials

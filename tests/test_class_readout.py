@@ -7,6 +7,8 @@ The images of the marked labels under the correlation are recomputed here
 from the prefix bits, independently of the implementation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -227,9 +229,10 @@ def test_sign_error_rate_builds_its_tables_once(monkeypatch):
         return inverse_cdf(*args)
 
     monkeypatch.setattr(measurement, "_class_inverse_cdf", counted)
-    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, shots=64, trials=20, seed=5)
+    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, EnsembleModel(shots=64, seed=5), trials=20)
     assert len(builds) == 1
-    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, shots=0, sigma=0.05, trials=20, seed=5)
+    noisy = EnsembleModel(seed=5, gaussian_noise_sigma=0.05)
+    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, noisy, trials=20)
     assert len(builds) == 1
 
 
@@ -242,7 +245,7 @@ def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
         return measure(state, model, qubits)
 
     monkeypatch.setattr(measurement, "measure_classes", counted)
-    assert sign_error_rate(MarkedSet((3, 17), 32), 2, 1, shots=0, trials=200, seed=5) == 0.0
+    assert sign_error_rate(MarkedSet((3, 17), 32), 2, 1, EnsembleModel(seed=5), trials=200) == 0.0
     # One read for the reference sign, one for the single trial.
     assert len(reads) == 2
 
@@ -293,8 +296,8 @@ def test_one_pass_counts_equal_per_qubit_means(qubits, shots, seed, shape):
 
 @st.composite
 def error_rate_cases(draw):
-    """A marked set with L <= 16 and M <= 4, an iterate count, a qubit, and
-    the readout settings of one sign_error_rate call."""
+    """A marked set with L <= 16 and M <= 4, an iterate count, a qubit, a
+    readout model, and the keyword settings of one sign_error_rate call."""
     qubits = draw(st.integers(1, 16))
     n = 1 << qubits
     count = draw(st.integers(1, min(4, n - 1)))
@@ -305,12 +308,14 @@ def error_rate_cases(draw):
         MarkedSet(tuple(locations), n),
         draw(st.integers(0, 12)),
         draw(st.integers(1, qubits)),
-        dict(
+        EnsembleModel(
             shots=draw(st.integers(1, 512)),
-            sigma=draw(st.sampled_from((0.0, 0.05))),
+            gaussian_noise_sigma=draw(st.sampled_from((0.0, 0.05))),
+            seed=draw(st.integers(0, 2**63)),
+        ),
+        dict(
             threshold=draw(st.sampled_from((0.0, 0.1))),
             trials=draw(st.integers(1, 20)),
-            seed=draw(st.integers(0, 2**63)),
         ),
     )
 
@@ -320,7 +325,7 @@ def error_rate_cases(draw):
 def test_sign_error_rate_matches_per_trial_class_readouts(case):
     # The rate builds its inverse-CDF tables once; each trial must still
     # decide exactly as a readout through tables of its own would.
-    marked, iterations, k, opts = case
+    marked, iterations, k, model, opts = case
     n = marked.universe_size
     weights = class_weights(n, marked.count, iterations)
     exact = (weights[0] - weights[1]) * sum(1 - 2 * ((x >> (k - 1)) & 1)
@@ -328,12 +333,11 @@ def test_sign_error_rate_matches_per_trial_class_readouts(case):
     truth = decide_sign(exact, 0.0)
     wrong = 0
     for t in range(opts["trials"]):
-        model = EnsembleModel(shots=opts["shots"], seed=opts["seed"] + t,
-                              gaussian_noise_sigma=opts["sigma"])
-        labels = class_labels(n.bit_length() - 1, marked.locations, weights, model)
-        ev = mean_ev(labels, k) + _readout_noise(model, k)
+        trial = replace(model, seed=model.seed + t)
+        labels = class_labels(n.bit_length() - 1, marked.locations, weights, trial)
+        ev = mean_ev(labels, k) + _readout_noise(trial, k)
         wrong += decide_sign(ev, opts["threshold"]) != truth
-    assert sign_error_rate(marked, iterations, k, **opts) == wrong / opts["trials"]
+    assert sign_error_rate(marked, iterations, k, model, **opts) == wrong / opts["trials"]
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 from conftest import grover_matrix, random_marked_locations
 
 from grover_ev import (
+    EnsembleModel,
     MarkedSet,
     OracleLedger,
     StateVector,
@@ -19,6 +20,7 @@ from grover_ev import (
     class_amplitudes,
     class_state,
     closed_form_state,
+    extract_location,
     grover_angle,
     make_plan,
     new_uniform,
@@ -83,11 +85,24 @@ def test_marked_set_sorts_locations():
 
 @pytest.mark.parametrize(
     "locations,n",
-    [((), 4), ((1, 1), 4), ((4,), 4), ((-1,), 4), ((0, 1, 2, 3), 4)],
+    [((), 4), ((1, 1), 4), ((4,), 4), ((-1,), 4)],
 )
 def test_marked_set_rejects_invalid(locations, n):
     with pytest.raises(ValueError):
         MarkedSet(locations, n)
+
+
+def test_full_marked_set_fails_the_angle_check():
+    # MarkedSet leaves M < N to grover_angle, the one check of (N, M).
+    full = MarkedSet((0, 1, 2, 3), 4)
+    message = "marked_count must satisfy 1 <= M < N, got M=4, N=4"
+    for call in (
+        lambda: class_state(full, 1),
+        lambda: extract_location(full, 1, EnsembleModel(), 0.1),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 # --------------------------------------------------------------------- oracle
@@ -124,14 +139,6 @@ def test_oracle_is_involution():
     twice = apply_oracle(apply_oracle(state, marked, ledger), marked, ledger)
     assert np.max(np.abs(twice.amplitudes - state.amplitudes)) <= 1e-12
     assert ledger.invocations == 2
-
-
-def test_ledger_charge_validates():
-    ledger = OracleLedger()
-    ledger.charge(3)
-    assert ledger.invocations == 3
-    with pytest.raises(ValueError):
-        ledger.charge(0)
 
 
 # ------------------------------------------------------------------ diffusion

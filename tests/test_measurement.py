@@ -197,21 +197,21 @@ def test_ev_bound_widens_with_noise_and_rejects_nan():
 # ----------------------------------------------------------- sign error rates
 
 def test_sign_error_rate_exact_readout_is_zero():
-    assert sign_error_rate(MarkedSet((5,), 16), 1, 1, shots=0, trials=3, seed=0) == 0.0
+    assert sign_error_rate(MarkedSet((5,), 16), 1, 1, EnsembleModel(), trials=3) == 0.0
 
 
 def test_sign_error_rate_counts_wrong_signs():
     # Three-shot readout of a 0.75-signal qubit (per-shot minority
     # probability 0.125, odd count so no ties): majority-wrong probability
     # is 3 * 0.125^2 * 0.875 + 0.125^3 = 0.043.
-    rate = sign_error_rate(MarkedSet((5,), 8), 1, 1, shots=3, trials=2000, seed=1)
+    rate = sign_error_rate(MarkedSet((5,), 8), 1, 1, EnsembleModel(shots=3, seed=1), trials=2000)
     assert 0.025 <= rate <= 0.065
 
 
 def test_sign_error_rate_counts_ties_as_errors():
     # Even shot counts can tie at EV exactly 0; an undecided readout of a
     # decidable qubit is an error.  P(tie) + P(wrong sign) = 0.234 here.
-    rate = sign_error_rate(MarkedSet((5,), 8), 1, 1, shots=2, trials=2000, seed=1)
+    rate = sign_error_rate(MarkedSet((5,), 8), 1, 1, EnsembleModel(shots=2, seed=1), trials=2000)
     assert 0.19 <= rate <= 0.28
 
 
@@ -238,8 +238,8 @@ def test_sign_error_rate_agrees_with_per_trial_readouts():
                 ) != truth
                 for t in range(50)
             ]
-            rate = sign_error_rate(marked, iterations, 1, shots=shots, sigma=sigma,
-                                   threshold=0.1, trials=50, seed=9)
+            model = EnsembleModel(shots=shots, seed=9, gaussian_noise_sigma=sigma)
+            rate = sign_error_rate(marked, iterations, 1, model, threshold=0.1, trials=50)
             assert rate == sum(wrong) / 50
 
 
@@ -253,7 +253,7 @@ def test_sign_error_rate_trial_seeds_wrap():
         decide_sign(sampled_ev(state, 1, EnsembleModel(shots=4, seed=s)), 0.0) != truth
         for s in (2**64 - 1, 0, 1)
     ]
-    rate = sign_error_rate(marked, 1, 1, shots=4, trials=3, seed=2**64 - 1)
+    rate = sign_error_rate(marked, 1, 1, EnsembleModel(shots=4, seed=2**64 - 1), trials=3)
     assert 0 < rate < 1
     assert rate == sum(wrong) / 3
 
@@ -272,6 +272,6 @@ def test_sign_error_rate_zero_ev_reference_is_undecided(marked, iterations):
         is not None
         for t in range(100)
     ]
-    rate = sign_error_rate(marked, iterations, 1, shots=64, trials=100, seed=4)
+    rate = sign_error_rate(marked, iterations, 1, EnsembleModel(shots=64, seed=4), trials=100)
     assert 0 < sum(decided) < 100
     assert rate == sum(decided) / 100
