@@ -1,69 +1,36 @@
-"""Grover search simulator and planner for expectation-value quantum computers."""
+"""Grover search simulator and planner for expectation-value quantum computers.
 
-from .constants import MAX_QUBITS, NORM_ATOL
-from .core import (
-    MarkedSet,
-    OracleLedger,
-    StateVector,
-    apply_diffusion,
-    apply_grover,
-    apply_oracle,
-    class_amplitudes,
-    closed_form_state,
-    grover_angle,
-    new_uniform,
-    qubit_values,
-)
-from .filtering import (
-    SearchFailure,
-    SearchResult,
-    apply_correlation,
-    extract_location,
-)
+The package exports what a plan, a search or a sweep runs.  The dense
+statevector reference the fast paths are checked against stays on its
+modules: :mod:`grover_ev.core`, :mod:`grover_ev.measurement` and
+:mod:`grover_ev.filtering`.
+"""
+
+from .core import MarkedSet, class_amplitudes, grover_angle
+from .filtering import SearchFailure, SearchResult, extract_location
 from .measurement import (
     ClassState,
     EnsembleModel,
     class_state,
     decide_sign,
-    exact_ev,
-    measure_all,
     measure_classes,
-    sampled_ev,
     sign_error_rate,
 )
-from .planner import (
-    TruncationPlan,
-    attenuation,
-    make_plan,
-)
+from .planner import TruncationPlan, attenuation, make_plan
 
 __all__ = [
-    "MAX_QUBITS",
-    "NORM_ATOL",
     "MarkedSet",
-    "OracleLedger",
-    "StateVector",
-    "apply_diffusion",
-    "apply_grover",
-    "apply_oracle",
-    "class_amplitudes",
-    "closed_form_state",
     "grover_angle",
-    "new_uniform",
-    "qubit_values",
+    "class_amplitudes",
+    "EnsembleModel",
+    "ClassState",
+    "class_state",
+    "measure_classes",
+    "decide_sign",
+    "sign_error_rate",
     "SearchFailure",
     "SearchResult",
-    "apply_correlation",
     "extract_location",
-    "ClassState",
-    "EnsembleModel",
-    "class_state",
-    "decide_sign",
-    "exact_ev",
-    "measure_all",
-    "measure_classes",
-    "sampled_ev",
-    "sign_error_rate",
     "TruncationPlan",
     "attenuation",
     "make_plan",

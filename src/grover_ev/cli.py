@@ -12,10 +12,10 @@ randomness derives from ``--seed``: sweep row ``i`` reads the model at seed
 ``seed XOR i``, per-row error trials use consecutive seeds mod 2**64, and
 search runs derive their per-run streams the same way.  Sweep rows read their
 sign errors from the two-amplitude state, so no command builds a statevector.
-This module only parses (lists, ranges, ``--m-count`` against ``--marked``);
-the library checks every other rule once.  Either raises ``ValueError``,
-printed as ``error: <rule>``.  Exit codes: 0 success, 1 search failure, 2
-usage or configuration error.
+This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
+``--n`` against ``--sweep``); the library checks every other rule once.
+Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
+success, 1 search failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -222,8 +222,10 @@ def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="database size, a power of two")
+def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> None:
+    sub.add_argument("--n", type=int, required=n_required,
+                     help="database size, a power of two"
+                          + ("" if n_required else " (required unless --sweep N)"))
     sub.add_argument("--m-count", type=int, default=None, dest="m_count",
                      help="number of marked items (default 1; drawn from --seed "
                           "unless --marked is given)")
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the iterate count (default: truncated plan)")
 
     sweep = commands.add_parser("sweep", help="evaluate a parameter grid, emit CSV")
-    _add_common_flags(sweep)
+    _add_common_flags(sweep, n_required=False)
     sweep.add_argument("--m", type=int, default=None,
                        help="fixed iterate count for non-m sweeps (default: truncated plan)")
     sweep.add_argument("--sweep", choices=SWEEP_VARIABLES, required=True, dest="sweep_var",
@@ -285,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_plan(config, model)
         if args.command == "search":
             return cmd_search(config, model)
+        if args.n is None and args.sweep_var != "N":
+            raise ValueError("--n is required unless --sweep N")
         values = _parse_sweep_values(args.sweep_var, args.values)
         return cmd_sweep(config, model, args.sweep_var, values, args.trials)
     except ValueError as exc:

@@ -6,19 +6,23 @@ computational basis label ``x`` in ``[0, 2**L)``.  Bit ``k`` of ``x``
 ``k``, so a label reads ``x = x_L ... x_1`` in binary.
 
 All operations are pure: the input state is never mutated, a new
-:class:`StateVector` is returned.  Oracle applications are counted through
-an explicit :class:`OracleLedger` so query costs stay auditable.
+:class:`StateVector` is returned.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import MAX_QUBITS, NORM_ATOL
+# Largest register the dense simulator accepts (2**24 complex amplitudes,
+# roughly 256 MiB per state).
+MAX_QUBITS = 24
+
+# |norm^2 - 1| allowed on any StateVector after an arbitrary operation sequence.
+NORM_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,7 @@ class StateVector:
     """Pure state of an ``qubit_count``-qubit register.
 
     ``amplitudes[x]`` is the coefficient of basis state ``x``; the vector
-    must be normalized to within :data:`~grover_ev.constants.NORM_ATOL`.
+    must be normalized to within :data:`NORM_ATOL`.
     """
 
     qubit_count: int
@@ -87,16 +91,6 @@ class MarkedSet:
         return i < len(self.locations) and self.locations[i] == x
 
 
-@dataclass
-class OracleLedger:
-    """Unit-cost query counter for oracle invocations within one run."""
-
-    invocations: int = field(default=0)
-
-    def charge(self) -> None:
-        self.invocations += 1
-
-
 def qubit_values(qubit_count: int, k: int) -> np.ndarray:
     """Value of qubit ``k`` (bit ``k`` of the label) for every basis label."""
     if not 1 <= k <= qubit_count:
@@ -119,7 +113,7 @@ def new_uniform(qubit_count: int) -> StateVector:
     return StateVector(qubit_count, amps)
 
 
-def apply_oracle(state: StateVector, marked: MarkedSet, ledger: OracleLedger) -> StateVector:
+def apply_oracle(state: StateVector, marked: MarkedSet) -> StateVector:
     """Flip the sign of every marked amplitude; one unit of query cost."""
     if marked.universe_size != state.dim:
         raise ValueError(
@@ -128,7 +122,6 @@ def apply_oracle(state: StateVector, marked: MarkedSet, ledger: OracleLedger) ->
         )
     amps = state.amplitudes.copy()
     amps[list(marked.locations)] *= -1.0
-    ledger.charge()
     return StateVector(state.qubit_count, amps)
 
 
@@ -138,9 +131,9 @@ def apply_diffusion(state: StateVector) -> StateVector:
     return StateVector(state.qubit_count, 2.0 * mean - state.amplitudes)
 
 
-def apply_grover(state: StateVector, marked: MarkedSet, ledger: OracleLedger) -> StateVector:
+def apply_grover(state: StateVector, marked: MarkedSet) -> StateVector:
     """One amplification step: oracle followed by diffusion."""
-    return apply_diffusion(apply_oracle(state, marked, ledger))
+    return apply_diffusion(apply_oracle(state, marked))
 
 
 def grover_angle(universe_size: int, marked_count: int) -> float:

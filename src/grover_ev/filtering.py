@@ -63,7 +63,7 @@ class SearchResult:
     total_oracle_invocations: int
     branch_events: int
     bits: tuple[int, ...]
-    verification_queries: int = 0
+    verification_queries: int
 
     def to_json_dict(self) -> dict:
         return {

@@ -37,7 +37,7 @@ class TruncationPlan:
     m_trunc: int
     m_trunc_estimate: float
     ratio: float
-    saturated: bool = False
+    saturated: bool
 
     def to_json_dict(self) -> dict:
         return asdict(self)

@@ -14,21 +14,20 @@ from conftest import bit_of, random_marked_locations
 from grover_ev import (
     EnsembleModel,
     MarkedSet,
-    OracleLedger,
-    StateVector,
-    apply_correlation,
-    apply_diffusion,
-    apply_grover,
     attenuation,
-    closed_form_state,
-    exact_ev,
+    decide_sign,
     extract_location,
     make_plan,
-    measure_all,
-    new_uniform,
-    sampled_ev,
-    decide_sign,
 )
+from grover_ev.core import (
+    StateVector,
+    apply_diffusion,
+    apply_grover,
+    closed_form_state,
+    new_uniform,
+)
+from grover_ev.filtering import apply_correlation
+from grover_ev.measurement import exact_ev, measure_all, sampled_ev
 
 EXACT = EnsembleModel()
 
@@ -52,9 +51,8 @@ def test_criterion_1_closed_form_equivalence():
             for _ in range(50):
                 marked = MarkedSet(random_marked_locations(rng, n, m_count), n)
                 state = new_uniform(qubits)
-                ledger = OracleLedger()
                 for m in range(1, make_plan(n, m_count, 0.0).m_stand + 1):
-                    state = apply_grover(state, marked, ledger)
+                    state = apply_grover(state, marked)
                     analytic = closed_form_state(qubits, marked, m)
                     worst = max(
                         worst, float(np.max(np.abs(state.amplitudes - analytic.amplitudes)))
@@ -75,9 +73,8 @@ def test_criterion_2_ev_matches_attenuation():
         location = int(rng.integers(0, n))
         marked = MarkedSet((location,), n)
         state = new_uniform(qubits)
-        ledger = OracleLedger()
         for m in range(1, make_plan(n, 1, 0.0).m_stand + 1):
-            state = apply_grover(state, marked, ledger)
+            state = apply_grover(state, marked)
             expected = attenuation(n, 1, m)
             for k in range(1, qubits + 1):
                 sign = (-1) ** bit_of(location, k)
@@ -90,7 +87,7 @@ def test_criterion_3_four_item_milestone():
     detail = ""
     for location in range(4):
         marked = MarkedSet((location,), 4)
-        state = apply_grover(new_uniform(2), marked, OracleLedger())
+        state = apply_grover(new_uniform(2), marked)
         for k in (1, 2):
             expected = (-1) ** bit_of(location, k)
             if abs(exact_ev(state, k) - expected) > 1e-12:
@@ -148,9 +145,8 @@ def test_criterion_6_cancellation_handled_by_branching():
     marked = MarkedSet((3, 5), 8)
     m = make_plan(8, 2, 0.25).m_trunc
     state = new_uniform(3)
-    ledger = OracleLedger()
     for _ in range(m):
-        state = apply_grover(state, marked, ledger)
+        state = apply_grover(state, marked)
     # stage 2: bit 1 already determined as 1 (both items are odd)
     plain = measure_all(state, EXACT)
     correlated = measure_all(apply_correlation(state, 2, (1,)), EXACT)

@@ -21,27 +21,26 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
-    MAX_QUBITS,
     ClassState,
     EnsembleModel,
     MarkedSet,
-    OracleLedger,
     SearchFailure,
-    StateVector,
-    apply_correlation,
-    apply_grover,
     class_amplitudes,
     class_state,
-    closed_form_state,
     decide_sign,
     extract_location,
     make_plan,
-    measure_all,
     measure_classes,
-    new_uniform,
     sign_error_rate,
 )
 from grover_ev import measurement
+from grover_ev.core import (
+    StateVector,
+    apply_grover,
+    closed_form_state,
+    new_uniform,
+)
+from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import (
     _born_cdf,
     _class_inverse_cdf,
@@ -49,6 +48,7 @@ from grover_ev.measurement import (
     _readout_noise,
     _shot_labels,
     _uniform_draws,
+    measure_all,
 )
 
 EXACT = EnsembleModel()
@@ -56,9 +56,9 @@ BOUNDARY_GAP = 1e-9
 
 
 def dense_state(marked, iterations):
-    state, ledger = new_uniform(marked.universe_size.bit_length() - 1), OracleLedger()
+    state = new_uniform(marked.universe_size.bit_length() - 1)
     for _ in range(iterations):
-        state = apply_grover(state, marked, ledger)
+        state = apply_grover(state, marked)
     return state
 
 
@@ -261,11 +261,6 @@ def test_search_builds_no_statevector(monkeypatch):
     )
     assert result.total_runs == 20
     assert result.verified and result.location == 654_321
-
-
-def test_search_rejects_register_past_cap():
-    with pytest.raises(ValueError, match="qubit_count"):
-        extract_location(MarkedSet((5,), 1 << (MAX_QUBITS + 1)), 1, EXACT, 0.25)
 
 
 # ------------------------------------------------------ one-pass label counts

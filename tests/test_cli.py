@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import grover_ev
-from grover_ev import cli
+from grover_ev import cli, core, measurement
 from grover_ev.cli import CSV_COLUMNS, main
 
 
@@ -142,16 +142,6 @@ def test_search_failure_exit_code(capsys):
     assert payload["total_runs"] >= 3
 
 
-def test_search_rejects_register_past_cap(capsys):
-    n = 1 << (grover_ev.MAX_QUBITS + 1)
-    code, out, err = run_cli(
-        capsys, "search", "--n", str(n), "--marked", "5", "--a-th", "0.25", "--m", "1"
-    )
-    assert code == 2
-    assert out == ""
-    assert "qubit_count" in err
-
-
 def test_search_random_marked_set_is_seeded(capsys):
     code1, out1, _ = run_cli(
         capsys, "search", "--n", "32", "--m-count", "2", "--a-th", "0.2", "--seed", "9"
@@ -243,6 +233,26 @@ def test_sweep_rejects_bad_n_value(capsys):
     assert "power of two" in err
 
 
+def test_n_sweep_needs_no_n(capsys):
+    argv = ["sweep", "--m-count", "1", "--a-th", "0.25", "--shots", "64",
+            "--sweep", "N", "--values", "16,64", "--trials", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    with_n = run_cli(capsys, *argv, "--n", "16")
+    assert with_n[:2] == (0, out)
+    assert json.loads(err)["config"]["n"] is None
+    assert err == with_n[2].replace('"n": 16', '"n": null')
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sweep", "m", "--values", "1..2"],
+    ["sweep", "--sweep", "a_th", "--values", "0.25"],
+    ["sweep", "--sweep", "shots", "--values", "64"],
+])
+def test_other_sweeps_still_need_n(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", "error: --n is required unless --sweep N\n")
+
+
 def test_sweep_trial_seeds_wrap_at_the_top_of_the_seed_range(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--n", "16", "--marked", "3", "--a-th", "0.25", "--shots", "16",
@@ -265,24 +275,13 @@ def test_sweep_builds_no_statevector(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("the sweep built a StateVector")
 
-    monkeypatch.setattr(grover_ev.StateVector, "__post_init__", refuse)
+    monkeypatch.setattr(core.StateVector, "__post_init__", refuse)
     code, out, err = run_cli(
         capsys, "sweep", "--n", str(1 << 20), "--marked", "654321", "--a-th", "0.25",
         "--shots", "1024", "--sweep", "m", "--values", "0..3", "--trials", "20",
     )
     assert code == 0, err
     assert [int(row["m"]) for row in parse_csv(out)] == [0, 1, 2, 3]
-
-
-def test_sweep_rejects_register_past_cap(capsys):
-    n = 1 << (grover_ev.MAX_QUBITS + 1)
-    code, out, err = run_cli(
-        capsys, "sweep", "--n", str(n), "--marked", "5", "--a-th", "0.25",
-        "--sweep", "m", "--values", "1..1",
-    )
-    assert code == 2
-    assert out == ""
-    assert "qubit_count" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -357,9 +356,9 @@ def test_sweep_at_half_marked_scores_against_undecided_reference(capsys):
     assert [row["A_m"] for row in rows] == ["0"] * 4
     marked = grover_ev.MarkedSet(locations, 16)
     for row in rows:
-        state = grover_ev.closed_form_state(4, marked, int(row["m"]))
+        state = core.closed_form_state(4, marked, int(row["m"]))
         decided = sum(
-            grover_ev.decide_sign(grover_ev.sampled_ev(
+            grover_ev.decide_sign(measurement.sampled_ev(
                 state, 1, grover_ev.EnsembleModel(shots=64, seed=int(row["seed"]) + t)), 0.0)
             is not None
             for t in range(200)
@@ -389,9 +388,10 @@ def test_unwritable_out_path(capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["plan"])  # --n is required
-    assert excinfo.value.code == 2
+    for command in ("plan", "search"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])  # --n is required
+        assert excinfo.value.code == 2
 
 
 # ------------------------------------------------------- repeated main calls

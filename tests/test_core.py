@@ -11,18 +11,19 @@ from conftest import grover_matrix, random_marked_locations
 from grover_ev import (
     EnsembleModel,
     MarkedSet,
-    OracleLedger,
+    attenuation,
+    class_amplitudes,
+    class_state,
+    extract_location,
+    grover_angle,
+    make_plan,
+)
+from grover_ev.core import (
     StateVector,
     apply_diffusion,
     apply_grover,
     apply_oracle,
-    attenuation,
-    class_amplitudes,
-    class_state,
     closed_form_state,
-    extract_location,
-    grover_angle,
-    make_plan,
     new_uniform,
     qubit_values,
 )
@@ -108,11 +109,9 @@ def test_full_marked_set_fails_the_angle_check():
 # --------------------------------------------------------------------- oracle
 
 def test_oracle_flips_marked_amplitude():
-    ledger = OracleLedger()
-    state = apply_oracle(new_uniform(1), MarkedSet((1,), 2), ledger)
+    state = apply_oracle(new_uniform(1), MarkedSet((1,), 2))
     root_half = 1 / math.sqrt(2)
     assert np.allclose(state.amplitudes, [root_half, -root_half], atol=1e-15)
-    assert ledger.invocations == 1
 
 
 @pytest.mark.parametrize("label", [0, 3, 5])
@@ -120,13 +119,13 @@ def test_oracle_negates_marked_basis_state(label):
     amps = np.zeros(8, dtype=complex)
     amps[label] = 1.0
     state = StateVector(3, amps)
-    flipped = apply_oracle(state, MarkedSet((label,), 8), OracleLedger())
+    flipped = apply_oracle(state, MarkedSet((label,), 8))
     assert np.allclose(flipped.amplitudes, -amps, atol=1e-15)
 
 
 def test_oracle_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        apply_oracle(new_uniform(2), MarkedSet((1,), 8), OracleLedger())
+        apply_oracle(new_uniform(2), MarkedSet((1,), 8))
 
 
 def test_oracle_is_involution():
@@ -135,10 +134,8 @@ def test_oracle_is_involution():
     amps /= np.linalg.norm(amps)
     state = StateVector(3, amps)
     marked = MarkedSet((2, 6), 8)
-    ledger = OracleLedger()
-    twice = apply_oracle(apply_oracle(state, marked, ledger), marked, ledger)
+    twice = apply_oracle(apply_oracle(state, marked), marked)
     assert np.max(np.abs(twice.amplitudes - state.amplitudes)) <= 1e-12
-    assert ledger.invocations == 2
 
 
 # ------------------------------------------------------------------ diffusion
@@ -175,15 +172,13 @@ def test_diffusion_matrix_squares_to_identity():
 # -------------------------------------------------------------- grover iterate
 
 def test_single_iterate_four_items():
-    ledger = OracleLedger()
-    state = apply_grover(new_uniform(2), MarkedSet((3,), 4), ledger)
+    state = apply_grover(new_uniform(2), MarkedSet((3,), 4))
     assert np.max(np.abs(state.amplitudes - np.array([0, 0, 0, 1.0]))) <= 1e-12
-    assert ledger.invocations == 1
 
 
 def test_single_iterate_matches_closed_form():
     marked = MarkedSet((5,), 16)
-    iterated = apply_grover(new_uniform(4), marked, OracleLedger())
+    iterated = apply_grover(new_uniform(4), marked)
     analytic = closed_form_state(4, marked, 1)
     assert np.max(np.abs(iterated.amplitudes - analytic.amplitudes)) <= 1e-12
 
@@ -195,17 +190,8 @@ def test_iterate_matches_explicit_matrix():
     expected = state.amplitudes.copy()
     for _ in range(3):
         expected = mat @ expected
-        state = apply_grover(state, marked, OracleLedger())
+        state = apply_grover(state, marked)
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
-
-
-def test_ledger_counts_iterates():
-    ledger = OracleLedger()
-    state = new_uniform(3)
-    marked = MarkedSet((6,), 8)
-    for _ in range(5):
-        state = apply_grover(state, marked, ledger)
-    assert ledger.invocations == 5
 
 
 def test_norm_preserved_along_random_sequences():
@@ -214,15 +200,14 @@ def test_norm_preserved_along_random_sequences():
         qubits = int(rng.integers(2, 7))
         marked = MarkedSet(random_marked_locations(rng, 1 << qubits, 2), 1 << qubits)
         state = new_uniform(qubits)
-        ledger = OracleLedger()
         for _ in range(int(rng.integers(1, 30))):
             op = rng.integers(0, 3)
             if op == 0:
-                state = apply_oracle(state, marked, ledger)
+                state = apply_oracle(state, marked)
             elif op == 1:
                 state = apply_diffusion(state)
             else:
-                state = apply_grover(state, marked, ledger)
+                state = apply_grover(state, marked)
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) <= 1e-9
 
 
@@ -274,7 +259,8 @@ def test_angle_bounded_to_float_resolved_universes():
 
 
 @pytest.mark.parametrize(
-    "entry", ["new_uniform", "closed_form_state", "class_state", "search", "sweep"]
+    "entry",
+    ["new_uniform", "closed_form_state", "class_state", "extract_location", "search", "sweep"],
 )
 def test_register_cap_has_one_message(entry, capsys):
     message = "qubit_count must be in 1..24, got 25"
@@ -283,6 +269,7 @@ def test_register_cap_has_one_message(entry, capsys):
         "new_uniform": lambda: new_uniform(25),
         "closed_form_state": lambda: closed_form_state(25, marked, 1),
         "class_state": lambda: class_state(marked, 1),
+        "extract_location": lambda: extract_location(marked, 1, EnsembleModel(), 0.25),
     }
     if entry in library:
         with pytest.raises(ValueError) as excinfo:
@@ -324,9 +311,8 @@ def test_closed_form_matches_iteration_everywhere():
             for _ in range(200):
                 marked = MarkedSet(random_marked_locations(rng, n, marked_count), n)
                 state = new_uniform(qubits)
-                ledger = OracleLedger()
                 for m in range(1, make_plan(n, marked_count, 0.0).m_stand + 1):
-                    state = apply_grover(state, marked, ledger)
+                    state = apply_grover(state, marked)
                     analytic = closed_form_state(qubits, marked, m)
                     assert np.max(np.abs(state.amplitudes - analytic.amplitudes)) <= 1e-10
 
@@ -341,9 +327,8 @@ def test_two_amplitude_symmetry():
         mask = np.zeros(n, dtype=bool)
         mask[list(marked.locations)] = True
         state = new_uniform(qubits)
-        ledger = OracleLedger()
         for _ in range(make_plan(n, 3, 0.0).m_stand):
-            state = apply_grover(state, marked, ledger)
+            state = apply_grover(state, marked)
             on_values = state.amplitudes[mask]
             off_values = state.amplitudes[~mask]
             assert np.max(np.abs(on_values - on_values[0])) <= 1e-12
@@ -404,8 +389,8 @@ def test_equal_weights_keep_their_signs():
                               (4, tuple(range(12)))]:
         n = 1 << qubits
         marked = MarkedSet(locations, n)
-        state, ledger = new_uniform(qubits), OracleLedger()
+        state = new_uniform(qubits)
         for m in range(1, 13):
-            state = apply_grover(state, marked, ledger)
+            state = apply_grover(state, marked)
             analytic = closed_form_state(qubits, marked, m)
             assert np.max(np.abs(state.amplitudes - analytic.amplitudes)) <= 1e-10

@@ -17,19 +17,20 @@ from conftest import (
 from grover_ev import (
     EnsembleModel,
     MarkedSet,
-    OracleLedger,
     SearchFailure,
-    StateVector,
-    apply_correlation,
-    apply_grover,
     attenuation,
-    closed_form_state,
     extract_location,
     make_plan,
-    measure_all,
-    new_uniform,
 )
 from grover_ev import filtering, measurement
+from grover_ev.core import (
+    StateVector,
+    apply_grover,
+    closed_form_state,
+    new_uniform,
+)
+from grover_ev.filtering import apply_correlation
+from grover_ev.measurement import measure_all
 
 EXACT = EnsembleModel()
 
@@ -205,9 +206,8 @@ def test_averaging_enumeration_oracle_truncated_states():
                 locations = random_marked_locations(rng, n, m_count)
                 marked = MarkedSet(locations, n)
                 state = new_uniform(qubits)
-                ledger = OracleLedger()
                 for m in range(1, make_plan(n, m_count, 0.0).m_stand + 1):
-                    state = apply_grover(state, marked, ledger)
+                    state = apply_grover(state, marked)
                     anchor = int(rng.choice(locations))
                     prefix_len = int(rng.integers(1, qubits))
                     target = prefix_len + 1

@@ -7,18 +7,13 @@ from conftest import basis_state_vector, bit_of
 from grover_ev import (
     EnsembleModel,
     MarkedSet,
-    StateVector,
-    closed_form_state,
-    decide_sign,
-    exact_ev,
-    make_plan,
-    measure_all,
-    new_uniform,
-    sampled_ev,
-    sign_error_rate,
     attenuation,
+    decide_sign,
+    make_plan,
+    sign_error_rate,
 )
-from grover_ev.measurement import _check_ev_bound
+from grover_ev.core import StateVector, closed_form_state, new_uniform
+from grover_ev.measurement import _check_ev_bound, exact_ev, measure_all, sampled_ev
 
 
 # ------------------------------------------------------------------- exact_ev

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from grover_ev import (
     MarkedSet,
-    OracleLedger,
-    apply_grover,
     attenuation,
-    exact_ev,
     grover_angle,
     make_plan,
-    new_uniform,
     planner,
 )
+from grover_ev.core import apply_grover, new_uniform
+from grover_ev.measurement import exact_ev
 
 POWERS_OF_TWO = [2**e for e in range(2, 13)]
 
@@ -78,9 +76,8 @@ def test_attenuation_matches_simulated_evs():
         qubits = n.bit_length() - 1
         marked = MarkedSet((location,), n)
         state = new_uniform(qubits)
-        ledger = OracleLedger()
         for m in range(1, make_plan(n, 1, 0.0).m_stand + 1):
-            state = apply_grover(state, marked, ledger)
+            state = apply_grover(state, marked)
             expected = attenuation(n, 1, m)
             for k in range(1, qubits + 1):
                 sign = (-1) ** bit_of(location, k)
