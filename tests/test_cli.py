@@ -142,6 +142,15 @@ def test_search_failure_exit_code(capsys):
     assert payload["total_runs"] >= 3
 
 
+def test_search_rejects_register_past_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "--n", str(2**25), "--marked", "5", "--a-th", "0.25"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: qubit_count must be in 1..24, got 25\n"
+
+
 def test_search_random_marked_set_is_seeded(capsys):
     code1, out1, _ = run_cli(
         capsys, "search", "--n", "32", "--m-count", "2", "--a-th", "0.2", "--seed", "9"
@@ -282,6 +291,16 @@ def test_sweep_builds_no_statevector(capsys, monkeypatch):
     )
     assert code == 0, err
     assert [int(row["m"]) for row in parse_csv(out)] == [0, 1, 2, 3]
+
+
+def test_sweep_rejects_register_past_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", str(2**25), "--marked", "5", "--a-th", "0.25",
+        "--sweep", "m", "--values", "1..1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: qubit_count must be in 1..24, got 25\n"
 
 
 @pytest.mark.parametrize("argv, message", [
