@@ -15,7 +15,8 @@ sign errors from the two-amplitude state, so no command builds a statevector.
 This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
 ``--n`` against ``--sweep``); the library checks every other rule once.
 Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
-success, 1 search failure, 2 usage or configuration error.
+success, 1 search failure (its JSON names the reason), 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import MarkedSet
 from .core import closed_form_state  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .filtering import SearchFailure, extract_location
 from .measurement import EnsembleModel, sign_error_rate
-from .planner import attenuation, make_plan
+from .planner import attenuation, make_plan, search_iterations
 
 CSV_COLUMNS = [
     "N", "M", "m", "a_th", "A_m",
@@ -176,14 +177,16 @@ def cmd_plan(config: dict, model: EnsembleModel) -> int:
 def cmd_search(config: dict, model: EnsembleModel) -> int:
     plan = make_plan(config["n"], config["m_count"], config["a_th"])
     marked = _marked_set(config["n"], config["m_count"], config["marked"], model.seed)
-    iterations = config["m"] if config["m"] is not None else max(1, plan.m_trunc)
+    iterations = config["m"] if config["m"] is not None else max(1, search_iterations(plan))
     resolved = {**config, "marked": list(marked.locations), "m": iterations}
     try:
-        result = extract_location(marked, iterations, model, config["a_th"])
+        # a_th chose the step count; each bit is then read by its EV's sign.
+        result = extract_location(marked, iterations, model, 0.0)
     except SearchFailure as exc:
         payload = {
             "config": resolved,
             "error": "search-failure",
+            "reason": exc.reason,
             "detail": str(exc),
             "total_runs": exc.total_runs,
             "branch_events": exc.branch_events,
@@ -232,7 +235,10 @@ def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> 
     sub.add_argument("--marked", type=str, default=None,
                      help="explicit marked locations, comma-separated")
     sub.add_argument("--a-th", type=float, default=None, dest="a_th",
-                     help="EV decision threshold (default: 5/sqrt(shots), or 1e-9 when exact)")
+                     help="EV threshold: plan and sweep step counts clear it with A_m, "
+                          "a search's with the one-item EV A_m/M, and a search reads "
+                          "each bit by its EV's sign (default: 5/sqrt(shots), or 1e-9 "
+                          "when exact)")
     sub.add_argument("--shots", type=int, default=0,
                      help="ensemble samples per run; 0 = exact EVs")
     sub.add_argument("--sigma", type=float, default=0.0,
@@ -258,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     search = commands.add_parser("search", help="run the filtered search")
     _add_common_flags(search)
     search.add_argument("--m", type=int, default=None,
-                        help="override the iterate count (default: truncated plan)")
+                        help="override the iterate count (default: the first m whose "
+                             "one-item EV A_m/M exceeds --a-th)")
 
     sweep = commands.add_parser("sweep", help="evaluate a parameter grid, emit CSV")
     _add_common_flags(sweep, n_required=False)

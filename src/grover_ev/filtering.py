@@ -7,10 +7,17 @@ with a second run that flips qubit k+1 on every branch whose low bits
 disagree with the bits already determined.  The average restricts the
 effective EV to marked items consistent with the determined prefix.
 
-Undecided EVs (magnitude inside the threshold dead zone) are resolved by
+A stage's averaged EV is ``A_m / M`` times the signed count of the
+consistent items, so under exact readout a nonzero EV is at least
+``A_m / M`` in magnitude and its sign names a bit that some consistent item
+carries, while a tie at exactly 0 means the consistent items split evenly.
+A stage decides its bit by :func:`decide_sign` at the caller's threshold;
+the command line passes 0, so each bit is read by its sign.  An undecided
+EV (a tie, or any magnitude up to a positive threshold) is resolved by
 branching: bit 0 is tried first, the final candidate is confirmed with a
 single oracle query, and failed candidates backtrack to the most recent
-unexplored branch.
+unexplored branch.  A search gives up after ``4 L`` runs
+(``RUN_BUDGET_PER_QUBIT``), so no input takes more than O(L) runs.
 
 Runs are read out from the two-amplitude state: after m steps every marked
 label carries one amplitude and every other label another, and the
@@ -40,15 +47,20 @@ from .measurement import ClassState, EnsembleModel, class_state, decide_sign, me
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
-class SearchFailure(Exception):
-    """Every branch candidate failed oracle verification.
+# A search makes at most this many runs per qubit before it gives up.
+RUN_BUDGET_PER_QUBIT = 4
 
-    Raised when the decision threshold is too high for the available signal
-    or the marked count is past the point where 1/M-scaled EVs are usable.
+
+class SearchFailure(Exception):
+    """The search ended without a verified location.
+
+    ``reason`` is ``"exhausted"`` when every branch candidate failed oracle
+    verification, or ``"budget"`` when the search reached its run budget.
     """
 
-    def __init__(self, message: str, *, total_runs: int, branch_events: int):
+    def __init__(self, message: str, *, reason: str, total_runs: int, branch_events: int):
         super().__init__(message)
+        self.reason = reason
         self.total_runs = total_runs
         self.branch_events = branch_events
 
@@ -136,12 +148,15 @@ def extract_location(
     undecided stages branch (bit 0 first) and the final candidate is
     checked with a single oracle query, backtracking on failure.
 
-    Raises :class:`SearchFailure` once every live branch is exhausted.
+    Raises :class:`SearchFailure` with reason ``"exhausted"`` once every live
+    branch fails verification, or ``"budget"`` when a stage needs a run past
+    ``RUN_BUDGET_PER_QUBIT * L``.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     state = class_state(marked, iterations)
     qubit_count = state.qubit_count
+    budget = RUN_BUDGET_PER_QUBIT * qubit_count
     # Run i draws from seed ``model.seed XOR i``; the plain run is run 0.
     plain = measure_classes(state, model, range(1, qubit_count + 1))
 
@@ -159,6 +174,13 @@ def extract_location(
             if stage == 0:
                 ev = plain[0]
             else:
+                if total_runs == budget:
+                    raise SearchFailure(
+                        f"no verified candidate within the budget of {budget} runs",
+                        reason="budget",
+                        total_runs=total_runs,
+                        branch_events=branch_events,
+                    )
                 moved = ClassState(
                     qubit_count, _correlated_labels(state.heavy, target, prefix), state.weights
                 )
@@ -187,8 +209,8 @@ def extract_location(
             )
         if not pending:
             raise SearchFailure(
-                "all branch candidates failed verification; the threshold is "
-                "too high for the available EV signal at this marked count",
+                "every branch candidate failed verification",
+                reason="exhausted",
                 total_runs=total_runs,
                 branch_events=branch_events,
             )

@@ -112,3 +112,15 @@ def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationP
         ratio=ratio,
         saturated=saturated,
     )
+
+
+def search_iterations(plan: TruncationPlan) -> int:
+    """The step count a filtered search runs at: the first m whose one-item
+    filtered EV ``A_m / M`` exceeds the plan's ``a_th``, or ``m_stand`` when
+    ``M a_th >= A(m_stand)``.  (The plan's ``m_trunc`` is the first m with
+    ``A_m > a_th``; the two agree at M = 1.)
+    """
+    ev_threshold = plan.M * plan.a_th
+    if ev_threshold >= 1.0:  # A_m <= 1 for every m
+        return plan.m_stand
+    return _truncation_point(plan.N, plan.M, ev_threshold, plan.theta, plan.m_stand)[0]

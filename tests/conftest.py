@@ -138,7 +138,7 @@ def reference_extract_location(marked, iterations, model, a_th):
     """The bit-extraction search as first written: every run, plain or
     correlated, is read out on every qubit, and a stage averages the target
     qubit's entries of the two full EV lists.  Run ``i`` draws from seed
-    ``seed XOR i``."""
+    ``seed XOR i``, and the search gives up rather than make run ``4 L + 1``."""
     state = class_state(marked, iterations)
     qubit_count, locations = state.qubit_count, state.heavy
 
@@ -160,6 +160,13 @@ def reference_extract_location(marked, iterations, model, a_th):
             if not bits:
                 ev = plain[0]
             else:
+                if total_runs == 4 * qubit_count:
+                    raise SearchFailure(
+                        "run budget spent",
+                        reason="budget",
+                        total_runs=total_runs,
+                        branch_events=branch_events,
+                    )
                 prefix = sum(b << i for i, b in enumerate(bits))
                 low = locations & ((1 << len(bits)) - 1)
                 moved = np.where(low == prefix, locations, locations ^ (1 << (target - 1)))
@@ -187,6 +194,7 @@ def reference_extract_location(marked, iterations, model, a_th):
         if not pending:
             raise SearchFailure(
                 "all branch candidates failed verification",
+                reason="exhausted",
                 total_runs=total_runs,
                 branch_events=branch_events,
             )

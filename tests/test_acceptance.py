@@ -4,12 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL report.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import time
 
 import numpy as np
 from conftest import bit_of, random_marked_locations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grover_ev import (
     EnsembleModel,
@@ -19,6 +24,7 @@ from grover_ev import (
     extract_location,
     make_plan,
 )
+from grover_ev.cli import main
 from grover_ev.core import (
     StateVector,
     apply_diffusion,
@@ -218,3 +224,76 @@ def test_criterion_8_monotonicity_and_involutions():
             ok = False
             detail = "correlation not involutive"
     report(8, "attenuation monotone, operators involutive", ok, detail)
+
+
+def cli_search(*argv):
+    """Run ``grover-ev search`` in-process; return its config and result."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["search", *argv])
+    assert code == 0, out.getvalue()
+    payload = json.loads(out.getvalue())
+    return payload["config"], payload["result"]
+
+
+def random_marked(data, min_qubits, max_qubits):
+    """L, then 1 <= M <= 4 with M < N/2, then M distinct locations."""
+    qubits = data.draw(st.integers(min_qubits, max_qubits), label="L")
+    n = 1 << qubits
+    count = data.draw(st.integers(1, min(4, n // 2 - 1)), label="M")
+    locations = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True),
+        label="marked",
+    )
+    return qubits, locations
+
+
+def assert_log_n_cost(qubits, locations, config, result):
+    """The paper's cost: L runs, m per run, and one verification query."""
+    assert result["verified"] and result["location"] in locations
+    assert result["total_runs"] == qubits, (config, result)
+    assert result["oracle_invocations"] == config["m"] * qubits + 1, (config, result)
+
+
+def test_criterion_9_log_n_runs_on_random_sets():
+    searches = {"exact": 0, "sampled": 0}
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.data())
+    def exact(data):
+        # a_th anywhere in (0, 1/M] and below 1, the range make_plan
+        # accepts; at 1/M (M >= 2) the search runs at the standard count.
+        qubits, locations = random_marked(data, 3, 24)
+        tolerance = 1.0 / len(locations)
+        thresholds = st.floats(0.0, tolerance, exclude_min=True, exclude_max=tolerance == 1.0)
+        if tolerance < 1.0:
+            thresholds = st.just(tolerance) | thresholds
+        a_th = data.draw(thresholds, label="a_th")
+        config, result = cli_search(
+            "--n", str(1 << qubits), "--marked", ",".join(map(str, locations)),
+            "--a-th", repr(a_th),
+        )
+        assert_log_n_cost(qubits, locations, config, result)
+        searches["exact"] += 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def sampled(data):
+        # The default threshold, 5/sqrt(shots).
+        qubits, locations = random_marked(data, 8, 20)
+        shots = data.draw(st.sampled_from((1024, 4096)), label="shots")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        config, result = cli_search(
+            "--n", str(1 << qubits), "--marked", ",".join(map(str, locations)),
+            "--shots", str(shots), "--seed", str(seed),
+        )
+        assert_log_n_cost(qubits, locations, config, result)
+        searches["sampled"] += 1
+
+    exact()
+    sampled()
+    report(
+        9, "random marked sets: L runs and one verification query",
+        True,
+        f"{searches['exact']} exact and {searches['sampled']} sampled searches",
+    )

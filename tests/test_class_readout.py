@@ -405,11 +405,11 @@ def test_inverse_cdf_matches_reference_bit_for_bit(case):
 
 
 def search_outcome(search, *args):
-    """A search's result, or the counts its failure carries."""
+    """A search's result, or the reason and counts its failure carries."""
     try:
         return search(*args)
     except SearchFailure as exc:
-        return ("failure", exc.total_runs, exc.branch_events)
+        return ("failure", exc.reason, exc.total_runs, exc.branch_events)
 
 
 @settings(max_examples=80, deadline=None)

@@ -139,7 +139,50 @@ def test_search_failure_exit_code(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["error"] == "search-failure"
+    assert payload["reason"] == "exhausted"
     assert payload["total_runs"] >= 3
+
+
+def test_search_budget_failure_exit_code(capsys):
+    code, out, _ = run_cli(
+        capsys, "search", "--n", "256", "--marked", "77",
+        "--a-th", "0.1", "--shots", "2", "--seed", "5",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "search-failure"
+    assert payload["reason"] == "budget"
+    assert payload["total_runs"] == 4 * 8
+    assert "threshold" not in payload["detail"]
+
+
+def test_search_at_the_tolerance_runs_the_standard_count(capsys):
+    # a_th = 1/M puts the one-item EV target M a_th at 1, which no A_m
+    # exceeds, so the search runs at m_stand and reads every bit by sign.
+    code, out, _ = run_cli(
+        capsys, "search", "--n", "1024", "--marked", "1,2,3,4", "--a-th", "0.25",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["m"] == grover_ev.make_plan(1024, 4, 0.25).m_stand == 12
+    assert payload["result"]["location"] in (1, 2, 3, 4)
+    assert payload["result"]["total_runs"] == 10
+    assert payload["result"]["oracle_invocations"] == 12 * 10 + 1
+
+
+def test_search_runs_where_one_item_ev_clears_threshold(capsys):
+    # M = 2 at a_th = 0.2: the plan's m_trunc (3) has A_m > 0.2, but the
+    # search needs A_m / 2 > 0.2, first met at m = 4; it then takes L runs.
+    code, out, _ = run_cli(
+        capsys, "search", "--n", "256", "--m-count", "2", "--a-th", "0.2", "--seed", "5",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert grover_ev.make_plan(256, 2, 0.2).m_trunc == 3
+    m = payload["config"]["m"]
+    assert m == 4
+    assert grover_ev.attenuation(256, 2, m - 1) <= 0.4 < grover_ev.attenuation(256, 2, m)
+    assert payload["result"]["total_runs"] == 8
 
 
 def test_search_rejects_register_past_cap(capsys):

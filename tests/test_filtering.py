@@ -286,7 +286,19 @@ def test_extract_failure_exhausts_branches():
     model = EnsembleModel(shots=2, seed=113)
     with pytest.raises(SearchFailure) as excinfo:
         extract_location(MarkedSet((5,), 8), 1, model, 0.0)
+    assert excinfo.value.reason == "exhausted"
     assert excinfo.value.total_runs >= 3
+
+
+def test_extract_stops_at_the_run_budget():
+    # Two shots per run again, at L = 8: seed 5 keeps mis-deciding bits and
+    # backtracking until the search has spent its 4 L = 32 runs.
+    model = EnsembleModel(shots=2, seed=5)
+    with pytest.raises(SearchFailure) as excinfo:
+        extract_location(MarkedSet((77,), 256), 3, model, 0.0)
+    assert excinfo.value.reason == "budget"
+    assert excinfo.value.total_runs == filtering.RUN_BUDGET_PER_QUBIT * 8 == 32
+    assert excinfo.value.branch_events > 0
 
 
 def test_extract_validates_arguments():
@@ -310,8 +322,9 @@ def test_search_result_json_schema():
 
 
 def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
-    # L = 16 with one marked label; at this threshold about 1,100 runs
-    # branch and backtrack.  Every run goes through measure_classes, and a
+    # L = 16 with one marked label; at this threshold the search branches
+    # 11 times and backtracks through 10 verifications in 23 runs, inside
+    # the 4 L budget.  Every run goes through measure_classes, and a
     # correlated run must still read one qubit.
     qubits = 16
     reads, widths, noise = [], [], []
@@ -334,7 +347,7 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     monkeypatch.setattr(filtering, "measure_classes", counted_reads)
     monkeypatch.setattr(measurement, "_label_evs", counted_label_evs)
     monkeypatch.setattr(measurement, "_readout_noise", counted_noise)
-    model = EnsembleModel(shots=1024, seed=7, gaussian_noise_sigma=0.05)
+    model = EnsembleModel(shots=1024, seed=20, gaussian_noise_sigma=0.05)
     result = extract_location(MarkedSet((40503,), 1 << qubits), 59, model, 0.16)
     assert result.location == 40503 and result.branch_events > 0
     runs = result.total_runs

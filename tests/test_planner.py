@@ -326,6 +326,33 @@ def test_plan_json_fields():
     }
 
 
+# ---------------------------------------------------------- search_iterations
+
+def test_search_iterations_equal_m_trunc_for_one_item():
+    for n in (4, 64, 1024, 2**20, 2**62):
+        for a_th in (0.0, 0.1, 0.25, 0.5, 0.99):
+            plan = make_plan(n, 1, a_th)
+            assert planner.search_iterations(plan) == plan.m_trunc, (n, a_th)
+
+
+def test_search_iterations_clear_the_one_item_ev():
+    # The first m with A_m / M > a_th: the scan at threshold M a_th.
+    for qubits in range(3, 13):
+        n = 1 << qubits
+        for m_count in range(2, min(4, n // 2 - 1) + 1):
+            for a_th in (1e-9, 0.01, 0.05, 0.1, 0.2, 0.99 / m_count):
+                plan = make_plan(n, m_count, a_th)
+                expected, _ = reference_truncation_scan(n, m_count, m_count * a_th)
+                assert planner.search_iterations(plan) == expected, (n, m_count, a_th)
+
+
+def test_search_iterations_at_the_tolerance_are_the_standard_count():
+    # a_th = 1/M gives M a_th = 1, which no attenuation exceeds.
+    for n, m_count in ((8, 2), (64, 3), (1024, 4), (2**40, 4)):
+        plan = make_plan(n, m_count, 1.0 / m_count)
+        assert planner.search_iterations(plan) == plan.m_stand, (n, m_count)
+
+
 def test_plan_large_n_planner_only():
     # No statevector anywhere near this size; pure arithmetic.
     plan = make_plan(2**20, 1, 0.25)
