@@ -13,7 +13,9 @@ randomness derives from ``--seed``: sweep row ``i`` reads the model at seed
 search runs derive their per-run streams the same way.  Sweep rows read their
 sign errors from the two-amplitude state, so no command builds a statevector.
 This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
-``--n`` against ``--sweep``); the library checks every other rule once.
+``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
+min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
+every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
 Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
 success, 1 search failure (its JSON names the reason), 2 usage or
 configuration error.
@@ -26,6 +28,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -87,13 +90,19 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
     else:
         m_count = args.m_count if args.m_count is not None else 1
     model = EnsembleModel(shots=args.shots, seed=args.seed, gaussian_noise_sigma=args.sigma)
+    # An omitted --a-th: five standard errors of a shots-shot mean (1e-9 when
+    # exact), capped at 1/M.  An M below 1 goes on to make_plan, which rejects it.
+    a_th = args.a_th
+    if a_th is None:
+        noise = 5.0 / math.sqrt(model.shots) if model.shots else 1e-9
+        a_th = min(noise, 1.0 / max(m_count, 1))
 
     config = {
         "command": args.command,
         "n": args.n,
         "m_count": m_count,
         "marked": marked,
-        "a_th": args.a_th if args.a_th is not None else model.default_threshold(),
+        "a_th": a_th,
         "shots": model.shots,
         "sigma": model.gaussian_noise_sigma,
         "seed": model.seed,
@@ -235,10 +244,10 @@ def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> 
     sub.add_argument("--marked", type=str, default=None,
                      help="explicit marked locations, comma-separated")
     sub.add_argument("--a-th", type=float, default=None, dest="a_th",
-                     help="EV threshold: plan and sweep step counts clear it with A_m, "
-                          "a search's with the one-item EV A_m/M, and a search reads "
-                          "each bit by its EV's sign (default: 5/sqrt(shots), or 1e-9 "
-                          "when exact)")
+                     help="EV threshold, 0 <= a_th <= 1/M: plan and sweep step counts "
+                          "clear it with A_m, a search's with the one-item EV A_m/M, and "
+                          "a search reads each bit by its EV's sign (default: "
+                          "min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact)")
     sub.add_argument("--shots", type=int, default=0,
                      help="ensemble samples per run; 0 = exact EVs")
     sub.add_argument("--sigma", type=float, default=0.0,

@@ -49,16 +49,6 @@ class EnsembleModel:
         if not (math.isfinite(sigma) and sigma >= 0):
             raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
 
-    def default_threshold(self) -> float:
-        """Smallest EV magnitude whose sign is trusted under this model.
-
-        Five standard errors of an n-shot mean when sampling, near zero for
-        the exact model.
-        """
-        if self.shots > 0:
-            return 5.0 / np.sqrt(self.shots)
-        return 1e-9
-
 
 def _check_ev_bound(evs: list[float], sigma: float) -> None:
     """Reject an EV past the readout bound |ev| <= 1 + 3 sigma, or NaN."""
@@ -171,7 +161,7 @@ def decide_sign(ev: float, threshold: float) -> int | None:
     Returns None when |ev| falls in the dead zone and the sign cannot be
     trusted.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     if ev > threshold:
         return 0
@@ -271,22 +261,20 @@ def sign_error_rate(
     k: int,
     model: EnsembleModel,
     *,
-    threshold: float = 0.0,
     trials: int = 200,
 ) -> float:
     """Fraction of seeded readout trials that misjudge the sign of qubit k
     after ``iterations`` steps on ``marked``.
 
     The reference answer is the sign of the exact EV, undecided when that EV
-    is 0; a trial errs when its decision (at the given threshold) differs
-    from that reference, counting an undecided readout of a decidable qubit
-    as an error.  Trial ``t`` reads ``model`` with seed
-    ``(model.seed + t) mod 2**64``; exact, noiseless readout (shots = sigma =
-    0) is deterministic, so it runs one trial.  Every trial reads qubit k of
-    the two-amplitude state (:func:`class_state`) through
-    :func:`measure_classes`, which builds the inverse-CDF tables on the first
-    sampled trial, so the rate costs O(trials shots) whatever the register
-    size.
+    is 0; a trial errs when the sign it reads differs from that reference,
+    counting a zero readout of a decidable qubit as an error.  Trial ``t``
+    reads ``model`` with seed ``(model.seed + t) mod 2**64``; exact,
+    noiseless readout (shots = sigma = 0) is deterministic, so it runs one
+    trial.  Every trial reads qubit k of the two-amplitude state
+    (:func:`class_state`) through :func:`measure_classes`, which builds the
+    inverse-CDF tables on the first sampled trial, so the rate costs
+    O(trials shots) whatever the register size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -298,6 +286,6 @@ def sign_error_rate(
     errors = 0
     for t in range(trials):
         trial = replace(model, seed=(model.seed + t) % 2**64)
-        if decide_sign(measure_classes(state, trial, [k])[0], threshold) != truth:
+        if decide_sign(measure_classes(state, trial, [k])[0], 0.0) != truth:
             errors += 1
     return errors / trials

@@ -5,6 +5,7 @@ which per-qubit EV magnitudes fall short of full strength after m steps,
 the standard stopping point, and the smallest truncated stopping point
 whose attenuation clears a threshold, found by an arcsine inversion of the
 curve and an integer correction: O(1) work for any N <= 2**62.
+:func:`make_plan` checks the one rule on the threshold, 0 <= a_th <= 1/M.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ class TruncationPlan:
     ``m_stand`` is the standard step count floor(pi / (2 theta)) and
     ``m_trunc`` the first m whose attenuation exceeds ``a_th``.
     ``m_trunc_estimate`` is the closed form
-    m_stand * (2/pi) * arcsin(sqrt(r + (1 - r) M/N)) with r = a_th/a_stand and
-    a_stand = 1/M; ``m_trunc`` is authoritative.  ``saturated`` flags
+    m_stand * (2/pi) * arcsin(sqrt(r + (1 - r) M/N)) with r = a_th/a_stand =
+    M a_th (a_stand = 1/M), so for M >= 2 it tracks the search's step count
+    (:func:`search_iterations`), not ``m_trunc``.  ``saturated`` flags
     thresholds no attenuation value reaches before the standard stopping
     point; the truncated count is then capped at ``m_stand``.
     """
@@ -71,10 +73,9 @@ def _truncation_point(
 
     Inverts A_m = a_th in closed form, then steps that guess against
     :func:`attenuation` itself until A(m - 1) <= a_th < A(m).  Returns
-    (m, saturated); saturated means A(m_stand) does not clear the threshold.
+    (m, saturated); saturated means A(m_stand) does not clear the threshold,
+    as for any a_th >= 1.
     """
-    if not 0 <= a_th < 1:
-        raise ValueError(f"a_th must satisfy 0 <= a_th < 1, got {a_th}")
     if attenuation(n, m_count, m_stand) <= a_th:
         return m_stand, True
     crossing = 2.0 * math.asin(math.sqrt(a_th + (1.0 - a_th) * m_count / n)) / theta
@@ -87,13 +88,14 @@ def _truncation_point(
 
 
 def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationPlan:
-    """Aggregate angle, stopping points, and estimate into one plan."""
+    """Aggregate angle, stopping points, and estimate into one plan.
+    Raises ValueError unless 0 <= a_th <= 1/M, which NaN fails."""
     theta = grover_angle(universe_size, marked_count)
+    a_stand = 1.0 / marked_count
+    if not 0 <= a_th <= a_stand:
+        raise ValueError(f"a_th must satisfy 0 <= a_th <= 1/M = {a_stand}, got {a_th}")
     m_stand = _standard_count(theta)
     m_trunc, saturated = _truncation_point(universe_size, marked_count, a_th, theta, m_stand)
-    a_stand = 1.0 / marked_count
-    if a_th > a_stand:
-        raise ValueError(f"a_th={a_th} exceeds the standard version's tolerance {a_stand}")
     rel = a_th / a_stand
     inner = rel + (1.0 - rel) * marked_count / universe_size
     estimate = m_stand * (2.0 / math.pi) * math.asin(math.sqrt(inner))
@@ -120,7 +122,4 @@ def search_iterations(plan: TruncationPlan) -> int:
     ``M a_th >= A(m_stand)``.  (The plan's ``m_trunc`` is the first m with
     ``A_m > a_th``; the two agree at M = 1.)
     """
-    ev_threshold = plan.M * plan.a_th
-    if ev_threshold >= 1.0:  # A_m <= 1 for every m
-        return plan.m_stand
-    return _truncation_point(plan.N, plan.M, ev_threshold, plan.theta, plan.m_stand)[0]
+    return _truncation_point(plan.N, plan.M, plan.M * plan.a_th, plan.theta, plan.m_stand)[0]

@@ -98,8 +98,6 @@ def reference_truncation_scan(universe_size, marked_count, a_th):
     It walks the package's own ``attenuation`` so that float rounding in the
     curve is the same on both sides of the comparison.
     """
-    if not 0 <= a_th < 1:
-        raise ValueError(f"a_th must satisfy 0 <= a_th < 1, got {a_th}")
     m_stand = make_plan(universe_size, marked_count, 0.0).m_stand
     for m in range(m_stand + 1):
         if attenuation(universe_size, marked_count, m) > a_th:

@@ -261,13 +261,11 @@ def test_criterion_9_log_n_runs_on_random_sets():
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(st.data())
     def exact(data):
-        # a_th anywhere in (0, 1/M] and below 1, the range make_plan
-        # accepts; at 1/M (M >= 2) the search runs at the standard count.
+        # a_th anywhere in (0, 1/M], the range make_plan accepts; at 1/M
+        # the search runs at the standard count.
         qubits, locations = random_marked(data, 3, 24)
         tolerance = 1.0 / len(locations)
-        thresholds = st.floats(0.0, tolerance, exclude_min=True, exclude_max=tolerance == 1.0)
-        if tolerance < 1.0:
-            thresholds = st.just(tolerance) | thresholds
+        thresholds = st.just(tolerance) | st.floats(0.0, tolerance, exclude_min=True)
         a_th = data.draw(thresholds, label="a_th")
         config, result = cli_search(
             "--n", str(1 << qubits), "--marked", ",".join(map(str, locations)),

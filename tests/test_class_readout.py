@@ -292,7 +292,7 @@ def test_one_pass_counts_equal_per_qubit_means(qubits, shots, seed, shape):
 @st.composite
 def error_rate_cases(draw):
     """A marked set with L <= 16 and M <= 4, an iterate count, a qubit, a
-    readout model, and the keyword settings of one sign_error_rate call."""
+    readout model, and the trial count of one sign_error_rate call."""
     qubits = draw(st.integers(1, 16))
     n = 1 << qubits
     count = draw(st.integers(1, min(4, n - 1)))
@@ -308,10 +308,7 @@ def error_rate_cases(draw):
             gaussian_noise_sigma=draw(st.sampled_from((0.0, 0.05))),
             seed=draw(st.integers(0, 2**63)),
         ),
-        dict(
-            threshold=draw(st.sampled_from((0.0, 0.1))),
-            trials=draw(st.integers(1, 20)),
-        ),
+        draw(st.integers(1, 20)),
     )
 
 
@@ -320,19 +317,19 @@ def error_rate_cases(draw):
 def test_sign_error_rate_matches_per_trial_class_readouts(case):
     # The rate builds its inverse-CDF tables once; each trial must still
     # decide exactly as a readout through tables of its own would.
-    marked, iterations, k, model, opts = case
+    marked, iterations, k, model, trials = case
     n = marked.universe_size
     weights = class_weights(n, marked.count, iterations)
     exact = (weights[0] - weights[1]) * sum(1 - 2 * ((x >> (k - 1)) & 1)
                                             for x in marked.locations)
     truth = decide_sign(exact, 0.0)
     wrong = 0
-    for t in range(opts["trials"]):
+    for t in range(trials):
         trial = replace(model, seed=model.seed + t)
         labels = class_labels(n.bit_length() - 1, marked.locations, weights, trial)
         ev = mean_ev(labels, k) + _readout_noise(trial, k)
-        wrong += decide_sign(ev, opts["threshold"]) != truth
-    assert sign_error_rate(marked, iterations, k, model, **opts) == wrong / opts["trials"]
+        wrong += decide_sign(ev, 0.0) != truth
+    assert sign_error_rate(marked, iterations, k, model, trials=trials) == wrong / trials
 
 
 @st.composite

@@ -185,6 +185,47 @@ def test_search_runs_where_one_item_ev_clears_threshold(capsys):
     assert payload["result"]["total_runs"] == 8
 
 
+# ------------------------------------------------------------ omitted --a-th
+
+def test_default_threshold_policy(capsys):
+    # Five standard errors of a shots-shot mean, 1e-9 when exact.
+    for shots, expected in ((0, 1e-9), (10_000, 5 / math.sqrt(10_000))):
+        code, out, _ = run_cli(capsys, "plan", "--n", "1024", "--shots", str(shots))
+        assert code == 0
+        assert json.loads(out)["config"]["a_th"] == expected
+
+
+@pytest.mark.parametrize("argv, a_th", [
+    (["search", "--n", "1024", "--marked", "5", "--shots", "16"], 1.0),
+    (["search", "--n", "1024", "--m-count", "7", "--shots", "1024"], 1 / 7),
+    (["plan", "--n", str(2**40), "--m-count", "2000000000"], 5e-10),
+], ids=["few-shots", "many-items-sampled", "many-items-exact"])
+def test_omitted_threshold_is_capped_at_one_over_m(capsys, argv, a_th):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["config"]["a_th"] == a_th
+
+
+def test_few_shot_search_runs_at_the_standard_count(capsys):
+    # 5/sqrt(16) = 1.25 is capped at 1/M = 1, which no attenuation exceeds.
+    code, out, _ = run_cli(capsys, "search", "--n", "1024", "--marked", "5", "--shots", "16")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["m"] == grover_ev.make_plan(1024, 1, 1.0).m_stand == 25
+    assert payload["result"]["location"] == 5
+    assert payload["result"]["total_runs"] == 10
+
+
+def test_sweep_audit_echoes_the_capped_threshold(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "64", "--m-count", "4", "--shots", "16",
+        "--sweep", "a_th", "--values", "0.1", "--trials", "2",
+    )
+    assert code == 0
+    assert json.loads(err)["config"]["a_th"] == 0.25
+    assert parse_csv(out)[0]["a_th"] == "0.1"
+
+
 def test_search_rejects_register_past_cap(capsys):
     code, out, err = run_cli(
         capsys, "search", "--n", str(2**25), "--marked", "5", "--a-th", "0.25"
@@ -320,7 +361,7 @@ def test_sweep_rejects_bad_a_th_value(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: a_th must satisfy 0 <= a_th < 1, got 1.5\n"
+    assert err == "error: a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 1.5\n"
 
 
 def test_sweep_builds_no_statevector(capsys, monkeypatch):
@@ -351,9 +392,10 @@ def test_sweep_rejects_register_past_cap(capsys):
     (["search", "--marked", "-1"], "must lie in [0, 16)"),
     (["search", "--marked", "3,3"], "must be distinct"),
     (["sweep", "--marked", "3,3", "--sweep", "m", "--values", "1..1"], "must be distinct"),
-    (["plan", "--a-th", "1.5"], "0 <= a_th < 1"),
-    (["search", "--a-th", "-0.1"], "0 <= a_th < 1"),
-    (["sweep", "--a-th", "1.0", "--sweep", "m", "--values", "1..1"], "0 <= a_th < 1"),
+    (["plan", "--a-th", "1.5"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 1.5"),
+    (["search", "--a-th", "-0.1"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got -0.1"),
+    (["sweep", "--m-count", "2", "--a-th", "0.75", "--sweep", "m", "--values", "1..1"],
+     "a_th must satisfy 0 <= a_th <= 1/M = 0.5, got 0.75"),
     (["search", "--sigma", "nan"], "sigma must be a finite number >= 0"),
     (["search", "--sigma", "inf"], "sigma must be a finite number >= 0"),
     (["sweep", "--sigma", "nan", "--sweep", "m", "--values", "1..1"], "sigma must be a finite"),
@@ -381,6 +423,11 @@ def test_sweep_rejects_register_past_cap(capsys):
     (["sweep", "--sweep", "m", "--values=-1..0"], "iterations must be >= 0, got -1"),
     (["sweep", "--n", "64", "--m-count", "20", "--sweep", "N", "--values=16,32"],
      "1 <= M < N, got M=20, N=16"),
+    (["plan", "--a-th", "nan"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan"),
+    (["search", "--a-th", "nan"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan"),
+    (["plan", "--a-th", "inf"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf"),
+    (["sweep", "--a-th", "inf", "--sweep", "m", "--values", "1..1"],
+     "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf"),
 ])
 def test_invalid_input_exits_two_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--n", "16", *argv[1:])

@@ -306,6 +306,10 @@ def test_extract_validates_arguments():
         extract_location(MarkedSet((5,), 8), 0, EXACT, 0.25)
     with pytest.raises(ValueError):
         extract_location(MarkedSet((5,), 8), 1, EXACT, -0.1)
+    # A NaN threshold decides no stage; the first stage must raise, not
+    # branch on every bit until the run budget is spent.
+    with pytest.raises(ValueError, match="threshold must be >= 0, got nan"):
+        extract_location(MarkedSet((5,), 64), 2, EXACT, float("nan"))
 
 
 def test_search_result_json_schema():

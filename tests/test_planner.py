@@ -120,12 +120,13 @@ def test_plan_m_trunc_scan_cross_check():
 
 
 def test_plan_m_trunc_validates_threshold():
-    with pytest.raises(ValueError):
-        make_plan(16, 1, 1.0)
-    with pytest.raises(ValueError):
-        make_plan(16, 1, -0.05)
-    with pytest.raises(ValueError, match="exceeds the standard version's tolerance"):
-        make_plan(64, 2, 0.6)
+    for n, m_count, a_th in ((16, 1, -0.05), (16, 1, 1.5), (64, 2, 0.6),
+                             (64, 2, math.nan), (64, 2, math.inf), (64, 2, -math.inf)):
+        with pytest.raises(ValueError) as excinfo:
+            make_plan(n, m_count, a_th)
+        assert str(excinfo.value) == (
+            f"a_th must satisfy 0 <= a_th <= 1/M = {1.0 / m_count}, got {a_th}"
+        )
 
 
 def test_truncation_plan_invariants():
@@ -149,8 +150,10 @@ def test_make_plan_rejects_threshold_past_tolerance():
 
 
 def test_saturation_flag():
-    plan = make_plan(16, 1, 0.99)
-    assert plan.saturated and plan.m_trunc == plan.m_stand == 3
+    # a_th = 1 is the tolerance 1/M at M = 1: no attenuation exceeds it.
+    for a_th in (0.99, 1.0):
+        plan = make_plan(16, 1, a_th)
+        assert plan.saturated and plan.m_trunc == plan.m_stand == 3
 
 
 # ------------------------------------------------- inversion vs. linear scan
@@ -348,7 +351,7 @@ def test_search_iterations_clear_the_one_item_ev():
 
 def test_search_iterations_at_the_tolerance_are_the_standard_count():
     # a_th = 1/M gives M a_th = 1, which no attenuation exceeds.
-    for n, m_count in ((8, 2), (64, 3), (1024, 4), (2**40, 4)):
+    for n, m_count in ((16, 1), (8, 2), (64, 3), (1024, 4), (2**40, 4)):
         plan = make_plan(n, m_count, 1.0 / m_count)
         assert planner.search_iterations(plan) == plan.m_stand, (n, m_count)
 
