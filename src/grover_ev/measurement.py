@@ -18,6 +18,9 @@ RNG streams are derived from the model seed and nothing else:
 
 Identical seeds therefore give identical EVs, and reading any subset of a
 run's qubits gives, bit for bit, the EVs a full-register readout gives them.
+:func:`sign_error_rate` reads its trials in blocks of at most
+``_BLOCK_DRAWS`` draws, one inverse-CDF pass per block, so its memory is
+O(max(_BLOCK_DRAWS, shots)) however many trials it runs.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import MarkedSet, StateVector, check_qubit_count, class_amplitudes, qubit_values
+
+
+# Most uniform draws one inverse-CDF pass takes when a sign-error rate reads
+# its trials in blocks: larger blocks push the pass's temporaries out of L2.
+_BLOCK_DRAWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -133,11 +141,12 @@ def _class_inverse_cdf(heavy: np.ndarray, dim: int, weights: tuple[float, float]
 
 
 def _label_evs(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Empirical sigma_z of each qubit in ``qubits`` over one set of shot
-    labels, counted in one pass.  Each is a mean of +-1 terms whose sum is an
-    exact integer, so it equals ``np.mean(1 - 2 bit)`` bit for bit."""
-    ones = ((labels >> (np.asarray(qubits) - 1)[:, None]) & 1).sum(axis=1)
-    return (labels.size - 2 * ones) / labels.size
+    """Empirical sigma_z of each qubit in ``qubits`` over each row of shot
+    labels (the last axis), counted in one pass.  Each is a mean of +-1 terms
+    whose sum is an exact integer, so it equals ``np.mean(1 - 2 bit)`` bit for bit."""
+    shots = labels.shape[-1]
+    ones = ((labels[..., None, :] >> (np.asarray(qubits) - 1)[:, None]) & 1).sum(axis=-1)
+    return (shots - 2 * ones) / shots
 
 
 def _readout_noise(model: EnsembleModel, k: int) -> float:
@@ -269,12 +278,14 @@ def sign_error_rate(
     The reference answer is the sign of the exact EV, undecided when that EV
     is 0; a trial errs when the sign it reads differs from that reference,
     counting a zero readout of a decidable qubit as an error.  Trial ``t``
-    reads ``model`` with seed ``(model.seed + t) mod 2**64``; exact,
+    reads ``model`` with seed ``(model.seed + t) mod 2**64`` and decides
+    exactly as :func:`measure_classes` with that seed would; exact,
     noiseless readout (shots = sigma = 0) is deterministic, so it runs one
-    trial.  Every trial reads qubit k of the two-amplitude state
-    (:func:`class_state`) through :func:`measure_classes`, which builds the
-    inverse-CDF tables on the first sampled trial, so the rate costs
-    O(trials shots) whatever the register size.
+    trial.  Sampled trials are read in blocks of at most ``_BLOCK_DRAWS``
+    draws (one trial when ``shots`` exceeds it), with one inverse-CDF pass
+    over the two-amplitude state (:func:`class_state`) per block, so the
+    rate costs O(trials shots) time and O(max(_BLOCK_DRAWS, shots)) memory
+    whatever the register size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -282,10 +293,24 @@ def sign_error_rate(
     state = class_state(marked, iterations)
     if not 1 <= k <= state.qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
-    truth = decide_sign(measure_classes(state, EnsembleModel(), [k])[0], 0.0)
+    exact = measure_classes(state, EnsembleModel(), [k])[0]
+    truth = decide_sign(exact, 0.0)
+    seeds = [(model.seed + t) % 2**64 for t in range(trials)]
+    if model.shots == 0:
+        evs = [exact] * trials
+    else:
+        # Row t of a block holds trial t's draws, the stream _uniform_draws
+        # gives its seed; one inverse-CDF pass labels the whole block.
+        block = max(1, _BLOCK_DRAWS // model.shots)
+        evs = []
+        for start in range(0, trials, block):
+            chunk = seeds[start:start + block]
+            draws = np.empty((len(chunk), model.shots))
+            for row, seed in zip(draws, chunk):
+                np.random.default_rng(seed).random(out=row)
+            evs += _label_evs(state.labels_of(draws), [k])[:, 0].tolist()
     errors = 0
-    for t in range(trials):
-        trial = replace(model, seed=(model.seed + t) % 2**64)
-        if decide_sign(measure_classes(state, trial, [k])[0], 0.0) != truth:
-            errors += 1
+    for seed, ev in zip(seeds, evs):
+        trial = replace(model, seed=seed) if model.gaussian_noise_sigma else model
+        errors += decide_sign(_noisy([ev], trial, [k])[0], 0.0) != truth
     return errors / trials

@@ -42,6 +42,7 @@ from grover_ev.core import (
 )
 from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import (
+    _BLOCK_DRAWS,
     _born_cdf,
     _class_inverse_cdf,
     _label_evs,
@@ -236,18 +237,51 @@ def test_sign_error_rate_builds_its_tables_once(monkeypatch):
     assert len(builds) == 1
 
 
+def test_sign_error_rate_inverts_bounded_blocks(monkeypatch):
+    # However many trials a rate reads, one inverse-CDF pass takes at most
+    # _BLOCK_DRAWS draws, or one trial's draws when shots exceed that.
+    passes = []
+    inverse_cdf = measurement._class_inverse_cdf
+
+    def recorded(*args):
+        labels_of = inverse_cdf(*args)
+
+        def counted(draws):
+            passes.append(draws.size)
+            return labels_of(draws)
+
+        return counted
+
+    monkeypatch.setattr(measurement, "_class_inverse_cdf", recorded)
+    for shots in (64, 4096, 10_000):
+        passes.clear()
+        model = EnsembleModel(shots=shots, seed=5)
+        sign_error_rate(MarkedSet((3, 17), 32), 2, 1, model, trials=200)
+        assert max(passes) <= max(_BLOCK_DRAWS, shots)
+        assert sum(passes) == 200 * shots
+
+
 def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
+    # No uniform is drawn and nothing is inverted; the exact EV is read once
+    # for the reference sign and once for the single trial.
+    marked = MarkedSet((3, 17), 32)
+    exact = measure_classes(class_state(marked, 2), EXACT, [1])
     reads = []
-    measure = measurement.measure_classes
+    noisy = measurement._noisy
 
-    def counted(state, model, qubits):
-        reads.append(model)
-        return measure(state, model, qubits)
+    def refuse(*args):
+        raise AssertionError("an exact, noiseless rate drew or inverted samples")
 
-    monkeypatch.setattr(measurement, "measure_classes", counted)
-    assert sign_error_rate(MarkedSet((3, 17), 32), 2, 1, EnsembleModel(seed=5), trials=200) == 0.0
-    # One read for the reference sign, one for the single trial.
-    assert len(reads) == 2
+    def counted(evs, model, qubits):
+        reads.append((list(evs), model, list(qubits)))
+        return noisy(evs, model, qubits)
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(measurement, "_class_inverse_cdf", refuse)
+    monkeypatch.setattr(measurement, "_noisy", counted)
+    model = EnsembleModel(seed=5)
+    assert sign_error_rate(marked, 2, 1, model, trials=200) == 0.0
+    assert reads == [(exact, EXACT, [1]), (exact, model, [1])]
 
 
 def test_search_builds_no_statevector(monkeypatch):
@@ -312,12 +346,9 @@ def error_rate_cases(draw):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(error_rate_cases())
-def test_sign_error_rate_matches_per_trial_class_readouts(case):
-    # The rate builds its inverse-CDF tables once; each trial must still
-    # decide exactly as a readout through tables of its own would.
-    marked, iterations, k, model, trials = case
+def per_trial_sign_error_rate(marked, iterations, k, model, trials):
+    """The sign-error rate read one trial at a time, each through inverse-CDF
+    tables of its own."""
     n = marked.universe_size
     weights = class_weights(n, marked.count, iterations)
     exact = (weights[0] - weights[1]) * sum(1 - 2 * ((x >> (k - 1)) & 1)
@@ -325,11 +356,40 @@ def test_sign_error_rate_matches_per_trial_class_readouts(case):
     truth = decide_sign(exact, 0.0)
     wrong = 0
     for t in range(trials):
-        trial = replace(model, seed=model.seed + t)
+        trial = replace(model, seed=(model.seed + t) % 2**64)
         labels = class_labels(n.bit_length() - 1, marked.locations, weights, trial)
         ev = mean_ev(labels, k) + _readout_noise(trial, k)
         wrong += decide_sign(ev, 0.0) != truth
-    assert sign_error_rate(marked, iterations, k, model, trials=trials) == wrong / trials
+    return wrong / trials
+
+
+@settings(max_examples=60, deadline=None)
+@given(error_rate_cases())
+def test_sign_error_rate_matches_per_trial_class_readouts(case):
+    # The rate builds its inverse-CDF tables once and reads its trials in
+    # blocks; each trial must still decide exactly as a readout through
+    # tables of its own would.
+    marked, iterations, k, model, trials = case
+    expected = per_trial_sign_error_rate(marked, iterations, k, model, trials)
+    assert sign_error_rate(marked, iterations, k, model, trials=trials) == expected
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("locations", [(77,), (5, 77, 600)])
+@pytest.mark.parametrize("shots, trials", [
+    (1, 200),  # every trial in one block
+    (64, 129),  # a full block of 128, then one trial
+    (8191, 3),  # one trial a block, each one draw short of the block
+    (8192, 2),
+    (8193, 2),  # one trial past the block
+    (10_000, 3),
+])
+def test_sign_error_rate_across_block_edges(shots, trials, locations, sigma):
+    # The trial seeds pass 2**64 and wrap to 0 inside a block.
+    marked = MarkedSet(locations, 1024)
+    model = EnsembleModel(shots=shots, seed=2**64 - 2, gaussian_noise_sigma=sigma)
+    expected = per_trial_sign_error_rate(marked, 1, 1, model, trials)
+    assert sign_error_rate(marked, 1, 1, model, trials=trials) == expected
 
 
 @st.composite
