@@ -8,10 +8,10 @@ Subcommands::
 
 Every output embeds the resolved settings as a plain dict, and the readout
 settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
-randomness derives from ``--seed``: sweep row ``i`` reads the model at seed
-``seed XOR i``, per-row error trials use consecutive seeds mod 2**64, and
-search runs derive their per-run streams the same way.  Sweep rows read their
-sign errors from the two-amplitude state, so no command builds a statevector.
+randomness derives from ``--seed``: sweep row ``i`` draws all its error
+trials, counts and noise, from one generator seeded ``seed XOR i``, and
+search run ``i`` from one seeded the same way.  Sweep rows read their sign
+errors from the two-amplitude state, so no command builds a statevector.
 This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
 ``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
 min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks

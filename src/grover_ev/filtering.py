@@ -138,11 +138,11 @@ def extract_location(
     """Run the full bit-extraction protocol and return a verified location.
 
     One plain run (``iterations`` amplification steps, every qubit read by
-    :func:`measure_classes`, O(M L) exact or O(shots L) sampled) is reused at
-    every stage.  Each stage past the first adds one correlated run, of which
+    :func:`measure_classes` in O(M L), exact or sampled) is reused at every
+    stage.  Each stage past the first adds one correlated run, of which
     :func:`measure_classes` reads only the target qubit, from the marked
-    labels the correlation moved: O(M) exact or O(shots) sampled, whatever
-    the register size.  The stage's EV is the mean of the two runs'
+    labels the correlation moved: O(M), whatever the shot count and
+    register size.  The stage's EV is the mean of the two runs'
     target-qubit EVs.
     Stage decisions go through :func:`decide_sign` at threshold ``a_th``;
     undecided stages branch (bit 0 first) and the final candidate is

@@ -1,33 +1,34 @@
 """Per-qubit sigma_z expectation values, exact and under finite sampling.
 
 An expectation-value machine reads out one number per qubit: the ensemble
-average of sigma_z(k).  ``shots = 0`` models an infinite ensemble (exact
-EVs); ``shots = n > 0`` draws ``n`` basis-state samples from the Born
-distribution and reports empirical means.  Every shot is one simulated
-ensemble member, so a single shared sample set feeds all qubits of a run.
+average of sigma_z(k) (Gershenfeld & Chuang, Science 275, 350 (1997)).
+``shots = 0`` models an infinite ensemble (exact EVs); ``shots = n > 0``
+reports the mean over ``n`` ensemble members, fixed by each qubit's count of
+ones over the run's one shared set of shots.  A sampled or noisy run draws
+from one generator, ``default_rng(seed)``: its counts (or dense shot labels),
+then its readout noise, truncated at three sigma so |ev| <= 1 + 3*sigma.
 
-RNG streams are derived from the model seed and nothing else:
-
-* shot labels come from ``numpy.random.default_rng(seed)`` via inverse-CDF
-  lookup on the cumulative Born distribution (for a two-amplitude state,
-  :func:`measure_classes` and :func:`sign_error_rate` invert that CDF in
-  closed form on the same draws);
-* the additive readout noise on qubit ``k`` comes from
-  ``default_rng((seed, k))``, truncated at three sigma so reported EVs stay
-  within the documented bound |ev| <= 1 + 3*sigma.
-
-Identical seeds therefore give identical EVs, and reading any subset of a
-run's qubits gives, bit for bit, the EVs a full-register readout gives them.
-:func:`sign_error_rate` reads its trials in blocks of at most
-``_BLOCK_DRAWS`` draws, one inverse-CDF pass per block, so its memory is
-O(max(_BLOCK_DRAWS, shots)) however many trials it runs.
+A two-amplitude run (:func:`measure_classes`) is read by counts (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. X).  One qubit k is one
+``Binomial(shots, p_k)``, ``p_k`` exact from the class weights in O(M).
+Several qubits: the Born distribution is uniform over all N labels (bits
+independent fair coins) with weight ``off N / total`` and uniform over the M
+marked labels with the rest, so ``K ~ Binomial(shots, (on - off) M / total)``
+marked draws split by a ``Multinomial(K, 1/M each)``, and qubit k's ones are
+``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set: O(M L)
+whatever ``shots`` is.  Past the standard step count (``on < off``, only by
+an explicit iterate count) that weight is negative: ``K ~ Binomial(shots,
+on M / total)``, and the other shots are unmarked labels drawn by
+``Generator.integers`` over [0, N), redrawn on a marked label, in blocks of
+at most ``_BLOCK_DRAWS``: O(shots) time in bounded memory.  Qubits read
+alone get counts of their own, equal in distribution (not bit for bit) to a
+full readout's.  The dense :func:`measure_all` stays the reference.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +36,9 @@ import numpy as np
 from .core import MarkedSet, StateVector, check_qubit_count, class_amplitudes, qubit_values
 
 
-# Most uniform draws one inverse-CDF pass takes when a sign-error rate reads
-# its trials in blocks: larger blocks push the pass's temporaries out of L2.
-_BLOCK_DRAWS = 1 << 13
+# Most trials a sign-error rate, or unmarked labels a run past the standard
+# step count, draws at once: memory stays O(_BLOCK_DRAWS).
+_BLOCK_DRAWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,12 @@ def exact_ev(state: StateVector, k: int) -> float:
     return float(np.sum(probs[bits == 0]) - np.sum(probs[bits == 1]))
 
 
-def _uniform_draws(model: EnsembleModel) -> np.ndarray:
-    """The ``shots`` uniform draws in [0, 1) behind one readout's shot labels."""
-    return np.random.default_rng(model.seed).random(model.shots)
+def _run_generator(model: EnsembleModel) -> np.random.Generator | None:
+    """The one generator a run draws its counts and noise from; None for an
+    exact, noiseless run, which draws nothing."""
+    if model.shots or model.gaussian_noise_sigma:
+        return np.random.default_rng(model.seed)
+    return None
 
 
 def _born_cdf(state: StateVector) -> np.ndarray:
@@ -86,74 +90,21 @@ def _born_cdf(state: StateVector) -> np.ndarray:
     return cdf
 
 
-def _shot_labels(state: StateVector, model: EnsembleModel) -> np.ndarray:
-    """Draw ``shots`` basis labels by inverse-CDF over the Born weights."""
-    return np.searchsorted(_born_cdf(state), _uniform_draws(model), side="right")
+def _shot_labels(state: StateVector, draws: np.ndarray) -> np.ndarray:
+    """Basis labels of uniform draws in [0, 1), by inverse-CDF over the Born weights."""
+    return np.searchsorted(_born_cdf(state), draws, side="right")
 
 
-def _class_inverse_cdf(heavy: np.ndarray, dim: int, weights: tuple[float, float]):
-    """Inverse of the Born CDF of a two-amplitude state, from its heavy labels:
-    a function from uniform draws in [0, 1) to basis labels.
-
-    Each of the M ``heavy`` labels has Born weight ``weights[0]`` and each of
-    the other ``dim - M`` labels ``weights[1]``.  With the heavy labels sorted
-    as h_0 < h_1 < ..., the CDF is off * (x + 1) + (on - off) * #{h_j <= x}:
-    a step of width ``on`` at each h_j and linear in between.  The tables
-    are indexed by segment j = 0..M: the unmarked labels just below h_j (or
-    above the last step, for j = M), then the step at h_j.  One searchsorted
-    over the M step ends finds each draw's segment, and every draw is then
-    inverted in one branch-free pass: the unmarked label
-    ``floor((u total - rise j) / off)``, clamped to its segment, or the step
-    label when the draw falls on the step.  When ``off`` is 0 every unmarked
-    segment is empty, so the step labels are returned and nothing divides.
-    """
-    on, off = weights
-    heavy = np.sort(heavy)
-    rise = on - off
-    total = off * dim + rise * heavy.size
-    segments = np.arange(heavy.size + 1)
-    # Heavy labels with a sentinel on either side: -1 below, dim above.
-    bounds = np.concatenate(([-1], heavy, [dim]))
-    step_labels = bounds[1:]
-    lowest = bounds[:-1] + 1
-    highest = bounds[1:] - 1
-    # CDF just below and at each heavy label, scaled to end at 1 as in
-    # _born_cdf; a sentinel start past 1 sends draws above the last step
-    # into the final unmarked segment.
-    starts = (off * step_labels + rise * segments) / total
-    starts[-1] = np.inf
-    ends = (off * lowest[1:] + rise * segments[1:]) / total
-
-    def labels_of(draws: np.ndarray) -> np.ndarray:
-        segment = np.searchsorted(ends, draws, side="right")
-        steps = step_labels[segment]
-        if off == 0:
-            return steps
-        unmarked = np.multiply(draws, total)
-        unmarked -= rise * segment
-        unmarked /= off
-        np.floor(unmarked, out=unmarked)
-        np.maximum(unmarked, lowest[segment], out=unmarked)
-        np.minimum(unmarked, highest[segment], out=unmarked)
-        return np.where(draws < starts[segment], unmarked.astype(np.int64), steps)
-
-    return labels_of
+def _bits(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Bit k of each label for each k in ``qubits``: a (labels, qubits) array of 0/1."""
+    return (labels[:, None] >> (np.asarray(qubits) - 1)) & 1
 
 
 def _label_evs(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Empirical sigma_z of each qubit in ``qubits`` over each row of shot
-    labels (the last axis), counted in one pass.  Each is a mean of +-1 terms
-    whose sum is an exact integer, so it equals ``np.mean(1 - 2 bit)`` bit for bit."""
-    shots = labels.shape[-1]
-    ones = ((labels[..., None, :] >> (np.asarray(qubits) - 1)[:, None]) & 1).sum(axis=-1)
-    return (shots - 2 * ones) / shots
-
-
-def _readout_noise(model: EnsembleModel, k: int) -> float:
-    """Additive instrument noise for qubit k, truncated at three sigma."""
-    sigma = model.gaussian_noise_sigma
-    draw = np.random.default_rng((model.seed, k)).normal(0.0, sigma)
-    return float(np.clip(draw, -3.0 * sigma, 3.0 * sigma))
+    """Empirical sigma_z of each qubit in ``qubits`` over the shot labels,
+    counted in one pass.  Each is a mean of +-1 terms whose sum is an exact
+    integer, so it equals ``np.mean(1 - 2 bit)`` bit for bit."""
+    return (labels.size - 2 * _bits(labels, qubits).sum(axis=0)) / labels.size
 
 
 def sampled_ev(state: StateVector, k: int, model: EnsembleModel) -> float:
@@ -179,25 +130,31 @@ def decide_sign(ev: float, threshold: float) -> int | None:
     return None
 
 
-def _noisy(base: list[float], model: EnsembleModel, qubits: Sequence[int]) -> list[float]:
-    """Add each listed qubit's readout noise to its EV in ``base`` (none when
-    sigma is 0) and hold the result to the readout bound."""
-    sigma = model.gaussian_noise_sigma
+def _readout_noise(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
+    """``size`` readout-noise draws from the run's generator, clipped at 3 sigma."""
+    return np.clip(rng.normal(0.0, sigma, size), -3.0 * sigma, 3.0 * sigma)
+
+
+def _noisy(base: np.ndarray, sigma: float, rng: np.random.Generator | None) -> list[float]:
+    """The EVs in ``base`` plus their readout noise (none when sigma is 0),
+    held to the readout bound, as a list."""
     if sigma:
-        base = [ev + _readout_noise(model, k) for ev, k in zip(base, qubits)]
-    _check_ev_bound(base, sigma)
-    return base
+        base = base + _readout_noise(rng, sigma, base.size)
+    evs = base.tolist()
+    _check_ev_bound(evs, sigma)
+    return evs
 
 
 def measure_all(state: StateVector, model: EnsembleModel) -> list[float]:
     """Read out every qubit of one dense run from a single shared sample set:
     the EV of qubit k is entry k - 1."""
     qubits = range(1, state.qubit_count + 1)
+    rng = _run_generator(model)
     if model.shots == 0:
-        base = [exact_ev(state, k) for k in qubits]
+        base = np.array([exact_ev(state, k) for k in qubits])
     else:
-        base = _label_evs(_shot_labels(state, model), qubits).tolist()
-    return _noisy(base, model, qubits)
+        base = _label_evs(_shot_labels(state, rng.random(model.shots)), qubits)
+    return _noisy(base, model.gaussian_noise_sigma, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,12 +168,6 @@ class ClassState:
     qubit_count: int
     heavy: np.ndarray
     weights: tuple[float, float]
-
-    @functools.cached_property
-    def labels_of(self):
-        """The inverse of this state's Born CDF (:func:`_class_inverse_cdf`),
-        built on the first sampled readout and reused by later ones."""
-        return _class_inverse_cdf(self.heavy, 1 << self.qubit_count, self.weights)
 
 
 def class_state(marked: MarkedSet, iterations: int) -> ClassState:
@@ -241,27 +192,68 @@ def _class_evs(
     (on - off) * sum over heavy of (1 - 2 bit_k), since ``off``, spread
     evenly over all labels, cancels."""
     on, off = weights
-    ones = ((heavy[:, None] >> (np.asarray(qubits) - 1)) & 1).sum(axis=0)
+    ones = _bits(heavy, qubits).sum(axis=0)
     return (on - off) * (heavy.size - 2 * ones)
+
+
+def _ones_probability(state: ClassState, k: int) -> float:
+    """P(bit k = 1) for one shot of a two-amplitude state, in O(M).  Every
+    term is >= 0, so the ratio lies in [0, 1] in floats too."""
+    on, off = state.weights
+    dim, size = 1 << state.qubit_count, state.heavy.size
+    ones = int(_bits(state.heavy, [k]).sum())
+    total = off * (dim - size) + on * size
+    return (off * (dim // 2 - ones) + on * ones) / total
+
+
+def _unmarked_ones(
+    state: ClassState, count: int, qubits: Sequence[int], rng: np.random.Generator
+) -> np.ndarray:
+    """Ones of each qubit in ``qubits`` over ``count`` labels drawn uniformly
+    from the unmarked ones: uniform labels over the register, each one that
+    hits a heavy label drawn again, at most ``_BLOCK_DRAWS`` at a time."""
+    ones = np.zeros(len(qubits), dtype=np.int64)
+    while count:
+        labels = rng.integers(0, 1 << state.qubit_count, min(count, _BLOCK_DRAWS))
+        labels = labels[~np.isin(labels, state.heavy)]
+        ones += _bits(labels, qubits).sum(axis=0)
+        count -= labels.size
+    return ones
+
+
+def _class_ones(
+    state: ClassState, shots: int, qubits: Sequence[int], rng: np.random.Generator
+) -> np.ndarray:
+    """Ones of each qubit in ``qubits`` over one sampled run of ``shots``
+    shots, drawn by counts as the module docstring sets out."""
+    if len(qubits) == 1:
+        return rng.binomial(shots, _ones_probability(state, qubits[0]), 1)
+    on, off = state.weights
+    dim, size = 1 << state.qubit_count, state.heavy.size
+    total = off * (dim - size) + on * size
+    uniform = on >= off
+    marked = rng.binomial(shots, (on - off if uniform else on) * size / total)
+    if uniform:
+        ones = rng.binomial(shots - marked, 0.5, len(qubits))
+    else:
+        ones = _unmarked_ones(state, shots - marked, qubits, rng)
+    return ones + rng.multinomial(marked, [1.0 / size] * size) @ _bits(state.heavy, qubits)
 
 
 def measure_classes(
     state: ClassState, model: EnsembleModel, qubits: Sequence[int]
 ) -> list[float]:
-    """EVs of the listed qubits of one run on a two-amplitude state: the
-    entries :func:`measure_all` gives those qubits for the dense state, without
-    building it.
-
-    Exact readout costs O(M) per qubit.  Sampled readout draws the same
-    labels as :func:`measure_all` would from the same seed, in O(shots) per
-    qubit; each listed qubit gets the same readout noise, whichever other
-    qubits are read with it.
+    """EVs of the listed qubits of one run on a two-amplitude state, without
+    building the dense state: exact in O(M) per qubit (the dense entries, to
+    rounding), or sampled by counts from the run's one generator, O(M L)
+    whatever the shot count (see the module docstring).
     """
+    rng = _run_generator(model)
     if model.shots == 0:
         base = _class_evs(state.heavy, state.weights, qubits)
     else:
-        base = _label_evs(state.labels_of(_uniform_draws(model)), qubits)
-    return _noisy(base.tolist(), model, qubits)
+        base = (model.shots - 2 * _class_ones(state, model.shots, qubits, rng)) / model.shots
+    return _noisy(base, model.gaussian_noise_sigma, rng)
 
 
 def sign_error_rate(
@@ -275,42 +267,37 @@ def sign_error_rate(
     """Fraction of seeded readout trials that misjudge the sign of qubit k
     after ``iterations`` steps on ``marked``.
 
-    The reference answer is the sign of the exact EV, undecided when that EV
-    is 0; a trial errs when the sign it reads differs from that reference,
-    counting a zero readout of a decidable qubit as an error.  Trial ``t``
-    reads ``model`` with seed ``(model.seed + t) mod 2**64`` and decides
-    exactly as :func:`measure_classes` with that seed would; exact,
-    noiseless readout (shots = sigma = 0) is deterministic, so it runs one
-    trial.  Sampled trials are read in blocks of at most ``_BLOCK_DRAWS``
-    draws (one trial when ``shots`` exceeds it), with one inverse-CDF pass
-    over the two-amplitude state (:func:`class_state`) per block, so the
-    rate costs O(trials shots) time and O(max(_BLOCK_DRAWS, shots)) memory
-    whatever the register size.
+    The reference is the sign of the exact EV, undecided when it is 0; a
+    trial errs when the sign it reads (:func:`decide_sign` at threshold 0)
+    differs, so a zero readout of a decidable qubit errs.  All trials draw
+    from ``default_rng(model.seed)``: a trial's ones are one
+    ``Binomial(shots, p_k)`` of the two-amplitude state, then its noise.
+    Blocks of at most ``_BLOCK_DRAWS`` trials are drawn and scored at once:
+    O(M + trials) time and O(_BLOCK_DRAWS) memory whatever the shot count
+    and register size.  Exact, noiseless readout runs one trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    trials = 1 if model.shots == 0 and model.gaussian_noise_sigma == 0.0 else trials
+    sigma = model.gaussian_noise_sigma
+    trials = 1 if model.shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
     if not 1 <= k <= state.qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
     exact = measure_classes(state, EnsembleModel(), [k])[0]
-    truth = decide_sign(exact, 0.0)
-    seeds = [(model.seed + t) % 2**64 for t in range(trials)]
-    if model.shots == 0:
-        evs = [exact] * trials
-    else:
-        # Row t of a block holds trial t's draws, the stream _uniform_draws
-        # gives its seed; one inverse-CDF pass labels the whole block.
-        block = max(1, _BLOCK_DRAWS // model.shots)
-        evs = []
-        for start in range(0, trials, block):
-            chunk = seeds[start:start + block]
-            draws = np.empty((len(chunk), model.shots))
-            for row, seed in zip(draws, chunk):
-                np.random.default_rng(seed).random(out=row)
-            evs += _label_evs(state.labels_of(draws), [k])[:, 0].tolist()
+    # The sign is decide_sign at 0: bit 0 is +1, bit 1 is -1, undecided 0.
+    truth = np.sign(exact)
+    probability = _ones_probability(state, k) if model.shots else 0.0
+    rng = _run_generator(model)
     errors = 0
-    for seed, ev in zip(seeds, evs):
-        trial = replace(model, seed=seed) if model.gaussian_noise_sigma else model
-        errors += decide_sign(_noisy([ev], trial, [k])[0], 0.0) != truth
+    for start in range(0, trials, _BLOCK_DRAWS):
+        size = min(_BLOCK_DRAWS, trials - start)
+        if model.shots:
+            evs = (model.shots - 2 * rng.binomial(model.shots, probability, size)) / model.shots
+        else:
+            evs = np.full(size, exact)
+        if sigma:
+            evs += _readout_noise(rng, sigma, size)
+        # The block's extremes hold it to the readout bound (NaN included).
+        _check_ev_bound([evs.min(), evs.max()], sigma)
+        errors += int(np.count_nonzero(np.sign(evs) != truth))
     return errors / trials

@@ -5,8 +5,12 @@ operator matrices, direct enumeration of filtered marked subsets, and
 straight bit arithmetic on labels.  The planner's original linear scan
 over the attenuation curve is kept here as the reference for its inversion,
 as are the first closed-form inverse of the two-amplitude Born CDF and the
-search loop that read every qubit of every run.
+search loop as first written.  Sampled readouts are checked in distribution:
+count moments and sign-error probabilities are recomputed here from Born
+weights enumerated over every label.
 """
+
+import math
 
 import numpy as np
 
@@ -133,23 +137,23 @@ def reference_class_inverse_cdf(heavy, dim, weights):
 
 
 def reference_extract_location(marked, iterations, model, a_th):
-    """The bit-extraction search as first written: every run, plain or
-    correlated, is read out on every qubit, and a stage averages the target
-    qubit's entries of the two full EV lists.  Run ``i`` draws from seed
-    ``seed XOR i``, and the search gives up rather than make run ``4 L + 1``."""
+    """The bit-extraction search as first written, with the prefix kept as a
+    tuple of bits: the plain run is read on every qubit, each correlated run
+    on its target qubit, and a stage averages the target qubit's two EVs.
+    Run ``i`` draws from seed ``seed XOR i``, and the search gives up rather
+    than make run ``4 L + 1``."""
     state = class_state(marked, iterations)
     qubit_count, locations = state.qubit_count, state.heavy
 
-    def run(index, heavy):
+    def run(index, heavy, qubits):
         run_model = EnsembleModel(
             shots=model.shots,
             seed=model.seed ^ index,
             gaussian_noise_sigma=model.gaussian_noise_sigma,
         )
-        full = ClassState(qubit_count, heavy, state.weights)
-        return measure_classes(full, run_model, range(1, qubit_count + 1))
+        return measure_classes(ClassState(qubit_count, heavy, state.weights), run_model, qubits)
 
-    plain = run(0, locations)
+    plain = run(0, locations, range(1, qubit_count + 1))
     total_runs, branch_events, verifications = 1, 0, 0
     pending, bits = [], ()
     while True:
@@ -168,9 +172,9 @@ def reference_extract_location(marked, iterations, model, a_th):
                 prefix = sum(b << i for i, b in enumerate(bits))
                 low = locations & ((1 << len(bits)) - 1)
                 moved = np.where(low == prefix, locations, locations ^ (1 << (target - 1)))
-                correlated = run(total_runs, moved)
+                correlated = run(total_runs, moved, [target])
                 total_runs += 1
-                ev = (plain[target - 1] + correlated[target - 1]) / 2.0
+                ev = (plain[target - 1] + correlated[0]) / 2.0
             bit = decide_sign(ev, a_th)
             if bit is None:
                 branch_events += 1
@@ -197,3 +201,172 @@ def reference_extract_location(marked, iterations, model, a_th):
                 branch_events=branch_events,
             )
         bits = pending.pop()
+
+
+# ------------------------------------------------ sampled readout, in distribution
+
+def class_born_weights(qubit_count, heavy, weights):
+    """Born weight of every label of a two-amplitude state, enumerated and
+    scaled to sum to 1: ``weights[0]`` on each heavy label, ``weights[1]``
+    on every other."""
+    born = np.full(1 << qubit_count, float(weights[1]))
+    born[np.asarray(heavy, dtype=np.int64)] = weights[0]
+    return born / born.sum()
+
+
+def ones_probabilities(born, qubits):
+    """P(bit k = 1) of one shot, for each k in ``qubits``."""
+    labels = np.arange(born.size)
+    return np.array([born[(labels >> (k - 1)) & 1 == 1].sum() for k in qubits])
+
+
+def count_moments(born, qubits, shots):
+    """Closed form of one run's per-qubit ones over ``shots`` i.i.d. shots
+    from Born weights ``born``: the mean vector, the covariance matrix, and
+    E[(X_j - mu_j)^2 (X_k - mu_k)^2] for every pair (the fourth moment behind
+    a sample covariance's standard error)."""
+    labels = np.arange(born.size)
+    bits = ((labels[None, :] >> (np.asarray(qubits)[:, None] - 1)) & 1).astype(float)
+    p = bits @ born
+    dev = bits - p[:, None]
+    one_cov = (dev * born) @ dev.T
+    one_var = np.diag(one_cov)
+    fourth = shots * ((dev**2 * born) @ (dev**2).T) + shots * (shots - 1) * (
+        np.outer(one_var, one_var) + 2 * one_cov**2
+    )
+    return shots * p, shots * one_cov, fourth
+
+
+def count_z_scores(ones, born, qubits, shots):
+    """How far the per-qubit counts of independent runs (the rows of
+    ``ones``) stray from :func:`count_moments`, in standard errors: the
+    z-score of each qubit's mean count, and of each entry of the sample
+    count covariance (variances on the diagonal).
+
+    Each gap first gives up three events' worth (3 / reads), so that a
+    qubit whose ones are rare, and whose count sum is far from normal, is
+    not judged by a normal tail.  A statistic whose standard error is 0
+    scores 0 when exact and inf otherwise.
+    """
+    ones = np.asarray(ones, dtype=float)
+    reads = ones.shape[0]
+    mean, cov, fourth = count_moments(born, qubits, shots)
+
+    def z(observed, expected, variance):
+        error = np.sqrt(np.maximum(variance, 0.0) / reads)
+        gap = np.maximum(np.abs(observed - expected) - 3.0 / reads, 0.0)
+        scaled = gap / np.where(error > 0, error, 1.0)
+        return np.where(error > 0, scaled, np.where(gap == 0, 0.0, np.inf))
+
+    sample_cov = np.atleast_2d(np.cov(ones, rowvar=False))
+    return z(ones.mean(axis=0), mean, np.diag(cov)), z(sample_cov, cov, fourth - cov**2)
+
+
+def assert_counts_match(ones, born, qubits, shots, bound=5.0):
+    """Every mean and covariance z-score of :func:`count_z_scores` within ``bound``."""
+    mean_z, cov_z = count_z_scores(ones, born, qubits, shots)
+    assert np.all(mean_z <= bound), ("mean", mean_z)
+    assert np.all(cov_z <= bound), ("covariance", cov_z)
+
+
+def count_check_power(born, qubits, shots, reads, uniform_weight):
+    """The z-scores :func:`count_z_scores` would give the two defects a
+    sampler check must catch, at least: every p_k off by 1/sqrt(shots) (a
+    mean off by sqrt(shots)), and the qubits of the mixture's uniform part,
+    which holds ``uniform_weight`` of the shots, sharing one count (each
+    pair's covariance up by uniform_weight * shots / 4).  Returns the
+    smaller over qubits, and over pairs."""
+    _, cov, fourth = count_moments(born, qubits, shots)
+    slack = 3.0 / reads
+    mean_power = (np.sqrt(shots) - slack) / np.sqrt(np.diag(cov) / reads)
+    pair_error = np.sqrt((fourth - cov**2) / reads)[~np.eye(len(qubits), dtype=bool)]
+    pair_power = (uniform_weight * shots / 4 - slack) / pair_error
+    return float(mean_power.min()), float(pair_power.min()) if pair_power.size else math.inf
+
+
+def binomial_pmf(n, p):
+    """P(X = x) for x = 0..n, X ~ Binomial(n, p), through log-gamma."""
+    if p <= 0.0 or p >= 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[0 if p <= 0.0 else n] = 1.0
+        return pmf
+    x = np.arange(n + 1)
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                         for i in x])
+    return np.exp(log_comb + x * math.log(p) + (n - x) * math.log1p(-p))
+
+
+def _clipped_normal_cdf(t, sigma, strict):
+    """P(e <= t), or P(e < t) when ``strict``, for e a N(0, sigma^2) draw
+    clipped to [-3 sigma, 3 sigma]: the clip puts atoms at both ends."""
+    if t < -3 * sigma or (strict and t == -3 * sigma):
+        return 0.0
+    if t > 3 * sigma or (not strict and t == 3 * sigma):
+        return 1.0
+    return 0.5 * (1.0 + math.erf(t / (sigma * math.sqrt(2.0))))
+
+
+def sign_error_probability(shots, p, exact, sigma):
+    """Chance that one trial reads the sign of an EV wrong: the EV is
+    ``(shots - 2 X) / shots`` with X ~ Binomial(shots, p) (the exact EV when
+    shots = 0), plus clipped Gaussian noise of width sigma; the reference is
+    the sign of ``exact``, and a zero readout of a decidable qubit errs."""
+    truth = np.sign(exact)
+    if shots:
+        weights = binomial_pmf(shots, p)
+        evs = (shots - 2 * np.arange(shots + 1)) / shots
+    else:
+        weights, evs = np.ones(1), np.array([exact])
+    if sigma == 0:
+        return min(1.0, float(weights @ (np.sign(evs) != truth)))
+    if truth > 0:
+        wrong = [_clipped_normal_cdf(-ev, sigma, strict=False) for ev in evs]
+    elif truth < 0:
+        wrong = [1.0 - _clipped_normal_cdf(-ev, sigma, strict=True) for ev in evs]
+    else:
+        wrong = np.ones(evs.size)
+    return min(1.0, float(weights @ np.asarray(wrong)))
+
+
+def assert_rate_matches(errors, trials, probability, bound=5.0):
+    """``errors`` of ``trials`` independent trials within ``bound`` binomial
+    standard errors, plus three errors, of ``trials * probability``: the
+    three keep a rare error from being judged by a normal tail."""
+    spread = math.sqrt(trials * probability * (1.0 - probability))
+    assert abs(errors - trials * probability) <= bound * spread + 3, (
+        errors, trials, probability)
+
+
+class RecordingGenerator:
+    """A numpy ``Generator`` that keeps every array it hands out, by method,
+    in ``draws``: a stand-in for ``np.random.default_rng``."""
+
+    def __init__(self, seed, real):
+        self.seed = seed
+        self._rng = real(seed)
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append((name, np.array(out)))
+            return out
+
+        return recorded
+
+
+def record_generators(monkeypatch):
+    """Replace ``np.random.default_rng`` with :class:`RecordingGenerator`;
+    return the list every generator built from then on is appended to."""
+    built = []
+    real = np.random.default_rng
+
+    def build(seed=None):
+        rng = RecordingGenerator(seed, real)
+        built.append(rng)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", build)
+    return built

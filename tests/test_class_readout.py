@@ -4,20 +4,33 @@ The dense side is the statevector path: the iterated register (or its
 closed form), the correlation applied as a permutation of amplitudes, and
 ``measure_all``.
 The images of the marked labels under the correlation are recomputed here
-from the prefix bits, independently of the implementation.
+from the prefix bits, independently of the implementation.  Exact readouts
+must agree with the dense ones to rounding.  Sampled readouts are drawn by
+counts, so they are checked in distribution: per-qubit counts and pairwise
+count covariances against their closed form over the Born weights, and
+sign-error rates against the exact binomial tail.  Each such test uses
+fixed seeds and states its power.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import (
     EXACT_ATOL,
+    assert_counts_match,
+    assert_rate_matches,
+    class_born_weights,
+    count_check_power,
     low_bits,
+    ones_probabilities,
+    record_generators,
     reference_class_inverse_cdf,
     reference_extract_location,
+    sign_error_probability,
 )
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
@@ -27,7 +40,6 @@ from grover_ev import (
     SearchFailure,
     class_amplitudes,
     class_state,
-    decide_sign,
     extract_location,
     make_plan,
     measure_classes,
@@ -44,11 +56,8 @@ from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import (
     _BLOCK_DRAWS,
     _born_cdf,
-    _class_inverse_cdf,
     _label_evs,
-    _readout_noise,
     _shot_labels,
-    _uniform_draws,
     measure_all,
 )
 
@@ -68,9 +77,76 @@ def class_weights(universe_size, marked_count, iterations):
     return on * on, off * off
 
 
+def class_inverse_cdf(heavy, dim, weights):
+    """Inverse of the Born CDF of a two-amplitude state, from its heavy labels:
+    a function from uniform draws in [0, 1) to basis labels.
+
+    Each of the M ``heavy`` labels has Born weight ``weights[0]`` and each of
+    the other ``dim - M`` labels ``weights[1]``.  With the heavy labels sorted
+    as h_0 < h_1 < ..., the CDF is off * (x + 1) + (on - off) * #{h_j <= x}:
+    a step of width ``on`` at each h_j and linear in between.  The tables
+    are indexed by segment j = 0..M: the unmarked labels just below h_j (or
+    above the last step, for j = M), then the step at h_j.  One searchsorted
+    over the M step ends finds each draw's segment, and every draw is then
+    inverted in one branch-free pass: the unmarked label
+    ``floor((u total - rise j) / off)``, clamped to its segment, or the step
+    label when the draw falls on the step.  When ``off`` is 0 every unmarked
+    segment is empty, so the step labels are returned and nothing divides.
+    """
+    on, off = weights
+    heavy = np.sort(heavy)
+    rise = on - off
+    total = off * dim + rise * heavy.size
+    segments = np.arange(heavy.size + 1)
+    # Heavy labels with a sentinel on either side: -1 below, dim above.
+    bounds = np.concatenate(([-1], heavy, [dim]))
+    step_labels = bounds[1:]
+    lowest = bounds[:-1] + 1
+    highest = bounds[1:] - 1
+    # CDF just below and at each heavy label, scaled to end at 1 as in
+    # _born_cdf; a sentinel start past 1 sends draws above the last step
+    # into the final unmarked segment.
+    starts = (off * step_labels + rise * segments) / total
+    starts[-1] = np.inf
+    ends = (off * lowest[1:] + rise * segments[1:]) / total
+
+    def labels_of(draws):
+        segment = np.searchsorted(ends, draws, side="right")
+        steps = step_labels[segment]
+        if off == 0:
+            return steps
+        unmarked = np.multiply(draws, total)
+        unmarked -= rise * segment
+        unmarked /= off
+        np.floor(unmarked, out=unmarked)
+        np.maximum(unmarked, lowest[segment], out=unmarked)
+        np.minimum(unmarked, highest[segment], out=unmarked)
+        return np.where(draws < starts[segment], unmarked.astype(np.int64), steps)
+
+    return labels_of
+
+
+def uniform_draws(model):
+    """The ``shots`` uniform draws in [0, 1) the dense readout of ``model`` labels."""
+    return np.random.default_rng(model.seed).random(model.shots)
+
+
 def class_labels(qubits, heavy, weights, model):
-    """Shot labels of one sampled run on a two-amplitude state."""
-    return ClassState(qubits, np.asarray(heavy), weights).labels_of(_uniform_draws(model))
+    """Shot labels of one sampled run on a two-amplitude state, by the
+    closed-form inverse CDF on the dense readout's draws."""
+    heavy = np.asarray(heavy, dtype=np.int64)
+    return class_inverse_cdf(heavy, 1 << qubits, weights)(uniform_draws(model))
+
+
+def reads_of(state, model, qubits, reads):
+    """The per-qubit ones of ``reads`` runs of ``state`` at consecutive seeds
+    from ``model.seed`` (mod 2**64), one row per run."""
+    rows = []
+    for t in range(reads):
+        run = replace(model, seed=(model.seed + t) % 2**64)
+        evs = np.array(measure_classes(state, run, qubits))
+        rows.append(np.rint((1.0 - evs) * model.shots / 2.0))
+    return np.array(rows)
 
 
 def correlated_image(label, target, s_bits):
@@ -136,11 +212,11 @@ def test_sampled_labels_match_dense_reference(case, shots, seed):
     qubits, marked, m, runs = case
     weights = class_weights(marked.universe_size, marked.count, m)
     model = EnsembleModel(shots=shots, seed=seed)
-    draws = _uniform_draws(model)
+    draws = uniform_draws(model)
     for info, dense, heavy in runs:
         far = far_from_boundaries(_born_cdf(dense), draws)
         assert far.mean() > 0.99
-        expected = _shot_labels(dense, model)
+        expected = _shot_labels(dense, draws)
         got = class_labels(qubits, heavy, weights, model)
         assert np.array_equal(got[far], expected[far]), info
 
@@ -165,19 +241,36 @@ def test_sampled_labels_at_degenerate_weights(n, locations, m):
     for seed in range(5):
         model = EnsembleModel(shots=20_480, seed=seed)
         got = class_labels(n.bit_length() - 1, locations, weights, model)
-        assert np.array_equal(got, _shot_labels(dense, model))
+        assert np.array_equal(got, _shot_labels(dense, uniform_draws(model)))
 
 
 def test_sampled_record_matches_dense_record():
-    marked = MarkedSet((3, 9, 12), 16)
-    dense = apply_correlation(dense_state(marked, 1), 3, (1, 1))
+    # A whole-register read of a correlated run, by counts on the
+    # two-amplitude state and by shot labels on the dense state: over 600
+    # seeds each, every qubit's mean count and every pair's count covariance
+    # lie within 5 standard errors of the closed form.  Power (asserted
+    # below): a p_k off by 1/sqrt(shots) moves some mean by 48 standard
+    # errors or more, and letting the qubits of the uniform part, 66% of the
+    # shots here, share one count moves every covariance by 15 or more.
+    marked = MarkedSet((3, 9, 12), 64)
     heavy = np.array([correlated_image(x, 3, (1, 1)) for x in marked.locations])
-    state = ClassState(4, heavy, class_weights(16, 3, 1))
-    model = EnsembleModel(shots=1000, seed=21, gaussian_noise_sigma=0.02)
-    expected = measure_all(dense, model)
-    assert measure_classes(state, model, range(1, 5)) == expected
-    for k in range(1, 5):
-        assert measure_classes(state, model, [k]) == [expected[k - 1]]
+    weights = class_weights(64, 3, 1)
+    state = ClassState(6, heavy, weights)
+    dense = apply_correlation(dense_state(marked, 1), 3, (1, 1))
+    qubits, shots, reads = range(1, 7), 1000, 600
+    born = dense.probabilities()
+    assert np.max(np.abs(born - class_born_weights(6, heavy, weights))) <= EXACT_ATOL
+    uniform_weight = weights[1] * 64
+    assert 0.6 < uniform_weight < 0.7
+    mean_power, pair_power = count_check_power(born, qubits, shots, reads, uniform_weight)
+    assert mean_power > 48 and pair_power > 15
+    model = EnsembleModel(shots=shots, seed=21)
+    assert_counts_match(reads_of(state, model, qubits, reads), born, qubits, shots)
+    dense_ones = [
+        np.rint((1.0 - np.array(measure_all(dense, replace(model, seed=21 + t)))) * shots / 2)
+        for t in range(reads)
+    ]
+    assert_counts_match(np.array(dense_ones), born, qubits, shots)
 
 
 def test_one_qubit_readout_keeps_the_record_bound():
@@ -189,13 +282,16 @@ def test_one_qubit_readout_keeps_the_record_bound():
         measure_classes(state, EXACT, range(1, 3))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(1, 10), st.data())
 def test_qubit_subsets_match_dense_readout(qubits, data):
-    # Any subset of a run's qubits, in any order, reads the entries a dense
-    # full-register readout gives them: exactly when sampled (the same draws
-    # give the same labels away from the CDF's breakpoints), and to rounding
-    # when exact.
+    # Any subset of a run's qubits, in any order, read alone: exact readout
+    # gives the dense entries to rounding, and sampled readout counts whose
+    # means and covariance over 200 seeds lie within 6 standard errors of
+    # the closed form over the dense state's Born weights.  Past the
+    # standard step count the counts come from unmarked labels.  Power: a
+    # p_k off by 1/sqrt(shots) moves its mean by 2 sqrt(200) = 28 standard
+    # errors or more.
     n = 1 << qubits
     count = data.draw(st.integers(1, min(4, n - 1)))
     locations = data.draw(
@@ -205,83 +301,135 @@ def test_qubit_subsets_match_dense_readout(qubits, data):
     iterations = data.draw(st.integers(0, 12))
     subset = data.draw(st.lists(st.integers(1, qubits), min_size=1, max_size=qubits,
                                 unique=True))
-    model = EnsembleModel(
-        shots=data.draw(st.sampled_from((0, 1, 64, 1024))),
-        seed=data.draw(st.integers(0, 2**64 - 1)),
-        gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))),
-    )
+    shots = data.draw(st.sampled_from((0, 64, 1024)))
+    model = EnsembleModel(shots=shots, seed=data.draw(st.integers(0, 2**64 - 1)))
     dense = closed_form_state(qubits, marked, iterations)
-    expected = [measure_all(dense, model)[k - 1] for k in subset]
-    got = measure_classes(class_state(marked, iterations), model, subset)
-    assert all(type(ev) is float for ev in got)
-    if model.shots == 0:
+    state = class_state(marked, iterations)
+    if shots == 0:
+        expected = [measure_all(dense, model)[k - 1] for k in subset]
+        got = measure_classes(state, model, subset)
+        assert all(type(ev) is float for ev in got)
         assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL
     else:
-        assume(far_from_boundaries(_born_cdf(dense), _uniform_draws(model)).all())
-        assert got == expected
+        ones = reads_of(state, model, subset, 200)
+        assert_counts_match(ones, dense.probabilities(), subset, shots, bound=6.0)
+
+
+def test_readout_noise_is_a_clipped_normal_per_qubit():
+    # Exact readout with sigma = 0.05 over 2,000 seeds: each qubit's noise
+    # stays within 3 sigma, has mean 0 and the variance of a normal clipped
+    # at 3 sigma (0.99501 sigma^2), and no two qubits' noise is correlated,
+    # each within 5 standard errors.  Power: noise shared by all qubits
+    # gives a correlation of 1, 44 standard errors.
+    sigma, reads = 0.05, 2000
+    state = class_state(MarkedSet((3, 9, 12), 16), 1)
+    exact = np.array(measure_classes(state, EXACT, range(1, 5)))
+    noise = np.array([
+        measure_classes(state, EnsembleModel(seed=t, gaussian_noise_sigma=sigma), range(1, 5))
+        for t in range(reads)
+    ]) - exact
+    assert np.abs(noise).max() <= 3 * sigma + 1e-12
+    variance = 0.99501 * sigma**2
+    assert np.all(np.abs(noise.mean(axis=0)) <= 5 * np.sqrt(variance / reads))
+    assert np.all(np.abs(noise.var(axis=0) / variance - 1) <= 5 * np.sqrt(2 / reads))
+    correlation = np.corrcoef(noise, rowvar=False)[np.triu_indices(4, 1)]
+    assert np.all(np.abs(correlation) <= 5 / np.sqrt(reads))
+
+
+def test_reads_past_the_standard_count_draw_bounded_label_blocks(monkeypatch):
+    # At N = 16, M = 3 and m = 3 > m_stand = 1 a marked label weighs less
+    # than an unmarked one, so a whole-register read draws its unmarked
+    # shots as labels, at most _BLOCK_DRAWS at a time, redrawing any that
+    # hit a marked label; its counts over 300 seeds still match the closed
+    # form within 5 standard errors (a p_k off by 1/sqrt(shots) would move
+    # some mean by 34 or more).
+    marked = MarkedSet((3, 9, 12), 16)
+    state = class_state(marked, 3)
+    on, off = state.weights
+    assert on < off and make_plan(16, 3, 0.0).m_stand == 1
+    qubits, shots, reads = range(1, 5), 3000, 300
+    born = closed_form_state(4, marked, 3).probabilities()
+    assert count_check_power(born, qubits, shots, reads, 0.0)[0] > 34
+    built = record_generators(monkeypatch)
+    ones = reads_of(state, EnsembleModel(shots=shots, seed=8), qubits, reads)
+    assert_counts_match(ones, born, qubits, shots)
+    for rng in built:
+        labels = [draw for name, draw in rng.draws if name == "integers"]
+        assert max(draw.size for draw in labels) <= _BLOCK_DRAWS
+        assert sum(draw.size for draw in labels) >= shots * 0.9
 
 
 def test_sign_error_rate_builds_its_tables_once(monkeypatch):
-    builds = []
-    inverse_cdf = measurement._class_inverse_cdf
+    # The one thing a row builds to draw from, default_rng(row seed), is
+    # built once whatever the trial count; every trial's count and noise
+    # come from it.  Exact, noiseless readout builds none.
+    built = record_generators(monkeypatch)
+    marked = MarkedSet((3, 17), 32)
+    for model, trials, generators in [
+        (EnsembleModel(shots=64, seed=5), 3000, 1),
+        (EnsembleModel(shots=64, seed=5, gaussian_noise_sigma=0.05), 2500, 1),
+        (EnsembleModel(seed=5, gaussian_noise_sigma=0.05), 20, 1),
+        (EnsembleModel(seed=5), 20, 0),
+    ]:
+        built.clear()
+        sign_error_rate(marked, 2, 1, model, trials=trials)
+        assert [rng.seed for rng in built] == [model.seed] * generators
 
-    def counted(*args):
-        builds.append(args)
-        return inverse_cdf(*args)
 
-    monkeypatch.setattr(measurement, "_class_inverse_cdf", counted)
-    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, EnsembleModel(shots=64, seed=5), trials=20)
-    assert len(builds) == 1
-    noisy = EnsembleModel(seed=5, gaussian_noise_sigma=0.05)
-    sign_error_rate(MarkedSet((3, 17), 32), 2, 1, noisy, trials=20)
-    assert len(builds) == 1
+def test_sign_error_rate_draws_bounded_blocks(monkeypatch):
+    # However many trials a rate reads, and however many shots, one block
+    # draws at most _BLOCK_DRAWS counts and as many noise values, and every
+    # trial is drawn once.
+    built = record_generators(monkeypatch)
+    for shots in (64, 4096, 10**12):
+        model = EnsembleModel(shots=shots, seed=5, gaussian_noise_sigma=0.05)
+        for trials in (200, 5000):
+            built.clear()
+            sign_error_rate(MarkedSet((3, 17), 32), 2, 1, model, trials=trials)
+            (rng,) = built
+            counts = [draw.size for name, draw in rng.draws if name == "binomial"]
+            noise = [draw.size for name, draw in rng.draws if name == "normal"]
+            assert max(counts) <= _BLOCK_DRAWS and sum(counts) == trials
+            assert noise == counts
 
 
-def test_sign_error_rate_inverts_bounded_blocks(monkeypatch):
-    # However many trials a rate reads, one inverse-CDF pass takes at most
-    # _BLOCK_DRAWS draws, or one trial's draws when shots exceed that.
-    passes = []
-    inverse_cdf = measurement._class_inverse_cdf
-
-    def recorded(*args):
-        labels_of = inverse_cdf(*args)
-
-        def counted(draws):
-            passes.append(draws.size)
-            return labels_of(draws)
-
-        return counted
-
-    monkeypatch.setattr(measurement, "_class_inverse_cdf", recorded)
-    for shots in (64, 4096, 10_000):
-        passes.clear()
-        model = EnsembleModel(shots=shots, seed=5)
-        sign_error_rate(MarkedSet((3, 17), 32), 2, 1, model, trials=200)
-        assert max(passes) <= max(_BLOCK_DRAWS, shots)
-        assert sum(passes) == 200 * shots
+def test_sign_error_rate_memory_is_bounded():
+    # The tracemalloc peak of a 100,000-trial rate is within 2x of a
+    # 1,000-trial one: no per-trial list, and blocks of at most _BLOCK_DRAWS.
+    marked = MarkedSet((5, 77, 600), 1024)
+    model = EnsembleModel(shots=64, seed=3, gaussian_noise_sigma=0.05)
+    peaks = []
+    for trials in (1000, 100_000):
+        sign_error_rate(marked, 1, 1, model, trials=trials)
+        tracemalloc.start()
+        try:
+            sign_error_rate(marked, 1, 1, model, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
-    # No uniform is drawn and nothing is inverted; the exact EV is read once
-    # for the reference sign and once for the single trial.
+    # No generator is built and nothing is drawn; the exact EV is read once
+    # for the reference sign, and the single trial, that same EV, is held
+    # to the readout bound.
     marked = MarkedSet((3, 17), 32)
     exact = measure_classes(class_state(marked, 2), EXACT, [1])
-    reads = []
-    noisy = measurement._noisy
+    checks = []
+    check = measurement._check_ev_bound
 
     def refuse(*args):
-        raise AssertionError("an exact, noiseless rate drew or inverted samples")
+        raise AssertionError("an exact, noiseless rate drew samples")
 
-    def counted(evs, model, qubits):
-        reads.append((list(evs), model, list(qubits)))
-        return noisy(evs, model, qubits)
+    def counted(evs, sigma):
+        checks.append((list(evs), sigma))
+        return check(evs, sigma)
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(measurement, "_class_inverse_cdf", refuse)
-    monkeypatch.setattr(measurement, "_noisy", counted)
-    model = EnsembleModel(seed=5)
-    assert sign_error_rate(marked, 2, 1, model, trials=200) == 0.0
-    assert reads == [(exact, EXACT, [1]), (exact, model, [1])]
+    monkeypatch.setattr(measurement, "_check_ev_bound", counted)
+    assert sign_error_rate(marked, 2, 1, EnsembleModel(seed=5), trials=200) == 0.0
+    assert checks == [(exact, 0.0), (exact * 2, 0.0)]
 
 
 def test_search_builds_no_statevector(monkeypatch):
@@ -325,9 +473,9 @@ def test_one_pass_counts_equal_per_qubit_means(qubits, shots, seed, shape):
 
 @st.composite
 def error_rate_cases(draw):
-    """A marked set with L <= 16 and M <= 4, an iterate count, a qubit, a
-    readout model, and the trial count of one sign_error_rate call."""
-    qubits = draw(st.integers(1, 16))
+    """A marked set with L <= 12 and M <= 4, an iterate count, a qubit and a
+    readout model for one sign_error_rate call."""
+    qubits = draw(st.integers(1, 12))
     n = 1 << qubits
     count = draw(st.integers(1, min(4, n - 1)))
     locations = draw(
@@ -342,54 +490,77 @@ def error_rate_cases(draw):
             gaussian_noise_sigma=draw(st.sampled_from((0.0, 0.05))),
             seed=draw(st.integers(0, 2**63)),
         ),
-        draw(st.integers(1, 20)),
     )
 
 
-def per_trial_sign_error_rate(marked, iterations, k, model, trials):
-    """The sign-error rate read one trial at a time, each through inverse-CDF
-    tables of its own."""
-    n = marked.universe_size
-    weights = class_weights(n, marked.count, iterations)
-    exact = (weights[0] - weights[1]) * sum(1 - 2 * ((x >> (k - 1)) & 1)
-                                            for x in marked.locations)
-    truth = decide_sign(exact, 0.0)
-    wrong = 0
-    for t in range(trials):
-        trial = replace(model, seed=(model.seed + t) % 2**64)
-        labels = class_labels(n.bit_length() - 1, marked.locations, weights, trial)
-        ev = mean_ev(labels, k) + _readout_noise(trial, k)
-        wrong += decide_sign(ev, 0.0) != truth
-    return wrong / trials
+def exact_error_probability(marked, iterations, k, model):
+    """The chance one trial of ``model`` misreads qubit k's sign, from the
+    Born weights enumerated over every label and the exact binomial."""
+    state = class_state(marked, iterations)
+    born = class_born_weights(state.qubit_count, state.heavy, state.weights)
+    exact = measure_classes(state, EXACT, [k])[0]
+    p = ones_probabilities(born, [k])[0]
+    return sign_error_probability(model.shots, p, exact, model.gaussian_noise_sigma)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(error_rate_cases())
 def test_sign_error_rate_matches_per_trial_class_readouts(case):
-    # The rate builds its inverse-CDF tables once and reads its trials in
-    # blocks; each trial must still decide exactly as a readout through
-    # tables of its own would.
-    marked, iterations, k, model, trials = case
-    expected = per_trial_sign_error_rate(marked, iterations, k, model, trials)
-    assert sign_error_rate(marked, iterations, k, model, trials=trials) == expected
+    # A rate of 2,000 trials from one generator, and the share of 300
+    # one-qubit class readouts at seeds seed + t that misread the sign, each
+    # within 5 standard errors (plus three errors) of the exact chance of a
+    # wrong sign.  Power: wherever that chance lies in [0.05, 0.95] it has
+    # sd at most 0.011 over 2,000 trials, so a p_k off by 1/sqrt(shots),
+    # which moves the mean count by two of its sd or more, fails the check.
+    marked, iterations, k, model = case
+    probability = exact_error_probability(marked, iterations, k, model)
+    rate = sign_error_rate(marked, iterations, k, model, trials=2000)
+    assert_rate_matches(round(rate * 2000), 2000, probability)
+    state = class_state(marked, iterations)
+    truth = np.sign(measure_classes(state, EXACT, [k])[0])
+    wrong = sum(
+        np.sign(measure_classes(state, replace(model, seed=model.seed + t), [k])[0]) != truth
+        for t in range(300)
+    )
+    assert_rate_matches(wrong, 300, probability)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
 @pytest.mark.parametrize("locations", [(77,), (5, 77, 600)])
 @pytest.mark.parametrize("shots, trials", [
-    (1, 200),  # every trial in one block
-    (64, 129),  # a full block of 128, then one trial
-    (8191, 3),  # one trial a block, each one draw short of the block
+    (1, 200),
+    (64, 129),
+    (8191, 3),
     (8192, 2),
-    (8193, 2),  # one trial past the block
+    (8193, 2),
     (10_000, 3),
 ])
-def test_sign_error_rate_across_block_edges(shots, trials, locations, sigma):
-    # The trial seeds pass 2**64 and wrap to 0 inside a block.
+def test_sign_error_rate_across_block_edges(monkeypatch, shots, trials, locations, sigma):
+    # With blocks of 1, 2, trials - 1, trials and trials + 1, each trial is
+    # drawn once and scored by its own count and noise: the errors
+    # recomputed from every recorded draw give the rate.  Without noise the
+    # counts are one binomial stream, so every block size gives one rate.
     marked = MarkedSet(locations, 1024)
     model = EnsembleModel(shots=shots, seed=2**64 - 2, gaussian_noise_sigma=sigma)
-    expected = per_trial_sign_error_rate(marked, 1, 1, model, trials)
-    assert sign_error_rate(marked, 1, 1, model, trials=trials) == expected
+    truth = np.sign(measure_classes(class_state(marked, 1), EXACT, [1])[0])
+    built = record_generators(monkeypatch)
+    rates = set()
+    for block in sorted({1, 2, max(1, trials - 1), trials, trials + 1}):
+        monkeypatch.setattr(measurement, "_BLOCK_DRAWS", block)
+        built.clear()
+        rate = sign_error_rate(marked, 1, 1, model, trials=trials)
+        (rng,) = built
+        counts = [draw for name, draw in rng.draws if name == "binomial"]
+        noise = [draw for name, draw in rng.draws if name == "normal"]
+        sizes = [min(block, trials - start) for start in range(0, trials, block)]
+        assert [draw.size for draw in counts] == sizes
+        assert [draw.size for draw in noise] == (sizes if sigma else [])
+        evs = (shots - 2 * np.concatenate(counts)) / shots
+        if sigma:
+            evs = evs + np.clip(np.concatenate(noise), -3 * sigma, 3 * sigma)
+        assert rate == np.count_nonzero(np.sign(evs) != truth) / trials
+        rates.add(rate)
+    assert sigma or len(rates) == 1
 
 
 @st.composite
@@ -454,7 +625,7 @@ def test_inverse_cdf_matches_reference_bit_for_bit(case):
         [0.0, np.nextafter(1.0, 0.0)],
     ])
     draws = draws[(draws >= 0.0) & (draws < 1.0)]
-    got = _class_inverse_cdf(heavy, dim, weights)(draws)
+    got = class_inverse_cdf(heavy, dim, weights)(draws)
     expected = reference_class_inverse_cdf(heavy, dim, weights)(draws)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
@@ -471,9 +642,10 @@ def search_outcome(search, *args):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.data())
-def test_search_matches_full_record_reference(qubits, data):
-    # A correlated run reads only its target qubit; the search must still
-    # take every decision the loop that read whole records took.
+def test_search_matches_reference_loop(qubits, data):
+    # The search keeps its prefix as an integer and its branches on a stack;
+    # it must take every decision, and fail for every reason, that the loop
+    # as first written takes from the same reads.
     n = 1 << qubits
     count = data.draw(st.integers(1, min(4, n - 1)))
     locations = data.draw(

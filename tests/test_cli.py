@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import grover_ev
-from grover_ev import cli, core, measurement
+from grover_ev import cli, core
 from grover_ev.cli import CSV_COLUMNS, main
 
 
@@ -134,7 +134,7 @@ def test_search_handles_cancellation(capsys):
 def test_search_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "8", "--marked", "5",
-        "--a-th", "0", "--shots", "2", "--seed", "113", "--m", "1",
+        "--a-th", "0", "--shots", "2", "--seed", "86", "--m", "1",
     )
     assert code == 1
     payload = json.loads(out)
@@ -146,7 +146,7 @@ def test_search_failure_exit_code(capsys):
 def test_search_budget_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "256", "--marked", "77",
-        "--a-th", "0.1", "--shots", "2", "--seed", "5",
+        "--a-th", "0.1", "--shots", "2", "--seed", "2",
     )
     assert code == 1
     payload = json.loads(out)
@@ -262,6 +262,36 @@ def test_search_byte_identical_across_processes(tmp_path):
     assert first.stdout == second.stdout
 
 
+def run_capped(tmp_path, *argv):
+    """Run ``grover-ev argv`` in a child interpreter whose address space is
+    capped at 1.5 GB by ``setrlimit``, a limit on that child alone."""
+    resource = pytest.importorskip("resource")
+    cap = 1_500_000_000
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    # One BLAS thread keeps the child's reserved (not used) memory small.
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "grover_ev", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, preexec_fn=limit, timeout=120)
+
+
+def test_search_at_huge_shot_counts_allocates_no_shot_sized_memory(tmp_path):
+    # 10**12 shots read by labels would need 8 TB; read by counts the
+    # search runs as any other and takes its L runs and one query.
+    child = run_capped(tmp_path, "search", "--n", "1024", "--marked", "5",
+                       "--shots", str(10**12))
+    assert child.returncode == 0, child.stderr
+    payload = json.loads(child.stdout)
+    result, config = payload["result"], payload["config"]
+    assert result["verified"] is True and result["location"] == 5
+    assert result["bits"] == [5 >> i & 1 for i in range(10)]
+    assert config["marked"] == [5] and config["shots"] == 10**12
+    assert result["total_runs"] == 10
+    assert result["oracle_invocations"] == config["m"] * 10 + 1
+
+
 # ---------------------------------------------------------------------- sweep
 
 def test_sweep_iterates_attenuation_monotone(capsys):
@@ -347,12 +377,30 @@ def test_other_sweeps_still_need_n(capsys, argv):
 
 
 def test_sweep_trial_seeds_wrap_at_the_top_of_the_seed_range(capsys):
+    # Rows at the top of the seed range run: each row seed, 2**64 - 2 and
+    # 2**64 - 1, seeds that row's one generator, so nothing wraps.
     code, out, err = run_cli(
         capsys, "sweep", "--n", "16", "--marked", "3", "--a-th", "0.25", "--shots", "16",
         "--seed", str(2**64 - 2), "--sweep", "m", "--values", "1..2", "--trials", "5",
     )
     assert code == 0, err
     assert [row["seed"] for row in parse_csv(out)] == [str(2**64 - 2), str(2**64 - 1)]
+
+
+def test_sweep_at_huge_shot_counts_allocates_no_shot_sized_memory(tmp_path):
+    # A row's trials are binomial counts, so 10**12 shots a trial need no
+    # memory that grows with the shot count.
+    child = run_capped(tmp_path, "sweep", "--n", "1024", "--marked", "5",
+                       "--sweep", "shots", "--values", str(10**12), "--trials", "2")
+    assert child.returncode == 0, child.stderr
+    rows = list(csv.reader(io.StringIO(child.stdout)))
+    assert rows[0] == CSV_COLUMNS and len(rows) == 2
+    row = dict(zip(CSV_COLUMNS, rows[1]))
+    assert (row["N"], row["M"], row["seed"]) == ("1024", "1", "0")
+    assert int(row["m"]) == int(row["m_trunc"]) <= int(row["m_stand"])
+    assert row["A_m"] == f"{grover_ev.attenuation(1024, 1, int(row['m'])):.12g}"
+    assert float(row["ev_sign_error_rate"]) == 0.0
+    assert json.loads(child.stderr)["config"]["shots"] == 0
 
 
 def test_sweep_rejects_bad_a_th_value(capsys):
@@ -387,48 +435,103 @@ def test_sweep_rejects_register_past_cap(capsys):
     assert err == "error: qubit_count must be in 1..24, got 25\n"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["search", "--marked", "3,16"], "must lie in [0, 16)"),
-    (["search", "--marked", "-1"], "must lie in [0, 16)"),
-    (["search", "--marked", "3,3"], "must be distinct"),
-    (["sweep", "--marked", "3,3", "--sweep", "m", "--values", "1..1"], "must be distinct"),
-    (["plan", "--a-th", "1.5"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 1.5"),
-    (["search", "--a-th", "-0.1"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got -0.1"),
-    (["sweep", "--m-count", "2", "--a-th", "0.75", "--sweep", "m", "--values", "1..1"],
-     "a_th must satisfy 0 <= a_th <= 1/M = 0.5, got 0.75"),
-    (["search", "--sigma", "nan"], "sigma must be a finite number >= 0"),
-    (["search", "--sigma", "inf"], "sigma must be a finite number >= 0"),
-    (["sweep", "--sigma", "nan", "--sweep", "m", "--values", "1..1"], "sigma must be a finite"),
-    (["sweep", "--sigma", "inf", "--sweep", "m", "--values", "1..1"], "sigma must be a finite"),
-    (["plan", "--sigma", "-0.1"], "sigma must be a finite number >= 0"),
+# Keyed by test id, so that editing or inserting a row renames no other.  A
+# new row's id is its argv joined by spaces; the rows below keep the ids
+# they were first collected under.
+INVALID_INPUTS = {
+    "argv0-must lie in [0, 16)": (["search", "--marked", "3,16"], "must lie in [0, 16)"),
+    "argv1-must lie in [0, 16)": (["search", "--marked", "-1"], "must lie in [0, 16)"),
+    "argv2-must be distinct": (["search", "--marked", "3,3"], "must be distinct"),
+    "argv3-must be distinct": (
+        ["sweep", "--marked", "3,3", "--sweep", "m", "--values", "1..1"],
+        "must be distinct"),
+    "argv4-a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 1.5": (
+        ["plan", "--a-th", "1.5"],
+        "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 1.5"),
+    "argv5-a_th must satisfy 0 <= a_th <= 1/M = 1.0, got -0.1": (
+        ["search", "--a-th", "-0.1"],
+        "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got -0.1"),
+    "argv6-a_th must satisfy 0 <= a_th <= 1/M = 0.5, got 0.75": (
+        ["sweep", "--m-count", "2", "--a-th", "0.75", "--sweep", "m", "--values", "1..1"],
+        "a_th must satisfy 0 <= a_th <= 1/M = 0.5, got 0.75"),
+    "argv7-sigma must be a finite number >= 0": (
+        ["search", "--sigma", "nan"],
+        "sigma must be a finite number >= 0"),
+    "argv8-sigma must be a finite number >= 0": (
+        ["search", "--sigma", "inf"],
+        "sigma must be a finite number >= 0"),
+    "argv9-sigma must be a finite": (
+        ["sweep", "--sigma", "nan", "--sweep", "m", "--values", "1..1"],
+        "sigma must be a finite"),
+    "argv10-sigma must be a finite": (
+        ["sweep", "--sigma", "inf", "--sweep", "m", "--values", "1..1"],
+        "sigma must be a finite"),
+    "argv11-sigma must be a finite number >= 0": (
+        ["plan", "--sigma", "-0.1"],
+        "sigma must be a finite number >= 0"),
     # The rules below are checked by the library alone; a second --n
     # overrides the default 16.
-    (["plan", "--n", "1"], "power of two >= 2, got N=1"),
-    (["plan", "--n", "17"], "power of two >= 2, got N=17"),
-    (["search", "--n", "1"], "power of two >= 2, got N=1"),
-    (["search", "--n", "17"], "power of two >= 2, got N=17"),
-    (["sweep", "--n", "1", "--sweep", "m", "--values", "1..1"], "power of two >= 2, got N=1"),
-    (["sweep", "--n", "17", "--sweep", "m", "--values", "1..1"], "power of two >= 2, got N=17"),
-    (["sweep", "--sweep", "N", "--values", "17"], "power of two >= 2, got N=17"),
-    (["plan", "--m-count", "0"], "1 <= M < N, got M=0, N=16"),
-    (["search", "--m-count", "16"], "1 <= M < N, got M=16, N=16"),
-    (["sweep", "--m-count", "16", "--sweep", "m", "--values", "1..1"], "1 <= M < N, got M=16"),
-    (["search", "--shots", "-1"], "shots must be >= 0, got -1"),
-    (["sweep", "--sweep", "shots", "--values=-1"], "shots must be >= 0, got -1"),
-    (["search", "--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
-    (["plan", "--seed", str(2**64)], f"seed must be a 64-bit unsigned integer, got {2**64}"),
-    (["sweep", "--trials", "0", "--sweep", "m", "--values", "1..1"], "trials must be >= 1"),
-    (["sweep", "--shots", "64", "--trials", "0", "--sweep", "m", "--values", "1..1"],
-     "trials must be >= 1"),
-    (["sweep", "--sweep", "m", "--values=-1..0"], "iterations must be >= 0, got -1"),
-    (["sweep", "--n", "64", "--m-count", "20", "--sweep", "N", "--values=16,32"],
-     "1 <= M < N, got M=20, N=16"),
-    (["plan", "--a-th", "nan"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan"),
-    (["search", "--a-th", "nan"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan"),
-    (["plan", "--a-th", "inf"], "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf"),
-    (["sweep", "--a-th", "inf", "--sweep", "m", "--values", "1..1"],
-     "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf"),
-])
+    "argv12-power of two >= 2, got N=1": (["plan", "--n", "1"], "power of two >= 2, got N=1"),
+    "argv13-power of two >= 2, got N=17": (["plan", "--n", "17"], "power of two >= 2, got N=17"),
+    "argv14-power of two >= 2, got N=1": (["search", "--n", "1"], "power of two >= 2, got N=1"),
+    "argv15-power of two >= 2, got N=17": (["search", "--n", "17"], "power of two >= 2, got N=17"),
+    "argv16-power of two >= 2, got N=1": (
+        ["sweep", "--n", "1", "--sweep", "m", "--values", "1..1"],
+        "power of two >= 2, got N=1"),
+    "argv17-power of two >= 2, got N=17": (
+        ["sweep", "--n", "17", "--sweep", "m", "--values", "1..1"],
+        "power of two >= 2, got N=17"),
+    "argv18-power of two >= 2, got N=17": (
+        ["sweep", "--sweep", "N", "--values", "17"],
+        "power of two >= 2, got N=17"),
+    "argv19-1 <= M < N, got M=0, N=16": (["plan", "--m-count", "0"], "1 <= M < N, got M=0, N=16"),
+    "argv20-1 <= M < N, got M=16, N=16": (
+        ["search", "--m-count", "16"],
+        "1 <= M < N, got M=16, N=16"),
+    "argv21-1 <= M < N, got M=16": (
+        ["sweep", "--m-count", "16", "--sweep", "m", "--values", "1..1"],
+        "1 <= M < N, got M=16"),
+    "argv22-shots must be >= 0, got -1": (
+        ["search", "--shots", "-1"],
+        "shots must be >= 0, got -1"),
+    "argv23-shots must be >= 0, got -1": (
+        ["sweep", "--sweep", "shots", "--values=-1"],
+        "shots must be >= 0, got -1"),
+    "argv24-seed must be a 64-bit unsigned integer, got -1": (
+        ["search", "--seed", "-1"],
+        "seed must be a 64-bit unsigned integer, got -1"),
+    "argv25-seed must be a 64-bit unsigned integer, got 18446744073709551616": (
+        ["plan", "--seed", str(2**64)],
+        f"seed must be a 64-bit unsigned integer, got {2**64}"),
+    "argv26-trials must be >= 1": (
+        ["sweep", "--trials", "0", "--sweep", "m", "--values", "1..1"],
+        "trials must be >= 1"),
+    "argv27-trials must be >= 1": (
+        ["sweep", "--shots", "64", "--trials", "0", "--sweep", "m", "--values", "1..1"],
+        "trials must be >= 1"),
+    "argv28-iterations must be >= 0, got -1": (
+        ["sweep", "--sweep", "m", "--values=-1..0"],
+        "iterations must be >= 0, got -1"),
+    "argv29-1 <= M < N, got M=20, N=16": (
+        ["sweep", "--n", "64", "--m-count", "20", "--sweep", "N", "--values=16,32"],
+        "1 <= M < N, got M=20, N=16"),
+    "argv30-a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan": (
+        ["plan", "--a-th", "nan"],
+        "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan"),
+    "argv31-a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan": (
+        ["search", "--a-th", "nan"],
+        "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan"),
+    "argv32-a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf": (
+        ["plan", "--a-th", "inf"],
+        "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf"),
+    "argv33-a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf": (
+        ["sweep", "--a-th", "inf", "--sweep", "m", "--values", "1..1"],
+        "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(INVALID_INPUTS.values()),
+                         ids=list(INVALID_INPUTS))
 def test_invalid_input_exits_two_with_empty_stdout(capsys, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--n", "16", *argv[1:])
     assert code == 2
@@ -454,25 +557,25 @@ def test_sweep_float_formatting_is_twelve_digits(capsys):
 def test_sweep_at_half_marked_scores_against_undecided_reference(capsys):
     # At M = N/2 every label keeps the same weight, so A_m and the exact EVs
     # are exactly 0 and no trial has a sign to get right: a row's rate is
-    # the share of trials whose readout decides.
+    # the share of trials whose readout decides.  Each row's 64 ones are
+    # then Binomial(64, 1/2), undecided only at a tie (chance 0.0993), so
+    # over 4,000 trials every rate lies within 5 standard errors (plus
+    # three errors) of 0.9007.  Power: scoring ties as errors moves a rate
+    # by 21 standard errors.
     locations = (1, 3, 5, 7, 9, 11, 13, 15)
     code, out, _ = run_cli(
         capsys, "sweep", "--n", "16", "--marked", ",".join(map(str, locations)),
         "--a-th", "0.05", "--shots", "64", "--sweep", "m", "--values", "1..4",
+        "--trials", "4000",
     )
     assert code == 0
     rows = parse_csv(out)
     assert [row["A_m"] for row in rows] == ["0"] * 4
-    marked = grover_ev.MarkedSet(locations, 16)
+    tie = math.comb(64, 32) / 2**64
+    spread = math.sqrt(4000 * tie * (1 - tie))
     for row in rows:
-        state = core.closed_form_state(4, marked, int(row["m"]))
-        decided = sum(
-            grover_ev.decide_sign(measurement.sampled_ev(
-                state, 1, grover_ev.EnsembleModel(shots=64, seed=int(row["seed"]) + t)), 0.0)
-            is not None
-            for t in range(200)
-        )
-        assert float(row["ev_sign_error_rate"]) == decided / 200
+        errors = round(float(row["ev_sign_error_rate"]) * 4000)
+        assert abs(errors - 4000 * (1 - tie)) <= 5 * spread + 3
 
 
 # ------------------------------------------------------------- output routing

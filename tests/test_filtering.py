@@ -11,6 +11,7 @@ from conftest import (
     filtered_ev_formula,
     low_bits,
     random_marked_locations,
+    record_generators,
     uniform_over,
 )
 
@@ -22,7 +23,7 @@ from grover_ev import (
     extract_location,
     make_plan,
 )
-from grover_ev import filtering, measurement
+from grover_ev import filtering
 from grover_ev.core import (
     StateVector,
     apply_grover,
@@ -281,9 +282,10 @@ def test_extract_deterministic_with_sampling():
 
 
 def test_extract_failure_exhausts_branches():
-    # Two shots per run cannot reliably decide signs; seed 113 mis-decides
-    # an early bit, prunes the true subtree, and runs out of candidates.
-    model = EnsembleModel(shots=2, seed=113)
+    # Two shots per run cannot reliably decide signs; seed 86 mis-decides
+    # an early bit, prunes the true subtree, and runs out of candidates
+    # after one branch and 5 runs.
+    model = EnsembleModel(shots=2, seed=86)
     with pytest.raises(SearchFailure) as excinfo:
         extract_location(MarkedSet((5,), 8), 1, model, 0.0)
     assert excinfo.value.reason == "exhausted"
@@ -291,9 +293,9 @@ def test_extract_failure_exhausts_branches():
 
 
 def test_extract_stops_at_the_run_budget():
-    # Two shots per run again, at L = 8: seed 5 keeps mis-deciding bits and
+    # Two shots per run again, at L = 8: seed 2 keeps mis-deciding bits and
     # backtracking until the search has spent its 4 L = 32 runs.
-    model = EnsembleModel(shots=2, seed=5)
+    model = EnsembleModel(shots=2, seed=2)
     with pytest.raises(SearchFailure) as excinfo:
         extract_location(MarkedSet((77,), 256), 3, model, 0.0)
     assert excinfo.value.reason == "budget"
@@ -327,37 +329,29 @@ def test_search_result_json_schema():
 
 def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     # L = 16 with one marked label; at this threshold the search branches
-    # 11 times and backtracks through 10 verifications in 23 runs, inside
-    # the 4 L budget.  Every run goes through measure_classes, and a
-    # correlated run must still read one qubit.
+    # 10 times and backtracks through 10 verifications in 23 runs, inside
+    # the 4 L budget.  Every run goes through measure_classes and draws from
+    # a generator of its own, seeded seed XOR i; a correlated run must still
+    # read one qubit: one binomial count and one noise value.
     qubits = 16
-    reads, widths, noise = [], [], []
+    reads = []
     measure_classes = filtering.measure_classes
-    label_evs = measurement._label_evs
-    readout_noise = measurement._readout_noise
 
     def counted_reads(state, model, qubit_list):
         reads.append(list(qubit_list))
         return measure_classes(state, model, qubit_list)
 
-    def counted_label_evs(labels, qubit_list):
-        widths.append(len(qubit_list))
-        return label_evs(labels, qubit_list)
-
-    def counted_noise(model, k):
-        noise.append(k)
-        return readout_noise(model, k)
-
     monkeypatch.setattr(filtering, "measure_classes", counted_reads)
-    monkeypatch.setattr(measurement, "_label_evs", counted_label_evs)
-    monkeypatch.setattr(measurement, "_readout_noise", counted_noise)
-    model = EnsembleModel(shots=1024, seed=20, gaussian_noise_sigma=0.05)
+    built = record_generators(monkeypatch)
+    model = EnsembleModel(shots=1024, seed=28, gaussian_noise_sigma=0.05)
     result = extract_location(MarkedSet((40503,), 1 << qubits), 59, model, 0.16)
     assert result.location == 40503 and result.branch_events > 0
     runs = result.total_runs
     assert runs > qubits
     assert reads[0] == list(range(1, qubits + 1)) and len(reads) == runs
     assert all(len(read) == 1 for read in reads[1:])
-    assert widths == [qubits] + [1] * (runs - 1)
-    assert len(noise) == qubits + runs - 1
-
+    assert [rng.seed for rng in built] == [28 ^ i for i in range(runs)]
+    draws = [[(name, draw.size) for name, draw in rng.draws] for rng in built]
+    assert draws[0] == [("binomial", 1), ("binomial", qubits), ("multinomial", 1),
+                        ("normal", qubits)]
+    assert all(run == [("binomial", 1), ("normal", 1)] for run in draws[1:])

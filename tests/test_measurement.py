@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import basis_state_vector, bit_of
+from conftest import (
+    assert_rate_matches,
+    basis_state_vector,
+    bit_of,
+    ones_probabilities,
+    sign_error_probability,
+)
 
 from grover_ev import (
     EnsembleModel,
@@ -208,9 +214,21 @@ def test_sign_error_rate_counts_ties_as_errors():
     assert 0.19 <= rate <= 0.28
 
 
+def dense_error_probability(state, shots, sigma):
+    """The chance one trial misreads qubit 1's sign, from the dense state's
+    Born weights and the exact binomial."""
+    p = ones_probabilities(state.probabilities(), [1])[0]
+    return sign_error_probability(shots, p, exact_ev(state, 1), sigma)
+
+
 def test_sign_error_rate_agrees_with_per_trial_readouts():
-    # The rate reads the two-amplitude state; each trial must still decide
-    # exactly as a dense sampled_ev readout with seed ``seed + t`` would.
+    # The rate reads the two-amplitude state from one generator per row; it
+    # and the share of 400 dense sampled_ev readouts at seeds 9 + t that
+    # misread the sign must each lie within 5 standard errors (plus three
+    # errors) of the exact chance of a wrong sign.  Power: the cases with
+    # that chance in [0.05, 0.95] give a rate over 4,000 trials an sd of at
+    # most 0.008, and a p_1 off by 1/sqrt(shots) moves the chance by more
+    # than 0.1 in each of them (asserted below).
     cases = [
         (MarkedSet((3, 17), 32), 2),
         (MarkedSet((5,), 8), 1),
@@ -218,37 +236,43 @@ def test_sign_error_rate_agrees_with_per_trial_readouts():
         (MarkedSet((2049,), 1 << 12), 10),
         (MarkedSet((100, 3000), 1 << 12), 25),
     ]
-    rates = []
+    probabilities = []
     for marked, iterations in cases:
         state = closed_form_state(marked.universe_size.bit_length() - 1, marked, iterations)
         truth = decide_sign(exact_ev(state, 1), 0.0)
         assert truth is not None
         for shots, sigma in ((64, 0.0), (16, 0.05), (0, 0.05)):
-            wrong = [
+            probability = dense_error_probability(state, shots, sigma)
+            wrong = sum(
                 decide_sign(
                     sampled_ev(state, 1, EnsembleModel(shots=shots, seed=9 + t,
                                                        gaussian_noise_sigma=sigma)),
                     0.0,
                 ) != truth
-                for t in range(50)
-            ]
+                for t in range(400)
+            )
+            assert_rate_matches(wrong, 400, probability)
             model = EnsembleModel(shots=shots, seed=9, gaussian_noise_sigma=sigma)
-            rate = sign_error_rate(marked, iterations, 1, model, trials=50)
-            assert rate == sum(wrong) / 50
-            rates.append(rate)
-    assert any(0 < rate < 1 for rate in rates)
+            rate = sign_error_rate(marked, iterations, 1, model, trials=4000)
+            assert_rate_matches(round(rate * 4000), 4000, probability)
+            if shots and 0.05 <= probability <= 0.95:
+                p = ones_probabilities(state.probabilities(), [1])[0]
+                for shifted in (p - shots**-0.5, p + shots**-0.5):
+                    moved = sign_error_probability(shots, min(max(shifted, 0.0), 1.0),
+                                                   exact_ev(state, 1), sigma)
+                    assert abs(moved - probability) > 0.1
+            probabilities.append(probability)
+    assert sum(0.05 <= probability <= 0.95 for probability in probabilities) >= 3
 
 
 def test_sign_error_rate_trial_seeds_wrap():
-    # Trial t reads seed (seed + t) mod 2**64, so a row seed at the top of
-    # the range runs as seeds 2**64 - 1, 0 and 1.
+    # A row seed at the top of the range, 2**64 - 1, seeds the row's
+    # generator like any other: the rate is that of the counts
+    # default_rng(2**64 - 1) draws as Binomial(shots, p_1), p_1 = (1 - EV) / 2.
     marked = MarkedSet((1,), 16)
-    state = closed_form_state(4, marked, 1)
-    truth = decide_sign(exact_ev(state, 1), 0.0)
-    wrong = [
-        decide_sign(sampled_ev(state, 1, EnsembleModel(shots=4, seed=s)), 0.0) != truth
-        for s in (2**64 - 1, 0, 1)
-    ]
+    ev = exact_ev(closed_form_state(4, marked, 1), 1)
+    ones = np.random.default_rng(2**64 - 1).binomial(4, (1 - ev) / 2, 3)
+    wrong = [decide_sign((4 - 2 * one) / 4, 0.0) != decide_sign(ev, 0.0) for one in ones]
     rate = sign_error_rate(marked, 1, 1, EnsembleModel(shots=4, seed=2**64 - 1), trials=3)
     assert 0 < rate < 1
     assert rate == sum(wrong) / 3
@@ -261,13 +285,19 @@ def test_sign_error_rate_trial_seeds_wrap():
 ], ids=["split", "split-residue", "uniform"])
 def test_sign_error_rate_zero_ev_reference_is_undecided(marked, iterations):
     # With an exact EV of 0 there is no sign to get right: every trial whose
-    # readout decides errs, and every undecided trial is correct.
+    # readout decides errs, and every undecided trial (a tie of 32 ones in
+    # 64 shots, chance 0.0993) is correct.  Over 4,000 trials the rate, and
+    # over 400 seeds the share of dense readouts that decide, lie within 5
+    # standard errors of 1 - 0.0993.  Power: scoring a tie as an error, or
+    # a decided readout as correct, moves the rate by 21 standard errors or more.
     state = closed_form_state(3, marked, iterations)
-    decided = [
+    probability = dense_error_probability(state, 64, 0.0)
+    assert abs(probability - 0.90072) < 1e-4
+    decided = sum(
         decide_sign(sampled_ev(state, 1, EnsembleModel(shots=64, seed=4 + t)), 0.0)
         is not None
-        for t in range(100)
-    ]
-    rate = sign_error_rate(marked, iterations, 1, EnsembleModel(shots=64, seed=4), trials=100)
-    assert 0 < sum(decided) < 100
-    assert rate == sum(decided) / 100
+        for t in range(400)
+    )
+    assert_rate_matches(decided, 400, probability)
+    rate = sign_error_rate(marked, iterations, 1, EnsembleModel(shots=64, seed=4), trials=4000)
+    assert_rate_matches(round(rate * 4000), 4000, probability)
