@@ -48,6 +48,9 @@ CSV_COLUMNS = [
 
 SWEEP_VARIABLES = ("m", "a_th", "N", "shots")
 
+# Most grid points one sweep takes: its values and rows are held in memory.
+MAX_SWEEP_VALUES = 100_000
+
 
 def _parse_int_list(text: str) -> list[int]:
     try:
@@ -56,8 +59,15 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _check_value_count(count: int) -> None:
+    """Reject a sweep of more than ``MAX_SWEEP_VALUES`` values."""
+    if count > MAX_SWEEP_VALUES:
+        raise ValueError(f"a sweep takes at most {MAX_SWEEP_VALUES} values, got {count}")
+
+
 def _parse_sweep_values(var: str, text: str) -> list:
-    """Comma lists (``0.1,0.25,0.5``) or inclusive integer ranges (``0..25``)."""
+    """Comma lists (``0.1,0.25,0.5``) or inclusive integer ranges (``0..25``),
+    counted against ``MAX_SWEEP_VALUES`` before either is expanded."""
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         try:
@@ -66,8 +76,10 @@ def _parse_sweep_values(var: str, text: str) -> list:
             raise ValueError(f"bad range {text!r}: endpoints must be integers") from exc
         if hi < lo:
             raise ValueError(f"bad range {text!r}: end below start")
+        _check_value_count(hi - lo + 1)
         values = list(range(lo, hi + 1))
     else:
+        _check_value_count(text.count(",") + 1)
         cast = float if var == "a_th" else int
         try:
             values = [cast(part) for part in text.split(",")]
@@ -236,7 +248,7 @@ def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials
 
 def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> None:
     sub.add_argument("--n", type=int, required=n_required,
-                     help="database size, a power of two"
+                     help="database size, a power of two, at most 2^62"
                           + ("" if n_required else " (required unless --sweep N)"))
     sub.add_argument("--m-count", type=int, default=None, dest="m_count",
                      help="number of marked items (default 1; drawn from --seed "

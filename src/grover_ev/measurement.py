@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MarkedSet, StateVector, check_qubit_count, class_amplitudes, qubit_values
+from .core import MarkedSet, StateVector, class_amplitudes, qubit_values
 
 
 # Most trials a sign-error rate, or unmarked labels a run past the standard
@@ -175,12 +175,11 @@ def class_state(marked: MarkedSet, iterations: int) -> ClassState:
 
     ``heavy`` holds the marked labels and ``weights`` the Born weight of one
     marked and of one unmarked label.  The universe must be a power of two
-    (checked by ``grover_angle``) of at most ``MAX_QUBITS`` qubits.
+    (checked by ``grover_angle``).
     """
     n = marked.universe_size
     on, off = class_amplitudes(n, marked.count, iterations)
     qubit_count = n.bit_length() - 1
-    check_qubit_count(qubit_count)
     heavy = np.array(marked.locations, dtype=np.int64)
     return ClassState(qubit_count, heavy, (on * on, off * off))
 
@@ -246,8 +245,12 @@ def measure_classes(
     """EVs of the listed qubits of one run on a two-amplitude state, without
     building the dense state: exact in O(M) per qubit (the dense entries, to
     rounding), or sampled by counts from the run's one generator, O(M L)
-    whatever the shot count (see the module docstring).
+    whatever the shot count (see the module docstring).  Each listed qubit
+    must be one of the register's, 1..L.
     """
+    for k in qubits:
+        if not 1 <= k <= state.qubit_count:
+            raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
     rng = _run_generator(model)
     if model.shots == 0:
         base = _class_evs(state.heavy, state.weights, qubits)
@@ -281,8 +284,7 @@ def sign_error_rate(
     sigma = model.gaussian_noise_sigma
     trials = 1 if model.shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
-    if not 1 <= k <= state.qubit_count:
-        raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
+    # The exact reference read also checks that k is in 1..L.
     exact = measure_classes(state, EnsembleModel(), [k])[0]
     # The sign is decide_sign at 0: bit 0 is +1, bit 1 is -1, undecided 0.
     truth = np.sign(exact)

@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from conftest import bit_of, random_marked_locations
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,7 +264,7 @@ def test_criterion_9_log_n_runs_on_random_sets():
     def exact(data):
         # a_th anywhere in (0, 1/M], the range make_plan accepts; at 1/M
         # the search runs at the standard count.
-        qubits, locations = random_marked(data, 3, 24)
+        qubits, locations = random_marked(data, 3, 62)
         tolerance = 1.0 / len(locations)
         thresholds = st.just(tolerance) | st.floats(0.0, tolerance, exclude_min=True)
         a_th = data.draw(thresholds, label="a_th")
@@ -278,7 +279,7 @@ def test_criterion_9_log_n_runs_on_random_sets():
     @given(st.data())
     def sampled(data):
         # The default threshold, 5/sqrt(shots).
-        qubits, locations = random_marked(data, 8, 20)
+        qubits, locations = random_marked(data, 8, 62)
         shots = data.draw(st.sampled_from((1024, 4096)), label="shots")
         seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
         config, result = cli_search(
@@ -295,3 +296,32 @@ def test_criterion_9_log_n_runs_on_random_sets():
         True,
         f"{searches['exact']} exact and {searches['sampled']} sampled searches",
     )
+
+
+@pytest.mark.parametrize("qubits", [25, 40, 53, 54, 62])
+def test_log_n_cost_past_the_dense_register_cap(qubits):
+    # The two-amplitude path has no register cap of its own: up to
+    # grover_angle's N <= 2**62 a search, exact or at 4,096 shots with the
+    # default threshold, takes L runs and one verification query.
+    rng = np.random.default_rng(qubits)
+    for m_count in (1, 2, 4):
+        locations = random_marked_locations(rng, 1 << qubits, m_count)
+        for shots in (0, 4096):
+            config, result = cli_search(
+                "--n", str(1 << qubits), "--marked", ",".join(map(str, locations)),
+                "--shots", str(shots), "--seed", str(qubits),
+            )
+            assert_log_n_cost(qubits, locations, config, result)
+
+
+def test_search_time_at_62_qubits():
+    # Best of five in-process CLI searches (M = 4): exact under 10 ms and
+    # 4,096 shots under 0.2 s; both take about 3 ms on a 2-core VM.
+    argv = ["--n", str(2**62), "--m-count", "4", "--seed", "1"]
+    for shots, limit in ((0, 0.01), (4096, 0.2)):
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            cli_search(*argv, "--shots", str(shots))
+            times.append(time.perf_counter() - started)
+        assert min(times) < limit, (shots, times)

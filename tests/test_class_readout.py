@@ -336,6 +336,34 @@ def test_readout_noise_is_a_clipped_normal_per_qubit():
     assert np.all(np.abs(correlation) <= 5 / np.sqrt(reads))
 
 
+@pytest.mark.parametrize("model", [EXACT, EnsembleModel(shots=64, seed=3)],
+                         ids=["exact", "sampled"])
+@pytest.mark.parametrize("k", [0, 5, 99, -1])
+def test_reads_reject_qubits_outside_the_register(model, k):
+    # A 4-qubit register has qubits 1..4, whether k is read alone or after
+    # qubits that exist.
+    state = class_state(MarkedSet((3, 9, 12), 16), 1)
+    for qubits in ([k], [1, 2, k]):
+        with pytest.raises(ValueError, match=rf"^qubit index {k} out of range 1\.\.4$"):
+            measure_classes(state, model, qubits)
+
+
+def test_uniform_reads_at_62_qubits_are_unbiased():
+    # At m = 0 every label of a 2**62 register weighs the same, so each
+    # qubit's sampled EV has mean 0 and standard deviation 1/32 at 1,024
+    # shots.  The mean of 400 reads lies within 5 standard errors (5/640)
+    # of 0 on every qubit, the top and bottom ones included.  Power: a qubit
+    # whose bit is always 0 (as a float inverse CDF leaves the lowest bits
+    # past L = 53) reads a mean of 1, 640 standard errors out.
+    state = class_state(MarkedSet((5, 2**62 - 1), 2**62), 0)
+    evs = np.array([
+        measure_classes(state, EnsembleModel(shots=1024, seed=t), range(1, 63))
+        for t in range(400)
+    ])
+    assert evs.shape == (400, 62)
+    assert np.all(np.abs(evs.mean(axis=0)) <= 5 / 640)
+
+
 def test_reads_past_the_standard_count_draw_bounded_label_blocks(monkeypatch):
     # At N = 16, M = 3 and m = 3 > m_stand = 1 a marked label weighs less
     # than an unmarked one, so a whole-register read draws its unmarked

@@ -227,12 +227,13 @@ def test_sweep_audit_echoes_the_capped_threshold(capsys):
 
 
 def test_search_rejects_register_past_cap(capsys):
+    # grover_angle's N <= 2**62 is the one register rule of a search.
     code, out, err = run_cli(
-        capsys, "search", "--n", str(2**25), "--marked", "5", "--a-th", "0.25"
+        capsys, "search", "--n", str(2**63), "--marked", "5", "--a-th", "0.25"
     )
     assert code == 2
     assert out == ""
-    assert err == "error: qubit_count must be in 1..24, got 25\n"
+    assert err == f"error: universe_size must be at most 2**62, got N={2**63}\n"
 
 
 def test_search_random_marked_set_is_seeded(capsys):
@@ -403,6 +404,26 @@ def test_sweep_at_huge_shot_counts_allocates_no_shot_sized_memory(tmp_path):
     assert json.loads(child.stderr)["config"]["shots"] == 0
 
 
+def test_sweep_range_past_the_value_limit_exits_two(tmp_path):
+    # 0..10**10 names 10**10 + 1 values.  They are counted before the range
+    # is expanded, so the sweep fails in bounded memory with one error line.
+    child = run_capped(tmp_path, "sweep", "--n", "1024", "--sweep", "m",
+                       "--values", f"0..{10**10}")
+    assert child.returncode == 2, child.stderr
+    assert child.stdout == ""
+    assert child.stderr == f"error: a sweep takes at most 100000 values, got {10**10 + 1}\n"
+
+
+def test_sweep_value_limit_holds_for_ranges_and_lists(capsys):
+    limit = cli.MAX_SWEEP_VALUES
+    assert cli._parse_sweep_values("m", f"1..{limit}") == list(range(1, limit + 1))
+    assert cli._parse_sweep_values("a_th", ",".join(["0.1"] * limit)) == [0.1] * limit
+    message = f"error: a sweep takes at most {limit} values, got {limit + 1}\n"
+    for values in (f"1..{limit + 1}", ",".join(["1"] * (limit + 1))):
+        argv = ["sweep", "--n", "16", "--sweep", "m", "--values", values]
+        assert run_cli(capsys, *argv) == (2, "", message)
+
+
 def test_sweep_rejects_bad_a_th_value(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--n", "1024", "--sweep", "a_th", "--values", "0.1,1.5",
@@ -426,13 +447,20 @@ def test_sweep_builds_no_statevector(capsys, monkeypatch):
 
 
 def test_sweep_rejects_register_past_cap(capsys):
+    # An N sweep runs every size up to 2**62 and stops at the first past it.
     code, out, err = run_cli(
-        capsys, "sweep", "--n", str(2**25), "--marked", "5", "--a-th", "0.25",
-        "--sweep", "m", "--values", "1..1",
+        capsys, "sweep", "--m-count", "1", "--shots", "64", "--sweep", "N",
+        "--values", f"16,{2**25},{2**62},{2**63}", "--trials", "4",
     )
     assert code == 2
     assert out == ""
-    assert err == "error: qubit_count must be in 1..24, got 25\n"
+    assert err == f"error: universe_size must be at most 2**62, got N={2**63}\n"
+    code, out, err = run_cli(
+        capsys, "sweep", "--m-count", "1", "--shots", "64", "--sweep", "N",
+        "--values", f"16,{2**25},{2**62}", "--trials", "4",
+    )
+    assert code == 0, err
+    assert [row["N"] for row in parse_csv(out)] == ["16", str(2**25), str(2**62)]
 
 
 # Keyed by test id, so that editing or inserting a row renames no other.  A

@@ -258,29 +258,47 @@ def test_angle_bounded_to_float_resolved_universes():
             grover_angle(n, 1)
 
 
+def register_entry(entry, qubits, capsys):
+    """Run ``entry`` on the marked set {5} of a ``qubits``-qubit register:
+    None when it runs, else the one message it rejects the register with."""
+    marked = MarkedSet((5,), 2**qubits)
+    library = {
+        "new_uniform": lambda: new_uniform(qubits),
+        "closed_form_state": lambda: closed_form_state(qubits, marked, 1),
+        "class_state": lambda: class_state(marked, 1),
+        "extract_location": lambda: extract_location(marked, 1, EnsembleModel(), 0.0),
+    }
+    if entry in library:
+        try:
+            library[entry]()
+        except ValueError as exc:
+            return str(exc)
+        return None
+    argv = [entry, "--n", str(2**qubits), "--marked", "5", "--a-th", "0.25"]
+    if entry == "sweep":
+        argv += ["--sweep", "m", "--values", "1..1"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        return None
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    return err.removeprefix("error: ").rstrip("\n")
+
+
 @pytest.mark.parametrize(
     "entry",
     ["new_uniform", "closed_form_state", "class_state", "extract_location", "search", "sweep"],
 )
 def test_register_cap_has_one_message(entry, capsys):
-    message = "qubit_count must be in 1..24, got 25"
-    marked = MarkedSet((5,), 2**25)
-    library = {
-        "new_uniform": lambda: new_uniform(25),
-        "closed_form_state": lambda: closed_form_state(25, marked, 1),
-        "class_state": lambda: class_state(marked, 1),
-        "extract_location": lambda: extract_location(marked, 1, EnsembleModel(), 0.25),
-    }
-    if entry in library:
-        with pytest.raises(ValueError) as excinfo:
-            library[entry]()
-        assert str(excinfo.value) == message
-    else:
-        argv = [entry, "--n", str(2**25), "--marked", "5", "--a-th", "0.25"]
-        if entry == "sweep":
-            argv += ["--sweep", "m", "--values", "1..1"]
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # The dense reference holds at most MAX_QUBITS = 24 qubits.  The
+    # two-amplitude path builds no statevector: it runs at 25 qubits, and its
+    # one register rule is grover_angle's N <= 2**62.
+    if entry in ("new_uniform", "closed_form_state"):
+        assert register_entry(entry, 25, capsys) == "qubit_count must be in 1..24, got 25"
+        return
+    assert register_entry(entry, 25, capsys) is None
+    message = f"universe_size must be at most 2**62, got N={2**63}"
+    assert register_entry(entry, 63, capsys) == message
 
 
 # ---------------------------------------------------------------- closed form

@@ -199,6 +199,14 @@ def test_sign_error_rate_exact_readout_is_zero():
     assert sign_error_rate(MarkedSet((5,), 16), 1, 1, EnsembleModel(), trials=3) == 0.0
 
 
+@pytest.mark.parametrize("model", [EnsembleModel(), EnsembleModel(shots=64, seed=1)],
+                         ids=["exact", "sampled"])
+@pytest.mark.parametrize("k", [0, 5, -1])
+def test_sign_error_rate_rejects_qubits_outside_the_register(model, k):
+    with pytest.raises(ValueError, match=rf"^qubit index {k} out of range 1\.\.4$"):
+        sign_error_rate(MarkedSet((5,), 16), 1, k, model, trials=3)
+
+
 def test_sign_error_rate_counts_wrong_signs():
     # Three-shot readout of a 0.75-signal qubit (per-shot minority
     # probability 0.125, odd count so no ties): majority-wrong probability

@@ -361,3 +361,17 @@ def test_plan_large_n_planner_only():
     plan = make_plan(2**20, 1, 0.25)
     assert abs(plan.ratio - 1 / 3) <= 0.02
     assert math.isclose(plan.m_trunc_estimate / plan.m_stand, 1 / 3, rel_tol=0.01)
+
+
+@pytest.mark.parametrize("m_count", [1, 2, 4])
+def test_ratio_at_largest_n_is_the_arcsine_asymptote(m_count):
+    # At N = 2**62 the truncated fraction of m_stand is (2/pi) arcsin(sqrt(r)),
+    # to within a step of m_stand (about 1e-9): r = a_th for the plan's
+    # attenuation scale, and r = M a_th for the count a search runs at.
+    for a_th in (0.01, 0.1, 0.25 / m_count, 0.9 / m_count):
+        plan = make_plan(2**62, m_count, a_th)
+        expected = 2 / math.pi * math.asin(math.sqrt(a_th))
+        assert plan.ratio == pytest.approx(expected, abs=1e-8), a_th
+        search_ratio = planner.search_iterations(plan) / plan.m_stand
+        expected = 2 / math.pi * math.asin(math.sqrt(m_count * a_th))
+        assert search_ratio == pytest.approx(expected, abs=1e-8), a_th
