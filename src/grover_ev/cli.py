@@ -9,9 +9,9 @@ Subcommands::
 Every output embeds the resolved settings as a plain dict, and the readout
 settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
 randomness derives from ``--seed``: sweep row ``i`` draws all its error
-trials, counts and noise, from one generator seeded ``seed XOR i``, and
-search run ``i`` from one seeded the same way.  Sweep rows read their sign
-errors from the two-amplitude state, so no command builds a statevector.
+trials, counts and noise, from one generator seeded ``seed XOR i``; a search
+draws all its runs in turn from one seeded ``seed``.  Sweep rows read their
+sign errors from the two-amplitude state, so no command builds a statevector.
 This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
 ``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
 min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--values", type=str, required=True,
                        help="comma list (0.1,0.25) or inclusive int range (0..25)")
     sweep.add_argument("--trials", type=int, default=200,
-                       help="seeded trials behind each ev_sign_error_rate entry")
+                       help="seeded trials behind each ev_sign_error_rate entry (1..1000000)")
     return parser
 
 

@@ -22,10 +22,11 @@ unexplored branch.  A search gives up after ``4 L`` runs
 Runs are read out from the two-amplitude state: after m steps every marked
 label carries one amplitude and every other label another, and the
 correlation only moves labels, so a run needs the marked labels alone and
-no statevector is built.  Every run is read by
-:func:`~grover_ev.measurement.measure_classes`: the plain run on every
+no statevector is built.  Every run is read as
+:func:`~grover_ev.measurement.measure_classes` reads: the plain run on every
 qubit, since each stage uses a different one of its EVs, and a correlated
-run on its target qubit alone.  The dense operations of
+run on its target qubit alone, all in turn from one ``default_rng(seed)``
+per search.  The dense operations of
 :mod:`grover_ev.core` and :func:`apply_correlation` stay the reference this
 path is tested against.
 
@@ -36,14 +37,15 @@ The search keeps its determined prefix as the integer those bits spell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from .measurement import ClassState, EnsembleModel, class_state, decide_sign, measure_classes
+from .measurement import ClassState, EnsembleModel, class_state, decide_sign
+from .measurement import _read, _run_generator
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
@@ -137,13 +139,13 @@ def extract_location(
 ) -> SearchResult:
     """Run the full bit-extraction protocol and return a verified location.
 
-    One plain run (``iterations`` amplification steps, every qubit read by
-    :func:`measure_classes` in O(M L), exact or sampled) is reused at every
-    stage.  Each stage past the first adds one correlated run, of which
-    :func:`measure_classes` reads only the target qubit, from the marked
-    labels the correlation moved: O(M), whatever the shot count and
-    register size.  The stage's EV is the mean of the two runs'
-    target-qubit EVs.
+    One plain run (``iterations`` amplification steps, every qubit read in
+    O(M L), exact or sampled, as ``measure_classes`` reads it) is reused
+    at every stage.  Each stage past the first adds one correlated run, its
+    target qubit read alone from the marked labels the correlation moved:
+    O(M), whatever the shot count and register size.  The stage's EV is the
+    mean of the two runs' target-qubit EVs.  Every run draws in turn from
+    one generator, built once from ``model.seed``.
     Stage decisions go through :func:`decide_sign` at threshold ``a_th``;
     undecided stages branch (bit 0 first) and the final candidate is
     checked with a single oracle query, backtracking on failure.
@@ -157,8 +159,8 @@ def extract_location(
     state = class_state(marked, iterations)
     qubit_count = state.qubit_count
     budget = RUN_BUDGET_PER_QUBIT * qubit_count
-    # Run i draws from seed ``model.seed XOR i``; the plain run is run 0.
-    plain = measure_classes(state, model, range(1, qubit_count + 1))
+    rng = _run_generator(model)
+    plain = _read(state, model, range(1, qubit_count + 1), rng).tolist()
 
     total_runs = 1
     branch_events = 0
@@ -184,8 +186,7 @@ def extract_location(
                 moved = ClassState(
                     qubit_count, _correlated_labels(state.heavy, target, prefix), state.weights
                 )
-                run_model = replace(model, seed=model.seed ^ total_runs)
-                correlated = measure_classes(moved, run_model, [target])[0]
+                correlated = _read(moved, model, [target], rng)[0]
                 total_runs += 1
                 ev = (plain[target - 1] + correlated) / 2.0
             bit = decide_sign(ev, a_th)

@@ -4,11 +4,11 @@ An expectation-value machine reads out one number per qubit: the ensemble
 average of sigma_z(k) (Gershenfeld & Chuang, Science 275, 350 (1997)).
 ``shots = 0`` models an infinite ensemble (exact EVs); ``shots = n > 0``
 reports the mean over ``n`` ensemble members, fixed by each qubit's count of
-ones over the run's one shared set of shots.  A sampled or noisy run draws
-from one generator, ``default_rng(seed)``: its counts (or dense shot labels),
-then its readout noise, truncated at three sigma so |ev| <= 1 + 3*sigma.
+ones over the run's one shared set of shots.  A read, a sweep row or a
+search draws from one generator, ``default_rng(seed)``: each run's counts (or
+dense shot labels), then its noise, truncated at 3 sigma: |ev| <= 1 + 3*sigma.
 
-A two-amplitude run (:func:`measure_classes`) is read by counts (Devroye,
+Every two-amplitude run is read by counts in :func:`_read` (Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. X).  One qubit k is one
 ``Binomial(shots, p_k)``, ``p_k`` exact from the class weights in O(M).
 Several qubits: the Born distribution is uniform over all N labels (bits
@@ -40,6 +40,9 @@ from .core import MarkedSet, StateVector, class_amplitudes, qubit_values
 # step count, draws at once: memory stays O(_BLOCK_DRAWS).
 _BLOCK_DRAWS = 1 << 10
 
+# Most trials one sign-error rate reads: about 0.2 s of noisy trials.
+MAX_TRIALS = 1_000_000
+
 
 @dataclass(frozen=True)
 class EnsembleModel:
@@ -59,13 +62,12 @@ class EnsembleModel:
             raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
 
 
-def _check_ev_bound(evs: list[float], sigma: float) -> None:
-    """Reject an EV past the readout bound |ev| <= 1 + 3 sigma, or NaN."""
+def _check_ev_bound(evs: np.ndarray, sigma: float) -> None:
+    """Reject an array with an EV past |ev| <= 1 + 3 sigma, or NaN, naming the first."""
     bound = 1.0 + 3.0 * sigma
-    limit = bound + 1e-12
-    for e in evs:
-        if not abs(e) <= limit:
-            raise ValueError(f"EV outside [-{bound}, {bound}]: {evs}")
+    inside = np.abs(evs) <= bound + 1e-12
+    if not inside.all():
+        raise ValueError(f"EV outside [-{bound}, {bound}]: {evs[~inside][0]}")
 
 
 def exact_ev(state: StateVector, k: int) -> float:
@@ -76,8 +78,8 @@ def exact_ev(state: StateVector, k: int) -> float:
 
 
 def _run_generator(model: EnsembleModel) -> np.random.Generator | None:
-    """The one generator a run draws its counts and noise from; None for an
-    exact, noiseless run, which draws nothing."""
+    """The one generator a read, a sweep row or a search draws its counts
+    and noise from; None for exact, noiseless readout, which draws nothing."""
     if model.shots or model.gaussian_noise_sigma:
         return np.random.default_rng(model.seed)
     return None
@@ -135,14 +137,13 @@ def _readout_noise(rng: np.random.Generator, sigma: float, size: int) -> np.ndar
     return np.clip(rng.normal(0.0, sigma, size), -3.0 * sigma, 3.0 * sigma)
 
 
-def _noisy(base: np.ndarray, sigma: float, rng: np.random.Generator | None) -> list[float]:
+def _noisy(base: np.ndarray, sigma: float, rng: np.random.Generator | None) -> np.ndarray:
     """The EVs in ``base`` plus their readout noise (none when sigma is 0),
-    held to the readout bound, as a list."""
+    held to the readout bound."""
     if sigma:
         base = base + _readout_noise(rng, sigma, base.size)
-    evs = base.tolist()
-    _check_ev_bound(evs, sigma)
-    return evs
+    _check_ev_bound(base, sigma)
+    return base
 
 
 def measure_all(state: StateVector, model: EnsembleModel) -> list[float]:
@@ -154,7 +155,7 @@ def measure_all(state: StateVector, model: EnsembleModel) -> list[float]:
         base = np.array([exact_ev(state, k) for k in qubits])
     else:
         base = _label_evs(_shot_labels(state, rng.random(model.shots)), qubits)
-    return _noisy(base, model.gaussian_noise_sigma, rng)
+    return _noisy(base, model.gaussian_noise_sigma, rng).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +222,12 @@ def _unmarked_ones(
 
 
 def _class_ones(
-    state: ClassState, shots: int, qubits: Sequence[int], rng: np.random.Generator
+    state: ClassState, shots: int, qubits: Sequence[int], rng: np.random.Generator, runs: int
 ) -> np.ndarray:
-    """Ones of each qubit in ``qubits`` over one sampled run of ``shots``
-    shots, drawn by counts as the module docstring sets out."""
+    """Ones of each qubit in ``qubits`` over one run of ``shots`` shots, or of
+    one qubit over ``runs`` runs, drawn as the module docstring sets out."""
     if len(qubits) == 1:
-        return rng.binomial(shots, _ones_probability(state, qubits[0]), 1)
+        return rng.binomial(shots, _ones_probability(state, qubits[0]), runs)
     on, off = state.weights
     dim, size = 1 << state.qubit_count, state.heavy.size
     total = off * (dim - size) + on * size
@@ -239,24 +240,35 @@ def _class_ones(
     return ones + rng.multinomial(marked, [1.0 / size] * size) @ _bits(state.heavy, qubits)
 
 
+def _read(
+    state: ClassState, model: EnsembleModel, qubits: Sequence[int],
+    rng: np.random.Generator | None, runs: int = 1,
+) -> np.ndarray:
+    """EVs of the listed qubits of one run, or of one qubit over ``runs``
+    runs: exact or counts, then noise, all from ``rng``, held to the readout
+    bound.  The caller checks the qubit indices."""
+    if model.shots == 0:
+        base = _class_evs(state.heavy, state.weights, qubits)
+        base = np.repeat(base, runs) if runs > 1 else base
+    else:
+        ones = _class_ones(state, model.shots, qubits, rng, runs)
+        base = (model.shots - 2 * ones) / model.shots
+    return _noisy(base, model.gaussian_noise_sigma, rng)
+
+
 def measure_classes(
     state: ClassState, model: EnsembleModel, qubits: Sequence[int]
 ) -> list[float]:
     """EVs of the listed qubits of one run on a two-amplitude state, without
     building the dense state: exact in O(M) per qubit (the dense entries, to
-    rounding), or sampled by counts from the run's one generator, O(M L)
+    rounding), or sampled by counts from ``default_rng(model.seed)``, O(M L)
     whatever the shot count (see the module docstring).  Each listed qubit
     must be one of the register's, 1..L.
     """
     for k in qubits:
         if not 1 <= k <= state.qubit_count:
             raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
-    rng = _run_generator(model)
-    if model.shots == 0:
-        base = _class_evs(state.heavy, state.weights, qubits)
-    else:
-        base = (model.shots - 2 * _class_ones(state, model.shots, qubits, rng)) / model.shots
-    return _noisy(base, model.gaussian_noise_sigma, rng)
+    return _read(state, model, qubits, _run_generator(model)).tolist()
 
 
 def sign_error_rate(
@@ -273,33 +285,20 @@ def sign_error_rate(
     The reference is the sign of the exact EV, undecided when it is 0; a
     trial errs when the sign it reads (:func:`decide_sign` at threshold 0)
     differs, so a zero readout of a decidable qubit errs.  All trials draw
-    from ``default_rng(model.seed)``: a trial's ones are one
-    ``Binomial(shots, p_k)`` of the two-amplitude state, then its noise.
-    Blocks of at most ``_BLOCK_DRAWS`` trials are drawn and scored at once:
-    O(M + trials) time and O(_BLOCK_DRAWS) memory whatever the shot count
-    and register size.  Exact, noiseless readout runs one trial.
+    from ``default_rng(model.seed)``, read by :func:`_read` in blocks of at
+    most ``_BLOCK_DRAWS`` (a trial is one ``Binomial(shots, p_k)`` plus its
+    noise): O(M + trials) time and O(_BLOCK_DRAWS) memory whatever the shot
+    count and register size.  Exact, noiseless readout runs one trial.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    sigma = model.gaussian_noise_sigma
-    trials = 1 if model.shots == 0 and sigma == 0.0 else trials
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    trials = 1 if model.shots == 0 and model.gaussian_noise_sigma == 0.0 else trials
     state = class_state(marked, iterations)
-    # The exact reference read also checks that k is in 1..L.
-    exact = measure_classes(state, EnsembleModel(), [k])[0]
-    # The sign is decide_sign at 0: bit 0 is +1, bit 1 is -1, undecided 0.
-    truth = np.sign(exact)
-    probability = _ones_probability(state, k) if model.shots else 0.0
+    # The exact read checks k; its sign is decide_sign at 0 (undecided 0).
+    truth = np.sign(measure_classes(state, EnsembleModel(), [k])[0])
     rng = _run_generator(model)
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):
-        size = min(_BLOCK_DRAWS, trials - start)
-        if model.shots:
-            evs = (model.shots - 2 * rng.binomial(model.shots, probability, size)) / model.shots
-        else:
-            evs = np.full(size, exact)
-        if sigma:
-            evs += _readout_noise(rng, sigma, size)
-        # The block's extremes hold it to the readout bound (NaN included).
-        _check_ev_bound([evs.min(), evs.max()], sigma)
+        evs = _read(state, model, [k], rng, min(_BLOCK_DRAWS, trials - start))
         errors += int(np.count_nonzero(np.sign(evs) != truth))
     return errors / trials

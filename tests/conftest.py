@@ -16,15 +16,14 @@ import numpy as np
 
 from grover_ev import (
     ClassState,
-    EnsembleModel,
     SearchFailure,
     SearchResult,
     attenuation,
     class_state,
     decide_sign,
     make_plan,
-    measure_classes,
 )
+from grover_ev import measurement
 
 # Tolerance for cases that are exact up to floating-point rounding
 # (involutions, analytically exact expectation values).
@@ -140,20 +139,18 @@ def reference_extract_location(marked, iterations, model, a_th):
     """The bit-extraction search as first written, with the prefix kept as a
     tuple of bits: the plain run is read on every qubit, each correlated run
     on its target qubit, and a stage averages the target qubit's two EVs.
-    Run ``i`` draws from seed ``seed XOR i``, and the search gives up rather
-    than make run ``4 L + 1``."""
+    Every run reads in turn from one generator, ``default_rng(seed)``, and
+    the search gives up rather than make run ``4 L + 1``."""
     state = class_state(marked, iterations)
     qubit_count, locations = state.qubit_count, state.heavy
+    sampled = model.shots or model.gaussian_noise_sigma
+    rng = np.random.default_rng(model.seed) if sampled else None
 
-    def run(index, heavy, qubits):
-        run_model = EnsembleModel(
-            shots=model.shots,
-            seed=model.seed ^ index,
-            gaussian_noise_sigma=model.gaussian_noise_sigma,
-        )
-        return measure_classes(ClassState(qubit_count, heavy, state.weights), run_model, qubits)
+    def run(heavy, qubits):
+        moved = ClassState(qubit_count, heavy, state.weights)
+        return measurement._read(moved, model, qubits, rng).tolist()
 
-    plain = run(0, locations, range(1, qubit_count + 1))
+    plain = run(locations, range(1, qubit_count + 1))
     total_runs, branch_events, verifications = 1, 0, 0
     pending, bits = [], ()
     while True:
@@ -172,7 +169,7 @@ def reference_extract_location(marked, iterations, model, a_th):
                 prefix = sum(b << i for i, b in enumerate(bits))
                 low = locations & ((1 << len(bits)) - 1)
                 moved = np.where(low == prefix, locations, locations ^ (1 << (target - 1)))
-                correlated = run(total_runs, moved, [target])
+                correlated = run(moved, [target])
                 total_runs += 1
                 ev = (plain[target - 1] + correlated[0]) / 2.0
             bit = decide_sign(ev, a_th)

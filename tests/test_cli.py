@@ -134,7 +134,7 @@ def test_search_handles_cancellation(capsys):
 def test_search_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "8", "--marked", "5",
-        "--a-th", "0", "--shots", "2", "--seed", "86", "--m", "1",
+        "--a-th", "0", "--shots", "2", "--seed", "4", "--m", "1",
     )
     assert code == 1
     payload = json.loads(out)
@@ -533,10 +533,10 @@ INVALID_INPUTS = {
         f"seed must be a 64-bit unsigned integer, got {2**64}"),
     "argv26-trials must be >= 1": (
         ["sweep", "--trials", "0", "--sweep", "m", "--values", "1..1"],
-        "trials must be >= 1"),
+        "trials must be in 1..1000000, got 0"),
     "argv27-trials must be >= 1": (
         ["sweep", "--shots", "64", "--trials", "0", "--sweep", "m", "--values", "1..1"],
-        "trials must be >= 1"),
+        "trials must be in 1..1000000, got 0"),
     "argv28-iterations must be >= 0, got -1": (
         ["sweep", "--sweep", "m", "--values=-1..0"],
         "iterations must be >= 0, got -1"),
@@ -555,6 +555,9 @@ INVALID_INPUTS = {
     "argv33-a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf": (
         ["sweep", "--a-th", "inf", "--sweep", "m", "--values", "1..1"],
         "a_th must satisfy 0 <= a_th <= 1/M = 1.0, got inf"),
+    "argv34-trials must be in 1..1000000, got 1000001": (
+        ["sweep", "--shots", "64", "--trials", "1000001", "--sweep", "m", "--values", "1..1"],
+        "trials must be in 1..1000000, got 1000001"),
 }
 
 

@@ -20,8 +20,10 @@ from grover_ev import (
     MarkedSet,
     SearchFailure,
     attenuation,
+    class_state,
     extract_location,
     make_plan,
+    measure_classes,
 )
 from grover_ev import filtering
 from grover_ev.core import (
@@ -282,10 +284,10 @@ def test_extract_deterministic_with_sampling():
 
 
 def test_extract_failure_exhausts_branches():
-    # Two shots per run cannot reliably decide signs; seed 86 mis-decides
+    # Two shots per run cannot reliably decide signs; seed 4 mis-decides
     # an early bit, prunes the true subtree, and runs out of candidates
     # after one branch and 5 runs.
-    model = EnsembleModel(shots=2, seed=86)
+    model = EnsembleModel(shots=2, seed=4)
     with pytest.raises(SearchFailure) as excinfo:
         extract_location(MarkedSet((5,), 8), 1, model, 0.0)
     assert excinfo.value.reason == "exhausted"
@@ -329,29 +331,58 @@ def test_search_result_json_schema():
 
 def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     # L = 16 with one marked label; at this threshold the search branches
-    # 10 times and backtracks through 10 verifications in 23 runs, inside
-    # the 4 L budget.  Every run goes through measure_classes and draws from
-    # a generator of its own, seeded seed XOR i; a correlated run must still
-    # read one qubit: one binomial count and one noise value.
+    # 10 times and backtracks through 9 verifications in 23 runs, inside the
+    # 4 L budget.  It builds one generator, seeded 2, and every run reads from
+    # it in turn: the plain run its counts and noise on every qubit, then
+    # each correlated run one binomial count and one noise value.
     qubits = 16
     reads = []
-    measure_classes = filtering.measure_classes
+    read = filtering._read
 
-    def counted_reads(state, model, qubit_list):
-        reads.append(list(qubit_list))
-        return measure_classes(state, model, qubit_list)
+    def counted_reads(state, model, qubit_list, rng):
+        reads.append((list(qubit_list), rng))
+        return read(state, model, qubit_list, rng)
 
-    monkeypatch.setattr(filtering, "measure_classes", counted_reads)
+    monkeypatch.setattr(filtering, "_read", counted_reads)
     built = record_generators(monkeypatch)
-    model = EnsembleModel(shots=1024, seed=28, gaussian_noise_sigma=0.05)
+    model = EnsembleModel(shots=1024, seed=2, gaussian_noise_sigma=0.05)
     result = extract_location(MarkedSet((40503,), 1 << qubits), 59, model, 0.16)
     assert result.location == 40503 and result.branch_events > 0
     runs = result.total_runs
     assert runs > qubits
-    assert reads[0] == list(range(1, qubits + 1)) and len(reads) == runs
-    assert all(len(read) == 1 for read in reads[1:])
-    assert [rng.seed for rng in built] == [28 ^ i for i in range(runs)]
-    draws = [[(name, draw.size) for name, draw in rng.draws] for rng in built]
-    assert draws[0] == [("binomial", 1), ("binomial", qubits), ("multinomial", 1),
-                        ("normal", qubits)]
-    assert all(run == [("binomial", 1), ("normal", 1)] for run in draws[1:])
+    (rng,) = built
+    assert rng.seed == 2 and all(run_rng is rng for _, run_rng in reads)
+    assert reads[0][0] == list(range(1, qubits + 1))
+    assert len(reads) == runs and all(len(qubit_list) == 1 for qubit_list, _ in reads[1:])
+    draws = [(name, draw.size) for name, draw in rng.draws]
+    assert draws == [("binomial", 1), ("binomial", qubits), ("multinomial", 1),
+                     ("normal", qubits)] + [("binomial", 1), ("normal", 1)] * (runs - 1)
+
+
+@pytest.mark.parametrize("locations, n, m, model", [
+    ((40503,), 1 << 16, 59, EnsembleModel(shots=1024, seed=28, gaussian_noise_sigma=0.05)),
+    ((3, 77, 200), 256, 3, EnsembleModel(shots=1024, seed=1)),
+    ((3, 9, 12), 16, 3, EnsembleModel(shots=64, seed=2**64 - 1)),
+    ((5, 6), 64, 2, EnsembleModel(seed=7, gaussian_noise_sigma=0.05)),
+], ids=["M1-noisy", "M3", "past-m_stand", "exact-noisy"])
+def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, locations, n, m, model):
+    # A search's one generator is default_rng(seed) and the plain run reads
+    # from it first, so the plain run's EVs are, bit for bit, those one
+    # measure_classes call reads from the same state and model.
+    reads = []
+    read = filtering._read
+
+    def recorded(*args):
+        evs = read(*args)
+        reads.append(evs.tolist())
+        return evs
+
+    monkeypatch.setattr(filtering, "_read", recorded)
+    marked = MarkedSet(locations, n)
+    try:
+        extract_location(marked, m, model, 0.0)
+    except SearchFailure:
+        pass
+    qubits = range(1, n.bit_length())
+    assert reads[0] == measure_classes(class_state(marked, m), model, qubits)
+    assert len(reads[0]) == n.bit_length() - 1

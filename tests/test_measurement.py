@@ -186,11 +186,17 @@ def test_measure_all_deterministic():
 
 
 def test_ev_bound_widens_with_noise_and_rejects_nan():
-    _check_ev_bound([1.2, -1.2], 0.1)
-    with pytest.raises(ValueError, match="EV outside"):
-        _check_ev_bound([1.2], 0.0)
-    with pytest.raises(ValueError, match="EV outside"):
-        _check_ev_bound([0.5, float("nan")], 0.1)
+    # The whole array is checked, NaN included, and the message names the
+    # first EV past the bound, not the whole block.
+    _check_ev_bound(np.array([1.2, -1.2]), 0.1)
+    with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: 1\.2$"):
+        _check_ev_bound(np.array([1.2]), 0.0)
+    with pytest.raises(ValueError, match=r"^EV outside \[-1\.3\d*, 1\.3\d*\]: nan$"):
+        _check_ev_bound(np.array([0.5, float("nan")]), 0.1)
+    block = np.full(1024, 0.5)
+    block[[700, 900]] = -1.5, 2.0
+    with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: -1\.5$"):
+        _check_ev_bound(block, 0.0)
 
 
 # ----------------------------------------------------------- sign error rates
