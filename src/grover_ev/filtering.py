@@ -11,24 +11,24 @@ A stage's averaged EV is ``A_m / M`` times the signed count of the
 consistent items, so under exact readout a nonzero EV is at least
 ``A_m / M`` in magnitude and its sign names a bit that some consistent item
 carries, while a tie at exactly 0 means the consistent items split evenly.
-A stage decides its bit by :func:`decide_sign` at the caller's threshold;
-the command line passes 0, so each bit is read by its sign.  An undecided
-EV (a tie, or any magnitude up to a positive threshold) is resolved by
-branching: bit 0 is tried first, the final candidate is confirmed with a
-single oracle query, and failed candidates backtrack to the most recent
-unexplored branch.  A search gives up after ``4 L`` runs
+A stage, :func:`_stage`, decides its bit by :func:`decide_sign` at the
+caller's threshold; the command line passes 0, so each bit is read by its
+sign.  An undecided EV (a tie, or any magnitude up to a positive threshold)
+is resolved by branching: bit 0 is tried first, the final candidate is
+confirmed with a single oracle query, and failed candidates backtrack to the
+most recent unexplored branch.  A search gives up after ``4 L`` runs
 (``RUN_BUDGET_PER_QUBIT``), so no input takes more than O(L) runs.
 
 Runs are read out from the two-amplitude state: after m steps every marked
 label carries one amplitude and every other label another, and the
 correlation only moves labels, so a run needs the marked labels alone and
-no statevector is built.  Every run is read as
-:func:`~grover_ev.measurement.measure_classes` reads: the plain run on every
-qubit, since each stage uses a different one of its EVs, and a correlated
-run on its target qubit alone, all in turn from one ``default_rng(seed)``
-per search.  The dense operations of
-:mod:`grover_ev.core` and :func:`apply_correlation` stay the reference this
-path is tested against.
+no statevector is built.  One plain run is read on every qubit, as
+:func:`~grover_ev.measurement.measure_classes` reads it, and each stage past
+the first adds one correlated run on its target qubit alone, all drawn in
+turn from one ``default_rng(seed)`` per search.  :func:`extract_location` is
+the search loop: the run budget, the branch stack, verification and the counts.
+The dense operations of :mod:`grover_ev.core` and :func:`apply_correlation`
+stay the reference this path is tested against.
 
 Bit sequences (``s_bits``, :attr:`SearchResult.bits`) are ordered
 least-significant first: element ``i`` is the value of qubit ``i + 1``.
@@ -131,6 +131,24 @@ def _correlated_labels(labels: np.ndarray, target: int, prefix: int) -> np.ndarr
     return np.where(keep, labels, labels ^ flip)
 
 
+def _stage(
+    state: ClassState, plain: Sequence[float], prefix: int, stage: int,
+    model: EnsembleModel, rng: np.random.Generator | None, a_th: float,
+) -> tuple[float, int | None]:
+    """The EV of qubit ``stage + 1`` given the ``stage`` bits ``prefix``
+    spells, and its bit by :func:`decide_sign` at ``a_th`` (None: undecided).
+    Stage 0 is the plain run's; a later stage averages the plain run's with
+    one correlated run, that qubit read alone from ``rng`` off the marked
+    labels the correlation moved: O(M), whatever the shots and register."""
+    if stage == 0:
+        ev = plain[0]
+    else:
+        labels = _correlated_labels(state.heavy, stage + 1, prefix)
+        moved = ClassState(state.qubit_count, labels, state.weights)
+        ev = (plain[stage] + _read(moved, model, [stage + 1], rng)[0]) / 2.0
+    return ev, decide_sign(ev, a_th)
+
+
 def extract_location(
     marked: MarkedSet,
     iterations: int,
@@ -140,15 +158,10 @@ def extract_location(
     """Run the full bit-extraction protocol and return a verified location.
 
     One plain run (``iterations`` amplification steps, every qubit read in
-    O(M L), exact or sampled, as ``measure_classes`` reads it) is reused
-    at every stage.  Each stage past the first adds one correlated run, its
-    target qubit read alone from the marked labels the correlation moved:
-    O(M), whatever the shot count and register size.  The stage's EV is the
-    mean of the two runs' target-qubit EVs.  Every run draws in turn from
-    one generator, built once from ``model.seed``.
-    Stage decisions go through :func:`decide_sign` at threshold ``a_th``;
-    undecided stages branch (bit 0 first) and the final candidate is
-    checked with a single oracle query, backtracking on failure.
+    O(M L)) is reused at every stage, and :func:`_stage` decides each bit.
+    The loop keeps the run budget, the branch stack (an undecided stage
+    tries bit 0 first), one oracle query per candidate with a backtrack when
+    it fails, and the counts.
 
     Raises :class:`SearchFailure` with reason ``"exhausted"`` once every live
     branch fails verification, or ``"budget"`` when a stage needs a run past
@@ -165,17 +178,13 @@ def extract_location(
     total_runs = 1
     branch_events = 0
     verifications = 0
-    # prefix holds the ``stage`` bits determined so far (bit i is qubit i + 1);
-    # pending, the (prefix, stage) of each unexplored branch.
-    pending: list[tuple[int, int]] = []
-    prefix, stage = 0, 0
-
-    while True:
-        while stage < qubit_count:
-            target = stage + 1
-            if stage == 0:
-                ev = plain[0]
-            else:
+    # The (prefix, stage) of each unexplored branch, the root first: prefix
+    # holds the ``stage`` bits determined so far (bit i is qubit i + 1).
+    pending = [(0, 0)]
+    while pending:
+        prefix, stage = pending.pop()
+        for stage in range(stage, qubit_count):
+            if stage:
                 if total_runs == budget:
                     raise SearchFailure(
                         f"no verified candidate within the budget of {budget} runs",
@@ -183,20 +192,13 @@ def extract_location(
                         total_runs=total_runs,
                         branch_events=branch_events,
                     )
-                moved = ClassState(
-                    qubit_count, _correlated_labels(state.heavy, target, prefix), state.weights
-                )
-                correlated = _read(moved, model, [target], rng)[0]
                 total_runs += 1
-                ev = (plain[target - 1] + correlated) / 2.0
-            bit = decide_sign(ev, a_th)
+            _, bit = _stage(state, plain, prefix, stage, model, rng, a_th)
             if bit is None:
                 branch_events += 1
-                pending.append((prefix | 1 << stage, target))
+                pending.append((prefix | 1 << stage, stage + 1))
                 bit = 0
             prefix |= bit << stage
-            stage += 1
-
         verifications += 1
         if prefix in marked:
             return SearchResult(
@@ -208,11 +210,9 @@ def extract_location(
                 bits=tuple(prefix >> i & 1 for i in range(qubit_count)),
                 verification_queries=verifications,
             )
-        if not pending:
-            raise SearchFailure(
-                "every branch candidate failed verification",
-                reason="exhausted",
-                total_runs=total_runs,
-                branch_events=branch_events,
-            )
-        prefix, stage = pending.pop()
+    raise SearchFailure(
+        "every branch candidate failed verification",
+        reason="exhausted",
+        total_runs=total_runs,
+        branch_events=branch_events,
+    )

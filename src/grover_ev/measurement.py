@@ -20,9 +20,10 @@ whatever ``shots`` is.  Past the standard step count (``on < off``, only by
 an explicit iterate count) that weight is negative: ``K ~ Binomial(shots,
 on M / total)``, and the other shots are unmarked labels drawn by
 ``Generator.integers`` over [0, N), redrawn on a marked label, in blocks of
-at most ``_BLOCK_DRAWS``: O(shots) time in bounded memory.  Qubits read
-alone get counts of their own, equal in distribution (not bit for bit) to a
-full readout's.  The dense :func:`measure_all` stays the reference.
+at most ``_BLOCK_DRAWS``: O(shots) time in bounded memory, so such a read
+takes at most ``MAX_LABEL_SHOTS`` shots.  Qubits read alone get counts of
+their own, equal in distribution (not bit for bit) to a full readout's.  The
+dense :func:`measure_all` stays the reference.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ _BLOCK_DRAWS = 1 << 10
 
 # Most trials one sign-error rate reads: about 0.2 s of noisy trials.
 MAX_TRIALS = 1_000_000
+
+# Most shots a whole-register read past the standard step count takes: it
+# draws each unmarked shot as a label, about 1.3 s at this limit (2-core Xeon).
+MAX_LABEL_SHOTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -232,6 +237,9 @@ def _class_ones(
     dim, size = 1 << state.qubit_count, state.heavy.size
     total = off * (dim - size) + on * size
     uniform = on >= off
+    if not uniform and shots > MAX_LABEL_SHOTS:
+        raise ValueError("past the standard step count a whole-register read takes "
+                         f"at most {MAX_LABEL_SHOTS} shots, got {shots}")
     marked = rng.binomial(shots, (on - off if uniform else on) * size / total)
     if uniform:
         ones = rng.binomial(shots - marked, 0.5, len(qubits))

@@ -55,6 +55,7 @@ from grover_ev.core import (
 from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import (
     _BLOCK_DRAWS,
+    MAX_LABEL_SHOTS,
     _born_cdf,
     _label_evs,
     _shot_labels,
@@ -385,6 +386,31 @@ def test_reads_past_the_standard_count_draw_bounded_label_blocks(monkeypatch):
         labels = [draw for name, draw in rng.draws if name == "integers"]
         assert max(draw.size for draw in labels) <= _BLOCK_DRAWS
         assert sum(draw.size for draw in labels) >= shots * 0.9
+
+
+def test_label_reads_past_the_standard_count_are_limited(monkeypatch):
+    # Past m_stand a whole-register read draws each unmarked shot as a
+    # label, so it takes at most MAX_LABEL_SHOTS shots and rejects more
+    # before its generator draws anything.  A one-qubit read there, and a
+    # whole-register read at m_stand, are counts alone and take any count.
+    marked = MarkedSet((3, 9, 12), 16)
+    past, at_stand = class_state(marked, 3), class_state(marked, 1)
+    built = record_generators(monkeypatch)
+    over = EnsembleModel(shots=MAX_LABEL_SHOTS + 1, seed=1)
+    with pytest.raises(ValueError, match=(
+            "past the standard step count a whole-register read takes at most "
+            f"{MAX_LABEL_SHOTS} shots, got {MAX_LABEL_SHOTS + 1}")):
+        measure_classes(past, over, range(1, 5))
+    (rng,) = built
+    assert rng.draws == []
+    huge = EnsembleModel(shots=10**12, seed=1)
+    assert len(measure_classes(past, huge, [2])) == 1
+    assert len(measure_classes(at_stand, huge, range(1, 5))) == 4
+    # The limit itself is read: at a limit of 64 shots, 64 pass and 65 fail.
+    monkeypatch.setattr(measurement, "MAX_LABEL_SHOTS", 64)
+    assert len(measure_classes(past, EnsembleModel(shots=64), range(1, 5))) == 4
+    with pytest.raises(ValueError, match="at most 64 shots, got 65"):
+        measure_classes(past, EnsembleModel(shots=65), range(1, 5))
 
 
 def test_sign_error_rate_builds_its_tables_once(monkeypatch):

@@ -404,6 +404,19 @@ def test_sweep_at_huge_shot_counts_allocates_no_shot_sized_memory(tmp_path):
     assert json.loads(child.stderr)["config"]["shots"] == 0
 
 
+def test_sweep_past_the_standard_count_reads_any_shot_count(capsys):
+    # A sweep trial reads one qubit by one binomial count, so past m_stand
+    # (1 here) a row takes 10**12 shots, which a search's whole-register
+    # read at the same m rejects.
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "16", "--marked", "3,9,12", "--shots", str(10**12),
+        "--sweep", "m", "--values", "3..4", "--trials", "3",
+    )
+    assert code == 0, err
+    rows = parse_csv(out)
+    assert [row["m"] for row in rows] == ["3", "4"] and rows[0]["m_stand"] == "1"
+
+
 def test_sweep_range_past_the_value_limit_exits_two(tmp_path):
     # 0..10**10 names 10**10 + 1 values.  They are counted before the range
     # is expanded, so the sweep fails in bounded memory with one error line.
@@ -558,6 +571,10 @@ INVALID_INPUTS = {
     "argv34-trials must be in 1..1000000, got 1000001": (
         ["sweep", "--shots", "64", "--trials", "1000001", "--sweep", "m", "--values", "1..1"],
         "trials must be in 1..1000000, got 1000001"),
+    "search --marked 3,9,12 --m 3 --shots 1000000000000": (
+        ["search", "--marked", "3,9,12", "--m", "3", "--shots", str(10**12)],
+        "past the standard step count a whole-register read takes at most 10000000 shots, "
+        "got 1000000000000"),
 }
 
 

@@ -21,6 +21,7 @@ from grover_ev import (
     SearchFailure,
     attenuation,
     class_state,
+    decide_sign,
     extract_location,
     make_plan,
     measure_classes,
@@ -221,6 +222,50 @@ def test_averaging_enumeration_oracle_truncated_states():
                     assert two_run_average(state, target, s_bits) == pytest.approx(
                         expected, abs=1e-10
                     )
+
+
+def check_stage_against_formula(locations, n, m, atol):
+    """Check ``filtering._stage`` under exact readout at every anchor and
+    stage against the enumeration formula scaled by A_m, within 1e-12
+    relative or ``atol``.  A tie is exactly 0 on both sides, so the bit is
+    the formula's sign.  Returns the number of stages checked."""
+    state = class_state(MarkedSet(locations, n), m)
+    qubits = state.qubit_count
+    plain = measure_classes(state, EXACT, range(1, qubits + 1))
+    scale = attenuation(n, len(locations), m)
+    for anchor in locations:
+        for stage in range(qubits):
+            prefix = anchor & ((1 << stage) - 1)
+            ev, bit = filtering._stage(state, plain, prefix, stage, EXACT, None, 0.0)
+            expected = filtered_ev_formula(
+                locations, low_bits(anchor, stage), stage + 1, scale
+            )
+            case = (locations, m, anchor, stage)
+            assert ev == pytest.approx(expected, rel=1e-12, abs=atol), case
+            assert bit == decide_sign(expected, 0.0), case
+    return len(locations) * qubits
+
+
+def test_stage_ev_matches_formula_on_every_small_set():
+    # The production stage, not the dense average: every marked set of size
+    # <= 3 at N = 16, every m up to m_stand, every anchor and stage, against
+    # the paper's filtered EV, A_m / M times the signed consistent count.
+    cases = 0
+    for m_count in (1, 2, 3):
+        for locations in itertools.combinations(range(16), m_count):
+            for m in range(1, make_plan(16, m_count, 0.0).m_stand + 1):
+                cases += check_stage_against_formula(locations, 16, m, 1e-12)
+    assert cases == 8832
+
+
+def test_stage_ev_matches_formula_at_62_qubits():
+    # No dense state exists at L = 62.  A_m is about 7e-18 at m = 1, so the
+    # stage EVs of a random set are checked relative to it alone.
+    n = 1 << 62
+    locations = random_marked_locations(np.random.default_rng(62), n, 4)
+    m_stand = make_plan(n, 4, 0.0).m_stand
+    for m in (1, m_stand // 3, m_stand):
+        assert check_stage_against_formula(locations, n, m, 0.0) == 4 * 62
 
 
 # ------------------------------------------------------------- bit extraction
