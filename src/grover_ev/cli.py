@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(search)
     search.add_argument("--m", type=int, default=None,
                         help="override the iterate count (default: the first m whose "
-                             "one-item EV A_m/M exceeds --a-th)")
+                             "one-item EV A_m/M exceeds --a-th, at least 1)")
 
     sweep = commands.add_parser("sweep", help="evaluate a parameter grid, emit CSV")
     _add_common_flags(sweep, n_required=False)

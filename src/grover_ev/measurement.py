@@ -15,15 +15,14 @@ Several qubits: the Born distribution is uniform over all N labels (bits
 independent fair coins) with weight ``off N / total`` and uniform over the M
 marked labels with the rest, so ``K ~ Binomial(shots, (on - off) M / total)``
 marked draws split by a ``Multinomial(K, 1/M each)``, and qubit k's ones are
-``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set: O(M L)
-whatever ``shots`` is.  Past the standard step count (``on < off``, only by
-an explicit iterate count) that weight is negative: ``K ~ Binomial(shots,
-on M / total)``, and the other shots are unmarked labels drawn by
-``Generator.integers`` over [0, N), redrawn on a marked label, in blocks of
-at most ``_BLOCK_DRAWS``: O(shots) time in bounded memory, so such a read
-takes at most ``MAX_LABEL_SHOTS`` shots.  Qubits read alone get counts of
-their own, equal in distribution (not bit for bit) to a full readout's.  The
-dense :func:`measure_all` stays the reference.
+``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set.  Past the
+standard step count (``on < off``, only by an explicit iterate count) that
+weight is negative: ``K ~ Binomial(shots, on M / total)``, and the other
+shots are spread by a ``Multinomial`` over the at most M L aligned blocks
+that tile the unmarked labels, whose free bits are fair coins.  A read of
+several qubits costs O(M L), of one O(M), at every iterate and shot count.
+Qubits read alone get counts of their own, equal in distribution (not bit
+for bit) to a full readout's.  The dense :func:`measure_all` is the reference.
 """
 
 from __future__ import annotations
@@ -37,16 +36,11 @@ import numpy as np
 from .core import MarkedSet, StateVector, class_amplitudes, qubit_values
 
 
-# Most trials a sign-error rate, or unmarked labels a run past the standard
-# step count, draws at once: memory stays O(_BLOCK_DRAWS).
+# Most trials a sign-error rate draws at once: memory stays O(_BLOCK_DRAWS).
 _BLOCK_DRAWS = 1 << 10
 
 # Most trials one sign-error rate reads: about 0.2 s of noisy trials.
 MAX_TRIALS = 1_000_000
-
-# Most shots a whole-register read past the standard step count takes: it
-# draws each unmarked shot as a label, about 1.3 s at this limit (2-core Xeon).
-MAX_LABEL_SHOTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -211,19 +205,29 @@ def _ones_probability(state: ClassState, k: int) -> float:
     return (off * (dim // 2 - ones) + on * ones) / total
 
 
+def _unmarked_blocks(heavy: np.ndarray, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low bits and depths j of the at most M L blocks that tile the labels not
+    in ``heavy``: a heavy label's low j bits with bit j flipped, held by no heavy
+    label, fix the low j bits of 2^(L - j) labels.  An unmarked label lies only in
+    the block of the first depth where its low bits leave every heavy label's."""
+    blocks = []
+    for j in range(1, qubit_count + 1):
+        low = {h & ((1 << j) - 1) for h in heavy.tolist()}
+        blocks += [(r, j) for r in sorted({x ^ (1 << (j - 1)) for x in low} - low)]
+    return np.array(blocks, dtype=np.int64).reshape(-1, 2).T
+
+
 def _unmarked_ones(
     state: ClassState, count: int, qubits: Sequence[int], rng: np.random.Generator
 ) -> np.ndarray:
     """Ones of each qubit in ``qubits`` over ``count`` labels drawn uniformly
-    from the unmarked ones: uniform labels over the register, each one that
-    hits a heavy label drawn again, at most ``_BLOCK_DRAWS`` at a time."""
-    ones = np.zeros(len(qubits), dtype=np.int64)
-    while count:
-        labels = rng.integers(0, 1 << state.qubit_count, min(count, _BLOCK_DRAWS))
-        labels = labels[~np.isin(labels, state.heavy)]
-        ones += _bits(labels, qubits).sum(axis=0)
-        count -= labels.size
-    return ones
+    from the unmarked ones: a multinomial over the blocks, their fixed bits,
+    and a fair-coin binomial per qubit for the shots it is free in."""
+    residues, depths = _unmarked_blocks(state.heavy, state.qubit_count)
+    sizes = np.left_shift(1, state.qubit_count - depths)
+    counts = rng.multinomial(count, sizes / sizes.sum())
+    free = depths[:, None] < np.asarray(qubits)
+    return counts @ np.where(free, 0, _bits(residues, qubits)) + rng.binomial(counts @ free, 0.5)
 
 
 def _class_ones(
@@ -237,14 +241,9 @@ def _class_ones(
     dim, size = 1 << state.qubit_count, state.heavy.size
     total = off * (dim - size) + on * size
     uniform = on >= off
-    if not uniform and shots > MAX_LABEL_SHOTS:
-        raise ValueError("past the standard step count a whole-register read takes "
-                         f"at most {MAX_LABEL_SHOTS} shots, got {shots}")
     marked = rng.binomial(shots, (on - off if uniform else on) * size / total)
-    if uniform:
-        ones = rng.binomial(shots - marked, 0.5, len(qubits))
-    else:
-        ones = _unmarked_ones(state, shots - marked, qubits, rng)
+    ones = (rng.binomial(shots - marked, 0.5, len(qubits)) if uniform
+            else _unmarked_ones(state, shots - marked, qubits, rng))
     return ones + rng.multinomial(marked, [1.0 / size] * size) @ _bits(state.heavy, qubits)
 
 
@@ -270,8 +269,8 @@ def measure_classes(
     """EVs of the listed qubits of one run on a two-amplitude state, without
     building the dense state: exact in O(M) per qubit (the dense entries, to
     rounding), or sampled by counts from ``default_rng(model.seed)``, O(M L)
-    whatever the shot count (see the module docstring).  Each listed qubit
-    must be one of the register's, 1..L.
+    at every iterate and shot count (see the module docstring).  Each listed
+    qubit must be one of the register's, 1..L.
     """
     for k in qubits:
         if not 1 <= k <= state.qubit_count:

@@ -12,6 +12,7 @@ sign-error rates against the exact binomial tail.  Each such test uses
 fixed seeds and states its power.
 """
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -55,10 +56,10 @@ from grover_ev.core import (
 from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import (
     _BLOCK_DRAWS,
-    MAX_LABEL_SHOTS,
     _born_cdf,
     _label_evs,
     _shot_labels,
+    _unmarked_blocks,
     measure_all,
 )
 
@@ -367,11 +368,12 @@ def test_uniform_reads_at_62_qubits_are_unbiased():
 
 def test_reads_past_the_standard_count_draw_bounded_label_blocks(monkeypatch):
     # At N = 16, M = 3 and m = 3 > m_stand = 1 a marked label weighs less
-    # than an unmarked one, so a whole-register read draws its unmarked
-    # shots as labels, at most _BLOCK_DRAWS at a time, redrawing any that
-    # hit a marked label; its counts over 300 seeds still match the closed
-    # form within 5 standard errors (a p_k off by 1/sqrt(shots) would move
-    # some mean by 34 or more).
+    # than an unmarked one, so a whole-register read spreads its unmarked
+    # shots over the aligned blocks that tile the unmarked labels: each read
+    # draws the marked count, one multinomial over at most M L blocks, the
+    # fair-coin ones of the free bits and the marked split, and no label.
+    # Its counts over 300 seeds match the closed form within 5 standard
+    # errors (a p_k off by 1/sqrt(shots) would move some mean by 34 or more).
     marked = MarkedSet((3, 9, 12), 16)
     state = class_state(marked, 3)
     on, off = state.weights
@@ -382,35 +384,108 @@ def test_reads_past_the_standard_count_draw_bounded_label_blocks(monkeypatch):
     built = record_generators(monkeypatch)
     ones = reads_of(state, EnsembleModel(shots=shots, seed=8), qubits, reads)
     assert_counts_match(ones, born, qubits, shots)
+    assert len(built) == reads
     for rng in built:
-        labels = [draw for name, draw in rng.draws if name == "integers"]
-        assert max(draw.size for draw in labels) <= _BLOCK_DRAWS
-        assert sum(draw.size for draw in labels) >= shots * 0.9
+        names = [name for name, _ in rng.draws]
+        assert names == ["binomial", "multinomial", "binomial", "multinomial"]
+        blocks, split = rng.draws[1][1], rng.draws[3][1]
+        assert 1 <= blocks.size <= 3 * 4 and split.size == 3
+        assert blocks.sum() + split.sum() == shots
 
 
-def test_label_reads_past_the_standard_count_are_limited(monkeypatch):
-    # Past m_stand a whole-register read draws each unmarked shot as a
-    # label, so it takes at most MAX_LABEL_SHOTS shots and rejects more
-    # before its generator draws anything.  A one-qubit read there, and a
-    # whole-register read at m_stand, are counts alone and take any count.
-    marked = MarkedSet((3, 9, 12), 16)
-    past, at_stand = class_state(marked, 3), class_state(marked, 1)
-    built = record_generators(monkeypatch)
-    over = EnsembleModel(shots=MAX_LABEL_SHOTS + 1, seed=1)
-    with pytest.raises(ValueError, match=(
-            "past the standard step count a whole-register read takes at most "
-            f"{MAX_LABEL_SHOTS} shots, got {MAX_LABEL_SHOTS + 1}")):
-        measure_classes(past, over, range(1, 5))
-    (rng,) = built
-    assert rng.draws == []
+def test_label_reads_past_the_standard_count_take_any_shot_count():
+    # Past m_stand a whole-register read costs O(M L) whatever the shot
+    # count: 10**12 shots read all 4 qubits at N = 16, and all 62 of an
+    # L = 62, M = 4 register at m = 1,686,629,713 (about 2 m_stand), each EV
+    # within 1e-4 of the exact one (its standard error is at most 1e-6).  A
+    # one-qubit read there, and a whole-register read at m_stand, take the
+    # same count.
     huge = EnsembleModel(shots=10**12, seed=1)
-    assert len(measure_classes(past, huge, [2])) == 1
-    assert len(measure_classes(at_stand, huge, range(1, 5))) == 4
-    # The limit itself is read: at a limit of 64 shots, 64 pass and 65 fail.
-    monkeypatch.setattr(measurement, "MAX_LABEL_SHOTS", 64)
-    assert len(measure_classes(past, EnsembleModel(shots=64), range(1, 5))) == 4
-    with pytest.raises(ValueError, match="at most 64 shots, got 65"):
-        measure_classes(past, EnsembleModel(shots=65), range(1, 5))
+    sixteen = MarkedSet((3, 9, 12), 16)
+    assert len(measure_classes(class_state(sixteen, 3), huge, [2])) == 1
+    assert len(measure_classes(class_state(sixteen, 1), huge, range(1, 5))) == 4
+    for marked, m in [(sixteen, 3),
+                      (MarkedSet((5, 2**40 + 3, 2**61 + 7, 2**62 - 1), 2**62), 1_686_629_713)]:
+        state = class_state(marked, m)
+        on, off = state.weights
+        assert on < off and m > make_plan(marked.universe_size, marked.count, 0.0).m_stand
+        qubits = range(1, state.qubit_count + 1)
+        got = measure_classes(state, huge, qubits)
+        exact = measure_classes(state, EXACT, qubits)
+        assert len(got) == state.qubit_count
+        assert np.max(np.abs(np.subtract(got, exact))) <= 1e-4
+
+
+def assert_blocks_tile(marked, qubit_count):
+    """The blocks of ``_unmarked_blocks`` hold every unmarked label of a
+    2**qubit_count register once and no marked one, and number at most M L."""
+    n, marked = 1 << qubit_count, {int(label) for label in marked}
+    residues, depths = _unmarked_blocks(np.array(sorted(marked), dtype=np.int64), qubit_count)
+    assert residues.size == depths.size <= len(marked) * qubit_count
+    cover = [0] * n
+    for residue, depth in zip(residues.tolist(), depths.tolist()):
+        for label in range(residue, n, 1 << depth):
+            cover[label] += 1
+    assert cover == [int(label not in marked) for label in range(n)]
+
+
+def test_unmarked_blocks_tile_small_registers():
+    # Every marked set of size 1..3 at L <= 6, and 300 random sets of up to
+    # 8 labels: each unmarked label lies in exactly one block, no marked
+    # label in any, and there are at most M L blocks.
+    for qubit_count in range(1, 7):
+        labels = range(1 << qubit_count)
+        for size in range(1, 4):
+            for marked in itertools.combinations(labels, size):
+                assert_blocks_tile(marked, qubit_count)
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        qubit_count = int(rng.integers(1, 7))
+        size = int(rng.integers(1, min(8, 1 << qubit_count) + 1))
+        assert_blocks_tile(rng.choice(1 << qubit_count, size, replace=False), qubit_count)
+
+
+def test_unmarked_blocks_cover_the_unmarked_labels_at_62_qubits():
+    # At L = 62 the block sizes 2**(L - j) sum, as integers, to N - M on 200
+    # random sets of 1 to 8 labels (half of them packed into one small
+    # aligned range, so that their low bits share long prefixes); no block
+    # holds a marked label.
+    rng = np.random.default_rng(62)
+    for case in range(200):
+        size = int(rng.integers(1, 9))
+        high = 2**62 if case % 2 else 64
+        marked = np.unique(rng.integers(0, high, size, dtype=np.int64))
+        residues, depths = _unmarked_blocks(marked, 62)
+        assert residues.size <= marked.size * 62
+        assert sum(1 << (62 - int(d)) for d in depths) == 2**62 - marked.size
+        masks = (np.int64(1) << depths) - 1
+        assert not np.any((marked[:, None] & masks) == residues)
+
+
+@pytest.mark.parametrize("locations, n, m, qubits", [
+    ((3, 9, 12), 16, 3, [3, 1]),
+    ((0, 1, 2), 4, 1, [1, 2]),
+    ((0, 2, 3, 5, 6), 8, 1, [1, 2, 3]),
+    ((1, 2), 32, 6, [5, 1, 3, 2, 4]),
+    ((5, 17, 40, 63), 64, 6, list(range(1, 7))),
+    ((5, 77, 600), 1024, 29, list(range(1, 11))),
+])
+def test_counts_past_the_standard_count_match_dense_weights(locations, n, m, qubits):
+    # Past m_stand (on < off), whole-register and subset reads give counts
+    # whose means and covariances over 300 seeds lie within 5 standard
+    # errors of the closed form over the dense Born weights.  At N = 4 with
+    # 3 marked labels and m = 1 a marked label weighs about 1e-33, so every
+    # shot lands on label 3 and each count is exact.  Power: a p_k off by
+    # 1/sqrt(shots) moves some mean by 20 standard errors or more.
+    marked = MarkedSet(locations, n)
+    state = class_state(marked, m)
+    on, off = state.weights
+    assert on < off
+    shots, reads = 1000, 300
+    born = closed_form_state(state.qubit_count, marked, m).probabilities()
+    assert count_check_power(born, qubits, shots, reads, 0.0)[0] > 20
+    ones = reads_of(state, EnsembleModel(shots=shots, seed=40), qubits, reads)
+    assert_counts_match(ones, born, qubits, shots)
 
 
 def test_sign_error_rate_builds_its_tables_once(monkeypatch):
