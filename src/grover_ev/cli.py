@@ -32,9 +32,7 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .core import MarkedSet
+from .core import MarkedSet, draw_marked_set
 from .core import closed_form_state  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .filtering import SearchFailure, extract_location
 from .measurement import EnsembleModel, sign_error_rate
@@ -127,11 +125,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
 
 def _marked_set(n: int, m_count: int, marked: list[int] | None, seed: int) -> MarkedSet:
     """Explicit locations when given, otherwise a seeded random draw."""
-    if marked is not None:
-        return MarkedSet(marked, n)
-    rng = np.random.default_rng(seed)
-    locations = rng.choice(n, size=m_count, replace=False)
-    return MarkedSet(tuple(int(x) for x in locations), n)
+    return MarkedSet(marked, n) if marked is not None else draw_marked_set(n, m_count, seed)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -198,7 +192,12 @@ def cmd_plan(config: dict, model: EnsembleModel) -> int:
 def cmd_search(config: dict, model: EnsembleModel) -> int:
     plan = make_plan(config["n"], config["m_count"], config["a_th"])
     marked = _marked_set(config["n"], config["m_count"], config["marked"], model.seed)
-    iterations = config["m"] if config["m"] is not None else max(1, search_iterations(plan))
+    if 2 * plan.M >= plan.N:
+        # One extra qubit, 0 on every marked label, halves M/N so that a marked
+        # label outweighs an unmarked one (Nielsen & Chuang 2000, sec. 6.1.4).
+        plan = make_plan(2 * plan.N, plan.M, plan.a_th)
+        marked = MarkedSet(marked.locations, plan.N)
+    iterations = config["m"] if config["m"] is not None else search_iterations(plan)
     resolved = {**config, "marked": list(marked.locations), "m": iterations}
     try:
         # a_th chose the step count; each bit is then read by its EV's sign.
@@ -214,6 +213,7 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
         }
         _emit(json.dumps(payload, indent=2), config["out"])
         return 1
+    result = replace(result, bits=result.bits[: config["n"].bit_length() - 1])
     payload = {"config": resolved, "result": result.to_json_dict()}
     _emit(json.dumps(payload, indent=2), config["out"])
     return 0
@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(search)
     search.add_argument("--m", type=int, default=None,
                         help="override the iterate count (default: the first m whose "
-                             "one-item EV A_m/M exceeds --a-th, at least 1)")
+                             "one-item EV A_m/M exceeds --a-th, on 2N labels where "
+                             "2M >= N); an m where a marked label weighs less than "
+                             "an unmarked one exits 2")
 
     sweep = commands.add_parser("sweep", help="evaluate a parameter grid, emit CSV")
     _add_common_flags(sweep, n_required=False)

@@ -24,6 +24,10 @@ MAX_QUBITS = 24
 # |norm^2 - 1| allowed on any StateVector after an arbitrary operation sequence.
 NORM_ATOL = 1e-9
 
+# Most locations a marked set holds.  A draw permutes all N labels only when
+# N < 50 M, so this also bounds that permutation to 2**22 labels (32 MiB).
+MAX_MARKED = 1 << 16
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -71,6 +75,7 @@ class MarkedSet:
     universe_size: int
 
     def __post_init__(self):
+        _check_marked_count(len(self.locations))
         locs = tuple(sorted(int(x) for x in self.locations))
         object.__setattr__(self, "locations", locs)
         if not locs:
@@ -89,6 +94,20 @@ class MarkedSet:
     def __contains__(self, x: int) -> bool:
         i = bisect_left(self.locations, x)
         return i < len(self.locations) and self.locations[i] == x
+
+
+def _check_marked_count(count: int) -> None:
+    """Reject a marked set of more than ``MAX_MARKED`` locations."""
+    if count > MAX_MARKED:
+        raise ValueError(f"a marked set holds at most {MAX_MARKED} locations, got {count}")
+
+
+def draw_marked_set(universe_size: int, count: int, seed: int) -> MarkedSet:
+    """``count`` distinct locations drawn from [0, N) by ``default_rng(seed)``,
+    checked against ``MAX_MARKED`` before anything is drawn."""
+    _check_marked_count(count)
+    locations = np.random.default_rng(seed).choice(universe_size, size=count, replace=False)
+    return MarkedSet(tuple(int(x) for x in locations), universe_size)
 
 
 def qubit_values(qubit_count: int, k: int) -> np.ndarray:

@@ -8,9 +8,11 @@ disagree with the bits already determined.  The average restricts the
 effective EV to marked items consistent with the determined prefix.
 
 A stage's averaged EV is ``A_m / M`` times the signed count of the
-consistent items, so under exact readout a nonzero EV is at least
-``A_m / M`` in magnitude and its sign names a bit that some consistent item
-carries, while a tie at exactly 0 means the consistent items split evenly.
+consistent items.  :func:`extract_location` reads only states with
+``A_m >= 0``, where a marked label weighs at least as much as an unmarked
+one, so under exact readout a nonzero EV is at least ``A_m / M`` in
+magnitude and its sign names a bit that some consistent item carries, while
+a tie at exactly 0 means the consistent items split evenly.
 A stage, :func:`_stage`, decides its bit by :func:`decide_sign` at the
 caller's threshold; the command line passes 0, so each bit is read by its
 sign.  An undecided EV (a tie, or any magnitude up to a positive threshold)
@@ -163,13 +165,17 @@ def extract_location(
     tries bit 0 first), one oracle query per candidate with a backtrack when
     it fails, and the counts.
 
-    Raises :class:`SearchFailure` with reason ``"exhausted"`` once every live
-    branch fails verification, or ``"budget"`` when a stage needs a run past
-    ``RUN_BUDGET_PER_QUBIT * L``.
+    Raises ``ValueError`` before any run when a marked label weighs less
+    than an unmarked one (``A_m < 0``, past the crossing), where no EV sign
+    names a marked bit.  Raises :class:`SearchFailure` with reason
+    ``"exhausted"`` once every live branch fails verification, or
+    ``"budget"`` when a stage needs a run past ``RUN_BUDGET_PER_QUBIT * L``.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     state = class_state(marked, iterations)
+    if state.weights[0] < state.weights[1]:
+        raise ValueError(f"at m = {iterations} a marked label weighs less than an unmarked one")
     qubit_count = state.qubit_count
     budget = RUN_BUDGET_PER_QUBIT * qubit_count
     rng = _run_generator(model)

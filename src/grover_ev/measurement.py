@@ -11,18 +11,17 @@ dense shot labels), then its noise, truncated at 3 sigma: |ev| <= 1 + 3*sigma.
 Every two-amplitude run is read by counts in :func:`_read` (Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. X).  One qubit k is one
 ``Binomial(shots, p_k)``, ``p_k`` exact from the class weights in O(M).
-Several qubits: the Born distribution is uniform over all N labels (bits
+Several qubits, where a marked label weighs at least as much as an unmarked
+one (``on >= off``): the Born distribution is uniform over all N labels (bits
 independent fair coins) with weight ``off N / total`` and uniform over the M
 marked labels with the rest, so ``K ~ Binomial(shots, (on - off) M / total)``
 marked draws split by a ``Multinomial(K, 1/M each)``, and qubit k's ones are
 ``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set.  Past the
-standard step count (``on < off``, only by an explicit iterate count) that
-weight is negative: ``K ~ Binomial(shots, on M / total)``, and the other
-shots are spread by a ``Multinomial`` over the at most M L aligned blocks
-that tile the unmarked labels, whose free bits are fair coins.  A read of
-several qubits costs O(M L), of one O(M), at every iterate and shot count.
-Qubits read alone get counts of their own, equal in distribution (not bit
-for bit) to a full readout's.  The dense :func:`measure_all` is the reference.
+crossing (``on < off``) a sampled read of several qubits raises
+``ValueError``; no search reads such a state.  A read of several qubits
+costs O(M L), of one O(M), at every shot count.  Qubits read alone get
+counts of their own, equal in distribution (not bit for bit) to a full
+readout's.  The dense :func:`measure_all` is the reference.
 """
 
 from __future__ import annotations
@@ -131,16 +130,11 @@ def decide_sign(ev: float, threshold: float) -> int | None:
     return None
 
 
-def _readout_noise(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
-    """``size`` readout-noise draws from the run's generator, clipped at 3 sigma."""
-    return np.clip(rng.normal(0.0, sigma, size), -3.0 * sigma, 3.0 * sigma)
-
-
 def _noisy(base: np.ndarray, sigma: float, rng: np.random.Generator | None) -> np.ndarray:
-    """The EVs in ``base`` plus their readout noise (none when sigma is 0),
-    held to the readout bound."""
+    """The EVs in ``base`` plus their readout noise from ``rng``, clipped at
+    3 sigma (none when sigma is 0), held to the readout bound."""
     if sigma:
-        base = base + _readout_noise(rng, sigma, base.size)
+        base = base + np.clip(rng.normal(0.0, sigma, base.size), -3.0 * sigma, 3.0 * sigma)
     _check_ev_bound(base, sigma)
     return base
 
@@ -205,31 +199,6 @@ def _ones_probability(state: ClassState, k: int) -> float:
     return (off * (dim // 2 - ones) + on * ones) / total
 
 
-def _unmarked_blocks(heavy: np.ndarray, qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low bits and depths j of the at most M L blocks that tile the labels not
-    in ``heavy``: a heavy label's low j bits with bit j flipped, held by no heavy
-    label, fix the low j bits of 2^(L - j) labels.  An unmarked label lies only in
-    the block of the first depth where its low bits leave every heavy label's."""
-    blocks = []
-    for j in range(1, qubit_count + 1):
-        low = {h & ((1 << j) - 1) for h in heavy.tolist()}
-        blocks += [(r, j) for r in sorted({x ^ (1 << (j - 1)) for x in low} - low)]
-    return np.array(blocks, dtype=np.int64).reshape(-1, 2).T
-
-
-def _unmarked_ones(
-    state: ClassState, count: int, qubits: Sequence[int], rng: np.random.Generator
-) -> np.ndarray:
-    """Ones of each qubit in ``qubits`` over ``count`` labels drawn uniformly
-    from the unmarked ones: a multinomial over the blocks, their fixed bits,
-    and a fair-coin binomial per qubit for the shots it is free in."""
-    residues, depths = _unmarked_blocks(state.heavy, state.qubit_count)
-    sizes = np.left_shift(1, state.qubit_count - depths)
-    counts = rng.multinomial(count, sizes / sizes.sum())
-    free = depths[:, None] < np.asarray(qubits)
-    return counts @ np.where(free, 0, _bits(residues, qubits)) + rng.binomial(counts @ free, 0.5)
-
-
 def _class_ones(
     state: ClassState, shots: int, qubits: Sequence[int], rng: np.random.Generator, runs: int
 ) -> np.ndarray:
@@ -238,12 +207,12 @@ def _class_ones(
     if len(qubits) == 1:
         return rng.binomial(shots, _ones_probability(state, qubits[0]), runs)
     on, off = state.weights
+    if on < off:
+        raise ValueError("a marked label weighs less than an unmarked one: read one qubit")
     dim, size = 1 << state.qubit_count, state.heavy.size
     total = off * (dim - size) + on * size
-    uniform = on >= off
-    marked = rng.binomial(shots, (on - off if uniform else on) * size / total)
-    ones = (rng.binomial(shots - marked, 0.5, len(qubits)) if uniform
-            else _unmarked_ones(state, shots - marked, qubits, rng))
+    marked = rng.binomial(shots, (on - off) * size / total)
+    ones = rng.binomial(shots - marked, 0.5, len(qubits))
     return ones + rng.multinomial(marked, [1.0 / size] * size) @ _bits(state.heavy, qubits)
 
 
@@ -269,8 +238,10 @@ def measure_classes(
     """EVs of the listed qubits of one run on a two-amplitude state, without
     building the dense state: exact in O(M) per qubit (the dense entries, to
     rounding), or sampled by counts from ``default_rng(model.seed)``, O(M L)
-    at every iterate and shot count (see the module docstring).  Each listed
-    qubit must be one of the register's, 1..L.
+    at every shot count (see the module docstring).  Each listed qubit must
+    be one of the register's, 1..L.  A sampled read of several qubits past
+    the crossing, where a marked label weighs less than an unmarked one,
+    raises ``ValueError``; exact and one-qubit reads take every state.
     """
     for k in qubits:
         if not 1 <= k <= state.qubit_count:

@@ -238,10 +238,11 @@ def cli_search(*argv):
 
 
 def random_marked(data, min_qubits, max_qubits):
-    """L, then 1 <= M <= 4 with M < N/2, then M distinct locations."""
+    """L, then M (any 1 <= M < N at L <= 4, else 1 <= M <= 4 < N/2), then M
+    distinct locations."""
     qubits = data.draw(st.integers(min_qubits, max_qubits), label="L")
     n = 1 << qubits
-    count = data.draw(st.integers(1, min(4, n // 2 - 1)), label="M")
+    count = data.draw(st.integers(1, n - 1 if qubits <= 4 else 4), label="M")
     locations = data.draw(
         st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True),
         label="marked",
@@ -250,10 +251,13 @@ def random_marked(data, min_qubits, max_qubits):
 
 
 def assert_log_n_cost(qubits, locations, config, result):
-    """The paper's cost: L runs, m per run, and one verification query."""
+    """The paper's cost: L runs, m per run, and one verification query, with
+    one run more where 2M >= N, which searches one extra qubit; L bits."""
+    runs = qubits + (2 * len(locations) >= 1 << qubits)
     assert result["verified"] and result["location"] in locations
-    assert result["total_runs"] == qubits, (config, result)
-    assert result["oracle_invocations"] == config["m"] * qubits + 1, (config, result)
+    assert len(result["bits"]) == qubits
+    assert result["total_runs"] == runs, (config, result)
+    assert result["oracle_invocations"] == config["m"] * runs + 1, (config, result)
 
 
 def test_criterion_9_log_n_runs_on_random_sets():
@@ -264,7 +268,7 @@ def test_criterion_9_log_n_runs_on_random_sets():
     def exact(data):
         # a_th anywhere in (0, 1/M], the range make_plan accepts; at 1/M
         # the search runs at the standard count.
-        qubits, locations = random_marked(data, 3, 62)
+        qubits, locations = random_marked(data, 1, 62)
         tolerance = 1.0 / len(locations)
         thresholds = st.just(tolerance) | st.floats(0.0, tolerance, exclude_min=True)
         a_th = data.draw(thresholds, label="a_th")
@@ -296,6 +300,24 @@ def test_criterion_9_log_n_runs_on_random_sets():
         True,
         f"{searches['exact']} exact and {searches['sampled']} sampled searches",
     )
+
+
+def test_half_or_more_marked_runs_on_one_extra_qubit():
+    # Every marked set with 2M >= N at N = 2, 4, 8 and 16 (39,376 sets): the
+    # search runs on 2N labels, where a marked label outweighs an unmarked
+    # one, so an exact search takes L + 1 runs at m = 1 and reports L bits.
+    searches = 0
+    for qubits in range(1, 5):
+        n = 1 << qubits
+        for count in range((n + 1) // 2, n):
+            for locations in itertools.combinations(range(n), count):
+                config, result = cli_search(
+                    "--n", str(n), "--marked", ",".join(map(str, locations)))
+                assert config["m"] == 1 and config["n"] == n
+                assert_log_n_cost(qubits, locations, config, result)
+                searches += 1
+    report(9, "2M >= N: L + 1 runs on one extra qubit", searches == 39_376,
+           f"{searches} exact searches")
 
 
 @pytest.mark.parametrize("qubits", [25, 40, 53, 54, 62])

@@ -12,7 +12,6 @@ sign-error rates against the exact binomial tail.  Each such test uses
 fixed seeds and states its power.
 """
 
-import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -59,7 +58,6 @@ from grover_ev.measurement import (
     _born_cdf,
     _label_evs,
     _shot_labels,
-    _unmarked_blocks,
     measure_all,
 )
 
@@ -291,9 +289,9 @@ def test_qubit_subsets_match_dense_readout(qubits, data):
     # gives the dense entries to rounding, and sampled readout counts whose
     # means and covariance over 200 seeds lie within 6 standard errors of
     # the closed form over the dense state's Born weights.  Past the
-    # standard step count the counts come from unmarked labels.  Power: a
-    # p_k off by 1/sqrt(shots) moves its mean by 2 sqrt(200) = 28 standard
-    # errors or more.
+    # crossing (on < off) a sampled read of two or more qubits is rejected.
+    # Power: a p_k off by 1/sqrt(shots) moves its mean by 2 sqrt(200) = 28
+    # standard errors or more.
     n = 1 << qubits
     count = data.draw(st.integers(1, min(4, n - 1)))
     locations = data.draw(
@@ -307,11 +305,15 @@ def test_qubit_subsets_match_dense_readout(qubits, data):
     model = EnsembleModel(shots=shots, seed=data.draw(st.integers(0, 2**64 - 1)))
     dense = closed_form_state(qubits, marked, iterations)
     state = class_state(marked, iterations)
+    on, off = state.weights
     if shots == 0:
         expected = [measure_all(dense, model)[k - 1] for k in subset]
         got = measure_classes(state, model, subset)
         assert all(type(ev) is float for ev in got)
         assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL
+    elif on < off and len(subset) > 1:
+        with pytest.raises(ValueError, match="weighs less than an unmarked one"):
+            measure_classes(state, model, subset)
     else:
         ones = reads_of(state, model, subset, 200)
         assert_counts_match(ones, dense.probabilities(), subset, shots, bound=6.0)
@@ -366,100 +368,19 @@ def test_uniform_reads_at_62_qubits_are_unbiased():
     assert np.all(np.abs(evs.mean(axis=0)) <= 5 / 640)
 
 
-def test_reads_past_the_standard_count_draw_bounded_label_blocks(monkeypatch):
-    # At N = 16, M = 3 and m = 3 > m_stand = 1 a marked label weighs less
-    # than an unmarked one, so a whole-register read spreads its unmarked
-    # shots over the aligned blocks that tile the unmarked labels: each read
-    # draws the marked count, one multinomial over at most M L blocks, the
-    # fair-coin ones of the free bits and the marked split, and no label.
-    # Its counts over 300 seeds match the closed form within 5 standard
-    # errors (a p_k off by 1/sqrt(shots) would move some mean by 34 or more).
-    marked = MarkedSet((3, 9, 12), 16)
-    state = class_state(marked, 3)
-    on, off = state.weights
-    assert on < off and make_plan(16, 3, 0.0).m_stand == 1
-    qubits, shots, reads = range(1, 5), 3000, 300
-    born = closed_form_state(4, marked, 3).probabilities()
-    assert count_check_power(born, qubits, shots, reads, 0.0)[0] > 34
-    built = record_generators(monkeypatch)
-    ones = reads_of(state, EnsembleModel(shots=shots, seed=8), qubits, reads)
-    assert_counts_match(ones, born, qubits, shots)
-    assert len(built) == reads
-    for rng in built:
-        names = [name for name, _ in rng.draws]
-        assert names == ["binomial", "multinomial", "binomial", "multinomial"]
-        blocks, split = rng.draws[1][1], rng.draws[3][1]
-        assert 1 <= blocks.size <= 3 * 4 and split.size == 3
-        assert blocks.sum() + split.sum() == shots
-
-
 def test_label_reads_past_the_standard_count_take_any_shot_count():
-    # Past m_stand a whole-register read costs O(M L) whatever the shot
-    # count: 10**12 shots read all 4 qubits at N = 16, and all 62 of an
-    # L = 62, M = 4 register at m = 1,686,629,713 (about 2 m_stand), each EV
-    # within 1e-4 of the exact one (its standard error is at most 1e-6).  A
-    # one-qubit read there, and a whole-register read at m_stand, take the
-    # same count.
+    # Every read costs O(M L) whatever the shot count: at N = 16, M = 3 a
+    # one-qubit read past m_stand (1 here), and a whole-register read at
+    # m_stand, each take 10**12 shots, within 1e-4 of the exact EVs (the
+    # standard error is at most 1e-6).
     huge = EnsembleModel(shots=10**12, seed=1)
-    sixteen = MarkedSet((3, 9, 12), 16)
-    assert len(measure_classes(class_state(sixteen, 3), huge, [2])) == 1
-    assert len(measure_classes(class_state(sixteen, 1), huge, range(1, 5))) == 4
-    for marked, m in [(sixteen, 3),
-                      (MarkedSet((5, 2**40 + 3, 2**61 + 7, 2**62 - 1), 2**62), 1_686_629_713)]:
+    marked = MarkedSet((3, 9, 12), 16)
+    assert make_plan(16, 3, 0.0).m_stand == 1
+    for m, qubits in [(3, [2]), (1, range(1, 5))]:
         state = class_state(marked, m)
-        on, off = state.weights
-        assert on < off and m > make_plan(marked.universe_size, marked.count, 0.0).m_stand
-        qubits = range(1, state.qubit_count + 1)
         got = measure_classes(state, huge, qubits)
-        exact = measure_classes(state, EXACT, qubits)
-        assert len(got) == state.qubit_count
-        assert np.max(np.abs(np.subtract(got, exact))) <= 1e-4
-
-
-def assert_blocks_tile(marked, qubit_count):
-    """The blocks of ``_unmarked_blocks`` hold every unmarked label of a
-    2**qubit_count register once and no marked one, and number at most M L."""
-    n, marked = 1 << qubit_count, {int(label) for label in marked}
-    residues, depths = _unmarked_blocks(np.array(sorted(marked), dtype=np.int64), qubit_count)
-    assert residues.size == depths.size <= len(marked) * qubit_count
-    cover = [0] * n
-    for residue, depth in zip(residues.tolist(), depths.tolist()):
-        for label in range(residue, n, 1 << depth):
-            cover[label] += 1
-    assert cover == [int(label not in marked) for label in range(n)]
-
-
-def test_unmarked_blocks_tile_small_registers():
-    # Every marked set of size 1..3 at L <= 6, and 300 random sets of up to
-    # 8 labels: each unmarked label lies in exactly one block, no marked
-    # label in any, and there are at most M L blocks.
-    for qubit_count in range(1, 7):
-        labels = range(1 << qubit_count)
-        for size in range(1, 4):
-            for marked in itertools.combinations(labels, size):
-                assert_blocks_tile(marked, qubit_count)
-    rng = np.random.default_rng(20)
-    for _ in range(300):
-        qubit_count = int(rng.integers(1, 7))
-        size = int(rng.integers(1, min(8, 1 << qubit_count) + 1))
-        assert_blocks_tile(rng.choice(1 << qubit_count, size, replace=False), qubit_count)
-
-
-def test_unmarked_blocks_cover_the_unmarked_labels_at_62_qubits():
-    # At L = 62 the block sizes 2**(L - j) sum, as integers, to N - M on 200
-    # random sets of 1 to 8 labels (half of them packed into one small
-    # aligned range, so that their low bits share long prefixes); no block
-    # holds a marked label.
-    rng = np.random.default_rng(62)
-    for case in range(200):
-        size = int(rng.integers(1, 9))
-        high = 2**62 if case % 2 else 64
-        marked = np.unique(rng.integers(0, high, size, dtype=np.int64))
-        residues, depths = _unmarked_blocks(marked, 62)
-        assert residues.size <= marked.size * 62
-        assert sum(1 << (62 - int(d)) for d in depths) == 2**62 - marked.size
-        masks = (np.int64(1) << depths) - 1
-        assert not np.any((marked[:, None] & masks) == residues)
+        assert len(got) == len(qubits)
+        assert np.max(np.abs(np.subtract(got, measure_classes(state, EXACT, qubits)))) <= 1e-4
 
 
 @pytest.mark.parametrize("locations, n, m, qubits", [
@@ -469,23 +390,39 @@ def test_unmarked_blocks_cover_the_unmarked_labels_at_62_qubits():
     ((1, 2), 32, 6, [5, 1, 3, 2, 4]),
     ((5, 17, 40, 63), 64, 6, list(range(1, 7))),
     ((5, 77, 600), 1024, 29, list(range(1, 11))),
+    ((3, 9, 12), 16, 3, [1, 2]),
 ])
-def test_counts_past_the_standard_count_match_dense_weights(locations, n, m, qubits):
-    # Past m_stand (on < off), whole-register and subset reads give counts
-    # whose means and covariances over 300 seeds lie within 5 standard
-    # errors of the closed form over the dense Born weights.  At N = 4 with
-    # 3 marked labels and m = 1 a marked label weighs about 1e-33, so every
-    # shot lands on label 3 and each count is exact.  Power: a p_k off by
-    # 1/sqrt(shots) moves some mean by 20 standard errors or more.
+def test_counts_past_the_standard_count_match_dense_weights(
+    monkeypatch, locations, n, m, qubits
+):
+    # Past m_stand (on < off) a marked label weighs less than an unmarked
+    # one (at N = 4 with 3 marked labels and m = 1, about 1e-33, so every
+    # shot lands on label 3 and each count is exact), and no search reads
+    # such a state.  A sampled read of two or more of its qubits raises
+    # before its generator draws anything; the exact read of every qubit
+    # gives the dense EVs; and each listed qubit read alone gives counts
+    # whose mean and variance over 300 seeds lie within 5 standard errors of
+    # the closed form over the dense Born weights.  Power: a p_k off by
+    # 1/sqrt(shots) moves its mean by 20 standard errors or more.
     marked = MarkedSet(locations, n)
     state = class_state(marked, m)
     on, off = state.weights
     assert on < off
+    with monkeypatch.context() as patch:
+        built = record_generators(patch)
+        with pytest.raises(ValueError, match="weighs less than an unmarked one"):
+            measure_classes(state, EnsembleModel(shots=64, seed=1), qubits)
+    (rng,) = built
+    assert rng.draws == []
+    dense = closed_form_state(state.qubit_count, marked, m)
+    exact = measure_classes(state, EXACT, range(1, state.qubit_count + 1))
+    assert np.max(np.abs(np.subtract(exact, measure_all(dense, EXACT)))) <= EXACT_ATOL
     shots, reads = 1000, 300
-    born = closed_form_state(state.qubit_count, marked, m).probabilities()
-    assert count_check_power(born, qubits, shots, reads, 0.0)[0] > 20
-    ones = reads_of(state, EnsembleModel(shots=shots, seed=40), qubits, reads)
-    assert_counts_match(ones, born, qubits, shots)
+    born = dense.probabilities()
+    for k in qubits:
+        assert count_check_power(born, [k], shots, reads, 0.0)[0] > 20
+        ones = reads_of(state, EnsembleModel(shots=shots, seed=40), [k], reads)
+        assert_counts_match(ones, born, [k], shots)
 
 
 def test_sign_error_rate_builds_its_tables_once(monkeypatch):
@@ -774,9 +711,11 @@ def search_outcome(search, *args):
 def test_search_matches_reference_loop(qubits, data):
     # The search keeps its prefix as an integer and its branches on a stack;
     # it must take every decision, and fail for every reason, that the loop
-    # as first written takes from the same reads.
+    # as first written takes from the same reads.  With M <= N/2 every m up
+    # to max(1, m_stand) leaves a marked label at least as heavy as an
+    # unmarked one, the only states a search reads.
     n = 1 << qubits
-    count = data.draw(st.integers(1, min(4, n - 1)))
+    count = data.draw(st.integers(1, min(4, n // 2)))
     locations = data.draw(
         st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True)
     )

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import grover_ev
-from grover_ev import cli, core
+from grover_ev import cli, core, filtering
 from grover_ev.cli import CSV_COLUMNS, main
 
 
@@ -295,23 +295,43 @@ def test_search_at_huge_shot_counts_allocates_no_shot_sized_memory(tmp_path):
 
 
 
-def test_search_past_the_standard_count_at_huge_shot_counts_exhausts(tmp_path):
-    # Past m_stand (1 here) a marked label weighs about 1.5e-5 and an
-    # unmarked one 0.077, so the plain run's sign names an unmarked label and
-    # the search ends "exhausted" after 4 runs, as it does at 4,096 shots.
-    # Its whole-register read spreads 10**12 shots over the blocks that tile
-    # the unmarked labels, in bounded time and memory.
-    outcomes = []
-    for shots in (4096, 10**12):
-        start = time.perf_counter()
-        child = run_capped(tmp_path, "search", "--n", "16", "--marked", "3,9,12",
-                           "--m", "3", "--shots", str(shots))
-        assert child.returncode == 1, child.stderr
-        payload = json.loads(child.stdout)
-        assert payload["config"]["shots"] == shots
-        outcomes.append((payload["reason"], payload["total_runs"], payload["branch_events"]))
+def test_search_past_the_crossing_exits_two_before_any_run(tmp_path, capsys, monkeypatch):
+    # At m = 3 > m_stand = 1 a marked label weighs about 1.5e-5 and an
+    # unmarked one 0.077, so no EV sign names a marked bit.  The search is
+    # rejected before its first run, exact or at any shot count, in bounded
+    # time and memory.
+    argv = ["search", "--n", "16", "--marked", "3,9,12", "--m", "3"]
+    message = "error: at m = 3 a marked label weighs less than an unmarked one\n"
+    start = time.perf_counter()
+    for shots in (0, 4096, 10**12):
+        child = run_capped(tmp_path, *argv, "--shots", str(shots))
+        assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
     assert time.perf_counter() - start < 10
-    assert outcomes == [("exhausted", 4, 0)] * 2
+
+    def refuse(*args):
+        raise AssertionError("the search read a run")
+
+    monkeypatch.setattr(filtering, "_read", refuse)
+    assert run_cli(capsys, *argv, "--shots", "4096") == (2, "", message)
+
+
+def test_marked_count_past_the_limit_exits_two(tmp_path, capsys):
+    # M = 2**35 drawn at N = 2**40 would permute 8 TiB of labels; the one
+    # MAX_MARKED check rejects it before any draw, in a child capped at
+    # 1.5 GB, for search and sweep alike.  plan enumerates no label and takes it.
+    flags = ["--n", str(2**40), "--m-count", str(2**35)]
+    message = f"error: a marked set holds at most {core.MAX_MARKED} locations, got {2**35}\n"
+    for argv in (["search", *flags], ["sweep", *flags, "--sweep", "m", "--values", "1..2"]):
+        child = run_capped(tmp_path, *argv)
+        assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
+    child = run_capped(tmp_path, "plan", *flags)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["plan"]["M"] == 2**35
+    # An explicit list is held to the same limit.
+    marked = ",".join(map(str, range(core.MAX_MARKED + 1)))
+    message = (f"error: a marked set holds at most {core.MAX_MARKED} locations, "
+               f"got {core.MAX_MARKED + 1}\n")
+    assert run_cli(capsys, "search", "--n", str(2**20), "--marked", marked) == (2, "", message)
 
 
 # ---------------------------------------------------------------------- sweep
@@ -592,6 +612,10 @@ INVALID_INPUTS = {
     "argv34-trials must be in 1..1000000, got 1000001": (
         ["sweep", "--shots", "64", "--trials", "1000001", "--sweep", "m", "--values", "1..1"],
         "trials must be in 1..1000000, got 1000001"),
+    # N = 2**62 cannot double, and 2M >= N needs M >= 2**61: past MAX_MARKED.
+    f"search --n {2**62} --m-count {2**61}": (
+        ["search", "--n", str(2**62), "--m-count", str(2**61)],
+        f"a marked set holds at most 65536 locations, got {2**61}"),
 }
 
 

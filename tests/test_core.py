@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import grover_matrix, random_marked_locations
+from conftest import grover_matrix, random_marked_locations, record_generators
 
 from grover_ev import (
     EnsembleModel,
@@ -19,11 +19,13 @@ from grover_ev import (
     make_plan,
 )
 from grover_ev.core import (
+    MAX_MARKED,
     StateVector,
     apply_diffusion,
     apply_grover,
     apply_oracle,
     closed_form_state,
+    draw_marked_set,
     new_uniform,
     qubit_values,
 )
@@ -104,6 +106,32 @@ def test_full_marked_set_fails_the_angle_check():
         with pytest.raises(ValueError) as excinfo:
             call()
         assert str(excinfo.value) == message
+
+
+def test_marked_draw_is_numpy_choice_without_replacement():
+    # The draw is Generator.choice(N, M, replace=False) on default_rng(seed),
+    # so every drawn set is the one earlier versions drew, sorted.
+    for n, count, seed in [(16, 3, 0), (1024, 7, 5), (2**62, 4, 1), (2**17, MAX_MARKED, 2)]:
+        expected = np.random.default_rng(seed).choice(n, size=count, replace=False)
+        marked = draw_marked_set(n, count, seed)
+        assert marked.locations == tuple(sorted(int(x) for x in expected))
+        assert marked.universe_size == n
+
+
+def test_marked_count_is_bounded_before_any_draw(monkeypatch):
+    # One limit, MAX_MARKED = 2**16, on explicit and drawn sets alike.  A
+    # draw past it raises before a generator is built, so M = 2**35 at
+    # N = 2**40 costs nothing; M >= 2**61 at N = 2**62 is rejected the same way.
+    assert MAX_MARKED == 2**16
+    message = f"a marked set holds at most {MAX_MARKED} locations, got {MAX_MARKED + 1}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MarkedSet(range(MAX_MARKED + 1), 2**20)
+    assert MarkedSet(range(MAX_MARKED), 2**20).count == MAX_MARKED
+    built = record_generators(monkeypatch)
+    for n, count in [(2**20, MAX_MARKED + 1), (2**40, 2**35), (2**62, 2**61)]:
+        with pytest.raises(ValueError, match=f"at most {MAX_MARKED} locations, got {count}$"):
+            draw_marked_set(n, count, 0)
+    assert built == []
 
 
 # --------------------------------------------------------------------- oracle

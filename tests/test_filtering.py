@@ -361,6 +361,35 @@ def test_extract_validates_arguments():
         extract_location(MarkedSet((5,), 64), 2, EXACT, float("nan"))
 
 
+@pytest.mark.parametrize("model", [EXACT, EnsembleModel(shots=4096, seed=1),
+                                   EnsembleModel(seed=1, gaussian_noise_sigma=0.05)],
+                         ids=["exact", "sampled", "noisy"])
+def test_extract_rejects_states_past_the_crossing(monkeypatch, model):
+    # Where a marked label weighs less than an unmarked one (m = 3 past
+    # m_stand = 1, or M > N/2 at m = 1) no EV sign names a marked bit, so
+    # the search raises before its first run, under any readout.
+    def refuse(*args):
+        raise AssertionError("the search read a run")
+
+    monkeypatch.setattr(filtering, "_read", refuse)
+    for locations, n, m in [((3, 9, 12), 16, 3), ((0, 1, 2), 4, 1), ((1, 2, 4, 6, 7), 8, 1)]:
+        with pytest.raises(ValueError, match=f"^at m = {m} a marked label weighs less"):
+            extract_location(MarkedSet(locations, n), m, model, 0.0)
+
+
+def test_extract_runs_states_back_at_equal_weights():
+    # At M = N/2 (every m), or M/N = 1/4 at m = 2, every label weighs the
+    # same: every EV is 0, so every stage branches, and the exact search
+    # still verifies a marked label by backtracking.
+    for locations, n, m in [((1, 3, 5, 7, 9, 11, 13, 15), 16, 1), ((0, 3), 4, 3),
+                            ((2, 7, 8, 13), 16, 2)]:
+        on, off = class_state(MarkedSet(locations, n), m).weights
+        assert on == off
+        result = extract_location(MarkedSet(locations, n), m, EXACT, 0.0)
+        assert result.verified and result.location in locations
+        assert result.branch_events >= n.bit_length() - 1
+
+
 def test_search_result_json_schema():
     result = extract_location(MarkedSet((5,), 8), 2, EXACT, 0.25)
     payload = json.loads(json.dumps(result.to_json_dict()))
@@ -407,13 +436,14 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
 @pytest.mark.parametrize("locations, n, m, model", [
     ((40503,), 1 << 16, 59, EnsembleModel(shots=1024, seed=28, gaussian_noise_sigma=0.05)),
     ((3, 77, 200), 256, 3, EnsembleModel(shots=1024, seed=1)),
-    ((3, 9, 12), 16, 3, EnsembleModel(shots=64, seed=2**64 - 1)),
+    ((3, 9, 12), 16, 2, EnsembleModel(shots=64, seed=2**64 - 1)),
     ((5, 6), 64, 2, EnsembleModel(seed=7, gaussian_noise_sigma=0.05)),
 ], ids=["M1-noisy", "M3", "past-m_stand", "exact-noisy"])
 def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, locations, n, m, model):
     # A search's one generator is default_rng(seed) and the plain run reads
     # from it first, so the plain run's EVs are, bit for bit, those one
-    # measure_classes call reads from the same state and model.
+    # measure_classes call reads from the same state and model.  At N = 16,
+    # M = 3, m = 2 is past m_stand = 1 with a marked label still the heavier.
     reads = []
     read = filtering._read
 
