@@ -213,8 +213,7 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
         }
         _emit(json.dumps(payload, indent=2), config["out"])
         return 1
-    result = replace(result, bits=result.bits[: config["n"].bit_length() - 1])
-    payload = {"config": resolved, "result": result.to_json_dict()}
+    payload = {"config": resolved, "result": result.to_json_dict(config["n"].bit_length() - 1)}
     _emit(json.dumps(payload, indent=2), config["out"])
     return 0
 

@@ -1,12 +1,12 @@
-"""Dense statevector register and the unitaries of the search iteration.
+"""Marked sets, the rotation angles, and the dense statevector reference.
 
-The register state is a plain complex amplitude vector indexed by the
-computational basis label ``x`` in ``[0, 2**L)``.  Bit ``k`` of ``x``
-(1-indexed, ``k = 1`` is the least significant bit) is the value of qubit
-``k``, so a label reads ``x = x_L ... x_1`` in binary.
-
-All operations are pure: the input state is never mutated, a new
-:class:`StateVector` is returned.
+:class:`MarkedSet` (at most :data:`MAX_MARKED` locations) and its seeded
+draw, :func:`draw_marked_set`; the Grover angles and :func:`class_amplitudes`,
+the two-amplitude closed form every command uses; and the dense reference:
+the :class:`StateVector` register, the oracle, diffusion and iterate, and
+:func:`closed_form_state`.  Bit ``k`` of a basis label ``x`` (1-indexed,
+``k = 1`` least significant) is the value of qubit ``k``.  All operations
+are pure: an input state is never mutated.
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ the search loop: the run budget, the branch stack, verification and the counts.
 The dense operations of :mod:`grover_ev.core` and :func:`apply_correlation`
 stay the reference this path is tested against.
 
-Bit sequences (``s_bits``, :attr:`SearchResult.bits`) are ordered
-least-significant first: element ``i`` is the value of qubit ``i + 1``.
-The search keeps its determined prefix as the integer those bits spell.
+Bit sequences (``s_bits``, the JSON ``bits``) are ordered least-significant
+first: element ``i`` is the value of qubit ``i + 1``.  The search keeps its
+determined prefix as the integer those bits spell.
 """
 
 from __future__ import annotations
@@ -74,21 +74,20 @@ class SearchResult:
     """Verified marked location plus the full cost accounting."""
 
     location: int
-    verified: bool
     total_runs: int
     total_oracle_invocations: int
     branch_events: int
-    bits: tuple[int, ...]
     verification_queries: int
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, qubit_count: int) -> dict:
+        """JSON record of the verified location; ``bits`` are its low ``qubit_count`` bits."""
         return {
             "location": self.location,
-            "verified": self.verified,
+            "verified": True,
             "total_runs": self.total_runs,
             "oracle_invocations": self.total_oracle_invocations,
             "branch_events": self.branch_events,
-            "bits": list(self.bits),
+            "bits": [self.location >> i & 1 for i in range(qubit_count)],
         }
 
 
@@ -209,11 +208,9 @@ def extract_location(
         if prefix in marked:
             return SearchResult(
                 location=prefix,
-                verified=True,
                 total_runs=total_runs,
                 total_oracle_invocations=iterations * total_runs + verifications,
                 branch_events=branch_events,
-                bits=tuple(prefix >> i & 1 for i in range(qubit_count)),
                 verification_queries=verifications,
             )
     raise SearchFailure(

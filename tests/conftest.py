@@ -4,10 +4,9 @@ Everything here recomputes expected values from first principles: explicit
 operator matrices, direct enumeration of filtered marked subsets, and
 straight bit arithmetic on labels.  The planner's original linear scan
 over the attenuation curve is kept here as the reference for its inversion,
-as are the first closed-form inverse of the two-amplitude Born CDF and the
-search loop as first written.  Sampled readouts are checked in distribution:
-count moments and sign-error probabilities are recomputed here from Born
-weights enumerated over every label.
+as is the search loop as first written.  Sampled readouts are checked in
+distribution: count moments and sign-error probabilities are recomputed
+here from Born weights enumerated over every label.
 """
 
 import math
@@ -108,33 +107,6 @@ def reference_truncation_scan(universe_size, marked_count, a_th):
     return m_stand, True
 
 
-def reference_class_inverse_cdf(heavy, dim, weights):
-    """The two-amplitude Born CDF's first closed-form inverse: each draw's
-    segment by searchsorted, then only the draws between two steps inverted,
-    through boolean-mask gathers and ``np.clip``."""
-    on, off = weights
-    heavy = np.sort(heavy)
-    rise = on - off
-    total = off * dim + rise * heavy.size
-    before = np.arange(heavy.size)
-    starts = np.append((off * heavy + rise * before) / total, np.inf)
-    ends = (off * (heavy + 1) + rise * (before + 1)) / total
-    step_labels = np.append(heavy, 0)
-    lowest = np.append(0, heavy + 1)
-    highest = np.append(heavy - 1, dim - 1)
-
-    def labels_of(draws):
-        segment = np.searchsorted(ends, draws, side="right")
-        labels = step_labels[segment]
-        between = draws < starts[segment]
-        seg = segment[between]
-        offset = np.floor((draws[between] * total - rise * seg) / off)
-        labels[between] = np.clip(offset, lowest[seg], highest[seg]).astype(labels.dtype)
-        return labels
-
-    return labels_of
-
-
 def reference_extract_location(marked, iterations, model, a_th):
     """The bit-extraction search as first written, with the prefix kept as a
     tuple of bits: the plain run is read on every qubit, each correlated run
@@ -183,11 +155,9 @@ def reference_extract_location(marked, iterations, model, a_th):
         if candidate in marked.locations:
             return SearchResult(
                 location=candidate,
-                verified=True,
                 total_runs=total_runs,
                 total_oracle_invocations=iterations * total_runs + verifications,
                 branch_events=branch_events,
-                bits=bits,
                 verification_queries=verifications,
             )
         if not pending:

@@ -26,11 +26,10 @@ from conftest import (
     low_bits,
     ones_probabilities,
     record_generators,
-    reference_class_inverse_cdf,
     reference_extract_location,
     sign_error_probability,
 )
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
@@ -55,14 +54,11 @@ from grover_ev.core import (
 from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import (
     _BLOCK_DRAWS,
-    _born_cdf,
     _label_evs,
-    _shot_labels,
     measure_all,
 )
 
 EXACT = EnsembleModel()
-BOUNDARY_GAP = 1e-9
 
 
 def dense_state(marked, iterations):
@@ -75,67 +71,6 @@ def dense_state(marked, iterations):
 def class_weights(universe_size, marked_count, iterations):
     on, off = class_amplitudes(universe_size, marked_count, iterations)
     return on * on, off * off
-
-
-def class_inverse_cdf(heavy, dim, weights):
-    """Inverse of the Born CDF of a two-amplitude state, from its heavy labels:
-    a function from uniform draws in [0, 1) to basis labels.
-
-    Each of the M ``heavy`` labels has Born weight ``weights[0]`` and each of
-    the other ``dim - M`` labels ``weights[1]``.  With the heavy labels sorted
-    as h_0 < h_1 < ..., the CDF is off * (x + 1) + (on - off) * #{h_j <= x}:
-    a step of width ``on`` at each h_j and linear in between.  The tables
-    are indexed by segment j = 0..M: the unmarked labels just below h_j (or
-    above the last step, for j = M), then the step at h_j.  One searchsorted
-    over the M step ends finds each draw's segment, and every draw is then
-    inverted in one branch-free pass: the unmarked label
-    ``floor((u total - rise j) / off)``, clamped to its segment, or the step
-    label when the draw falls on the step.  When ``off`` is 0 every unmarked
-    segment is empty, so the step labels are returned and nothing divides.
-    """
-    on, off = weights
-    heavy = np.sort(heavy)
-    rise = on - off
-    total = off * dim + rise * heavy.size
-    segments = np.arange(heavy.size + 1)
-    # Heavy labels with a sentinel on either side: -1 below, dim above.
-    bounds = np.concatenate(([-1], heavy, [dim]))
-    step_labels = bounds[1:]
-    lowest = bounds[:-1] + 1
-    highest = bounds[1:] - 1
-    # CDF just below and at each heavy label, scaled to end at 1 as in
-    # _born_cdf; a sentinel start past 1 sends draws above the last step
-    # into the final unmarked segment.
-    starts = (off * step_labels + rise * segments) / total
-    starts[-1] = np.inf
-    ends = (off * lowest[1:] + rise * segments[1:]) / total
-
-    def labels_of(draws):
-        segment = np.searchsorted(ends, draws, side="right")
-        steps = step_labels[segment]
-        if off == 0:
-            return steps
-        unmarked = np.multiply(draws, total)
-        unmarked -= rise * segment
-        unmarked /= off
-        np.floor(unmarked, out=unmarked)
-        np.maximum(unmarked, lowest[segment], out=unmarked)
-        np.minimum(unmarked, highest[segment], out=unmarked)
-        return np.where(draws < starts[segment], unmarked.astype(np.int64), steps)
-
-    return labels_of
-
-
-def uniform_draws(model):
-    """The ``shots`` uniform draws in [0, 1) the dense readout of ``model`` labels."""
-    return np.random.default_rng(model.seed).random(model.shots)
-
-
-def class_labels(qubits, heavy, weights, model):
-    """Shot labels of one sampled run on a two-amplitude state, by the
-    closed-form inverse CDF on the dense readout's draws."""
-    heavy = np.asarray(heavy, dtype=np.int64)
-    return class_inverse_cdf(heavy, 1 << qubits, weights)(uniform_draws(model))
 
 
 def reads_of(state, model, qubits, reads):
@@ -198,79 +133,44 @@ def test_exact_readout_matches_dense_reference(case):
         assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL, info
 
 
-def far_from_boundaries(cdf, draws):
-    """Mask of draws further than BOUNDARY_GAP from every CDF value."""
-    right = np.clip(np.searchsorted(cdf, draws), 0, cdf.size - 1)
-    left = np.clip(right - 1, 0, cdf.size - 1)
-    gap = np.minimum(np.abs(cdf[right] - draws), np.abs(draws - cdf[left]))
-    return gap > BOUNDARY_GAP
-
-
-@settings(max_examples=60, deadline=None)
-@given(marked_runs(), st.integers(1, 2048), st.integers(0, 2**64 - 1))
-def test_sampled_labels_match_dense_reference(case, shots, seed):
-    qubits, marked, m, runs = case
-    weights = class_weights(marked.universe_size, marked.count, m)
-    model = EnsembleModel(shots=shots, seed=seed)
-    draws = uniform_draws(model)
-    for info, dense, heavy in runs:
-        far = far_from_boundaries(_born_cdf(dense), draws)
-        assert far.mean() > 0.99
-        expected = _shot_labels(dense, draws)
-        got = class_labels(qubits, heavy, weights, model)
-        assert np.array_equal(got[far], expected[far]), info
-
-
-@pytest.mark.parametrize(
-    "n, locations, m",
-    [
-        # b^2 ~ 1e-33: every unmarked label all but vanishes.
-        (8, (2, 5), 1),
-        (8, (2, 5), 7),
-        (8, (0, 7), 1),
-        (8, (6, 7), 7),
-        # a^2 ~ 1e-33: the marked labels all but vanish.
-        (4, (0, 1, 3), 1),
-    ],
-)
-def test_sampled_labels_at_degenerate_weights(n, locations, m):
-    marked = MarkedSet(locations, n)
-    weights = class_weights(n, marked.count, m)
-    assert min(weights) < 1e-30
-    dense = dense_state(marked, m)
-    for seed in range(5):
-        model = EnsembleModel(shots=20_480, seed=seed)
-        got = class_labels(n.bit_length() - 1, locations, weights, model)
-        assert np.array_equal(got, _shot_labels(dense, uniform_draws(model)))
-
-
 def test_sampled_record_matches_dense_record():
-    # A whole-register read of a correlated run, by counts on the
-    # two-amplitude state and by shot labels on the dense state: over 600
-    # seeds each, every qubit's mean count and every pair's count covariance
-    # lie within 5 standard errors of the closed form.  Power (asserted
-    # below): a p_k off by 1/sqrt(shots) moves some mean by 48 standard
-    # errors or more, and letting the qubits of the uniform part, 66% of the
-    # shots here, share one count moves every covariance by 15 or more.
-    marked = MarkedSet((3, 9, 12), 64)
-    heavy = np.array([correlated_image(x, 3, (1, 1)) for x in marked.locations])
-    weights = class_weights(64, 3, 1)
-    state = ClassState(6, heavy, weights)
-    dense = apply_correlation(dense_state(marked, 1), 3, (1, 1))
-    qubits, shots, reads = range(1, 7), 1000, 600
-    born = dense.probabilities()
-    assert np.max(np.abs(born - class_born_weights(6, heavy, weights))) <= EXACT_ATOL
-    uniform_weight = weights[1] * 64
-    assert 0.6 < uniform_weight < 0.7
-    mean_power, pair_power = count_check_power(born, qubits, shots, reads, uniform_weight)
-    assert mean_power > 48 and pair_power > 15
-    model = EnsembleModel(shots=shots, seed=21)
-    assert_counts_match(reads_of(state, model, qubits, reads), born, qubits, shots)
-    dense_ones = [
-        np.rint((1.0 - np.array(measure_all(dense, replace(model, seed=21 + t)))) * shots / 2)
-        for t in range(reads)
-    ]
-    assert_counts_match(np.array(dense_ones), born, qubits, shots)
+    # A whole-register read of a run, by counts on the two-amplitude state
+    # and by shot labels on the dense state: over 600 seeds each, every
+    # qubit's mean count and every pair's count covariance lie within 5
+    # standard errors of the closed form.  Power (asserted below): a p_k off
+    # by 1/sqrt(shots) moves some mean by 48 standard errors or more, and in
+    # the correlated run letting the qubits of the uniform part, 66% of the
+    # shots, share one count moves every covariance by 15 or more.  In the
+    # plain runs off^2 ~ 1e-33, so every shot lands on a marked label.
+    shots, reads = 1000, 600
+    for locations, n, m, correlation in [
+        ((3, 9, 12), 64, 1, (3, (1, 1))),
+        ((2, 5), 8, 1, None),
+        ((2, 5), 8, 7, None),
+        ((0, 7), 8, 1, None),
+        ((6, 7), 8, 7, None),
+    ]:
+        marked = MarkedSet(locations, n)
+        qubits = range(1, n.bit_length())
+        heavy = np.array(locations)
+        weights = class_weights(n, marked.count, m)
+        dense = dense_state(marked, m)
+        if correlation:
+            heavy = np.array([correlated_image(x, *correlation) for x in locations])
+            dense = apply_correlation(dense, *correlation)
+        state = ClassState(len(qubits), heavy, weights)
+        born = dense.probabilities()
+        assert np.max(np.abs(born - class_born_weights(len(qubits), heavy, weights))) <= EXACT_ATOL
+        uniform_weight = weights[1] * n
+        mean_power, pair_power = count_check_power(born, qubits, shots, reads, uniform_weight)
+        assert mean_power > 48 and (pair_power > 15 if correlation else uniform_weight < 1e-30)
+        model = EnsembleModel(shots=shots, seed=21)
+        assert_counts_match(reads_of(state, model, qubits, reads), born, qubits, shots)
+        dense_ones = [
+            np.rint((1.0 - np.array(measure_all(dense, replace(model, seed=21 + t)))) * shots / 2)
+            for t in range(reads)
+        ]
+        assert_counts_match(np.array(dense_ones), born, qubits, shots)
 
 
 def test_one_qubit_readout_keeps_the_record_bound():
@@ -357,8 +257,8 @@ def test_uniform_reads_at_62_qubits_are_unbiased():
     # qubit's sampled EV has mean 0 and standard deviation 1/32 at 1,024
     # shots.  The mean of 400 reads lies within 5 standard errors (5/640)
     # of 0 on every qubit, the top and bottom ones included.  Power: a qubit
-    # whose bit is always 0 (as a float inverse CDF leaves the lowest bits
-    # past L = 53) reads a mean of 1, 640 standard errors out.
+    # whose bit is always 0 (as the lowest bits past L = 53 are when a label
+    # comes from one float draw) reads a mean of 1, 640 standard errors out.
     state = class_state(MarkedSet((5, 2**62 - 1), 2**62), 0)
     evs = np.array([
         measure_classes(state, EnsembleModel(shots=1024, seed=t), range(1, 63))
@@ -391,13 +291,15 @@ def test_label_reads_past_the_standard_count_take_any_shot_count():
     ((5, 17, 40, 63), 64, 6, list(range(1, 7))),
     ((5, 77, 600), 1024, 29, list(range(1, 11))),
     ((3, 9, 12), 16, 3, [1, 2]),
+    ((0, 1, 3), 4, 1, [1, 2]),
 ])
 def test_counts_past_the_standard_count_match_dense_weights(
     monkeypatch, locations, n, m, qubits
 ):
     # Past m_stand (on < off) a marked label weighs less than an unmarked
     # one (at N = 4 with 3 marked labels and m = 1, about 1e-33, so every
-    # shot lands on label 3 and each count is exact), and no search reads
+    # shot lands on the unmarked label and each count is exact), and no
+    # search reads
     # such a state.  A sampled read of two or more of its qubits raises
     # before its generator draws anything; the exact read of every qubit
     # gives the dense EVs; and each listed qubit read alone gives counts
@@ -508,7 +410,7 @@ def test_search_builds_no_statevector(monkeypatch):
         MarkedSet((654_321,), n), make_plan(n, 1, 0.25).m_trunc, EXACT, 0.25
     )
     assert result.total_runs == 20
-    assert result.verified and result.location == 654_321
+    assert result.location == 654_321
 
 
 # ------------------------------------------------------ one-pass label counts
@@ -627,75 +529,6 @@ def test_sign_error_rate_across_block_edges(monkeypatch, shots, trials, location
         assert rate == np.count_nonzero(np.sign(evs) != truth) / trials
         rates.add(rate)
     assert sigma or len(rates) == 1
-
-
-@st.composite
-def inverse_cases(draw):
-    """Heavy labels, a register size, class weights and a draw seed for one
-    inverse-CDF table.  Layouts put heavy labels next to each other or at
-    both ends of the register; weights come from a Grover state, or make
-    one class almost empty (weight 1e-33) or empty, or equal the other
-    class (M/N = 1/2 gives that, and then the CDF rises evenly)."""
-    qubits = draw(st.integers(1, 12))
-    dim = 1 << qubits
-    count = draw(st.integers(1, min(6, dim - 1)))
-    layout = draw(st.sampled_from(("random", "adjacent", "ends")))
-    if layout == "adjacent":
-        start = draw(st.integers(0, dim - count))
-        heavy = set(range(start, start + count))
-    else:
-        heavy = draw(st.sets(st.integers(0, dim - 1), min_size=count, max_size=count))
-        if layout == "ends" and dim > 2:
-            heavy = (heavy - {0, dim - 1}) | {0, dim - 1}
-            while len(heavy) >= dim:
-                heavy.pop()
-    count = len(heavy)
-    kind = draw(st.sampled_from(("grover", "tiny off", "tiny on", "equal", "zero off")))
-    if kind == "grover":
-        weights = class_weights(dim, count, draw(st.integers(0, 30)))
-    elif kind == "tiny off":
-        weights = ((1.0 - 1e-33 * (dim - count)) / count, 1e-33)
-    elif kind == "tiny on":
-        weights = (1e-33, (1.0 - 1e-33 * count) / (dim - count))
-    elif kind == "equal":
-        weights = (1.0 / dim, 1.0 / dim)
-    else:
-        weights = (1.0 / count, 0.0)
-    return tuple(sorted(heavy)), dim, weights, draw(st.integers(0, 2**64 - 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(inverse_cases())
-@example(((3, 4, 5), 16, class_weights(16, 3, 1), 0))
-@example(((0, 15), 16, class_weights(16, 2, 1), 1))
-@example(((0, 1, 2, 3), 16, class_weights(16, 4, 2), 2))
-@example(((2, 9), 16, ((1.0 - 1e-33 * 14) / 2, 1e-33), 3))
-@example(((2, 9), 16, (1e-33, (1.0 - 2e-33) / 14), 4))
-@example(((1, 3, 5, 7, 9, 11, 13, 15), 16, class_weights(16, 8, 3), 5))
-@example(((5,), 8, (1.0, 0.0), 6))
-def test_inverse_cdf_matches_reference_bit_for_bit(case):
-    heavy, dim, weights, seed = case
-    heavy = np.array(heavy, dtype=np.int64)
-    on, off = weights
-    rise = on - off
-    total = off * dim + rise * heavy.size
-    # Every CDF breakpoint and the floats on either side of it, so that
-    # draws land exactly on and next to each step's start and end.
-    breaks = np.concatenate([
-        (off * heavy + rise * np.arange(heavy.size)) / total,
-        (off * (heavy + 1) + rise * np.arange(1, heavy.size + 1)) / total,
-    ])
-    draws = np.concatenate([
-        np.random.default_rng(seed).random(512),
-        breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, 1.0),
-        [0.0, np.nextafter(1.0, 0.0)],
-    ])
-    draws = draws[(draws >= 0.0) & (draws < 1.0)]
-    got = class_inverse_cdf(heavy, dim, weights)(draws)
-    expected = reference_class_inverse_cdf(heavy, dim, weights)(draws)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
-    assert got.min() >= 0 and got.max() < dim
 
 
 def search_outcome(search, *args):
