@@ -22,13 +22,18 @@ most recent unexplored branch.  A search gives up after ``4 L`` runs
 (``RUN_BUDGET_PER_QUBIT``), so no input takes more than O(L) runs.
 
 Runs are read out from the two-amplitude state: after m steps every marked
-label carries one amplitude and every other label another, and the
-correlation only moves labels, so a run needs the marked labels alone and
-no statevector is built.  One plain run is read on every qubit, as
-:func:`~grover_ev.measurement.measure_classes` reads it, and each stage past
-the first adds one correlated run on its target qubit alone, all drawn in
-turn from one ``default_rng(seed)`` per search.  :func:`extract_location` is
-the search loop: the run budget, the branch stack, verification and the counts.
+label carries one amplitude and every other label another, so a run needs
+the marked labels alone and no statevector is built.  One plain run is read
+on every qubit, as :func:`~grover_ev.measurement.measure_classes` reads it,
+and each stage past the first adds one correlated run on its target qubit
+alone, all drawn in turn from one ``default_rng(seed)`` per search.  The
+correlation only permutes labels, so a correlated run is fixed by its
+target qubit's count of ones over the moved labels.  A search sorts the
+marked labels once as L-bit keys, bits from qubit 1 down, in
+O(M L + M log M); a prefix keeps one contiguous run of keys, so three
+bisections give each count in O(log M) and no label is moved.
+:func:`extract_location` is the search loop: the run budget, the branch
+stack, verification and the counts.
 The dense operations of :mod:`grover_ev.core` and :func:`apply_correlation`
 stay the reference this path is tested against.
 
@@ -39,6 +44,7 @@ determined prefix as the integer those bits spell.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +53,7 @@ import numpy as np
 from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .measurement import ClassState, EnsembleModel, class_state, decide_sign
-from .measurement import _read, _run_generator
+from .measurement import _bits, _read, _run_generator
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
@@ -133,20 +139,27 @@ def _correlated_labels(labels: np.ndarray, target: int, prefix: int) -> np.ndarr
 
 
 def _stage(
-    state: ClassState, plain: Sequence[float], prefix: int, stage: int,
-    model: EnsembleModel, rng: np.random.Generator | None, a_th: float,
+    state: ClassState, plain: Sequence[float], ones: Sequence[int], keys: Sequence[int],
+    key: int, stage: int, model: EnsembleModel, rng: np.random.Generator | None, a_th: float,
 ) -> tuple[float, int | None]:
-    """The EV of qubit ``stage + 1`` given the ``stage`` bits ``prefix``
-    spells, and its bit by :func:`decide_sign` at ``a_th`` (None: undecided).
-    Stage 0 is the plain run's; a later stage averages the plain run's with
-    one correlated run, that qubit read alone from ``rng`` off the marked
-    labels the correlation moved: O(M), whatever the shots and register."""
+    """The EV of qubit ``stage + 1`` given the ``stage`` prefix bits, held
+    from qubit 1 down in the top bits of ``key``, and its bit by
+    :func:`decide_sign` at ``a_th`` (None: undecided).  Stage 0 is the plain
+    run's; a later stage averages it with one correlated run, that qubit
+    read alone from ``rng`` off its count of ones: the kept labels' sorted
+    ``keys`` lie in [key, key + 2 half), the upper half with the target bit
+    set, and the correlation flips that bit on every other label (``ones``
+    counts each qubit over all).  O(log M), whatever the shots and register."""
     if stage == 0:
         ev = plain[0]
     else:
-        labels = _correlated_labels(state.heavy, stage + 1, prefix)
-        moved = ClassState(state.qubit_count, labels, state.weights)
-        ev = (plain[stage] + _read(moved, model, [stage + 1], rng)[0]) / 2.0
+        half = 1 << (state.qubit_count - 1 - stage)
+        low = bisect_left(keys, key)
+        mid = bisect_left(keys, key + half, low)
+        high = bisect_left(keys, key + 2 * half, mid)
+        # The kept labels' ones plus the other labels' zeros.
+        flipped = 2 * (high - mid) + len(keys) - (high - low) - ones[stage]
+        ev = (plain[stage] + _read(state, model, [stage + 1], rng, ones=(flipped,))[0]) / 2.0
     return ev, decide_sign(ev, a_th)
 
 
@@ -158,8 +171,8 @@ def extract_location(
 ) -> SearchResult:
     """Run the full bit-extraction protocol and return a verified location.
 
-    One plain run (``iterations`` amplification steps, every qubit read in
-    O(M L)) is reused at every stage, and :func:`_stage` decides each bit.
+    One plain run (every qubit read in O(M L)) and the marked labels' sorted
+    keys serve every stage, and :func:`_stage` decides each bit.
     The loop keeps the run budget, the branch stack (an undecided stage
     tries bit 0 first), one oracle query per candidate with a backtrack when
     it fails, and the counts.
@@ -178,16 +191,21 @@ def extract_location(
     qubit_count = state.qubit_count
     budget = RUN_BUDGET_PER_QUBIT * qubit_count
     rng = _run_generator(model)
-    plain = _read(state, model, range(1, qubit_count + 1), rng).tolist()
+    bits = _bits(state.heavy, range(1, qubit_count + 1))
+    ones = bits.sum(axis=0).tolist()
+    # Bit i of a label is bit L - 1 - i of its key.
+    keys = np.sort(bits @ (1 << np.arange(qubit_count - 1, -1, -1, dtype=np.int64))).tolist()
+    plain = _read(state, model, range(1, qubit_count + 1), rng, ones=ones).tolist()
 
     total_runs = 1
     branch_events = 0
     verifications = 0
-    # The (prefix, stage) of each unexplored branch, the root first: prefix
-    # holds the ``stage`` bits determined so far (bit i is qubit i + 1).
-    pending = [(0, 0)]
+    # The (prefix, key, stage) of each unexplored branch, the root first:
+    # prefix holds the ``stage`` bits determined so far (bit i is qubit
+    # i + 1), and key the same bits from its top bit down.
+    pending = [(0, 0, 0)]
     while pending:
-        prefix, stage = pending.pop()
+        prefix, key, stage = pending.pop()
         for stage in range(stage, qubit_count):
             if stage:
                 if total_runs == budget:
@@ -198,12 +216,13 @@ def extract_location(
                         branch_events=branch_events,
                     )
                 total_runs += 1
-            _, bit = _stage(state, plain, prefix, stage, model, rng, a_th)
+            _, bit = _stage(state, plain, ones, keys, key, stage, model, rng, a_th)
             if bit is None:
                 branch_events += 1
-                pending.append((prefix | 1 << stage, stage + 1))
+                pending.append((prefix | 1 << stage, key | 1 << qubit_count - 1 - stage, stage + 1))
                 bit = 0
             prefix |= bit << stage
+            key |= bit << qubit_count - 1 - stage
         verifications += 1
         if prefix in marked:
             return SearchResult(

@@ -10,7 +10,7 @@ dense shot labels), then its noise, truncated at 3 sigma: |ev| <= 1 + 3*sigma.
 
 Every two-amplitude run is read by counts in :func:`_read` (Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. X).  One qubit k is one
-``Binomial(shots, p_k)``, ``p_k`` exact from the class weights in O(M).
+``Binomial(shots, p_k)``, ``p_k`` exact from the weights and k's marked ones.
 Several qubits, where a marked label weighs at least as much as an unmarked
 one (``on >= off``): the Born distribution is uniform over all N labels (bits
 independent fair coins) with weight ``off N / total`` and uniform over the M
@@ -19,9 +19,9 @@ marked draws split by a ``Multinomial(K, 1/M each)``, and qubit k's ones are
 ``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set.  Past the
 crossing (``on < off``) a sampled read of several qubits raises
 ``ValueError``; no search reads such a state.  A read of several qubits
-costs O(M L), of one O(M), at every shot count.  Qubits read alone get
-counts of their own, equal in distribution (not bit for bit) to a full
-readout's.  The dense :func:`measure_all` is the reference.
+costs O(M L), of one O(M) or O(1) given its count, at every shot count.
+Qubits read alone get counts of their own, equal in distribution (not bit
+for bit) to a full readout's.  The dense :func:`measure_all` is the reference.
 """
 
 from __future__ import annotations
@@ -178,57 +178,44 @@ def class_state(marked: MarkedSet, iterations: int) -> ClassState:
     return ClassState(qubit_count, heavy, (on * on, off * off))
 
 
-def _class_evs(
-    heavy: np.ndarray, weights: tuple[float, float], qubits: Sequence[int]
-) -> np.ndarray:
-    """Exact EVs of each qubit in ``qubits`` for a two-amplitude state:
-    (on - off) * sum over heavy of (1 - 2 bit_k), since ``off``, spread
-    evenly over all labels, cancels."""
-    on, off = weights
-    ones = _bits(heavy, qubits).sum(axis=0)
-    return (on - off) * (heavy.size - 2 * ones)
-
-
-def _ones_probability(state: ClassState, k: int) -> float:
-    """P(bit k = 1) for one shot of a two-amplitude state, in O(M).  Every
-    term is >= 0, so the ratio lies in [0, 1] in floats too."""
+def _ones_probability(state: ClassState, ones: int) -> float:
+    """P(bit k = 1) for one shot of a two-amplitude state whose marked labels
+    carry ``ones`` ones on qubit k.  Every term is >= 0, so the ratio lies in
+    [0, 1] in floats too."""
     on, off = state.weights
     dim, size = 1 << state.qubit_count, state.heavy.size
-    ones = int(_bits(state.heavy, [k]).sum())
     total = off * (dim - size) + on * size
     return (off * (dim // 2 - ones) + on * ones) / total
 
 
-def _class_ones(
-    state: ClassState, shots: int, qubits: Sequence[int], rng: np.random.Generator, runs: int
-) -> np.ndarray:
-    """Ones of each qubit in ``qubits`` over one run of ``shots`` shots, or of
-    one qubit over ``runs`` runs, drawn as the module docstring sets out."""
-    if len(qubits) == 1:
-        return rng.binomial(shots, _ones_probability(state, qubits[0]), runs)
-    on, off = state.weights
-    if on < off:
-        raise ValueError("a marked label weighs less than an unmarked one: read one qubit")
-    dim, size = 1 << state.qubit_count, state.heavy.size
-    total = off * (dim - size) + on * size
-    marked = rng.binomial(shots, (on - off) * size / total)
-    ones = rng.binomial(shots - marked, 0.5, len(qubits))
-    return ones + rng.multinomial(marked, [1.0 / size] * size) @ _bits(state.heavy, qubits)
-
-
 def _read(
     state: ClassState, model: EnsembleModel, qubits: Sequence[int],
-    rng: np.random.Generator | None, runs: int = 1,
+    rng: np.random.Generator | None, runs: int = 1, ones: Sequence[int] | None = None,
 ) -> np.ndarray:
     """EVs of the listed qubits of one run, or of one qubit over ``runs``
-    runs: exact or counts, then noise, all from ``rng``, held to the readout
-    bound.  The caller checks the qubit indices."""
-    if model.shots == 0:
-        base = _class_evs(state.heavy, state.weights, qubits)
+    runs: exact or counts (see the module docstring), then noise, all from
+    ``rng``, held to the readout bound.  Exact and one-qubit reads take each
+    qubit's count of marked labels with that bit set from ``ones``, or count
+    them from ``state.heavy``.  The caller checks the qubit indices."""
+    on, off = state.weights
+    dim, size, shots = 1 << state.qubit_count, state.heavy.size, model.shots
+    if ones is None and (shots == 0 or len(qubits) == 1):
+        ones = _bits(state.heavy, qubits).sum(axis=0)
+    if shots == 0:
+        # off, spread evenly over all labels, cancels.
+        base = (on - off) * (size - 2 * np.asarray(ones))
         base = np.repeat(base, runs) if runs > 1 else base
+    elif len(qubits) == 1:
+        counts = rng.binomial(shots, _ones_probability(state, int(ones[0])), runs)
+    elif on < off:
+        raise ValueError("a marked label weighs less than an unmarked one: read one qubit")
     else:
-        ones = _class_ones(state, model.shots, qubits, rng, runs)
-        base = (model.shots - 2 * ones) / model.shots
+        total = off * (dim - size) + on * size
+        marked = rng.binomial(shots, (on - off) * size / total)
+        counts = rng.binomial(shots - marked, 0.5, len(qubits))
+        counts += rng.multinomial(marked, [1.0 / size] * size) @ _bits(state.heavy, qubits)
+    if shots:
+        base = (shots - 2 * counts) / shots
     return _noisy(base, model.gaussian_noise_sigma, rng)
 
 

@@ -11,7 +11,7 @@ curve and an integer correction: O(1) work for any N <= 2**62.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .core import grover_angle, half_angle, returns_to_uniform
 
@@ -42,7 +42,8 @@ class TruncationPlan:
     saturated: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order: each a number, so no deep copy."""
+        return dict(vars(self))
 
 
 def attenuation(universe_size: int, marked_count: int, iterations: int) -> float:

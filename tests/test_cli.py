@@ -308,7 +308,7 @@ def test_search_past_the_crossing_exits_two_before_any_run(tmp_path, capsys, mon
         assert (child.returncode, child.stdout, child.stderr) == (2, "", message)
     assert time.perf_counter() - start < 10
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the search read a run")
 
     monkeypatch.setattr(filtering, "_read", refuse)

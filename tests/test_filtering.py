@@ -14,6 +14,8 @@ from conftest import (
     record_generators,
     uniform_over,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grover_ev import (
     EnsembleModel,
@@ -26,7 +28,7 @@ from grover_ev import (
     make_plan,
     measure_classes,
 )
-from grover_ev import filtering
+from grover_ev import filtering, measurement
 from grover_ev.core import (
     StateVector,
     apply_grover,
@@ -34,7 +36,7 @@ from grover_ev.core import (
     new_uniform,
 )
 from grover_ev.filtering import apply_correlation
-from grover_ev.measurement import measure_all
+from grover_ev.measurement import ClassState, measure_all
 
 EXACT = EnsembleModel()
 
@@ -224,6 +226,18 @@ def test_averaging_enumeration_oracle_truncated_states():
                     )
 
 
+def prefix_key(prefix, stage, qubits):
+    """The ``qubits``-bit key whose top ``stage`` bits spell ``prefix`` from
+    qubit 1 down, the rest 0: a label's key is ``prefix_key(label, L, L)``."""
+    return sum((prefix >> i & 1) << (qubits - 1 - i) for i in range(stage))
+
+
+def key_table(locations, qubits):
+    """Each qubit's count of ones over ``locations``, and their sorted keys."""
+    ones = [sum(location >> i & 1 for location in locations) for i in range(qubits)]
+    return ones, sorted(prefix_key(location, qubits, qubits) for location in locations)
+
+
 def check_stage_against_formula(locations, n, m, atol):
     """Check ``filtering._stage`` under exact readout at every anchor and
     stage against the enumeration formula scaled by A_m, within 1e-12
@@ -233,10 +247,12 @@ def check_stage_against_formula(locations, n, m, atol):
     qubits = state.qubit_count
     plain = measure_classes(state, EXACT, range(1, qubits + 1))
     scale = attenuation(n, len(locations), m)
+    ones, keys = key_table(locations, qubits)
     for anchor in locations:
         for stage in range(qubits):
             prefix = anchor & ((1 << stage) - 1)
-            ev, bit = filtering._stage(state, plain, prefix, stage, EXACT, None, 0.0)
+            key = prefix_key(prefix, stage, qubits)
+            ev, bit = filtering._stage(state, plain, ones, keys, key, stage, EXACT, None, 0.0)
             expected = filtered_ev_formula(
                 locations, low_bits(anchor, stage), stage + 1, scale
             )
@@ -266,6 +282,55 @@ def test_stage_ev_matches_formula_at_62_qubits():
     m_stand = make_plan(n, 4, 0.0).m_stand
     for m in (1, m_stand // 3, m_stand):
         assert check_stage_against_formula(locations, n, m, 0.0) == 4 * 62
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 62), st.data())
+def test_stage_count_reads_as_the_moved_labels(qubits, data):
+    # A stage reads its correlated run off one count, found by bisecting the
+    # sorted keys.  Its EV, and every draw it makes, are bit for bit those
+    # _read gives on the marked labels the correlation moves, exact or
+    # sampled, with or without noise, at every L up to 62.  Labels one bit
+    # flip apart share long prefixes, so deep stages keep several labels.
+    n = 1 << qubits
+    free = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    flips = data.draw(st.lists(st.tuples(st.sampled_from(free), st.integers(0, qubits - 1)),
+                               max_size=8))
+    locations = sorted({*free, *(label ^ 1 << bit for label, bit in flips)})[: n - 1]
+    state = class_state(MarkedSet(tuple(locations), n), data.draw(st.integers(0, 40)))
+    stage = data.draw(st.integers(1, qubits - 1))
+    anchor = data.draw(st.one_of(st.sampled_from(locations), st.integers(0, n - 1)))
+    prefix = anchor & ((1 << stage) - 1)
+    model = EnsembleModel(shots=data.draw(st.sampled_from((0, 64, 4096, 10**12))),
+                          seed=data.draw(st.integers(0, 2**64 - 1)),
+                          gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))))
+    plain = measure_classes(state, EXACT, range(1, qubits + 1))
+    moved = ClassState(qubits, filtering._correlated_labels(state.heavy, stage + 1, prefix),
+                       state.weights)
+    rng, reference = measurement._run_generator(model), measurement._run_generator(model)
+    ones, keys = key_table(locations, qubits)
+    ev, bit = filtering._stage(state, plain, ones, keys, prefix_key(prefix, stage, qubits),
+                               stage, model, rng, 0.0)
+    expected = (plain[stage] + measurement._read(moved, model, [stage + 1], reference)[0]) / 2.0
+    assert ev == expected and bit == decide_sign(expected, 0.0)
+    if rng is not None:
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("model", [EXACT, EnsembleModel(shots=1024, seed=1),
+                                   EnsembleModel(shots=1024, seed=2, gaussian_noise_sigma=0.05)],
+                         ids=["exact", "sampled", "noisy"])
+def test_search_moves_no_label(monkeypatch, model):
+    # Every correlated run is read off a count, so a search, branching and
+    # backtracking included, verifies a location with the label map gone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search moved a label")
+
+    monkeypatch.setattr(filtering, "_correlated_labels", refuse)
+    for locations, n, m in [((3, 77, 200), 256, 3), ((40503,), 1 << 16, 59),
+                            ((2, 7, 8, 13), 16, 2), ((5, 6), 64, 2)]:
+        result = extract_location(MarkedSet(locations, n), m, model, 0.0)
+        assert result.location in locations
 
 
 # ------------------------------------------------------------- bit extraction
@@ -364,7 +429,7 @@ def test_extract_rejects_states_past_the_crossing(monkeypatch, model):
     # Where a marked label weighs less than an unmarked one (m = 3 past
     # m_stand = 1, or M > N/2 at m = 1) no EV sign names a marked bit, so
     # the search raises before its first run, under any readout.
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the search read a run")
 
     monkeypatch.setattr(filtering, "_read", refuse)
@@ -410,9 +475,9 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     reads = []
     read = filtering._read
 
-    def counted_reads(state, model, qubit_list, rng):
+    def counted_reads(state, model, qubit_list, rng, runs=1, ones=None):
         reads.append((list(qubit_list), rng))
-        return read(state, model, qubit_list, rng)
+        return read(state, model, qubit_list, rng, runs, ones)
 
     monkeypatch.setattr(filtering, "_read", counted_reads)
     built = record_generators(monkeypatch)
@@ -444,8 +509,8 @@ def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, location
     reads = []
     read = filtering._read
 
-    def recorded(*args):
-        evs = read(*args)
+    def recorded(*args, **kwargs):
+        evs = read(*args, **kwargs)
         reads.append(evs.tolist())
         return evs
 
