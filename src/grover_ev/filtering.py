@@ -31,7 +31,10 @@ correlation only permutes labels, so a correlated run is fixed by its
 target qubit's count of ones over the moved labels.  A search sorts the
 marked labels once as L-bit keys, bits from qubit 1 down, in
 O(M L + M log M); a prefix keeps one contiguous run of keys, so three
-bisections give each count in O(log M) and no label is moved.
+bisections give each count in O(log M) and no label is moved.  The plain
+run is read as an array by :func:`~grover_ev.measurement._read`, and each
+correlated run, one qubit of one run, as a Python float by
+:func:`~grover_ev.measurement._read_one`.
 :func:`extract_location` is the search loop: the run budget, the branch
 stack, verification and the counts.
 The dense operations of :mod:`grover_ev.core` and :func:`apply_correlation`
@@ -53,7 +56,7 @@ import numpy as np
 from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .measurement import ClassState, EnsembleModel, class_state, decide_sign
-from .measurement import _bits, _read, _run_generator
+from .measurement import _bits, _read, _read_one, _run_generator
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
@@ -159,7 +162,7 @@ def _stage(
         high = bisect_left(keys, key + 2 * half, mid)
         # The kept labels' ones plus the other labels' zeros.
         flipped = 2 * (high - mid) + len(keys) - (high - low) - ones[stage]
-        ev = (plain[stage] + _read(state, model, [stage + 1], rng, ones=(flipped,))[0]) / 2.0
+        ev = (plain[stage] + _read_one(state, model, flipped, rng)) / 2.0
     return ev, decide_sign(ev, a_th)
 
 
@@ -195,7 +198,7 @@ def extract_location(
     ones = bits.sum(axis=0).tolist()
     # Bit i of a label is bit L - 1 - i of its key.
     keys = np.sort(bits @ (1 << np.arange(qubit_count - 1, -1, -1, dtype=np.int64))).tolist()
-    plain = _read(state, model, range(1, qubit_count + 1), rng, ones=ones).tolist()
+    plain = _read(state, model, range(1, qubit_count + 1), rng, ones=ones, bits=bits).tolist()
 
     total_runs = 1
     branch_events = 0

@@ -8,9 +8,15 @@ ones over the run's one shared set of shots.  A read, a sweep row or a
 search draws from one generator, ``default_rng(seed)``: each run's counts (or
 dense shot labels), then its noise, truncated at 3 sigma: |ev| <= 1 + 3*sigma.
 
-Every two-amplitude run is read by counts in :func:`_read` (Devroye,
-*Non-Uniform Random Variate Generation*, 1986, ch. X).  One qubit k is one
-``Binomial(shots, p_k)``, ``p_k`` exact from the weights and k's marked ones.
+Every two-amplitude run is read by counts (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. X), by one of two readers chosen by the
+read's shape: :func:`_read` returns an array, for several qubits of one
+run or one qubit over many runs, and :func:`_read_one` a Python float, for
+one qubit of one run (a search's correlated run, a sweep row's exact
+reference), bit for bit and draw for draw what :func:`_read` gives there.
+Both read a count by :func:`_count_evs` and hold each EV to
+:func:`_check_ev`.  One qubit k is one ``Binomial(shots, p_k)``, ``p_k``
+exact from the weights and k's marked ones.
 Several qubits, where a marked label weighs at least as much as an unmarked
 one (``on >= off``): the Born distribution is uniform over all N labels (bits
 independent fair coins) with weight ``off N / total`` and uniform over the M
@@ -60,12 +66,31 @@ class EnsembleModel:
             raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
 
 
+def _ev_bound(sigma: float) -> float:
+    """The readout bound on |ev|: 1, plus noise clipped at 3 sigma."""
+    return 1.0 + 3.0 * sigma
+
+
+def _check_ev(ev: float, sigma: float) -> float:
+    """``ev``, held to the readout bound (1e-12 over it for rounding); NaN fails."""
+    bound = _ev_bound(sigma)
+    if not abs(ev) <= bound + 1e-12:
+        raise ValueError(f"EV outside [-{bound}, {bound}]: {ev}")
+    return ev
+
+
 def _check_ev_bound(evs: np.ndarray, sigma: float) -> None:
-    """Reject an array with an EV past |ev| <= 1 + 3 sigma, or NaN, naming the first."""
-    bound = 1.0 + 3.0 * sigma
-    inside = np.abs(evs) <= bound + 1e-12
-    if not inside.all():
-        raise ValueError(f"EV outside [-{bound}, {bound}]: {evs[~inside][0]}")
+    """Hold every EV of an array to :func:`_check_ev`, naming the first past
+    the bound.  All pass when the largest |ev| does (NaN if any EV is NaN)."""
+    if not np.max(np.abs(evs), initial=0.0) <= _ev_bound(sigma) + 1e-12:
+        for ev in evs.tolist():
+            _check_ev(ev, sigma)
+
+
+def _check_qubit(state: StateVector | ClassState, k: int) -> None:
+    """Reject a qubit index outside the register, 1..L."""
+    if not 1 <= k <= state.qubit_count:
+        raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
 
 
 def exact_ev(state: StateVector, k: int) -> float:
@@ -110,8 +135,7 @@ def _label_evs(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
 def sampled_ev(state: StateVector, k: int, model: EnsembleModel) -> float:
     """Estimate of sigma_z(k) under the given ensemble model: qubit k of
     :func:`measure_all`."""
-    if not 1 <= k <= state.qubit_count:
-        raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
+    _check_qubit(state, k)
     return measure_all(state, model)[k - 1]
 
 
@@ -188,15 +212,25 @@ def _ones_probability(state: ClassState, ones: int) -> float:
     return (off * (dim // 2 - ones) + on * ones) / total
 
 
+def _count_evs(counts, shots: int):
+    """sigma_z of ``counts`` ones over ``shots`` shots, for a Python int or an
+    int64 array: ``shots - 2 counts`` rounds to a float first, as numpy
+    rounds it (a quotient of two ints rounds otherwise past 2^53)."""
+    return (shots - 2 * counts) * 1.0 / shots
+
+
 def _read(
     state: ClassState, model: EnsembleModel, qubits: Sequence[int],
     rng: np.random.Generator | None, runs: int = 1, ones: Sequence[int] | None = None,
+    bits: np.ndarray | None = None,
 ) -> np.ndarray:
     """EVs of the listed qubits of one run, or of one qubit over ``runs``
     runs: exact or counts (see the module docstring), then noise, all from
     ``rng``, held to the readout bound.  Exact and one-qubit reads take each
-    qubit's count of marked labels with that bit set from ``ones``, or count
-    them from ``state.heavy``.  The caller checks the qubit indices."""
+    qubit's count of marked labels with that bit set from ``ones``, and a
+    sampled read of several qubits the marked labels' bits on them from
+    ``bits``; each is found from ``state.heavy`` when not passed.  The
+    caller checks the qubit indices."""
     on, off = state.weights
     dim, size, shots = 1 << state.qubit_count, state.heavy.size, model.shots
     if ones is None and (shots == 0 or len(qubits) == 1):
@@ -213,10 +247,28 @@ def _read(
         total = off * (dim - size) + on * size
         marked = rng.binomial(shots, (on - off) * size / total)
         counts = rng.binomial(shots - marked, 0.5, len(qubits))
-        counts += rng.multinomial(marked, [1.0 / size] * size) @ _bits(state.heavy, qubits)
+        bits = _bits(state.heavy, qubits) if bits is None else bits
+        counts += rng.multinomial(marked, [1.0 / size] * size) @ bits
     if shots:
-        base = (shots - 2 * counts) / shots
+        base = _count_evs(counts, shots)
     return _noisy(base, model.gaussian_noise_sigma, rng)
+
+
+def _read_one(
+    state: ClassState, model: EnsembleModel, ones: int, rng: np.random.Generator | None
+) -> float:
+    """The EV of one qubit in one run whose marked labels carry ``ones`` ones
+    on it: :func:`_read` of that qubit, bit for bit and draw for draw, as a
+    Python float with no array built.  O(1)."""
+    sigma = model.gaussian_noise_sigma
+    if model.shots:
+        ev = _count_evs(rng.binomial(model.shots, _ones_probability(state, ones)), model.shots)
+    else:
+        on, off = state.weights
+        ev = (on - off) * (state.heavy.size - 2 * ones)
+    if sigma:
+        ev += min(max(rng.normal(0.0, sigma), -3.0 * sigma), 3.0 * sigma)
+    return _check_ev(ev, sigma)
 
 
 def measure_classes(
@@ -231,8 +283,7 @@ def measure_classes(
     raises ``ValueError``; exact and one-qubit reads take every state.
     """
     for k in qubits:
-        if not 1 <= k <= state.qubit_count:
-            raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
+        _check_qubit(state, k)
     return _read(state, model, qubits, _run_generator(model)).tolist()
 
 
@@ -249,21 +300,25 @@ def sign_error_rate(
 
     The reference is the sign of the exact EV, undecided when it is 0; a
     trial errs when the sign it reads (:func:`decide_sign` at threshold 0)
-    differs, so a zero readout of a decidable qubit errs.  All trials draw
-    from ``default_rng(model.seed)``, read by :func:`_read` in blocks of at
-    most ``_BLOCK_DRAWS`` (a trial is one ``Binomial(shots, p_k)`` plus its
-    noise): O(M + trials) time and O(_BLOCK_DRAWS) memory whatever the shot
-    count and register size.  Exact, noiseless readout runs one trial.
+    differs, so a zero readout of a decidable qubit errs.  Qubit k's marked
+    ones are counted once; the exact EV is read from that count by
+    :func:`_read_one`, and all trials draw from ``default_rng(model.seed)``,
+    read by :func:`_read` in blocks of at most ``_BLOCK_DRAWS`` (a trial is
+    one ``Binomial(shots, p_k)`` plus its noise): O(M + trials) time and
+    O(_BLOCK_DRAWS) memory whatever the shot count and register size.
+    Exact, noiseless readout runs one trial.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     trials = 1 if model.shots == 0 and model.gaussian_noise_sigma == 0.0 else trials
     state = class_state(marked, iterations)
-    # The exact read checks k; its sign is decide_sign at 0 (undecided 0).
-    truth = np.sign(measure_classes(state, EnsembleModel(), [k])[0])
+    _check_qubit(state, k)
+    ones = int(_bits(state.heavy, [k]).sum())
+    # The exact sign is decide_sign at 0 (undecided 0).
+    truth = np.sign(_read_one(state, EnsembleModel(), ones, None))
     rng = _run_generator(model)
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):
-        evs = _read(state, model, [k], rng, min(_BLOCK_DRAWS, trials - start))
+        evs = _read(state, model, [k], rng, min(_BLOCK_DRAWS, trials - start), ones=(ones,))
         errors += int(np.count_nonzero(np.sign(evs) != truth))
     return errors / trials

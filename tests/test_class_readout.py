@@ -12,6 +12,7 @@ sign-error rates against the exact binomial tail.  Each such test uses
 fixed seeds and states its power.
 """
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -49,6 +50,7 @@ from grover_ev.core import (
     StateVector,
     apply_grover,
     closed_form_state,
+    grover_angle,
     new_uniform,
 )
 from grover_ev.filtering import apply_correlation
@@ -180,6 +182,58 @@ def test_one_qubit_readout_keeps_the_record_bound():
         measure_classes(state, EXACT, [2])
     with pytest.raises(ValueError, match="EV outside"):
         measure_classes(state, EXACT, range(1, 3))
+    with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: 1\.5$"):
+        measurement._read_one(state, EXACT, 0, None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 62), st.data())
+def test_one_qubit_reader_is_the_block_reader_on_one_run(qubits, data):
+    # _read_one reads one qubit of one run from its count of marked ones as
+    # a Python float, with no array.  It is _read of that qubit over one run,
+    # bit for bit and draw for draw: any count M distinct labels can carry
+    # (0..M once M <= N/2), every L up to 62, shots up to 2^60 (3^37 is past
+    # 2^53 and no float, so a quotient of two ints would round otherwise),
+    # with or without noise, and on both sides of the crossing, since a
+    # one-qubit read takes every state.
+    n = 1 << qubits
+    locations = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=min(8, n - 1), unique=True))
+    size = len(locations)
+    # A marked label weighs less than an unmarked one within half a step of
+    # (2m + 1) theta / 2 = pi, where theta = grover_angle.
+    past = round(math.pi / grover_angle(n, size) - 0.5)
+    iterations = data.draw(st.one_of(st.integers(0, 40), st.just(past)))
+    state = class_state(MarkedSet(tuple(locations), n), iterations)
+    ones = data.draw(st.integers(max(0, size - n // 2), min(size, n // 2)))
+    model = EnsembleModel(shots=data.draw(st.sampled_from((0, 64, 4096, 10**12, 2**60, 3**37))),
+                          seed=data.draw(st.integers(0, 2**64 - 1)),
+                          gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))))
+    rng, reference = measurement._run_generator(model), measurement._run_generator(model)
+    got = measurement._read_one(state, model, ones, rng)
+    expected = measurement._read(state, model, [data.draw(st.integers(1, qubits))], reference,
+                                 ones=(ones,))[0]
+    assert type(got) is float and got.hex() == float(expected).hex()
+    if rng is not None:
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_one_qubit_reader_clips_noise_as_the_block_reader():
+    # Over 10,000 seeds the noise passes 3 sigma about 13 times on each side
+    # (seeds 0..9,999 do so on both); every read, clipped or not, is _read's
+    # bit for bit.
+    sigma = 0.05
+    state = class_state(MarkedSet((3, 9, 12), 16), 1)
+    exact = measurement._read_one(state, EXACT, 1, None)
+    clipped = set()
+    for t in range(10_000):
+        model = EnsembleModel(seed=t, gaussian_noise_sigma=sigma)
+        got = measurement._read_one(state, model, 1, np.random.default_rng(t))
+        expected = measurement._read(state, model, [2], np.random.default_rng(t), ones=(1,))[0]
+        assert got.hex() == float(expected).hex()
+        if abs(got - exact) > 3 * sigma - 1e-12:
+            clipped.add(got > exact)
+    assert clipped == {False, True}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -380,24 +434,30 @@ def test_sign_error_rate_memory_is_bounded():
 
 def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
     # No generator is built and nothing is drawn; the exact EV is read once
-    # for the reference sign, and the single trial, that same EV, is held
-    # to the readout bound as an array, as every block of trials is.
+    # for the reference sign, as a float held to the readout bound, and the
+    # single trial, that same EV, is held to it as an array, as every block
+    # of trials is.
     marked = MarkedSet((3, 17), 32)
     exact = measure_classes(class_state(marked, 2), EXACT, [1])
     checks = []
-    check = measurement._check_ev_bound
+    check_one, check = measurement._check_ev, measurement._check_ev_bound
 
     def refuse(*args):
         raise AssertionError("an exact, noiseless rate drew samples")
+
+    def counted_one(ev, sigma):
+        checks.append((type(ev), [ev], sigma))
+        return check_one(ev, sigma)
 
     def counted(evs, sigma):
         checks.append((type(evs), evs.tolist(), sigma))
         return check(evs, sigma)
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(measurement, "_check_ev", counted_one)
     monkeypatch.setattr(measurement, "_check_ev_bound", counted)
     assert sign_error_rate(marked, 2, 1, EnsembleModel(seed=5), trials=200) == 0.0
-    assert checks == [(np.ndarray, exact, 0.0)] * 2
+    assert checks == [(float, exact, 0.0), (np.ndarray, exact, 0.0)]
 
 
 def test_search_builds_no_statevector(monkeypatch):

@@ -312,6 +312,7 @@ def test_search_past_the_crossing_exits_two_before_any_run(tmp_path, capsys, mon
         raise AssertionError("the search read a run")
 
     monkeypatch.setattr(filtering, "_read", refuse)
+    monkeypatch.setattr(filtering, "_read_one", refuse)
     assert run_cli(capsys, *argv, "--shots", "4096") == (2, "", message)
 
 

@@ -433,6 +433,7 @@ def test_extract_rejects_states_past_the_crossing(monkeypatch, model):
         raise AssertionError("the search read a run")
 
     monkeypatch.setattr(filtering, "_read", refuse)
+    monkeypatch.setattr(filtering, "_read_one", refuse)
     for locations, n, m in [((3, 9, 12), 16, 3), ((0, 1, 2), 4, 1), ((1, 2, 4, 6, 7), 8, 1)]:
         with pytest.raises(ValueError, match=f"^at m = {m} a marked label weighs less"):
             extract_location(MarkedSet(locations, n), m, model, 0.0)
@@ -470,16 +471,22 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     # 10 times and backtracks through 9 verifications in 23 runs, inside the
     # 4 L budget.  It builds one generator, seeded 2, and every run reads from
     # it in turn: the plain run its counts and noise on every qubit, then
-    # each correlated run one binomial count and one noise value.
+    # each correlated run, read by the one-qubit reader, one binomial count
+    # and one noise value.
     qubits = 16
     reads = []
-    read = filtering._read
+    read, read_one = filtering._read, filtering._read_one
 
-    def counted_reads(state, model, qubit_list, rng, runs=1, ones=None):
-        reads.append((list(qubit_list), rng))
-        return read(state, model, qubit_list, rng, runs, ones)
+    def counted_reads(state, model, qubit_list, rng, runs=1, ones=None, bits=None):
+        reads.append(("_read", list(qubit_list), rng))
+        return read(state, model, qubit_list, rng, runs, ones, bits)
+
+    def counted_one(state, model, ones, rng):
+        reads.append(("_read_one", None, rng))
+        return read_one(state, model, ones, rng)
 
     monkeypatch.setattr(filtering, "_read", counted_reads)
+    monkeypatch.setattr(filtering, "_read_one", counted_one)
     built = record_generators(monkeypatch)
     model = EnsembleModel(shots=1024, seed=2, gaussian_noise_sigma=0.05)
     result = extract_location(MarkedSet((40503,), 1 << qubits), 59, model, 0.16)
@@ -487,9 +494,9 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     runs = result.total_runs
     assert runs > qubits
     (rng,) = built
-    assert rng.seed == 2 and all(run_rng is rng for _, run_rng in reads)
-    assert reads[0][0] == list(range(1, qubits + 1))
-    assert len(reads) == runs and all(len(qubit_list) == 1 for qubit_list, _ in reads[1:])
+    assert rng.seed == 2 and all(run_rng is rng for *_, run_rng in reads)
+    assert reads[0][:2] == ("_read", list(range(1, qubits + 1)))
+    assert [reader for reader, *_ in reads[1:]] == ["_read_one"] * (runs - 1)
     draws = [(name, draw.size) for name, draw in rng.draws]
     assert draws == [("binomial", 1), ("binomial", qubits), ("multinomial", 1),
                      ("normal", qubits)] + [("binomial", 1), ("normal", 1)] * (runs - 1)
