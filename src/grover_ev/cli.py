@@ -260,7 +260,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> 
                           "a search reads each bit by its EV's sign (default: "
                           "min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact)")
     sub.add_argument("--shots", type=int, default=0,
-                     help="ensemble samples per run; 0 = exact EVs")
+                     help="ensemble samples per run, below 2^63; 0 = exact EVs")
     sub.add_argument("--sigma", type=float, default=0.0,
                      help="additive Gaussian readout noise width")
     sub.add_argument("--seed", type=int, default=0, help="master RNG seed")

@@ -198,7 +198,7 @@ def extract_location(
     ones = bits.sum(axis=0).tolist()
     # Bit i of a label is bit L - 1 - i of its key.
     keys = np.sort(bits @ (1 << np.arange(qubit_count - 1, -1, -1, dtype=np.int64))).tolist()
-    plain = _read(state, model, range(1, qubit_count + 1), rng, ones=ones, bits=bits).tolist()
+    plain = _read(state, model, ones, bits, rng).tolist()
 
     total_runs = 1
     branch_events = 0

@@ -8,26 +8,25 @@ ones over the run's one shared set of shots.  A read, a sweep row or a
 search draws from one generator, ``default_rng(seed)``: each run's counts (or
 dense shot labels), then its noise, truncated at 3 sigma: |ev| <= 1 + 3*sigma.
 
-Every two-amplitude run is read by counts (Devroye, *Non-Uniform Random
-Variate Generation*, 1986, ch. X), by one of two readers chosen by the
-read's shape: :func:`_read` returns an array, for several qubits of one
-run or one qubit over many runs, and :func:`_read_one` a Python float, for
-one qubit of one run (a search's correlated run, a sweep row's exact
-reference), bit for bit and draw for draw what :func:`_read` gives there.
-Both read a count by :func:`_count_evs` and hold each EV to
+Every two-amplitude read is a whole run or one qubit, read by counts
+(Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
+:func:`_read` reads every qubit of one run as an array, and :func:`_read_one`
+one qubit of one run as a Python float (a search's correlated run, a sweep
+row's exact reference).  :func:`sign_error_rate` reads its own blocks of
+trials, one qubit over many runs; a block of one trial is, draw for draw,
+one :func:`_read_one` call.  All read a count by :func:`_count_evs` and hold each EV to
 :func:`_check_ev`.  One qubit k is one ``Binomial(shots, p_k)``, ``p_k``
 exact from the weights and k's marked ones.
-Several qubits, where a marked label weighs at least as much as an unmarked
+A whole run, where a marked label weighs at least as much as an unmarked
 one (``on >= off``): the Born distribution is uniform over all N labels (bits
 independent fair coins) with weight ``off N / total`` and uniform over the M
 marked labels with the rest, so ``K ~ Binomial(shots, (on - off) M / total)``
 marked draws split by a ``Multinomial(K, 1/M each)``, and qubit k's ones are
 ``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set.  Past the
-crossing (``on < off``) a sampled read of several qubits raises
-``ValueError``; no search reads such a state.  A read of several qubits
-costs O(M L), of one O(M) or O(1) given its count, at every shot count.
-Qubits read alone get counts of their own, equal in distribution (not bit
-for bit) to a full readout's.  The dense :func:`measure_all` is the reference.
+crossing (``on < off``) a sampled whole run raises ``ValueError``; no search
+reads such a state.  A whole run costs O(M L), one qubit O(M) or O(1) given
+its count, at every shot count.  The dense :func:`measure_all` is the
+reference.
 """
 
 from __future__ import annotations
@@ -59,6 +58,8 @@ class EnsembleModel:
     def __post_init__(self):
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if self.shots >= 2**63:
+            raise ValueError(f"shots must be below 2**63, got {self.shots}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         sigma = self.gaussian_noise_sigma
@@ -220,36 +221,25 @@ def _count_evs(counts, shots: int):
 
 
 def _read(
-    state: ClassState, model: EnsembleModel, qubits: Sequence[int],
-    rng: np.random.Generator | None, runs: int = 1, ones: Sequence[int] | None = None,
-    bits: np.ndarray | None = None,
+    state: ClassState, model: EnsembleModel, ones: Sequence[int], bits: np.ndarray,
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """EVs of the listed qubits of one run, or of one qubit over ``runs``
-    runs: exact or counts (see the module docstring), then noise, all from
-    ``rng``, held to the readout bound.  Exact and one-qubit reads take each
-    qubit's count of marked labels with that bit set from ``ones``, and a
-    sampled read of several qubits the marked labels' bits on them from
-    ``bits``; each is found from ``state.heavy`` when not passed.  The
-    caller checks the qubit indices."""
+    """EVs of every qubit of one run, qubit k at entry k - 1: exact, or counts
+    (see the module docstring), then noise, all from ``rng``, held to the
+    readout bound.  ``ones`` counts each qubit's marked labels with that bit
+    set, and ``bits`` holds the marked labels' bits, one row per label."""
     on, off = state.weights
     dim, size, shots = 1 << state.qubit_count, state.heavy.size, model.shots
-    if ones is None and (shots == 0 or len(qubits) == 1):
-        ones = _bits(state.heavy, qubits).sum(axis=0)
     if shots == 0:
         # off, spread evenly over all labels, cancels.
         base = (on - off) * (size - 2 * np.asarray(ones))
-        base = np.repeat(base, runs) if runs > 1 else base
-    elif len(qubits) == 1:
-        counts = rng.binomial(shots, _ones_probability(state, int(ones[0])), runs)
     elif on < off:
-        raise ValueError("a marked label weighs less than an unmarked one: read one qubit")
+        raise ValueError("a marked label weighs less than an unmarked one")
     else:
         total = off * (dim - size) + on * size
         marked = rng.binomial(shots, (on - off) * size / total)
-        counts = rng.binomial(shots - marked, 0.5, len(qubits))
-        bits = _bits(state.heavy, qubits) if bits is None else bits
+        counts = rng.binomial(shots - marked, 0.5, state.qubit_count)
         counts += rng.multinomial(marked, [1.0 / size] * size) @ bits
-    if shots:
         base = _count_evs(counts, shots)
     return _noisy(base, model.gaussian_noise_sigma, rng)
 
@@ -258,8 +248,8 @@ def _read_one(
     state: ClassState, model: EnsembleModel, ones: int, rng: np.random.Generator | None
 ) -> float:
     """The EV of one qubit in one run whose marked labels carry ``ones`` ones
-    on it: :func:`_read` of that qubit, bit for bit and draw for draw, as a
-    Python float with no array built.  O(1)."""
+    on it, as a Python float with no array built: one count, then one noise
+    value, from ``rng``.  O(1)."""
     sigma = model.gaussian_noise_sigma
     if model.shots:
         ev = _count_evs(rng.binomial(model.shots, _ones_probability(state, ones)), model.shots)
@@ -271,20 +261,17 @@ def _read_one(
     return _check_ev(ev, sigma)
 
 
-def measure_classes(
-    state: ClassState, model: EnsembleModel, qubits: Sequence[int]
-) -> list[float]:
-    """EVs of the listed qubits of one run on a two-amplitude state, without
-    building the dense state: exact in O(M) per qubit (the dense entries, to
-    rounding), or sampled by counts from ``default_rng(model.seed)``, O(M L)
-    at every shot count (see the module docstring).  Each listed qubit must
-    be one of the register's, 1..L.  A sampled read of several qubits past
-    the crossing, where a marked label weighs less than an unmarked one,
-    raises ``ValueError``; exact and one-qubit reads take every state.
+def measure_classes(state: ClassState, model: EnsembleModel) -> list[float]:
+    """EVs of every qubit of one run on a two-amplitude state, qubit k at
+    entry k - 1, as :func:`measure_all` reads the dense state, without
+    building it: exact in O(M L) (the dense entries, to rounding), or
+    sampled by counts from ``default_rng(model.seed)``, O(M L) at every shot
+    count (see the module docstring).  A sampled read past the crossing,
+    where a marked label weighs less than an unmarked one, raises
+    ``ValueError``; an exact read takes every state.
     """
-    for k in qubits:
-        _check_qubit(state, k)
-    return _read(state, model, qubits, _run_generator(model)).tolist()
+    bits = _bits(state.heavy, range(1, state.qubit_count + 1))
+    return _read(state, model, bits.sum(axis=0), bits, _run_generator(model)).tolist()
 
 
 def sign_error_rate(
@@ -302,23 +289,31 @@ def sign_error_rate(
     trial errs when the sign it reads (:func:`decide_sign` at threshold 0)
     differs, so a zero readout of a decidable qubit errs.  Qubit k's marked
     ones are counted once; the exact EV is read from that count by
-    :func:`_read_one`, and all trials draw from ``default_rng(model.seed)``,
-    read by :func:`_read` in blocks of at most ``_BLOCK_DRAWS`` (a trial is
-    one ``Binomial(shots, p_k)`` plus its noise): O(M + trials) time and
-    O(_BLOCK_DRAWS) memory whatever the shot count and register size.
-    Exact, noiseless readout runs one trial.
+    :func:`_read_one`, and all trials draw from ``default_rng(model.seed)``
+    in blocks of at most ``_BLOCK_DRAWS``: one vector of
+    ``Binomial(shots, p_k)`` counts (the exact EV when ``shots`` is 0), then
+    one of noise, so a block of one trial is one :func:`_read_one` call,
+    draw for draw.  O(M + trials) time and O(_BLOCK_DRAWS) memory whatever the shot count
+    and register size.  Exact, noiseless readout runs one trial.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
-    trials = 1 if model.shots == 0 and model.gaussian_noise_sigma == 0.0 else trials
+    shots, sigma = model.shots, model.gaussian_noise_sigma
+    trials = 1 if shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
     _check_qubit(state, k)
     ones = int(_bits(state.heavy, [k]).sum())
+    exact = _read_one(state, EnsembleModel(), ones, None)
     # The exact sign is decide_sign at 0 (undecided 0).
-    truth = np.sign(_read_one(state, EnsembleModel(), ones, None))
+    truth = np.sign(exact)
+    p = _ones_probability(state, ones)
     rng = _run_generator(model)
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):
-        evs = _read(state, model, [k], rng, min(_BLOCK_DRAWS, trials - start), ones=(ones,))
-        errors += int(np.count_nonzero(np.sign(evs) != truth))
+        runs = min(_BLOCK_DRAWS, trials - start)
+        if shots:
+            evs = _count_evs(rng.binomial(shots, p, runs), shots)
+        else:
+            evs = np.full(runs, exact)
+        errors += int(np.count_nonzero(np.sign(_noisy(evs, sigma, rng)) != truth))
     return errors / trials

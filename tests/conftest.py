@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from grover_ev import (
-    ClassState,
     SearchFailure,
     SearchResult,
     attenuation,
@@ -110,19 +109,16 @@ def reference_truncation_scan(universe_size, marked_count, a_th):
 def reference_extract_location(marked, iterations, model, a_th):
     """The bit-extraction search as first written, with the prefix kept as a
     tuple of bits: the plain run is read on every qubit, each correlated run
-    on its target qubit, and a stage averages the target qubit's two EVs.
-    Every run reads in turn from one generator, ``default_rng(seed)``, and
-    the search gives up rather than make run ``4 L + 1``."""
+    on its target qubit from that qubit's ones over the moved labels, and a
+    stage averages the target qubit's two EVs.  Every run reads in turn from
+    one generator, ``default_rng(seed)``, and the search gives up rather
+    than make run ``4 L + 1``."""
     state = class_state(marked, iterations)
     qubit_count, locations = state.qubit_count, state.heavy
     sampled = model.shots or model.gaussian_noise_sigma
     rng = np.random.default_rng(model.seed) if sampled else None
-
-    def run(heavy, qubits):
-        moved = ClassState(qubit_count, heavy, state.weights)
-        return measurement._read(moved, model, qubits, rng).tolist()
-
-    plain = run(locations, range(1, qubit_count + 1))
+    label_bits = (locations[:, None] >> np.arange(qubit_count)) & 1
+    plain = measurement._read(state, model, label_bits.sum(axis=0), label_bits, rng).tolist()
     total_runs, branch_events, verifications = 1, 0, 0
     pending, bits = [], ()
     while True:
@@ -141,9 +137,10 @@ def reference_extract_location(marked, iterations, model, a_th):
                 prefix = sum(b << i for i, b in enumerate(bits))
                 low = locations & ((1 << len(bits)) - 1)
                 moved = np.where(low == prefix, locations, locations ^ (1 << (target - 1)))
-                correlated = run(moved, [target])
+                ones = int(((moved >> (target - 1)) & 1).sum())
+                correlated = measurement._read_one(state, model, ones, rng)
                 total_runs += 1
-                ev = (plain[target - 1] + correlated[0]) / 2.0
+                ev = (plain[target - 1] + correlated) / 2.0
             bit = decide_sign(ev, a_th)
             if bit is None:
                 branch_events += 1

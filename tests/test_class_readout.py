@@ -22,6 +22,7 @@ from conftest import (
     EXACT_ATOL,
     assert_counts_match,
     assert_rate_matches,
+    bit_of,
     class_born_weights,
     count_check_power,
     low_bits,
@@ -58,6 +59,7 @@ from grover_ev.measurement import (
     _BLOCK_DRAWS,
     _label_evs,
     measure_all,
+    sampled_ev,
 )
 
 EXACT = EnsembleModel()
@@ -75,15 +77,76 @@ def class_weights(universe_size, marked_count, iterations):
     return on * on, off * off
 
 
-def reads_of(state, model, qubits, reads):
-    """The per-qubit ones of ``reads`` runs of ``state`` at consecutive seeds
-    from ``model.seed`` (mod 2**64), one row per run."""
+def reads_of(state, model, reads):
+    """The per-qubit ones of ``reads`` whole runs of ``state`` at consecutive
+    seeds from ``model.seed`` (mod 2**64), one row per run."""
     rows = []
     for t in range(reads):
         run = replace(model, seed=(model.seed + t) % 2**64)
-        evs = np.array(measure_classes(state, run, qubits))
+        evs = np.array(measure_classes(state, run))
         rows.append(np.rint((1.0 - evs) * model.shots / 2.0))
     return np.array(rows)
+
+
+def ones_of(state, k):
+    """How many of the state's marked labels have bit k set."""
+    return sum(bit_of(int(label), k) for label in state.heavy)
+
+
+def one_qubit_evs(state, model, k, reads):
+    """Qubit k's EVs of ``reads`` one-qubit runs of ``state``, read by
+    ``_read_one`` from generators seeded ``model.seed + t`` (mod 2**64)."""
+    ones = ones_of(state, k)
+    evs = []
+    for t in range(reads):
+        run = replace(model, seed=(model.seed + t) % 2**64)
+        evs.append(measurement._read_one(state, run, ones, measurement._run_generator(run)))
+    return np.array(evs)
+
+
+def one_trial_blocks(marked, iterations, k, model, trials):
+    """``sign_error_rate`` with ``_BLOCK_DRAWS`` at 1: its rate, every trial's
+    EV as it is held to the readout bound, and the one generator it builds
+    (None when it builds none)."""
+    built, evs = [], []
+    run_generator, check = measurement._run_generator, measurement._check_ev_bound
+
+    def recorded_generator(run):
+        built.append(run_generator(run))
+        return built[-1]
+
+    def recorded_check(block, sigma):
+        evs.extend(block.tolist())
+        return check(block, sigma)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurement, "_BLOCK_DRAWS", 1)
+        patch.setattr(measurement, "_run_generator", recorded_generator)
+        patch.setattr(measurement, "_check_ev_bound", recorded_check)
+        rate = sign_error_rate(marked, iterations, k, model, trials=trials)
+    (rng,) = built
+    return rate, evs, rng
+
+
+def assert_trials_are_one_qubit_reads(marked, iterations, k, model, trials):
+    """A rate read one trial per block is ``trials`` successive ``_read_one``
+    reads from one ``default_rng(seed)`` (one read when exact and
+    noiseless), each a Python float: each trial's EV bit for bit, the rate
+    as their wrong-sign share, and both generators in the same state at the
+    end.  Returns the reads."""
+    state = class_state(marked, iterations)
+    ones = ones_of(state, k)
+    rate, evs, rng = one_trial_blocks(marked, iterations, k, model, trials)
+    reference = measurement._run_generator(model)
+    reads = [measurement._read_one(state, model, ones, reference)
+             for _ in range(trials if reference else 1)]
+    assert all(type(read) is float for read in reads)
+    assert [ev.hex() for ev in evs] == [read.hex() for read in reads]
+    truth = np.sign(measurement._read_one(state, EXACT, ones, None))
+    assert rate == sum(np.sign(read) != truth for read in reads) / len(reads)
+    if reference is not None:
+        assert rng.bit_generator.state == reference.bit_generator.state
+    return reads
 
 
 def correlated_image(label, target, s_bits):
@@ -131,7 +194,7 @@ def test_exact_readout_matches_dense_reference(case):
     weights = class_weights(marked.universe_size, marked.count, m)
     for info, dense, heavy in runs:
         expected = measure_all(dense, EXACT)
-        got = measure_classes(ClassState(qubits, heavy, weights), EXACT, range(1, qubits + 1))
+        got = measure_classes(ClassState(qubits, heavy, weights), EXACT)
         assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL, info
 
 
@@ -167,7 +230,7 @@ def test_sampled_record_matches_dense_record():
         mean_power, pair_power = count_check_power(born, qubits, shots, reads, uniform_weight)
         assert mean_power > 48 and (pair_power > 15 if correlation else uniform_weight < 1e-30)
         model = EnsembleModel(shots=shots, seed=21)
-        assert_counts_match(reads_of(state, model, qubits, reads), born, qubits, shots)
+        assert_counts_match(reads_of(state, model, reads), born, qubits, shots)
         dense_ones = [
             np.rint((1.0 - np.array(measure_all(dense, replace(model, seed=21 + t)))) * shots / 2)
             for t in range(reads)
@@ -179,9 +242,7 @@ def test_one_qubit_readout_keeps_the_record_bound():
     # Not a state: both heavy labels have bit 2 clear, so qubit 2 reads 1.5.
     state = ClassState(2, np.array([0, 1]), (0.75, 0.0))
     with pytest.raises(ValueError, match="EV outside"):
-        measure_classes(state, EXACT, [2])
-    with pytest.raises(ValueError, match="EV outside"):
-        measure_classes(state, EXACT, range(1, 3))
+        measure_classes(state, EXACT)
     with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: 1\.5$"):
         measurement._read_one(state, EXACT, 0, None)
 
@@ -189,13 +250,12 @@ def test_one_qubit_readout_keeps_the_record_bound():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(1, 62), st.data())
 def test_one_qubit_reader_is_the_block_reader_on_one_run(qubits, data):
-    # _read_one reads one qubit of one run from its count of marked ones as
-    # a Python float, with no array.  It is _read of that qubit over one run,
-    # bit for bit and draw for draw: any count M distinct labels can carry
-    # (0..M once M <= N/2), every L up to 62, shots up to 2^60 (3^37 is past
-    # 2^53 and no float, so a quotient of two ints would round otherwise),
-    # with or without noise, and on both sides of the crossing, since a
-    # one-qubit read takes every state.
+    # A sign-error rate read one trial per block reads, trial by trial, what
+    # successive _read_one calls read from one generator, bit for bit and
+    # draw for draw: every L up to 62, shots up to 2^60 (3^37 is past 2^53
+    # and no float, so a quotient of two ints would round otherwise), with
+    # or without noise, and on both sides of the crossing, since a one-qubit
+    # read takes every state.
     n = 1 << qubits
     locations = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                    max_size=min(8, n - 1), unique=True))
@@ -204,46 +264,34 @@ def test_one_qubit_reader_is_the_block_reader_on_one_run(qubits, data):
     # (2m + 1) theta / 2 = pi, where theta = grover_angle.
     past = round(math.pi / grover_angle(n, size) - 0.5)
     iterations = data.draw(st.one_of(st.integers(0, 40), st.just(past)))
-    state = class_state(MarkedSet(tuple(locations), n), iterations)
-    ones = data.draw(st.integers(max(0, size - n // 2), min(size, n // 2)))
     model = EnsembleModel(shots=data.draw(st.sampled_from((0, 64, 4096, 10**12, 2**60, 3**37))),
                           seed=data.draw(st.integers(0, 2**64 - 1)),
                           gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))))
-    rng, reference = measurement._run_generator(model), measurement._run_generator(model)
-    got = measurement._read_one(state, model, ones, rng)
-    expected = measurement._read(state, model, [data.draw(st.integers(1, qubits))], reference,
-                                 ones=(ones,))[0]
-    assert type(got) is float and got.hex() == float(expected).hex()
-    if rng is not None:
-        assert rng.bit_generator.state == reference.bit_generator.state
+    assert_trials_are_one_qubit_reads(MarkedSet(tuple(locations), n), iterations,
+                                      data.draw(st.integers(1, qubits)), model,
+                                      data.draw(st.integers(1, 6)))
 
 
 def test_one_qubit_reader_clips_noise_as_the_block_reader():
-    # Over 10,000 seeds the noise passes 3 sigma about 13 times on each side
-    # (seeds 0..9,999 do so on both); every read, clipped or not, is _read's
-    # bit for bit.
+    # Over 10,000 trials the noise passes 3 sigma about 13 times on each side
+    # (at seed 0 it does so on both); every trial, clipped or not, is a
+    # _read_one read bit for bit.
     sigma = 0.05
-    state = class_state(MarkedSet((3, 9, 12), 16), 1)
-    exact = measurement._read_one(state, EXACT, 1, None)
-    clipped = set()
-    for t in range(10_000):
-        model = EnsembleModel(seed=t, gaussian_noise_sigma=sigma)
-        got = measurement._read_one(state, model, 1, np.random.default_rng(t))
-        expected = measurement._read(state, model, [2], np.random.default_rng(t), ones=(1,))[0]
-        assert got.hex() == float(expected).hex()
-        if abs(got - exact) > 3 * sigma - 1e-12:
-            clipped.add(got > exact)
+    marked = MarkedSet((3, 9, 12), 16)
+    exact = measurement._read_one(class_state(marked, 1), EXACT, 1, None)
+    model = EnsembleModel(seed=0, gaussian_noise_sigma=sigma)
+    reads = assert_trials_are_one_qubit_reads(marked, 1, 2, model, 10_000)
+    clipped = {read > exact for read in reads if abs(read - exact) > 3 * sigma - 1e-12}
     assert clipped == {False, True}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(1, 10), st.data())
-def test_qubit_subsets_match_dense_readout(qubits, data):
-    # Any subset of a run's qubits, in any order, read alone: exact readout
-    # gives the dense entries to rounding, and sampled readout counts whose
-    # means and covariance over 200 seeds lie within 6 standard errors of
-    # the closed form over the dense state's Born weights.  Past the
-    # crossing (on < off) a sampled read of two or more qubits is rejected.
+def test_whole_runs_match_dense_readout(qubits, data):
+    # A whole run: exact readout gives the dense entries to rounding, and
+    # sampled readout counts whose means and covariance over 200 seeds lie
+    # within 6 standard errors of the closed form over the dense state's
+    # Born weights.  Past the crossing (on < off) a sampled run is rejected.
     # Power: a p_k off by 1/sqrt(shots) moves its mean by 2 sqrt(200) = 28
     # standard errors or more.
     n = 1 << qubits
@@ -253,24 +301,21 @@ def test_qubit_subsets_match_dense_readout(qubits, data):
     )
     marked = MarkedSet(tuple(locations), n)
     iterations = data.draw(st.integers(0, 12))
-    subset = data.draw(st.lists(st.integers(1, qubits), min_size=1, max_size=qubits,
-                                unique=True))
     shots = data.draw(st.sampled_from((0, 64, 1024)))
     model = EnsembleModel(shots=shots, seed=data.draw(st.integers(0, 2**64 - 1)))
     dense = closed_form_state(qubits, marked, iterations)
     state = class_state(marked, iterations)
     on, off = state.weights
     if shots == 0:
-        expected = [measure_all(dense, model)[k - 1] for k in subset]
-        got = measure_classes(state, model, subset)
+        got = measure_classes(state, model)
         assert all(type(ev) is float for ev in got)
-        assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL
-    elif on < off and len(subset) > 1:
+        assert np.max(np.abs(np.subtract(got, measure_all(dense, model)))) <= EXACT_ATOL
+    elif on < off:
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
-            measure_classes(state, model, subset)
+            measure_classes(state, model)
     else:
-        ones = reads_of(state, model, subset, 200)
-        assert_counts_match(ones, dense.probabilities(), subset, shots, bound=6.0)
+        ones = reads_of(state, model, 200)
+        assert_counts_match(ones, dense.probabilities(), range(1, qubits + 1), shots, bound=6.0)
 
 
 def test_readout_noise_is_a_clipped_normal_per_qubit():
@@ -281,9 +326,9 @@ def test_readout_noise_is_a_clipped_normal_per_qubit():
     # gives a correlation of 1, 44 standard errors.
     sigma, reads = 0.05, 2000
     state = class_state(MarkedSet((3, 9, 12), 16), 1)
-    exact = np.array(measure_classes(state, EXACT, range(1, 5)))
+    exact = np.array(measure_classes(state, EXACT))
     noise = np.array([
-        measure_classes(state, EnsembleModel(seed=t, gaussian_noise_sigma=sigma), range(1, 5))
+        measure_classes(state, EnsembleModel(seed=t, gaussian_noise_sigma=sigma))
         for t in range(reads)
     ]) - exact
     assert np.abs(noise).max() <= 3 * sigma + 1e-12
@@ -298,12 +343,13 @@ def test_readout_noise_is_a_clipped_normal_per_qubit():
                          ids=["exact", "sampled"])
 @pytest.mark.parametrize("k", [0, 5, 99, -1])
 def test_reads_reject_qubits_outside_the_register(model, k):
-    # A 4-qubit register has qubits 1..4, whether k is read alone or after
-    # qubits that exist.
-    state = class_state(MarkedSet((3, 9, 12), 16), 1)
-    for qubits in ([k], [1, 2, k]):
-        with pytest.raises(ValueError, match=rf"^qubit index {k} out of range 1\.\.4$"):
-            measure_classes(state, model, qubits)
+    # A 4-qubit register has qubits 1..4.  No two-amplitude read takes a
+    # qubit index (it reads a whole run, or one qubit by its count); the
+    # dense reference's sampled_ev does, and rejects any other, exact or
+    # sampled.  sign_error_rate's check is in test_measurement.py.
+    state = closed_form_state(4, MarkedSet((3, 9, 12), 16), 1)
+    with pytest.raises(ValueError, match=rf"^qubit index {k} out of range 1\.\.4$"):
+        sampled_ev(state, k, model)
 
 
 def test_uniform_reads_at_62_qubits_are_unbiased():
@@ -315,7 +361,7 @@ def test_uniform_reads_at_62_qubits_are_unbiased():
     # comes from one float draw) reads a mean of 1, 640 standard errors out.
     state = class_state(MarkedSet((5, 2**62 - 1), 2**62), 0)
     evs = np.array([
-        measure_classes(state, EnsembleModel(shots=1024, seed=t), range(1, 63))
+        measure_classes(state, EnsembleModel(shots=1024, seed=t))
         for t in range(400)
     ])
     assert evs.shape == (400, 62)
@@ -330,11 +376,27 @@ def test_label_reads_past_the_standard_count_take_any_shot_count():
     huge = EnsembleModel(shots=10**12, seed=1)
     marked = MarkedSet((3, 9, 12), 16)
     assert make_plan(16, 3, 0.0).m_stand == 1
-    for m, qubits in [(3, [2]), (1, range(1, 5))]:
-        state = class_state(marked, m)
-        got = measure_classes(state, huge, qubits)
-        assert len(got) == len(qubits)
-        assert np.max(np.abs(np.subtract(got, measure_classes(state, EXACT, qubits)))) <= 1e-4
+    past = class_state(marked, 3)
+    got = one_qubit_evs(past, huge, 2, 1)[0]
+    assert abs(got - measure_classes(past, EXACT)[1]) <= 1e-4
+    state = class_state(marked, 1)
+    got = measure_classes(state, huge)
+    assert len(got) == 4
+    assert np.max(np.abs(np.subtract(got, measure_classes(state, EXACT)))) <= 1e-4
+
+
+def test_reads_at_the_largest_shot_count_are_exact_to_within_1e_4():
+    # 2^63 - 1 shots, the most a count holds: a whole run, one qubit past
+    # m_stand and a sweep row each read within 1e-4 of exact (the standard
+    # error is below 1e-9), with no overflow on the way.
+    top = EnsembleModel(shots=2**63 - 1, seed=1)
+    marked = MarkedSet((3, 9, 12), 16)
+    state = class_state(marked, 1)
+    got = measure_classes(state, top)
+    assert np.max(np.abs(np.subtract(got, measure_classes(state, EXACT)))) <= 1e-4
+    past = class_state(marked, 3)
+    assert abs(one_qubit_evs(past, top, 2, 1)[0] - measure_classes(past, EXACT)[1]) <= 1e-4
+    assert sign_error_rate(marked, 1, 1, top, trials=50) == 0.0
 
 
 @pytest.mark.parametrize("locations, n, m, qubits", [
@@ -353,10 +415,9 @@ def test_counts_past_the_standard_count_match_dense_weights(
     # Past m_stand (on < off) a marked label weighs less than an unmarked
     # one (at N = 4 with 3 marked labels and m = 1, about 1e-33, so every
     # shot lands on the unmarked label and each count is exact), and no
-    # search reads
-    # such a state.  A sampled read of two or more of its qubits raises
-    # before its generator draws anything; the exact read of every qubit
-    # gives the dense EVs; and each listed qubit read alone gives counts
+    # search reads such a state.  A sampled whole run raises before its
+    # generator draws anything; the exact read of every qubit gives the
+    # dense EVs; and each listed qubit read alone by _read_one gives counts
     # whose mean and variance over 300 seeds lie within 5 standard errors of
     # the closed form over the dense Born weights.  Power: a p_k off by
     # 1/sqrt(shots) moves its mean by 20 standard errors or more.
@@ -367,18 +428,18 @@ def test_counts_past_the_standard_count_match_dense_weights(
     with monkeypatch.context() as patch:
         built = record_generators(patch)
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
-            measure_classes(state, EnsembleModel(shots=64, seed=1), qubits)
+            measure_classes(state, EnsembleModel(shots=64, seed=1))
     (rng,) = built
     assert rng.draws == []
     dense = closed_form_state(state.qubit_count, marked, m)
-    exact = measure_classes(state, EXACT, range(1, state.qubit_count + 1))
+    exact = measure_classes(state, EXACT)
     assert np.max(np.abs(np.subtract(exact, measure_all(dense, EXACT)))) <= EXACT_ATOL
     shots, reads = 1000, 300
     born = dense.probabilities()
     for k in qubits:
         assert count_check_power(born, [k], shots, reads, 0.0)[0] > 20
-        ones = reads_of(state, EnsembleModel(shots=shots, seed=40), [k], reads)
-        assert_counts_match(ones, born, [k], shots)
+        evs = one_qubit_evs(state, EnsembleModel(shots=shots, seed=40), k, reads)
+        assert_counts_match(np.rint((1.0 - evs[:, None]) * shots / 2.0), born, [k], shots)
 
 
 def test_sign_error_rate_builds_its_tables_once(monkeypatch):
@@ -438,7 +499,7 @@ def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
     # single trial, that same EV, is held to it as an array, as every block
     # of trials is.
     marked = MarkedSet((3, 17), 32)
-    exact = measure_classes(class_state(marked, 2), EXACT, [1])
+    exact = measure_classes(class_state(marked, 2), EXACT)[:1]
     checks = []
     check_one, check = measurement._check_ev, measurement._check_ev_bound
 
@@ -526,7 +587,7 @@ def exact_error_probability(marked, iterations, k, model):
     Born weights enumerated over every label and the exact binomial."""
     state = class_state(marked, iterations)
     born = class_born_weights(state.qubit_count, state.heavy, state.weights)
-    exact = measure_classes(state, EXACT, [k])[0]
+    exact = measure_classes(state, EXACT)[k - 1]
     p = ones_probabilities(born, [k])[0]
     return sign_error_probability(model.shots, p, exact, model.gaussian_noise_sigma)
 
@@ -535,7 +596,7 @@ def exact_error_probability(marked, iterations, k, model):
 @given(error_rate_cases())
 def test_sign_error_rate_matches_per_trial_class_readouts(case):
     # A rate of 2,000 trials from one generator, and the share of 300
-    # one-qubit class readouts at seeds seed + t that misread the sign, each
+    # _read_one readouts at seeds seed + t that misread the sign, each
     # within 5 standard errors (plus three errors) of the exact chance of a
     # wrong sign.  Power: wherever that chance lies in [0.05, 0.95] it has
     # sd at most 0.011 over 2,000 trials, so a p_k off by 1/sqrt(shots),
@@ -545,11 +606,8 @@ def test_sign_error_rate_matches_per_trial_class_readouts(case):
     rate = sign_error_rate(marked, iterations, k, model, trials=2000)
     assert_rate_matches(round(rate * 2000), 2000, probability)
     state = class_state(marked, iterations)
-    truth = np.sign(measure_classes(state, EXACT, [k])[0])
-    wrong = sum(
-        np.sign(measure_classes(state, replace(model, seed=model.seed + t), [k])[0]) != truth
-        for t in range(300)
-    )
+    truth = np.sign(measure_classes(state, EXACT)[k - 1])
+    wrong = np.count_nonzero(np.sign(one_qubit_evs(state, model, k, 300)) != truth)
     assert_rate_matches(wrong, 300, probability)
 
 
@@ -570,7 +628,7 @@ def test_sign_error_rate_across_block_edges(monkeypatch, shots, trials, location
     # counts are one binomial stream, so every block size gives one rate.
     marked = MarkedSet(locations, 1024)
     model = EnsembleModel(shots=shots, seed=2**64 - 2, gaussian_noise_sigma=sigma)
-    truth = np.sign(measure_classes(class_state(marked, 1), EXACT, [1])[0])
+    truth = np.sign(measure_classes(class_state(marked, 1), EXACT)[0])
     built = record_generators(monkeypatch)
     rates = set()
     for block in sorted({1, 2, max(1, trials - 1), trials, trials + 1}):

@@ -316,6 +316,19 @@ def test_search_past_the_crossing_exits_two_before_any_run(tmp_path, capsys, mon
     assert run_cli(capsys, *argv, "--shots", "4096") == (2, "", message)
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "1024", "--marked", "5", "--shots"],
+    ["sweep", "--n", "1024", "--marked", "5", "--sweep", "shots", "--values"],
+], ids=["search", "sweep-row"])
+@pytest.mark.parametrize("shots", [2**63, 10**19])
+def test_shots_past_a_64_bit_count_exit_two(capsys, argv, shots):
+    # numpy draws each count as a signed 64-bit integer, so 2^63 shots or
+    # more are rejected as input, in a search or in a sweep row, before any
+    # draw.
+    message = f"error: shots must be below 2**63, got {shots}\n"
+    assert run_cli(capsys, *argv, str(shots)) == (2, "", message)
+
+
 def test_marked_count_past_the_limit_exits_two(tmp_path, capsys):
     # M = 2**35 drawn at N = 2**40 would permute 8 TiB of labels; the one
     # MAX_MARKED check rejects it before any draw, in a child capped at

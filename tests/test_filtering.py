@@ -36,7 +36,7 @@ from grover_ev.core import (
     new_uniform,
 )
 from grover_ev.filtering import apply_correlation
-from grover_ev.measurement import ClassState, measure_all
+from grover_ev.measurement import measure_all
 
 EXACT = EnsembleModel()
 
@@ -245,7 +245,7 @@ def check_stage_against_formula(locations, n, m, atol):
     the formula's sign.  Returns the number of stages checked."""
     state = class_state(MarkedSet(locations, n), m)
     qubits = state.qubit_count
-    plain = measure_classes(state, EXACT, range(1, qubits + 1))
+    plain = measure_classes(state, EXACT)
     scale = attenuation(n, len(locations), m)
     ones, keys = key_table(locations, qubits)
     for anchor in locations:
@@ -289,8 +289,9 @@ def test_stage_ev_matches_formula_at_62_qubits():
 def test_stage_count_reads_as_the_moved_labels(qubits, data):
     # A stage reads its correlated run off one count, found by bisecting the
     # sorted keys.  Its EV, and every draw it makes, are bit for bit those
-    # _read gives on the marked labels the correlation moves, exact or
-    # sampled, with or without noise, at every L up to 62.  Labels one bit
+    # _read_one gives from the target's ones over the marked labels the
+    # correlation moves, counted here, exact or sampled, with or without
+    # noise, at every L up to 62.  Labels one bit
     # flip apart share long prefixes, so deep stages keep several labels.
     n = 1 << qubits
     free = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
@@ -304,14 +305,14 @@ def test_stage_count_reads_as_the_moved_labels(qubits, data):
     model = EnsembleModel(shots=data.draw(st.sampled_from((0, 64, 4096, 10**12))),
                           seed=data.draw(st.integers(0, 2**64 - 1)),
                           gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))))
-    plain = measure_classes(state, EXACT, range(1, qubits + 1))
-    moved = ClassState(qubits, filtering._correlated_labels(state.heavy, stage + 1, prefix),
-                       state.weights)
+    plain = measure_classes(state, EXACT)
+    moved = filtering._correlated_labels(state.heavy, stage + 1, prefix)
+    moved_ones = sum(int(label) >> stage & 1 for label in moved)
     rng, reference = measurement._run_generator(model), measurement._run_generator(model)
     ones, keys = key_table(locations, qubits)
     ev, bit = filtering._stage(state, plain, ones, keys, prefix_key(prefix, stage, qubits),
                                stage, model, rng, 0.0)
-    expected = (plain[stage] + measurement._read(moved, model, [stage + 1], reference)[0]) / 2.0
+    expected = (plain[stage] + measurement._read_one(state, model, moved_ones, reference)) / 2.0
     assert ev == expected and bit == decide_sign(expected, 0.0)
     if rng is not None:
         assert rng.bit_generator.state == reference.bit_generator.state
@@ -477,9 +478,9 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     reads = []
     read, read_one = filtering._read, filtering._read_one
 
-    def counted_reads(state, model, qubit_list, rng, runs=1, ones=None, bits=None):
-        reads.append(("_read", list(qubit_list), rng))
-        return read(state, model, qubit_list, rng, runs, ones, bits)
+    def counted_reads(state, model, ones, bits, rng):
+        reads.append(("_read", list(ones), rng))
+        return read(state, model, ones, bits, rng)
 
     def counted_one(state, model, ones, rng):
         reads.append(("_read_one", None, rng))
@@ -495,7 +496,7 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     assert runs > qubits
     (rng,) = built
     assert rng.seed == 2 and all(run_rng is rng for *_, run_rng in reads)
-    assert reads[0][:2] == ("_read", list(range(1, qubits + 1)))
+    assert reads[0][:2] == ("_read", [40503 >> i & 1 for i in range(qubits)])
     assert [reader for reader, *_ in reads[1:]] == ["_read_one"] * (runs - 1)
     draws = [(name, draw.size) for name, draw in rng.draws]
     assert draws == [("binomial", 1), ("binomial", qubits), ("multinomial", 1),
@@ -527,6 +528,5 @@ def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, location
         extract_location(marked, m, model, 0.0)
     except SearchFailure:
         pass
-    qubits = range(1, n.bit_length())
-    assert reads[0] == measure_classes(class_state(marked, m), model, qubits)
+    assert reads[0] == measure_classes(class_state(marked, m), model)
     assert len(reads[0]) == n.bit_length() - 1

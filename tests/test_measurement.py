@@ -133,6 +133,11 @@ def test_noise_stays_within_three_sigma():
 def test_model_validation():
     with pytest.raises(ValueError):
         EnsembleModel(shots=-1)
+    # numpy draws a count as a signed 64-bit integer.
+    assert EnsembleModel(shots=2**63 - 1).shots == 2**63 - 1
+    for shots in (2**63, 10**19):
+        with pytest.raises(ValueError, match=rf"^shots must be below 2\*\*63, got {shots}$"):
+            EnsembleModel(shots=shots)
     with pytest.raises(ValueError):
         EnsembleModel(seed=-2)
     for sigma in (-0.1, float("nan"), float("inf")):
@@ -207,7 +212,7 @@ def test_sign_error_rate_exact_readout_is_zero():
 
 @pytest.mark.parametrize("model", [EnsembleModel(), EnsembleModel(shots=64, seed=1)],
                          ids=["exact", "sampled"])
-@pytest.mark.parametrize("k", [0, 5, -1])
+@pytest.mark.parametrize("k", [0, 5, 99, -1])
 def test_sign_error_rate_rejects_qubits_outside_the_register(model, k):
     with pytest.raises(ValueError, match=rf"^qubit index {k} out of range 1\.\.4$"):
         sign_error_rate(MarkedSet((5,), 16), 1, k, model, trials=3)
