@@ -19,6 +19,12 @@ every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
 Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
 success, 1 search failure (its JSON names the reason), 2 usage or
 configuration error.
+
+:func:`main` builds the parser and its command parsers once, and parses an
+argv that starts with a command word with that command's own parser; every
+other argv goes through the top-level parser, to help or a usage error.  A
+JSON payload is written by :func:`_json_text`, which gives the bytes of
+``json.dumps(payload, indent=2)`` without ``json``'s pure-Python indent path.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from .core import MarkedSet, draw_marked_set
 from .core import closed_form_state  # noqa: F401  unused; perfbench/tracer.py wraps it here
@@ -128,6 +135,33 @@ def _marked_set(n: int, m_count: int, marked: list[int] | None, seed: int) -> Ma
     return MarkedSet(marked, n) if marked is not None else draw_marked_set(n, m_count, seed)
 
 
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a payload of dicts
+    with str keys, lists and scalars; ``pad`` is the newline and indent
+    before ``value``'s closing bracket.  ``json`` writes any other value (NaN,
+    a subclass, a tuple) and raises its ``TypeError`` on what it cannot write."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and -math.inf < value < math.inf:
+        return float.__repr__(value)
+    if kind is bool or value is None:
+        return _JSON_LITERALS[value]
+    if kind is list and value:
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
+    if kind is dict and value:
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -185,7 +219,7 @@ def cmd_plan(config: dict, model: EnsembleModel) -> int:
         _emit(_csv_text([row]), config["out"])
     else:
         payload = {"config": config, "plan": plan.to_json_dict()}
-        _emit(json.dumps(payload, indent=2), config["out"])
+        _emit(_json_text(payload), config["out"])
     return 0
 
 
@@ -211,10 +245,10 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
             "total_runs": exc.total_runs,
             "branch_events": exc.branch_events,
         }
-        _emit(json.dumps(payload, indent=2), config["out"])
+        _emit(_json_text(payload), config["out"])
         return 1
     payload = {"config": resolved, "result": result.to_json_dict(config["n"].bit_length() - 1)}
-    _emit(json.dumps(payload, indent=2), config["out"])
+    _emit(_json_text(payload), config["out"])
     return 0
 
 
@@ -274,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "for expectation-value quantum computers.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    # main() parses an argv that starts with a command word with its parser alone.
+    parser.command_parsers = commands.choices
 
     plan = commands.add_parser("plan", help="print the truncation plan")
     _add_common_flags(plan)
@@ -303,13 +339,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """:func:`build_parser`, built on the first :func:`main` call and reused."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """:func:`build_parser` and its command parsers by name, built on the
+    first :func:`main` call and reused."""
+    parser = build_parser()
+    return parser, parser.command_parsers
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``parse_args`` of the top-level parser, with an argv that starts with
+    a command word parsed by that command's parser alone: the top-level
+    parser would only hand every string after the word on to it."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         config, model = _resolve_config(args)
         if args.command == "plan":

@@ -302,7 +302,7 @@ def sign_error_rate(
     trials = 1 if shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
     _check_qubit(state, k)
-    ones = int(_bits(state.heavy, [k]).sum())
+    ones = int(((state.heavy >> (k - 1)) & 1).sum())
     exact = _read_one(state, EnsembleModel(), ones, None)
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = np.sign(exact)

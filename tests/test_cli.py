@@ -10,7 +10,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grover_ev
 from grover_ev import cli, core, filtering
@@ -747,6 +750,69 @@ def test_import_builds_no_parser():
                            env=child_env(), timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "0\n"
+
+
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["PLAN"], ["--", "plan", "--n", "16"],
+    ["plan", "-h"], ["search", "--n", "16", "-h", "--zz"],
+    ["plan", "--n", "16", "--fo", "csv"], ["plan", "--n", "16", "--he"], ["plan", "--n=16"],
+    ["plan", "--n", "16", "--bogus"], ["search", "--n", "16", "stray"],
+    ["plan", "--n", "16", "-x"], ["plan", "--n", "16", "--", "--m", "3"],
+    ["plan", "--n", "x"], ["plan", "--n", "16", "--format", "xml"],
+    ["plan"], ["sweep", "--n", "16"], ["plan", "--n", "16", "--seed", "-3"],
+    PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV,
+]
+
+
+def _parsed(capsys, parse, argv):
+    """(exit code, stdout, stderr, namespace dict) of one parse."""
+    try:
+        result = (0, vars(parse(list(argv))))
+    except SystemExit as exc:
+        result = (exc.code, None)
+    captured = capsys.readouterr()
+    return result[0], captured.out, captured.err, result[1]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_command_dispatch_parses_as_the_full_parser(capsys, argv):
+    # main parses an argv that starts with a command word with that
+    # command's parser alone; help, usage and error text, exit code and the
+    # namespace must be what the top-level parse_args gives on this Python.
+    dispatched = _parsed(capsys, cli._parse, argv)
+    full = _parsed(capsys, cli.build_parser().parse_args, argv)
+    assert dispatched == full
+    assert dispatched[0] in (0, 2)
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2**80, 2**80) | st.floats()
+    | st.sampled_from([1e-09, 0.1, -0.0, math.nan, math.inf, -math.inf])
+    | st.text() | st.just("r\u00e9sultats/\u03b1\u2603\U0001f600.json")
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_gives_the_indented_dumps_bytes(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.int64(1), object()])
+def test_json_writer_rejects_what_json_rejects(bad):
+    for value in (bad, [bad], {"config": {"n": 16, "seed": bad}}, {"a": [1, {"b": bad}]}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as raised:
+            cli._json_text(value)
+        assert str(raised.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("argv", [PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV])
