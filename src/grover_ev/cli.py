@@ -10,15 +10,15 @@ Every output embeds the resolved settings as a plain dict, and the readout
 settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
 randomness derives from ``--seed``: sweep row ``i`` draws all its error
 trials, counts and noise, from one generator seeded ``seed XOR i``; a search
-draws all its runs in turn from one seeded ``seed``.  Sweep rows read their
-sign errors from the two-amplitude state, so no command builds a statevector.
-This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
-``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
-min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
-every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
-Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
-success, 1 search failure (its JSON names the reason), 2 usage or
-configuration error.
+draws all its runs in turn from one seeded ``seed``.  Every command works on
+the register ``make_plan`` names, 2N labels where 2M >= N; a search or sweep
+row reads its two-amplitude state, so none builds a statevector.  This module
+only parses (lists, ranges, ``--m-count`` against ``--marked``, ``--n``
+against ``--sweep``) and fills in an omitted ``--a-th`` as min(5/sqrt(shots),
+1/M), or min(1e-9, 1/M) when exact; the library checks every other rule once,
+``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.  Either raises
+``ValueError``, printed as ``error: <rule>``.  Exit codes: 0 success, 1
+search failure (its JSON names the reason), 2 usage or configuration error.
 
 :func:`main` builds the parser and its command parsers once, and parses an
 argv that starts with a command word with that command's own parser; every
@@ -130,9 +130,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
     return config, model
 
 
-def _marked_set(n: int, m_count: int, marked: list[int] | None, seed: int) -> MarkedSet:
-    """Explicit locations when given, otherwise a seeded random draw."""
-    return MarkedSet(marked, n) if marked is not None else draw_marked_set(n, m_count, seed)
+def _marked_set(n: int, plan, marked: list[int] | None, seed: int) -> MarkedSet:
+    """Explicit locations or a seeded draw on [0, n), placed on the plan's register."""
+    chosen = MarkedSet(marked, n) if marked is not None else draw_marked_set(n, plan.M, seed)
+    return chosen if plan.N == n else MarkedSet(chosen.locations, plan.N)
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
@@ -163,10 +164,10 @@ def _json_text(value, pad: str = "\n") -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out_path, "w") as handle:
             handle.write(text)
@@ -225,12 +226,7 @@ def cmd_plan(config: dict, model: EnsembleModel) -> int:
 
 def cmd_search(config: dict, model: EnsembleModel) -> int:
     plan = make_plan(config["n"], config["m_count"], config["a_th"])
-    marked = _marked_set(config["n"], config["m_count"], config["marked"], model.seed)
-    if 2 * plan.M >= plan.N:
-        # One extra qubit, 0 on every marked label, halves M/N so that a marked
-        # label outweighs an unmarked one (Nielsen & Chuang 2000, sec. 6.1.4).
-        plan = make_plan(2 * plan.N, plan.M, plan.a_th)
-        marked = MarkedSet(marked.locations, plan.N)
+    marked = _marked_set(config["n"], plan, config["marked"], model.seed)
     iterations = config["m"] if config["m"] is not None else search_iterations(plan)
     resolved = {**config, "marked": list(marked.locations), "m": iterations}
     try:
@@ -260,7 +256,7 @@ def _sweep_row(
     a_th = value if var == "a_th" else config["a_th"]
 
     plan = make_plan(n, config["m_count"], a_th)
-    marked = _marked_set(n, config["m_count"], config["marked"], row_seed)
+    marked = _marked_set(n, plan, config["marked"], row_seed)
     m = value if var == "m" else _iterations(config, plan)
     shots = value if var == "shots" else model.shots
     row_model = replace(model, shots=shots, seed=row_seed)
@@ -321,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(search)
     search.add_argument("--m", type=int, default=None,
                         help="override the iterate count (default: the first m whose "
-                             "one-item EV A_m/M exceeds --a-th, on 2N labels where "
-                             "2M >= N); an m where a marked label weighs less than "
-                             "an unmarked one exits 2")
+                             "one-item EV A_m/M exceeds --a-th); an m where a marked "
+                             "label weighs less than an unmarked one exits 2")
 
     sweep = commands.add_parser("sweep", help="evaluate a parameter grid, emit CSV")
     _add_common_flags(sweep, n_required=False)

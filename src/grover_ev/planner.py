@@ -18,16 +18,16 @@ from .core import grover_angle, half_angle, returns_to_uniform
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Stopping-point summary for one (N, M, a_th) configuration.
+    """Stopping points for one (M, a_th) on the register ``N`` a search reads:
+    the database size, or twice it where 2M >= N, so M/N < 1/2 always.
 
-    ``m_stand`` is the standard step count floor(pi / (2 theta)) and
-    ``m_trunc`` the first m whose attenuation exceeds ``a_th``.
+    ``m_stand`` is the standard step count floor(pi / (2 theta)), at least 1,
+    and ``m_trunc`` the first m whose attenuation exceeds ``a_th``.
     ``m_trunc_estimate`` is the closed form
     m_stand * (2/pi) * arcsin(sqrt(r + (1 - r) M/N)) with r = a_th/a_stand =
     M a_th (a_stand = 1/M), so for M >= 2 it tracks the search's step count
-    (:func:`search_iterations`), not ``m_trunc``.  ``saturated`` flags
-    thresholds no attenuation value reaches before the standard stopping
-    point; the truncated count is then capped at ``m_stand``.
+    (:func:`search_iterations`), not ``m_trunc``.  ``saturated`` flags a
+    threshold no attenuation reaches by ``m_stand``; ``m_trunc`` is then that.
     """
 
     N: int
@@ -89,9 +89,16 @@ def _truncation_point(
 
 
 def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationPlan:
-    """Aggregate angle, stopping points, and estimate into one plan.
-    Raises ValueError unless 0 <= a_th <= 1/M, which NaN fails."""
+    """One plan on the register a search reads: N labels, or 2N where 2M >= N.
+    Raises ValueError unless 0 <= a_th <= 1/M (NaN fails), or if 2N > 2**62."""
     theta = grover_angle(universe_size, marked_count)
+    if 2 * marked_count >= universe_size:
+        # One extra qubit, 0 on every marked label, halves M/N so that a marked
+        # label outweighs an unmarked one (Nielsen & Chuang 2000, sec. 6.1.4).
+        if universe_size == 1 << 62:
+            raise ValueError("2M >= N is read on 2N labels, and 2N = 2**63 is past 2**62")
+        universe_size *= 2
+        theta = grover_angle(universe_size, marked_count)
     a_stand = 1.0 / marked_count
     if not 0 <= a_th <= a_stand:
         raise ValueError(f"a_th must satisfy 0 <= a_th <= 1/M = {a_stand}, got {a_th}")
@@ -100,9 +107,6 @@ def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationP
     rel = a_th / a_stand
     inner = rel + (1.0 - rel) * marked_count / universe_size
     estimate = m_stand * (2.0 / math.pi) * math.asin(math.sqrt(inner))
-    # A zero standard count (M >= N/2, outside the useful regime) makes the
-    # ratio degenerate; report 1 since truncation cannot shorten anything.
-    ratio = m_trunc / m_stand if m_stand > 0 else 1.0
     return TruncationPlan(
         N=universe_size,
         M=marked_count,
@@ -112,7 +116,7 @@ def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationP
         m_stand=m_stand,
         m_trunc=m_trunc,
         m_trunc_estimate=estimate,
-        ratio=ratio,
+        ratio=m_trunc / m_stand,
         saturated=saturated,
     )
 

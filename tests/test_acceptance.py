@@ -197,10 +197,11 @@ def test_criterion_8_monotonicity_and_involutions():
     detail = ""
     for n in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
         for m_count in (1, 2, 3, 4):
-            if m_count >= n or 2 * m_count == n:
-                continue  # half-marked: identically zero attenuation
-            m_stand = make_plan(n, m_count, 0.0).m_stand
-            values = [attenuation(n, m_count, m) for m in range(m_stand + 1)]
+            if m_count >= n:
+                continue
+            # On the register the plan reads: 2N labels where 2M >= N.
+            plan = make_plan(n, m_count, 0.0)
+            values = [attenuation(plan.N, m_count, m) for m in range(plan.m_stand + 1)]
             if any(b <= a for a, b in zip(values, values[1:])):
                 ok = False
                 detail = f"not strictly increasing at N={n}, M={m_count}"

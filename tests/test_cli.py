@@ -629,10 +629,22 @@ INVALID_INPUTS = {
     "argv34-trials must be in 1..1000000, got 1000001": (
         ["sweep", "--shots", "64", "--trials", "1000001", "--sweep", "m", "--values", "1..1"],
         "trials must be in 1..1000000, got 1000001"),
-    # N = 2**62 cannot double, and 2M >= N needs M >= 2**61: past MAX_MARKED.
+    # 2M >= N is planned on 2N labels, and N = 2**62 cannot double: make_plan
+    # says so before a search draws its marked set.
     f"search --n {2**62} --m-count {2**61}": (
         ["search", "--n", str(2**62), "--m-count", str(2**61)],
-        f"a marked set holds at most 65536 locations, got {2**61}"),
+        "2M >= N is read on 2N labels, and 2N = 2**63 is past 2**62"),
+    f"plan --n {2**62} --m-count {2**61}": (
+        ["plan", "--n", str(2**62), "--m-count", str(2**61)],
+        "2M >= N is read on 2N labels, and 2N = 2**63 is past 2**62"),
+    # Locations are checked on the database, [0, N), before the set is placed
+    # on the 2N labels that 2M >= N reads: the register widens no range.
+    "search --n 8 --marked 1,2,3,4,9": (
+        ["search", "--n", "8", "--marked", "1,2,3,4,9"],
+        "marked locations must lie in [0, 8): (1, 2, 3, 4, 9)"),
+    "sweep --n 8 --marked 1,2,3,4,9": (
+        ["sweep", "--n", "8", "--marked", "1,2,3,4,9", "--sweep", "m", "--values", "1"],
+        "marked locations must lie in [0, 8): (1, 2, 3, 4, 9)"),
 }
 
 
@@ -644,6 +656,37 @@ def test_invalid_input_exits_two_with_empty_stdout(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+# Every (N, M) with 2M >= N at N <= 16: the register doubles to 2N.
+HALF_OR_MORE = [(n, m_count) for n in (2, 4, 8, 16) for m_count in range(n // 2, n)]
+
+
+@pytest.mark.parametrize("n, m_count", HALF_OR_MORE)
+def test_half_or_more_marked_commands_read_one_register(capsys, n, m_count):
+    # plan, search and sweep read the register make_plan names, at every
+    # threshold from exact to the tolerance 1/M: the first m a search runs
+    # at lies in 1..m_stand, and each sweep row up to m_stand reads that
+    # register's positive attenuation.
+    for a_th in (0.0, 1e-9, 1.0 / (2 * m_count), 1.0 / m_count):
+        plan = grover_ev.make_plan(n, m_count, a_th)
+        assert plan.N == 2 * n and plan.m_stand >= 1, (a_th, plan)
+        iterations = grover_ev.planner.search_iterations(plan)
+        assert 1 <= iterations <= plan.m_stand, (a_th, plan)
+        flags = ["--n", str(n), "--m-count", str(m_count), "--a-th", repr(a_th)]
+        code, out, _ = run_cli(capsys, "plan", *flags)
+        assert code == 0 and json.loads(out)["plan"] == plan.to_json_dict()
+        code, out, _ = run_cli(capsys, "search", *flags)
+        assert code == 0 and json.loads(out)["config"]["m"] == iterations, (a_th, out)
+        code, out, _ = run_cli(
+            capsys, "sweep", *flags, "--sweep", "m", "--values", f"1..{plan.m_stand}",
+            "--trials", "1",
+        )
+        assert code == 0
+        for m, row in enumerate(parse_csv(out), start=1):
+            a_m = grover_ev.attenuation(plan.N, m_count, m)
+            assert row["N"] == str(2 * n) and row["m_stand"] == str(plan.m_stand)
+            assert row["A_m"] == f"{a_m:.12g}" and a_m > 0, (a_th, row)
 
 
 def test_sweep_float_formatting_is_twelve_digits(capsys):
@@ -661,17 +704,17 @@ def test_sweep_float_formatting_is_twelve_digits(capsys):
 
 
 def test_sweep_at_half_marked_scores_against_undecided_reference(capsys):
-    # At M = N/2 every label keeps the same weight, so A_m and the exact EVs
-    # are exactly 0 and no trial has a sign to get right: a row's rate is
-    # the share of trials whose readout decides.  Each row's 64 ones are
-    # then Binomial(64, 1/2), undecided only at a tie (chance 0.0993), so
-    # over 4,000 trials every rate lies within 5 standard errors (plus
-    # three errors) of 0.9007.  Power: scoring ties as errors moves a rate
-    # by 21 standard errors.
-    locations = (1, 3, 5, 7, 9, 11, 13, 15)
+    # At M/N = 1/4 every label weighs the same at m = 0, 2, 3 and 5 (m not
+    # 1 mod 3), so A_m and the exact EVs are exactly 0 and no trial has a
+    # sign to get right: a row's rate is the share of trials whose readout
+    # decides.  Each row's 64 ones are then Binomial(64, 1/2), undecided
+    # only at a tie (chance 0.0993), so over 4,000 trials every rate lies
+    # within 5 standard errors (plus three errors) of 0.9007.  Power:
+    # scoring ties as errors moves a rate by 21 standard errors.
+    locations = (2, 7, 8, 13)
     code, out, _ = run_cli(
         capsys, "sweep", "--n", "16", "--marked", ",".join(map(str, locations)),
-        "--a-th", "0.05", "--shots", "64", "--sweep", "m", "--values", "1..4",
+        "--a-th", "0.05", "--shots", "64", "--sweep", "m", "--values", "0,2,3,5",
         "--trials", "4000",
     )
     assert code == 0
@@ -694,6 +737,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["plan"]["m_trunc"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--n", "1024", "--m-count", "2", "--a-th", "0.25"],
+    ["plan", "--n", "1024", "--m-count", "2", "--a-th", "0.25", "--format", "csv"],
+    ["search", "--n", "256", "--marked", "3,77,200", "--shots", "1024", "--seed", "1"],
+    ["sweep", "--n", "64", "--marked", "37", "--shots", "64", "--sweep", "m",
+     "--values", "0..3", "--trials", "5"],
+], ids=["plan-json", "plan-csv", "search", "sweep"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    # The file ends in the same one newline as stdout; only the echoed
+    # "out" setting differs.
+    target = tmp_path / "out.txt"
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0 and printed.endswith("\n") and not printed.endswith("\n\n")
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    echoed = f'"out": {json.dumps(str(target))}'
+    assert target.read_text() == printed.replace('"out": null', echoed)
 
 
 def test_unwritable_out_path(capsys):

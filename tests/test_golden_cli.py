@@ -5,7 +5,7 @@ CLI printed for it: plans as JSON and CSV (up to N = 2**62), exact, branching,
 sampled, noisy, random-set and failing searches (two at N = 2**62), a sampled
 search that backtracks through failed candidates to a verified location, an
 exact and a sampled search where 2M >= N (run on one extra qubit) and the plan
-of such a set, a sweep over each variable (an N sweep up to 2**62), a noisy
+of such a set on those 2N labels, a sweep over each variable (an N sweep up to 2**62), a noisy
 sweep whose 2,500 trials cross the 1,024-trial block edge, exact and
 sampled, and two rejected inputs.
 Every output is a pure function of its argv, so a refactor that keeps

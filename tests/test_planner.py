@@ -47,15 +47,15 @@ def test_attenuation_rejects_bad_arguments():
 
 
 def test_attenuation_strictly_increasing_to_standard_point():
-    # Exhaustive over the grid; the half-marked case M = N/2 is excluded,
-    # there the rotation angle is pi/2 and the attenuation is identically
-    # zero (no usable signal at any step).
+    # Exhaustive over the grid, on the register each plan reads: where
+    # 2M >= N that is 2N labels, so no plan has the half-marked register
+    # whose attenuation is identically zero.
     for n in POWERS_OF_TWO:
         for m_count in (1, 2, 3, 4):
-            if m_count >= n or 2 * m_count == n:
+            if m_count >= n:
                 continue
-            m_stand = make_plan(n, m_count, 0.0).m_stand
-            values = [attenuation(n, m_count, m) for m in range(m_stand + 1)]
+            plan = make_plan(n, m_count, 0.0)
+            values = [attenuation(plan.N, m_count, m) for m in range(plan.m_stand + 1)]
             for previous, current in zip(values, values[1:]):
                 assert current > previous, (n, m_count, values)
 
@@ -94,16 +94,18 @@ def test_plan_m_stand_examples():
 
 def test_plan_m_stand_degenerate_half_marked():
     # theta = pi/2 exactly, so pi/(2 theta) = 1; the floor guard keeps the
-    # 1-ulp rounding of theta from dropping this to 0.
-    assert make_plan(4, 2, 0.0).m_stand == 1
-    assert make_plan(8, 4, 0.0).m_stand == 1
+    # 1-ulp rounding of theta from dropping this to 0.  No plan reads a
+    # half-marked register (2M >= N is planned on 2N labels), so the guard
+    # is checked on the angle itself.
+    assert planner._standard_count(grover_angle(4, 2)) == 1
+    assert planner._standard_count(grover_angle(8, 4)) == 1
 
 
 def test_plan_m_trunc_ideal_case_is_one_step():
+    # Half-or-more marked (N = 4, M = 2 or 3) is planned on 2N labels, where
+    # one step amplifies too.
     for n in (4, 16, 256, 4096):
         for m_count in (1, 2, 3):
-            if 2 * m_count >= n:
-                continue  # no amplification possible at half-or-more marked
             assert make_plan(n, m_count, 0.0).m_trunc == 1
 
 
@@ -140,8 +142,9 @@ def test_truncation_plan_invariants():
         assert 0 <= plan.m_trunc <= plan.m_stand
         assert plan.a_stand == 1.0 / m_count
         if not plan.saturated:
-            assert attenuation(n, m_count, plan.m_trunc) > a_th
-            assert plan.m_trunc == 0 or attenuation(n, m_count, plan.m_trunc - 1) <= a_th
+            # The attenuation of the register the plan reads: 2N where 2M >= N.
+            assert attenuation(plan.N, m_count, plan.m_trunc) > a_th
+            assert plan.m_trunc == 0 or attenuation(plan.N, m_count, plan.m_trunc - 1) <= a_th
 
 
 def test_make_plan_rejects_threshold_past_tolerance():
@@ -242,6 +245,28 @@ def test_plan_at_largest_n_takes_constant_work(m_count, monkeypatch):
         plan = make_plan(2**62, m_count, a_th)
         assert len(calls) <= 5, (a_th, calls)
         assert not plan.saturated and 1 <= plan.m_trunc <= plan.m_stand
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), qubits=st.integers(1, 62), fraction=st.floats(0.0, 1.0))
+@example(data=None, qubits=1, fraction=1.0)
+@example(data=None, qubits=62, fraction=0.0)
+@example(data=None, qubits=61, fraction=1.0)
+def test_every_plan_reads_a_register_below_half_marked(data, qubits, fraction):
+    # make_plan reads 2N labels where 2M >= N, so M/N < 1/2 and the standard
+    # count is at least 1 for every (N, M) a plan takes; at N = 2**62 there
+    # is no 2N, and the plan says so.
+    n = 1 << qubits
+    m_count = n - 1 if data is None else data.draw(st.integers(1, n - 1), label="M")
+    a_th = fraction / m_count
+    if n == 2**62 and 2 * m_count >= n:
+        with pytest.raises(ValueError, match=r"2M >= N is read on 2N labels"):
+            make_plan(n, m_count, a_th)
+        return
+    plan = make_plan(n, m_count, a_th)
+    assert plan.N == (2 * n if 2 * m_count >= n else n)
+    assert 2 * m_count < plan.N and plan.m_stand >= 1
+    assert 0 <= plan.m_trunc <= plan.m_stand and plan.ratio == plan.m_trunc / plan.m_stand
 
 
 # ------------------------------------------------------------------- estimate
