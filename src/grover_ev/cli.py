@@ -30,9 +30,7 @@ JSON payload is written by :func:`_json_text`, which gives the bytes of
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -182,12 +180,10 @@ def _fmt_field(value) -> str:
 
 
 def _csv_text(rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt_field(row[col]) for col in CSV_COLUMNS])
-    return buffer.getvalue()
+    """The header and rows, as ``csv.writer`` writes them: no field needs quoting."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join([_fmt_field(row[col]) for col in CSV_COLUMNS]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> dict:
@@ -249,13 +245,12 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
 
 
 def _sweep_row(
-    config: dict, model: EnsembleModel, var: str, value, index: int, trials: int
+    config: dict, model: EnsembleModel, plan_of, var: str, value, index: int, trials: int
 ) -> dict:
     row_seed = model.seed ^ index
     n = value if var == "N" else config["n"]
     a_th = value if var == "a_th" else config["a_th"]
-
-    plan = make_plan(n, config["m_count"], a_th)
+    plan = plan_of(n, a_th, math.copysign(1.0, a_th))
     marked = _marked_set(n, plan, config["marked"], row_seed)
     m = value if var == "m" else _iterations(config, plan)
     shots = value if var == "shots" else model.shots
@@ -265,7 +260,9 @@ def _sweep_row(
 
 
 def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
-    rows = [_sweep_row(config, model, var, value, i, trials) for i, value in enumerate(values)]
+    # One plan per (register, a_th) of this sweep; the sign keys -0.0 apart from 0.0.
+    plan_of = functools.cache(lambda n, a_th, _sign: make_plan(n, config["m_count"], a_th))
+    rows = [_sweep_row(config, model, plan_of, var, v, i, trials) for i, v in enumerate(values)]
     _emit(_csv_text(rows), config["out"])
     audit = {
         "config": config,

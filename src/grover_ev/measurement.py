@@ -67,6 +67,9 @@ class EnsembleModel:
             raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
 
 
+_EXACT = EnsembleModel()  # exact, noiseless readout: a sweep row's reference
+
+
 def _ev_bound(sigma: float) -> float:
     """The readout bound on |ev|: 1, plus noise clipped at 3 sigma."""
     return 1.0 + 3.0 * sigma
@@ -83,7 +86,7 @@ def _check_ev(ev: float, sigma: float) -> float:
 def _check_ev_bound(evs: np.ndarray, sigma: float) -> None:
     """Hold every EV of an array to :func:`_check_ev`, naming the first past
     the bound.  All pass when the largest |ev| does (NaN if any EV is NaN)."""
-    if not np.max(np.abs(evs), initial=0.0) <= _ev_bound(sigma) + 1e-12:
+    if not np.abs(evs).max(initial=0.0) <= _ev_bound(sigma) + 1e-12:
         for ev in evs.tolist():
             _check_ev(ev, sigma)
 
@@ -302,10 +305,10 @@ def sign_error_rate(
     trials = 1 if shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
     _check_qubit(state, k)
-    ones = int(((state.heavy >> (k - 1)) & 1).sum())
-    exact = _read_one(state, EnsembleModel(), ones, None)
+    ones = int(np.count_nonzero(state.heavy & (1 << (k - 1))))
+    exact = _read_one(state, _EXACT, ones, None)
     # The exact sign is decide_sign at 0 (undecided 0).
-    truth = np.sign(exact)
+    truth = (exact > 0) - (exact < 0)
     p = _ones_probability(state, ones)
     rng = _run_generator(model)
     errors = 0

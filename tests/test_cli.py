@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grover_ev
@@ -727,6 +727,56 @@ def test_sweep_at_half_marked_scores_against_undecided_reference(capsys):
         assert abs(errors - 4000 * (1 - tie)) <= 5 * spread + 3
 
 
+def test_sweep_rows_echo_the_sign_of_a_zero_threshold(capsys):
+    # 0.0 == -0.0, so a plan shared by both would print one sign twice.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--n", "1024", "--marked", "5", "--shots", "64",
+        "--sweep", "a_th", "--values", "0.0,-0.0,0.1", "--trials", "3",
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["a_th"] for row in rows] == ["0", "-0", "0.1"]
+    assert [row["m_trunc"] for row in rows] == ["1", "1", "5"]
+
+
+@pytest.mark.parametrize("var, values, calls", [
+    ("m", "0..8", 1),
+    ("shots", "64,256,1024,4096", 1),
+    ("N", "1024,4096,1024,65536", 3),
+    ("a_th", "0.1,0.25,0.1,0.0,-0.0,0.0", 4),
+])
+def test_sweep_plans_once_per_register_and_threshold(capsys, monkeypatch, var, values, calls):
+    # Each sweep plans once per distinct (register, signed a_th) and keeps no
+    # plan past its call: the same sweep run twice plans twice as often.
+    argv = ["sweep", "--n", "1024", "--marked", "5", "--a-th", "0.25", "--shots", "64",
+            "--sweep", var, "--values", values, "--trials", "3"]
+    code, expected, _ = run_cli(capsys, *argv)
+    planned = []
+    make_plan = cli.make_plan
+
+    def counting_make_plan(*args):
+        planned.append(args)
+        return make_plan(*args)
+
+    monkeypatch.setattr(cli, "make_plan", counting_make_plan)
+    for run in (1, 2):
+        assert run_cli(capsys, *argv)[:2] == (code, expected)
+        assert len(planned) == run * calls, planned
+
+
+@pytest.mark.parametrize("var, values, message", [
+    ("a_th", "0.1,2.0", "error: a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 2.0\n"),
+    ("a_th", "0.1,nan", "error: a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan\n"),
+    ("N", "1024,1000", "error: universe_size must be a power of two >= 2, got N=1000\n"),
+])
+def test_sweep_row_whose_plan_fails_exits_two(capsys, var, values, message):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "1024", "--marked", "5", "--a-th", "0.25",
+        "--sweep", var, "--values", values, "--trials", "3",
+    )
+    assert (code, out, err) == (2, "", message)
+
+
 # ------------------------------------------------------------- output routing
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -875,6 +925,47 @@ def test_json_writer_rejects_what_json_rejects(bad):
         with pytest.raises(TypeError) as raised:
             cli._json_text(value)
         assert str(raised.value) == str(expected.value)
+
+
+def _csv_module_text(rows):
+    """The CSV bytes ``csv.writer`` gives for the header and ``rows``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([cli._fmt_field(row[col]) for col in CSV_COLUMNS])
+    return buffer.getvalue()
+
+
+_CSV_FIELDS = (
+    st.none() | st.integers(-2**80, 2**80) | st.floats()
+    | st.sampled_from([1e-09, -0.0, 0.1])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(_CSV_FIELDS, min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)),
+                max_size=6))
+@example([])  # the header alone
+def test_csv_writer_gives_the_csv_module_bytes(fields):
+    rows = [dict(zip(CSV_COLUMNS, row)) for row in fields]
+    assert cli._csv_text(rows) == _csv_module_text(rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1024", "--a-th", "0.25"],
+    ["--n", "1024", "--m-count", "2", "--a-th", "0.25"],
+    ["--n", "256", "--marked", "3,77", "--a-th", "0.1", "--m", "5", "--seed", "9"],
+    ["--n", str(2**62), "--m-count", "2", "--a-th", "1e-09"],
+])
+def test_plan_csv_is_the_csv_module_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, "plan", *argv, "--format", "csv")
+    assert code == 0
+    args = cli._parse(["plan", *argv])
+    config, model = cli._resolve_config(args)
+    plan = grover_ev.make_plan(config["n"], config["m_count"], config["a_th"])
+    row = cli._csv_row(plan, cli._iterations(config, plan), None, model.seed)
+    assert out == _csv_module_text([row])
 
 
 @pytest.mark.parametrize("argv", [PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV])

@@ -7,7 +7,8 @@ search that backtracks through failed candidates to a verified location, an
 exact and a sampled search where 2M >= N (run on one extra qubit) and the plan
 of such a set on those 2N labels, a sweep over each variable (an N sweep up to 2**62), a noisy
 sweep whose 2,500 trials cross the 1,024-trial block edge, exact and
-sampled, and two rejected inputs.
+sampled, a threshold sweep whose rows at 0.0 and -0.0 print 0 and -0, and
+two rejected inputs.
 Every output is a pure function of its argv, so a refactor that keeps
 behaviour keeps every byte.
 """

@@ -202,6 +202,9 @@ def test_ev_bound_widens_with_noise_and_rejects_nan():
     block[[700, 900]] = -1.5, 2.0
     with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: -1\.5$"):
         _check_ev_bound(block, 0.0)
+    for inf in ("inf", "-inf"):
+        with pytest.raises(ValueError, match=rf"^EV outside \[-1\.3\d*, 1\.3\d*\]: {inf}$"):
+            _check_ev_bound(np.array([0.5, float(inf), 1.2]), 0.1)
 
 
 # ----------------------------------------------------------- sign error rates
