@@ -20,9 +20,11 @@ against ``--sweep``) and fills in an omitted ``--a-th`` as min(5/sqrt(shots),
 ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0 success, 1
 search failure (its JSON names the reason), 2 usage or configuration error.
 
-:func:`main` builds the parser and its command parsers once, and parses an
-argv that starts with a command word with that command's own parser; every
-other argv goes through the top-level parser, to help or a usage error.  A
+:func:`main` builds the parser and its command parsers once.  An argv of a
+command word and exact ``--flag value`` pairs is read off that command
+parser's own action table; any other argv that starts with a command word
+is parsed by that command's parser, and every other argv by the top-level
+parser.  Help, usage and error text are argparse's own on every path.  A
 JSON payload is written by :func:`_json_text`, which gives the bytes of
 ``json.dumps(payload, indent=2)`` without ``json``'s pure-Python indent path.
 """
@@ -128,10 +130,12 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
     return config, model
 
 
-def _marked_set(n: int, plan, marked: list[int] | None, seed: int) -> MarkedSet:
-    """Explicit locations or a seeded draw on [0, n), placed on the plan's register."""
-    chosen = MarkedSet(marked, n) if marked is not None else draw_marked_set(n, plan.M, seed)
-    return chosen if plan.N == n else MarkedSet(chosen.locations, plan.N)
+def _marked_set(n: int, register: int, config: dict, seed: int) -> MarkedSet:
+    """``config``'s explicit locations, or its ``m_count`` drawn by ``seed``,
+    on [0, n), placed on ``register``."""
+    marked, count = config["marked"], config["m_count"]
+    chosen = MarkedSet(marked, n) if marked is not None else draw_marked_set(n, count, seed)
+    return chosen if register == n else MarkedSet(chosen.locations, register)
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
@@ -222,7 +226,7 @@ def cmd_plan(config: dict, model: EnsembleModel) -> int:
 
 def cmd_search(config: dict, model: EnsembleModel) -> int:
     plan = make_plan(config["n"], config["m_count"], config["a_th"])
-    marked = _marked_set(config["n"], plan, config["marked"], model.seed)
+    marked = _marked_set(config["n"], plan.N, config, model.seed)
     iterations = config["m"] if config["m"] is not None else search_iterations(plan)
     resolved = {**config, "marked": list(marked.locations), "m": iterations}
     try:
@@ -245,13 +249,15 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
 
 
 def _sweep_row(
-    config: dict, model: EnsembleModel, plan_of, var: str, value, index: int, trials: int
+    config: dict, model: EnsembleModel, plan_of, explicit_on, var: str, value, index: int,
+    trials: int,
 ) -> dict:
     row_seed = model.seed ^ index
     n = value if var == "N" else config["n"]
     a_th = value if var == "a_th" else config["a_th"]
     plan = plan_of(n, a_th, math.copysign(1.0, a_th))
-    marked = _marked_set(n, plan, config["marked"], row_seed)
+    marked = (explicit_on(n, plan.N) if config["marked"] is not None
+              else _marked_set(n, plan.N, config, row_seed))
     m = value if var == "m" else _iterations(config, plan)
     shots = value if var == "shots" else model.shots
     row_model = replace(model, shots=shots, seed=row_seed)
@@ -260,9 +266,13 @@ def _sweep_row(
 
 
 def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
-    # One plan per (register, a_th) of this sweep; the sign keys -0.0 apart from 0.0.
+    # One plan per (register, a_th) of this sweep, the sign keying -0.0 apart
+    # from 0.0, and one explicit marked set per register; a drawn set is drawn
+    # in its row, from the row's seed.
     plan_of = functools.cache(lambda n, a_th, _sign: make_plan(n, config["m_count"], a_th))
-    rows = [_sweep_row(config, model, plan_of, var, v, i, trials) for i, v in enumerate(values)]
+    explicit_on = functools.cache(lambda n, register: _marked_set(n, register, config, 0))
+    rows = [_sweep_row(config, model, plan_of, explicit_on, var, v, i, trials)
+            for i, v in enumerate(values)]
     _emit(_csv_text(rows), config["out"])
     audit = {
         "config": config,
@@ -338,18 +348,46 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     return parser, parser.command_parsers
 
 
+def _read_pairs(command: argparse.ArgumentParser, words: list) -> argparse.Namespace | None:
+    """The namespace ``command.parse_known_args(words)`` gives, read off its
+    action table, when ``words`` are exact ``--flag value`` pairs of one-value
+    actions, no value starting with ``-``; None on anything argparse must judge."""
+    if len(words) % 2:
+        return None
+    table = command._option_string_actions
+    values = {a.dest: a.default for a in command._actions if a.default is not argparse.SUPPRESS}
+    seen = set()
+    for flag, text in zip(words[::2], words[1::2]):
+        action = table.get(flag) if type(flag) is str else None
+        if action is None or action.nargs is not None or type(text) is not str or text[:1] == "-":
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if any(a.required and a not in seen for a in command._actions):
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """``parse_args`` of the top-level parser, with an argv that starts with
-    a command word parsed by that command's parser alone: the top-level
-    parser would only hand every string after the word on to it."""
+    """``parse_args`` of the top-level parser, with an argv that starts with a
+    command word read by :func:`_read_pairs` or that command's parser alone:
+    the top-level parser would only hand every string after the word on to it."""
     parser, commands = _parser()
     argv = sys.argv[1:] if argv is None else argv
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _read_pairs(command, argv[1:])
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 

@@ -12,6 +12,7 @@ are pure: an input state is never mutated.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -67,8 +68,9 @@ class StateVector:
 class MarkedSet:
     """The set of marked database locations defining the search oracle.
 
-    ``locations`` is stored as a strictly increasing tuple; membership is
-    the oracle predicate (1 for marked, 0 otherwise).
+    ``locations`` is stored as a strictly increasing tuple of ints (each
+    read by ``operator.index``: no float or string is truncated); membership
+    is the oracle predicate (1 for marked, 0 otherwise).
     """
 
     locations: tuple[int, ...]
@@ -76,7 +78,10 @@ class MarkedSet:
 
     def __post_init__(self):
         _check_marked_count(len(self.locations))
-        locs = tuple(sorted(int(x) for x in self.locations))
+        try:
+            locs = tuple(sorted(map(operator.index, self.locations)))
+        except TypeError as exc:
+            raise ValueError(f"marked locations must be integers: {self.locations!r}") from exc
         object.__setattr__(self, "locations", locs)
         if not locs:
             raise ValueError("marked set must be nonempty")
@@ -107,7 +112,7 @@ def draw_marked_set(universe_size: int, count: int, seed: int) -> MarkedSet:
     checked against ``MAX_MARKED`` before anything is drawn."""
     _check_marked_count(count)
     locations = np.random.default_rng(seed).choice(universe_size, size=count, replace=False)
-    return MarkedSet(tuple(int(x) for x in locations), universe_size)
+    return MarkedSet(np.sort(locations).tolist(), universe_size)
 
 
 def qubit_values(qubit_count: int, k: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line harness: plan/search/sweep, exit codes, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grover_ev
@@ -764,6 +765,36 @@ def test_sweep_plans_once_per_register_and_threshold(capsys, monkeypatch, var, v
         assert len(planned) == run * calls, planned
 
 
+@pytest.mark.parametrize("marked, var, values, builds", [
+    (["--marked", "5"], "m", "0..8", 1),
+    (["--marked", "5"], "shots", "64,256,1024,4096", 1),
+    (["--marked", "5"], "a_th", "0.1,0.25,0.1,0.0,-0.0,0.0", 1),
+    (["--marked", "5"], "N", "1024,4096,1024,65536", 3),
+    # Where 2M >= N a set is checked on the database, then placed on 2N labels.
+    (["--n", "8", "--marked", "1,2,3,4,5"], "m", "0..3", 2),
+    # A drawn set is drawn in each row, from the row's seed.
+    (["--m-count", "2"], "m", "0..8", 9),
+])
+def test_sweep_builds_an_explicit_marked_set_once_per_register(
+    capsys, monkeypatch, marked, var, values, builds
+):
+    argv = ["sweep", "--n", "1024", *marked, "--a-th", "0.1", "--shots", "64",
+            "--sweep", var, "--values", values, "--trials", "3"]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    built = []
+    check = core.MarkedSet.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.universe_size)
+        check(self)
+
+    monkeypatch.setattr(core.MarkedSet, "__post_init__", counting_post_init)
+    for run in (1, 2):
+        assert run_cli(capsys, *argv)[:2] == (code, expected)
+        assert len(built) == run * builds, built
+
+
 @pytest.mark.parametrize("var, values, message", [
     ("a_th", "0.1,2.0", "error: a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 2.0\n"),
     ("a_th", "0.1,nan", "error: a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan\n"),
@@ -895,6 +926,98 @@ def test_command_dispatch_parses_as_the_full_parser(capsys, argv):
     full = _parsed(capsys, cli.build_parser().parse_args, argv)
     assert dispatched == full
     assert dispatched[0] in (0, 2)
+
+
+_ODD_VALUES = ["16", " 16 ", "-1", "-0.0", "", "x", "1e-9", "nan", "résultats/α☃.csv",
+               "-h", "--", "--n"]
+_GOOD_VALUES = {int: ["16", " 16 ", "1024", "0"], float: ["0.25", "1e-9", "nan", " 16 "],
+                str: ["5,37", "0..3", "", "résultats/α☃.csv"]}
+
+
+@st.composite
+def _command_argvs(draw):
+    """A command word, then flag and value words: mostly exact ``--flag value``
+    pairs of that command, its required flags first, some with values of the
+    wrong kind, and some abbreviations, ``--flag=value`` forms, ``-h``, ``--``
+    and lone words."""
+    word = draw(st.sampled_from(sorted(cli._parser()[1])))
+    table = cli._parser()[1][word]._option_string_actions
+    flags = sorted(flag for flag, action in table.items() if action.nargs is None)
+    required = [flag for flag in flags if table[flag].required and draw(st.integers(0, 9))]
+    extra = draw(st.lists(st.sampled_from(flags + ["--he", "--fo", "--m-c", "--bogus"]),
+                          max_size=6))
+    argv = [word]
+    for flag in required + extra:
+        action = table.get(flag)
+        good = (list(action.choices) * 2 + ["xml"] if action and action.choices
+                else _GOOD_VALUES[action.type if action else str])
+        value = draw(st.sampled_from(good * 8 + _ODD_VALUES))
+        kind = draw(st.sampled_from(["pair"] * 12 + ["joined", "odd"]))
+        if kind == "pair":
+            argv += [flag, value]
+        elif kind == "joined":
+            argv.append(f"{flag}={value}")
+        else:
+            argv.append(draw(st.sampled_from([flag, value, "-h", "--", "--help"])))
+    return argv
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_command_argvs())
+@example(["plan", "--n", "16", "--n", "1024"])  # the last duplicate wins
+@example(["plan", "--n", "16", "--format", "json", "--format", "xml"])
+@example(["sweep", "--n", "16", "--sweep", "m"])
+@example(["sweep", "--n", "16", "--sweep", "x", "--values", "1"])
+@example(["plan", "--n", "16", "--out", "résultats/α☃.json"])
+@example(["plan", "--n", "16", "--seed"])
+@example(["plan", "--n", "16", "--marked", "-h"])
+@example(["plan", "--n", "16", "--a-th", "nan"])
+def test_command_argvs_parse_as_the_full_parser(capsys, argv):
+    # An argv of exact --flag value pairs is read off the command's action
+    # table, any other goes to argparse: either way the exit code, output and
+    # namespace are what the top-level parse_args gives.  The namespaces are
+    # compared by repr, so that NaN matches NaN and -0.0 does not match 0.0.
+    results = []
+    for parse in (cli._parse, cli.build_parser().parse_args):
+        *code_out_err, namespace = _parsed(capsys, parse, argv)
+        results.append((*code_out_err, repr(sorted((namespace or {}).items()))))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("argv", [["plan", "--n", 16], ["plan", 16, "16"], ["plan", "--n", None]])
+def test_non_string_words_raise_as_the_full_parser(capsys, argv):
+    # A word that is not a str goes to argparse, which raises as it would.
+    raised = []
+    for parse in (cli.build_parser().parse_args, cli._parse):
+        with pytest.raises(BaseException) as caught:
+            parse(list(argv))
+        raised.append((type(caught.value), str(caught.value), capsys.readouterr()))
+    assert raised[0] == raised[1]
+
+
+PAIR_ARGVS = [
+    ["plan", "--n", "1073741824", "--m-count", "2", "--a-th", "0.25", "--seed", "11"],
+    ["search", "--n", "8192", "--marked", "4242", "--a-th", "0.1", "--shots", "0", "--seed", "7"],
+    ["search", "--n", "512", "--marked", "3,77,200", "--shots", "1024", "--seed", "5"],
+    ["sweep", "--n", "4096", "--marked", "5,99", "--a-th", "0.25", "--shots", "1024",
+     "--sweep", "m", "--values", "0..8", "--trials", "20", "--seed", "3"],
+    PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV,
+]
+
+
+@pytest.mark.parametrize("argv", PAIR_ARGVS, ids=lambda argv: " ".join(argv[:3]))
+def test_exact_pairs_need_no_argparse_parse(capsys, monkeypatch, argv):
+    # Every benchmark op is a command word and exact --flag value pairs: main
+    # runs it, with the same bytes, when argparse's parse methods cannot run.
+    expected = run_cli(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parse called")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert run_cli(capsys, *argv) == expected
 
 
 _JSON_SCALARS = (

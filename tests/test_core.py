@@ -88,11 +88,21 @@ def test_marked_set_sorts_locations():
 
 @pytest.mark.parametrize(
     "locations,n",
-    [((), 4), ((1, 1), 4), ((4,), 4), ((-1,), 4)],
+    [((), 4), ((1, 1), 4), ((4,), 4), ((-1,), 4), ([3.7], 16), (["3"], 16)],
 )
 def test_marked_set_rejects_invalid(locations, n):
     with pytest.raises(ValueError):
         MarkedSet(locations, n)
+
+
+def test_marked_set_reads_integer_locations_as_ints():
+    # Each location goes through operator.index: ints, bools and numpy
+    # integers are read, and stored as Python ints.
+    marked = MarkedSet([np.int64(9), True, np.uint8(3)], 16)
+    assert marked.locations == (1, 3, 9)
+    assert {type(x) for x in marked.locations} == {int}
+    with pytest.raises(ValueError, match=r"^marked locations must be integers: \[3\.7\]$"):
+        MarkedSet([3.7], 16)
 
 
 def test_full_marked_set_fails_the_angle_check():
@@ -115,6 +125,7 @@ def test_marked_draw_is_numpy_choice_without_replacement():
         expected = np.random.default_rng(seed).choice(n, size=count, replace=False)
         marked = draw_marked_set(n, count, seed)
         assert marked.locations == tuple(sorted(int(x) for x in expected))
+        assert {type(x) for x in marked.locations} == {int}
         assert marked.universe_size == n
 
 
