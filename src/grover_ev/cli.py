@@ -20,11 +20,12 @@ against ``--sweep``) and fills in an omitted ``--a-th`` as min(5/sqrt(shots),
 ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0 success, 1
 search failure (its JSON names the reason), 2 usage or configuration error.
 
-:func:`main` builds the parser and its command parsers once.  An argv of a
-command word and exact ``--flag value`` pairs is read off that command
-parser's own action table; any other argv that starts with a command word
-is parsed by that command's parser, and every other argv by the top-level
-parser.  Help, usage and error text are argparse's own on every path.  A
+:func:`main` builds the parser, its command parsers and each command's
+table of defaults and required flags once.  An argv of a command word and
+exact ``--flag value`` pairs is read off that command parser's own action
+table; any other argv that starts with a command word is parsed by that
+command's parser, and every other argv by the top-level parser.  Help,
+usage and error text are argparse's own on every path.  A
 JSON payload is written by :func:`_json_text`, which gives the bytes of
 ``json.dumps(payload, indent=2)`` without ``json``'s pure-Python indent path.
 """
@@ -138,29 +139,46 @@ def _marked_set(n: int, register: int, config: dict, seed: int) -> MarkedSet:
     return chosen if register == n else MarkedSet(chosen.locations, register)
 
 
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+def _float_text(value: float) -> str:
+    """A float as ``json`` writes it: its repr, or NaN and Infinity by ``json``."""
+    return float.__repr__(value) if -math.inf < value < math.inf else json.dumps(value)
+
+
+# The text of a scalar, by its exact type: a subclass is left to ``json``.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _key_text(key: str) -> str:
+    """A dict key as ``json`` writes it, with its separator; payloads reuse
+    a few dozen keys, so each is encoded once."""
+    return encode_basestring_ascii(key) + ": "
 
 
 def _json_text(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for a payload of dicts
     with str keys, lists and scalars; ``pad`` is the newline and indent
-    before ``value``'s closing bracket.  ``json`` writes any other value (NaN,
-    a subclass, a tuple) and raises its ``TypeError`` on what it cannot write."""
+    before ``value``'s closing bracket.  ``json`` writes any other value (a
+    subclass, a tuple) and raises its ``TypeError`` on what it cannot write."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and -math.inf < value < math.inf:
-        return float.__repr__(value)
-    if kind is bool or value is None:
-        return _JSON_LITERALS[value]
-    if kind is list and value:
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + pad + "]"
-    if kind is dict and value:
-        inner = pad + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if (kind is list or kind is dict) and value:
+        # An item's scalar text is read off the table here; only a nested
+        # container or an odd type takes another call.
+        inner, get = pad + "  ", _JSON_SCALARS.get
+        if kind is list:
+            items = [w(v) if (w := get(type(v))) else _json_text(v, inner) for v in value]
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        items = [_key_text(k) + (w(v) if (w := get(type(v))) else _json_text(v, inner))
+                 for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return json.dumps(value, indent=2).replace("\n", pad)
 
@@ -215,6 +233,10 @@ def _iterations(config: dict, plan) -> int:
 
 def cmd_plan(config: dict, model: EnsembleModel) -> int:
     plan = make_plan(config["n"], config["m_count"], config["a_th"])
+    if config["marked"] is not None:
+        # An explicit list is checked as a search checks it; --m-count alone
+        # names only M, so no location is drawn.
+        MarkedSet(config["marked"], config["n"])
     if config["format"] == "csv":
         row = _csv_row(plan, _iterations(config, plan), None, model.seed)
         _emit(_csv_text([row]), config["out"])
@@ -341,24 +363,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """:func:`build_parser` and its command parsers by name, built on the
-    first :func:`main` call and reused."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
+    """:func:`build_parser`, its command parsers by name, and each command's
+    :func:`_pair_table`, built on the first :func:`main` call and reused."""
     parser = build_parser()
-    return parser, parser.command_parsers
+    commands = parser.command_parsers
+    return parser, commands, {name: _pair_table(command) for name, command in commands.items()}
 
 
-def _read_pairs(command: argparse.ArgumentParser, words: list) -> argparse.Namespace | None:
-    """The namespace ``command.parse_known_args(words)`` gives, read off its
-    action table, when ``words`` are exact ``--flag value`` pairs of one-value
-    actions, no value starting with ``-``; None on anything argparse must judge."""
+def _pair_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
+    """What :func:`_read_pairs` reads off ``command``: its option strings'
+    actions, the default of every action that has one, and the required
+    actions."""
+    actions = command._actions
+    defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    return command._option_string_actions, defaults, {a for a in actions if a.required}
+
+
+def _read_pairs(table: tuple[dict, dict, set], words: list) -> argparse.Namespace | None:
+    """The namespace ``command.parse_known_args(words)`` gives, read off the
+    command's :func:`_pair_table`, when ``words`` are exact ``--flag value``
+    pairs of one-value actions, no value starting with ``-``; None on
+    anything argparse must judge."""
     if len(words) % 2:
         return None
-    table = command._option_string_actions
-    values = {a.dest: a.default for a in command._actions if a.default is not argparse.SUPPRESS}
+    options, defaults, required = table
+    values = defaults.copy()
     seen = set()
     for flag, text in zip(words[::2], words[1::2]):
-        action = table.get(flag) if type(flag) is str else None
+        action = options.get(flag) if type(flag) is str else None
         if action is None or action.nargs is not None or type(text) is not str or text[:1] == "-":
             return None
         try:
@@ -369,7 +402,7 @@ def _read_pairs(command: argparse.ArgumentParser, words: list) -> argparse.Names
             return None
         values[action.dest] = value
         seen.add(action)
-    if any(a.required and a not in seen for a in command._actions):
+    if not required <= seen:
         return None
     return argparse.Namespace(**values)
 
@@ -378,12 +411,12 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     """``parse_args`` of the top-level parser, with an argv that starts with a
     command word read by :func:`_read_pairs` or that command's parser alone:
     the top-level parser would only hand every string after the word on to it."""
-    parser, commands = _parser()
+    parser, commands, tables = _parser()
     argv = sys.argv[1:] if argv is None else argv
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = _read_pairs(command, argv[1:])
+    args = _read_pairs(tables[argv[0]], argv[1:])
     if args is None:
         args, extras = command.parse_known_args(argv[1:])
         if extras:

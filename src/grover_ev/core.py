@@ -70,7 +70,9 @@ class MarkedSet:
 
     ``locations`` is stored as a strictly increasing tuple of ints (each
     read by ``operator.index``: no float or string is truncated); membership
-    is the oracle predicate (1 for marked, 0 otherwise).
+    is the oracle predicate (1 for marked, 0 otherwise).  ``labels`` holds
+    the same locations as a read-only int64 array, built once with the set;
+    it is not a field, so equality and repr read the two fields alone.
     """
 
     locations: tuple[int, ...]
@@ -91,6 +93,9 @@ class MarkedSet:
             raise ValueError(
                 f"marked locations must lie in [0, {self.universe_size}): {locs}"
             )
+        labels = np.array(locs, dtype=np.int64)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def count(self) -> int:

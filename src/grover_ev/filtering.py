@@ -32,7 +32,7 @@ target qubit's count of ones over the moved labels.  A search sorts the
 marked labels once as L-bit keys, bits from qubit 1 down, in
 O(M L + M log M); a prefix keeps one contiguous run of keys, so three
 bisections give each count in O(log M) and no label is moved.  The plain
-run is read as an array by :func:`~grover_ev.measurement._read`, and each
+run is read as a list by :func:`~grover_ev.measurement._read`, and each
 correlated run, one qubit of one run, as a Python float by
 :func:`~grover_ev.measurement._read_one`.
 :func:`extract_location` is the search loop: the run budget, the branch
@@ -56,12 +56,17 @@ import numpy as np
 from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .measurement import ClassState, EnsembleModel, class_state, decide_sign
-from .measurement import _bits, _read, _read_one, _run_generator
+from .measurement import _read, _read_one, _run_generator
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
 # A search makes at most this many runs per qubit before it gives up.
 RUN_BUDGET_PER_QUBIT = 4
+
+# The shift of qubit k + 1, and the weight of bit i of an L-bit key,
+# 2**(L - 1 - i), as _KEY_WEIGHTS[-L:][i]: a register has at most 62 qubits.
+_SHIFTS = np.arange(62, dtype=np.int64)
+_KEY_WEIGHTS = 1 << np.arange(61, -1, -1, dtype=np.int64)
 
 
 class SearchFailure(Exception):
@@ -194,11 +199,11 @@ def extract_location(
     qubit_count = state.qubit_count
     budget = RUN_BUDGET_PER_QUBIT * qubit_count
     rng = _run_generator(model)
-    bits = _bits(state.heavy, range(1, qubit_count + 1))
+    bits = (state.heavy[:, None] >> _SHIFTS[:qubit_count]) & 1
     ones = bits.sum(axis=0).tolist()
     # Bit i of a label is bit L - 1 - i of its key.
-    keys = np.sort(bits @ (1 << np.arange(qubit_count - 1, -1, -1, dtype=np.int64))).tolist()
-    plain = _read(state, model, ones, bits, rng).tolist()
+    keys = np.sort(bits @ _KEY_WEIGHTS[-qubit_count:]).tolist()
+    plain = _read(state, model, ones, bits, rng)
 
     total_runs = 1
     branch_events = 0

@@ -10,9 +10,10 @@ dense shot labels), then its noise, truncated at 3 sigma: |ev| <= 1 + 3*sigma.
 
 Every two-amplitude read is a whole run or one qubit, read by counts
 (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
-:func:`_read` reads every qubit of one run as an array, and :func:`_read_one`
-one qubit of one run as a Python float (a search's correlated run, a sweep
-row's exact reference).  :func:`sign_error_rate` reads its own blocks of
+:func:`_read` reads every qubit of one run as a list of Python floats (an
+exact, noiseless run without building an array), and :func:`_read_one` one
+qubit of one run as a Python float (a search's correlated run, a sweep row's
+exact reference).  :func:`sign_error_rate` reads its own blocks of
 trials, one qubit over many runs; a block of one trial is, draw for draw,
 one :func:`_read_one` call.  All read a count by :func:`_count_evs` and hold each EV to
 :func:`_check_ev`.  One qubit k is one ``Binomial(shots, p_k)``, ``p_k``
@@ -195,15 +196,13 @@ class ClassState:
 def class_state(marked: MarkedSet, iterations: int) -> ClassState:
     """The two-amplitude state after ``iterations`` steps on ``marked``.
 
-    ``heavy`` holds the marked labels and ``weights`` the Born weight of one
-    marked and of one unmarked label.  The universe must be a power of two
-    (checked by ``grover_angle``).
+    ``heavy`` is the marked set's own read-only label array, and
+    ``weights`` the Born weight of one marked and of one unmarked label.
+    The universe must be a power of two (checked by ``grover_angle``).
     """
     n = marked.universe_size
     on, off = class_amplitudes(n, marked.count, iterations)
-    qubit_count = n.bit_length() - 1
-    heavy = np.array(marked.locations, dtype=np.int64)
-    return ClassState(qubit_count, heavy, (on * on, off * off))
+    return ClassState(n.bit_length() - 1, marked.labels, (on * on, off * off))
 
 
 def _ones_probability(state: ClassState, ones: int) -> float:
@@ -226,25 +225,33 @@ def _count_evs(counts, shots: int):
 def _read(
     state: ClassState, model: EnsembleModel, ones: Sequence[int], bits: np.ndarray,
     rng: np.random.Generator | None,
-) -> np.ndarray:
-    """EVs of every qubit of one run, qubit k at entry k - 1: exact, or counts
-    (see the module docstring), then noise, all from ``rng``, held to the
-    readout bound.  ``ones`` counts each qubit's marked labels with that bit
-    set, and ``bits`` holds the marked labels' bits, one row per label."""
+) -> list[float]:
+    """EVs of every qubit of one run, qubit k at entry k - 1, as Python
+    floats: exact, or counts (see the module docstring), then noise, all from
+    ``rng``, held to the readout bound.  ``ones`` counts each qubit's marked
+    labels with that bit set, and ``bits`` holds the marked labels' bits, one
+    row per label.  An exact, noiseless run builds no array."""
     on, off = state.weights
     dim, size, shots = 1 << state.qubit_count, state.heavy.size, model.shots
+    sigma = model.gaussian_noise_sigma
     if shots == 0:
         # off, spread evenly over all labels, cancels.
-        base = (on - off) * (size - 2 * np.asarray(ones))
-    elif on < off:
+        evs = [(on - off) * (size - 2 * k) for k in ones]
+        if sigma:
+            return _noisy(np.array(evs), sigma, rng).tolist()
+        # Every EV is (on - off) times an integer, so the largest |ev| is
+        # within the bound only if every EV is: a NaN or inf factor fails it.
+        if not max(map(abs, evs)) <= _ev_bound(0.0) + 1e-12:
+            for ev in evs:
+                _check_ev(ev, 0.0)
+        return evs
+    if on < off:
         raise ValueError("a marked label weighs less than an unmarked one")
-    else:
-        total = off * (dim - size) + on * size
-        marked = rng.binomial(shots, (on - off) * size / total)
-        counts = rng.binomial(shots - marked, 0.5, state.qubit_count)
-        counts += rng.multinomial(marked, [1.0 / size] * size) @ bits
-        base = _count_evs(counts, shots)
-    return _noisy(base, model.gaussian_noise_sigma, rng)
+    total = off * (dim - size) + on * size
+    marked = rng.binomial(shots, (on - off) * size / total)
+    counts = rng.binomial(shots - marked, 0.5, state.qubit_count)
+    counts += rng.multinomial(marked, [1.0 / size] * size) @ bits
+    return _noisy(_count_evs(counts, shots), sigma, rng).tolist()
 
 
 def _read_one(
@@ -274,7 +281,7 @@ def measure_classes(state: ClassState, model: EnsembleModel) -> list[float]:
     ``ValueError``; an exact read takes every state.
     """
     bits = _bits(state.heavy, range(1, state.qubit_count + 1))
-    return _read(state, model, bits.sum(axis=0), bits, _run_generator(model)).tolist()
+    return _read(state, model, bits.sum(axis=0).tolist(), bits, _run_generator(model))
 
 
 def sign_error_rate(

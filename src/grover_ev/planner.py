@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import grover_angle, half_angle, returns_to_uniform
+from .core import grover_angle, returns_to_uniform
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,23 @@ def attenuation(universe_size: int, marked_count: int, iterations: int) -> float
     """EV attenuation after ``iterations`` steps: (sin^2 * N - M) / (N - M).
 
     Zero before any amplification, close to one at the standard stopping
-    point for N >> M.
+    point for N >> M.  Checks (N, M) and m, then reads :func:`_attenuation`.
     """
-    angle = half_angle(universe_size, marked_count, iterations)
-    if returns_to_uniform(universe_size, marked_count, iterations):
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    theta = grover_angle(universe_size, marked_count)
+    return _attenuation(universe_size, marked_count, theta, iterations)
+
+
+def _attenuation(n: int, m_count: int, theta: float, iterations: int) -> float:
+    """:func:`attenuation` at m = ``iterations`` >= 0 from ``theta`` =
+    ``grover_angle(n, m_count)``, checked by the caller."""
+    if returns_to_uniform(n, m_count, iterations):
         # sin^2 = M/N exactly; return 0, not rounding residue (the truncation
         # point compares this against thresholds as small as 0).
         return 0.0
-    sin_sq = math.sin(angle) ** 2
-    return (sin_sq * universe_size - marked_count) / (universe_size - marked_count)
+    sin_sq = math.sin((2 * iterations + 1) * theta / 2.0) ** 2
+    return (sin_sq * n - m_count) / (n - m_count)
 
 
 def _standard_count(theta: float) -> int:
@@ -70,10 +78,11 @@ def _standard_count(theta: float) -> int:
 def _truncation_point(
     n: int, m_count: int, a_th: float, theta: float, m_stand: int
 ) -> tuple[int, bool]:
-    """Smallest m with attenuation above a_th, capped at the standard count.
+    """Smallest m with attenuation above a_th, capped at the standard count,
+    on one register: ``theta`` and ``m_stand`` are those of (n, m_count).
 
     Inverts A_m = a_th in closed form, then steps that guess against
-    :func:`attenuation` itself until A(m - 1) <= a_th < A(m).  Returns
+    :func:`_attenuation` at ``theta`` until A(m - 1) <= a_th < A(m).  Returns
     (m, saturated); saturated means A(m_stand) does not clear the threshold,
     as for any a_th >= 1.
     """
@@ -81,9 +90,9 @@ def _truncation_point(
         return m_stand, True
     crossing = 2.0 * math.asin(math.sqrt(a_th + (1.0 - a_th) * m_count / n)) / theta
     m = min(max(math.floor((crossing - 1.0) / 2.0) + 1, 0), m_stand)
-    while m > 0 and attenuation(n, m_count, m - 1) > a_th:
+    while m > 0 and _attenuation(n, m_count, theta, m - 1) > a_th:
         m -= 1
-    while attenuation(n, m_count, m) <= a_th:
+    while _attenuation(n, m_count, theta, m) <= a_th:
         m += 1
     return m, False
 

@@ -118,7 +118,7 @@ def reference_extract_location(marked, iterations, model, a_th):
     sampled = model.shots or model.gaussian_noise_sigma
     rng = np.random.default_rng(model.seed) if sampled else None
     label_bits = (locations[:, None] >> np.arange(qubit_count)) & 1
-    plain = measurement._read(state, model, label_bits.sum(axis=0), label_bits, rng).tolist()
+    plain = measurement._read(state, model, label_bits.sum(axis=0).tolist(), label_bits, rng)
     total_runs, branch_events, verifications = 1, 0, 0
     pending, bits = [], ()
     while True:

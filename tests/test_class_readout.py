@@ -310,6 +310,9 @@ def test_whole_runs_match_dense_readout(qubits, data):
         got = measure_classes(state, model)
         assert all(type(ev) is float for ev in got)
         assert np.max(np.abs(np.subtract(got, measure_all(dense, model)))) <= EXACT_ATOL
+        # Read as Python floats, each is the float64 array expression's EV.
+        ones = np.array([ones_of(state, k) for k in range(1, qubits + 1)])
+        assert got == ((on - off) * (count - 2 * ones)).tolist()
     elif on < off:
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
             measure_classes(state, model)

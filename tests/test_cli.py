@@ -646,6 +646,10 @@ INVALID_INPUTS = {
     "sweep --n 8 --marked 1,2,3,4,9": (
         ["sweep", "--n", "8", "--marked", "1,2,3,4,9", "--sweep", "m", "--values", "1"],
         "marked locations must lie in [0, 8): (1, 2, 3, 4, 9)"),
+    # plan draws no location, but an explicit list is checked as search
+    # checks it.
+    "plan --marked 1,1": (["plan", "--marked", "1,1"], "must be distinct: (1, 1)"),
+    "plan --marked 99": (["plan", "--marked", "99"], "must lie in [0, 16): (99,)"),
 }
 
 

@@ -1,5 +1,6 @@
 """Statevector register, oracle/diffusion unitaries, and the closed form."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -103,6 +104,25 @@ def test_marked_set_reads_integer_locations_as_ints():
     assert {type(x) for x in marked.locations} == {int}
     with pytest.raises(ValueError, match=r"^marked locations must be integers: \[3\.7\]$"):
         MarkedSet([3.7], 16)
+
+
+def test_marked_set_holds_one_read_only_label_array():
+    # The int64 labels are built once with the set and are not a field:
+    # equality, hashing, repr and the fields read the tuple and N alone.
+    marked = MarkedSet([9, 3, 1], 16)
+    assert marked.labels.dtype == np.int64 and marked.labels.tolist() == [1, 3, 9]
+    assert not marked.labels.flags.writeable
+    with pytest.raises(ValueError):
+        marked.labels[0] = 2
+    assert [f.name for f in dataclasses.fields(MarkedSet)] == ["locations", "universe_size"]
+    assert repr(marked) == "MarkedSet(locations=(1, 3, 9), universe_size=16)"
+    assert marked == MarkedSet((1, 3, 9), 16) and hash(marked) == hash(MarkedSet((9, 1, 3), 16))
+    assert marked != MarkedSet((1, 3, 9), 32)
+    # Every class_state of the set reads that one array; no row rebuilds it.
+    first, second = class_state(marked, 1), class_state(marked, 2)
+    assert first.heavy is marked.labels and second.heavy is marked.labels
+    wide = 2**62 - 1
+    assert MarkedSet((wide, 0), 2**62).labels.tolist() == [0, wide]
 
 
 def test_full_marked_set_fails_the_angle_check():

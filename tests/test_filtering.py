@@ -519,7 +519,7 @@ def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, location
 
     def recorded(*args, **kwargs):
         evs = read(*args, **kwargs)
-        reads.append(evs.tolist())
+        reads.append(evs)
         return evs
 
     monkeypatch.setattr(filtering, "_read", recorded)

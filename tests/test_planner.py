@@ -15,7 +15,7 @@ from grover_ev import (
     make_plan,
     planner,
 )
-from grover_ev.core import apply_grover, new_uniform
+from grover_ev.core import apply_grover, half_angle, new_uniform, returns_to_uniform
 from grover_ev.measurement import exact_ev
 
 POWERS_OF_TWO = [2**e for e in range(2, 13)]
@@ -82,6 +82,26 @@ def test_attenuation_matches_simulated_evs():
             for k in range(1, qubits + 1):
                 sign = (-1) ** bit_of(location, k)
                 assert exact_ev(state, k) * sign == pytest.approx(expected, abs=1e-10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), qubits=st.integers(1, 62))
+@example(data=None, qubits=1)  # M/N = 1/2: theta = pi/2
+@example(data=None, qubits=62)
+def test_angle_stepped_attenuation_is_the_public_curve(data, qubits):
+    # The truncation point steps with the theta make_plan checked; every
+    # step must equal attenuation(N, M, m), bit for bit, up to m_stand + 1,
+    # and both the curve as first written: sin^2 of core's half angle.
+    # An example (no data) takes M = 1 and m = m_stand + 1.
+    n = 1 << qubits
+    m_count = 1 if data is None else data.draw(st.integers(1, n - 1), label="M")
+    theta = grover_angle(n, m_count)
+    top = planner._standard_count(theta) + 1
+    m = top if data is None else data.draw(st.integers(0, top), label="m")
+    stepped = planner._attenuation(n, m_count, theta, m)
+    written = (0.0 if returns_to_uniform(n, m_count, m) else
+               (math.sin(half_angle(n, m_count, m)) ** 2 * n - m_count) / (n - m_count))
+    assert stepped.hex() == attenuation(n, m_count, m).hex() == written.hex(), (n, m_count, m)
 
 
 # ------------------------------------------------------------- stopping points
@@ -161,9 +181,16 @@ def test_saturation_flag():
 
 # ------------------------------------------------- inversion vs. linear scan
 
+def register(n, m_count):
+    """The N a plan for (n, m_count) reads: n, or 2n where 2M >= n."""
+    return make_plan(n, m_count, 0.0).N
+
+
 def truncation_point(n, m_count, a_th):
-    """(m_trunc, saturated) from the planner's closed-form inversion."""
+    """(m_trunc, saturated) from the planner's closed-form inversion, given
+    the N, theta and m_stand of one register: ``n`` must be a plan's N."""
     plan = make_plan(n, m_count, 0.0)
+    assert plan.N == n, (n, m_count)
     return planner._truncation_point(n, m_count, a_th, plan.theta, plan.m_stand)
 
 
@@ -180,8 +207,9 @@ def curve_thresholds(n, m_count):
 def test_inversion_matches_scan_exhaustively():
     cases = 0
     for qubits in range(1, 15):
-        n = 1 << qubits
-        for m_count in range(1, min(8, n - 1) + 1):
+        for m_count in range(1, min(8, (1 << qubits) - 1) + 1):
+            # Every (N, M) cell, read on the register its plan names.
+            n = register(1 << qubits, m_count)
             for a_th in curve_thresholds(n, m_count):
                 expected = reference_truncation_scan(n, m_count, a_th)
                 assert truncation_point(n, m_count, a_th) == expected, (n, m_count, a_th)
@@ -198,8 +226,8 @@ def test_inversion_matches_scan_exhaustively():
     free=st.none() | st.floats(0.0, 1.0, exclude_max=True),
 )
 def test_inversion_matches_scan_property(qubits, m_count, position, offset, free):
-    n = 1 << qubits
-    m_count = min(m_count, n - 1)
+    m_count = min(m_count, (1 << qubits) - 1)
+    n = register(1 << qubits, m_count)
     if free is None:
         # A threshold on the curve itself or one ulp to either side.
         value = attenuation(n, m_count, round(position * make_plan(n, m_count, 0.0).m_stand))
