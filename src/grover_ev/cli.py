@@ -201,28 +201,19 @@ def _fmt_field(value) -> str:
     return str(value)
 
 
-def _csv_text(rows: list[dict]) -> str:
+def _csv_text(rows: list[tuple]) -> str:
     """The header and rows, as ``csv.writer`` writes them: no field needs quoting."""
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join([_fmt_field(row[col]) for col in CSV_COLUMNS]) for row in rows]
+    lines += [",".join([_fmt_field(field) for field in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> dict:
-    """One CSV row: the plan's (N, M, a_th) and counts, the attenuation at
-    iterate count ``m``, and the sign-error rate (None in a plan row)."""
-    return {
-        "N": plan.N,
-        "M": plan.M,
-        "m": m,
-        "a_th": plan.a_th,
-        "A_m": attenuation(plan.N, plan.M, m),
-        "m_stand": plan.m_stand,
-        "m_trunc": plan.m_trunc,
-        "m_trunc_estimate": plan.m_trunc_estimate,
-        "ev_sign_error_rate": error_rate,
-        "seed": seed,
-    }
+def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> tuple:
+    """One CSV row, its fields in ``CSV_COLUMNS`` order: the plan's (N, M,
+    a_th) and counts, the attenuation at iterate count ``m``, and the
+    sign-error rate (None in a plan row)."""
+    return (plan.N, plan.M, m, plan.a_th, attenuation(plan.N, plan.M, m), plan.m_stand,
+            plan.m_trunc, plan.m_trunc_estimate, error_rate, seed)
 
 
 def _iterations(config: dict, plan) -> int:
@@ -273,7 +264,7 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
 def _sweep_row(
     config: dict, model: EnsembleModel, plan_of, explicit_on, var: str, value, index: int,
     trials: int,
-) -> dict:
+) -> tuple:
     row_seed = model.seed ^ index
     n = value if var == "N" else config["n"]
     a_th = value if var == "a_th" else config["a_th"]

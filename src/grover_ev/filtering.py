@@ -21,22 +21,9 @@ confirmed with a single oracle query, and failed candidates backtrack to the
 most recent unexplored branch.  A search gives up after ``4 L`` runs
 (``RUN_BUDGET_PER_QUBIT``), so no input takes more than O(L) runs.
 
-Runs are read out from the two-amplitude state: after m steps every marked
-label carries one amplitude and every other label another, so a run needs
-the marked labels alone and no statevector is built.  One plain run is read
-on every qubit, as :func:`~grover_ev.measurement.measure_classes` reads it,
-and each stage past the first adds one correlated run on its target qubit
-alone, all drawn in turn from one ``default_rng(seed)`` per search.  The
-correlation only permutes labels, so a correlated run is fixed by its
-target qubit's count of ones over the moved labels.  A search sorts the
-marked labels once as L-bit keys, bits from qubit 1 down, in
-O(M L + M log M); a prefix keeps one contiguous run of keys, so three
-bisections give each count in O(log M) and no label is moved.  The plain
-run is read as a list by :func:`~grover_ev.measurement._read`, and each
-correlated run, one qubit of one run, as a Python float by
-:func:`~grover_ev.measurement._read_one`.
-:func:`extract_location` is the search loop: the run budget, the branch
-stack, verification and the counts.
+:func:`extract_location` is the search loop over expectation values alone:
+:func:`~grover_ev.measurement._search_runs` gives the plain run's EVs and
+reads each correlated run on request.
 The dense operations of :mod:`grover_ev.core` and :func:`apply_correlation`
 stay the reference this path is tested against.
 
@@ -47,26 +34,19 @@ determined prefix as the integer those bits spell.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import MarkedSet, StateVector
 from .core import apply_grover  # noqa: F401  unused; perfbench/tracer.py wraps it here
-from .measurement import ClassState, EnsembleModel, class_state, decide_sign
-from .measurement import _read, _read_one, _run_generator
+from .measurement import EnsembleModel, _search_runs, decide_sign
 from .measurement import measure_all  # noqa: F401  unused; perfbench/tracer.py wraps it here
 
 
 # A search makes at most this many runs per qubit before it gives up.
 RUN_BUDGET_PER_QUBIT = 4
-
-# The shift of qubit k + 1, and the weight of bit i of an L-bit key,
-# 2**(L - 1 - i), as _KEY_WEIGHTS[-L:][i]: a register has at most 62 qubits.
-_SHIFTS = np.arange(62, dtype=np.int64)
-_KEY_WEIGHTS = 1 << np.arange(61, -1, -1, dtype=np.int64)
 
 
 class SearchFailure(Exception):
@@ -147,27 +127,14 @@ def _correlated_labels(labels: np.ndarray, target: int, prefix: int) -> np.ndarr
 
 
 def _stage(
-    state: ClassState, plain: Sequence[float], ones: Sequence[int], keys: Sequence[int],
-    key: int, stage: int, model: EnsembleModel, rng: np.random.Generator | None, a_th: float,
+    plain: Sequence[float], correlated: Callable[[int, int], float], key: int, stage: int,
+    a_th: float,
 ) -> tuple[float, int | None]:
-    """The EV of qubit ``stage + 1`` given the ``stage`` prefix bits, held
-    from qubit 1 down in the top bits of ``key``, and its bit by
-    :func:`decide_sign` at ``a_th`` (None: undecided).  Stage 0 is the plain
-    run's; a later stage averages it with one correlated run, that qubit
-    read alone from ``rng`` off its count of ones: the kept labels' sorted
-    ``keys`` lie in [key, key + 2 half), the upper half with the target bit
-    set, and the correlation flips that bit on every other label (``ones``
-    counts each qubit over all).  O(log M), whatever the shots and register."""
-    if stage == 0:
-        ev = plain[0]
-    else:
-        half = 1 << (state.qubit_count - 1 - stage)
-        low = bisect_left(keys, key)
-        mid = bisect_left(keys, key + half, low)
-        high = bisect_left(keys, key + 2 * half, mid)
-        # The kept labels' ones plus the other labels' zeros.
-        flipped = 2 * (high - mid) + len(keys) - (high - low) - ones[stage]
-        ev = (plain[stage] + _read_one(state, model, flipped, rng)) / 2.0
+    """The EV of qubit ``stage + 1`` given the ``stage`` prefix bits, held from
+    qubit 1 down in the top bits of ``key``, and its bit by :func:`decide_sign`
+    at ``a_th`` (None: undecided): the plain run's at stage 0, later its
+    average with the run ``correlated(stage, key)`` reads."""
+    ev = plain[0] if stage == 0 else (plain[stage] + correlated(stage, key)) / 2.0
     return ev, decide_sign(ev, a_th)
 
 
@@ -179,11 +146,10 @@ def extract_location(
 ) -> SearchResult:
     """Run the full bit-extraction protocol and return a verified location.
 
-    One plain run (every qubit read in O(M L)) and the marked labels' sorted
-    keys serve every stage, and :func:`_stage` decides each bit.
-    The loop keeps the run budget, the branch stack (an undecided stage
-    tries bit 0 first), one oracle query per candidate with a backtrack when
-    it fails, and the counts.
+    The reader's one plain run serves every stage, and :func:`_stage` decides
+    each bit.  The loop keeps the run budget, the branch stack (an undecided
+    stage tries bit 0 first), one oracle query per candidate with a backtrack
+    when it fails, and the counts.
 
     Raises ``ValueError`` before any run when a marked label weighs less
     than an unmarked one (``A_m < 0``, past the crossing), where no EV sign
@@ -193,17 +159,9 @@ def extract_location(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    state = class_state(marked, iterations)
-    if state.weights[0] < state.weights[1]:
-        raise ValueError(f"at m = {iterations} a marked label weighs less than an unmarked one")
-    qubit_count = state.qubit_count
+    plain, correlated = _search_runs(marked, iterations, model)
+    qubit_count = len(plain)
     budget = RUN_BUDGET_PER_QUBIT * qubit_count
-    rng = _run_generator(model)
-    bits = (state.heavy[:, None] >> _SHIFTS[:qubit_count]) & 1
-    ones = bits.sum(axis=0).tolist()
-    # Bit i of a label is bit L - 1 - i of its key.
-    keys = np.sort(bits @ _KEY_WEIGHTS[-qubit_count:]).tolist()
-    plain = _read(state, model, ones, bits, rng)
 
     total_runs = 1
     branch_events = 0
@@ -224,7 +182,7 @@ def extract_location(
                         branch_events=branch_events,
                     )
                 total_runs += 1
-            _, bit = _stage(state, plain, ones, keys, key, stage, model, rng, a_th)
+            _, bit = _stage(plain, correlated, key, stage, a_th)
             if bit is None:
                 branch_events += 1
                 pending.append((prefix | 1 << stage, key | 1 << qubit_count - 1 - stage, stage + 1))

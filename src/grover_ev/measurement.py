@@ -28,13 +28,24 @@ crossing (``on < off``) a sampled whole run raises ``ValueError``; no search
 reads such a state.  A whole run costs O(M L), one qubit O(M) or O(1) given
 its count, at every shot count.  The dense :func:`measure_all` is the
 reference.
+
+A search reads its runs through :func:`_search_runs`, from the marked
+labels alone with no statevector: one plain run on every qubit, as
+:func:`measure_classes` reads it, then each later stage's correlated run
+on its target qubit alone, all in turn from one ``default_rng(seed)``.
+The correlation only permutes labels, so a correlated run is fixed by its
+target qubit's count of ones over the moved labels.  The reader sorts the
+marked labels once as L-bit keys, bits from qubit 1 down, in
+O(M L + M log M); a prefix keeps one contiguous run of keys, so three
+bisections give each count in O(log M) and no label is moved.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +57,11 @@ _BLOCK_DRAWS = 1 << 10
 
 # Most trials one sign-error rate reads: about 0.2 s of noisy trials.
 MAX_TRIALS = 1_000_000
+
+# The shift of qubit k + 1, and the weight of bit i of an L-bit key,
+# 2**(L - 1 - i), as _KEY_WEIGHTS[-L:][i]: a register has at most 62 qubits.
+_SHIFTS = np.arange(62, dtype=np.int64)
+_KEY_WEIGHTS = 1 << np.arange(61, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -228,9 +244,8 @@ def _read(
 ) -> list[float]:
     """EVs of every qubit of one run, qubit k at entry k - 1, as Python
     floats: exact, or counts (see the module docstring), then noise, all from
-    ``rng``, held to the readout bound.  ``ones`` counts each qubit's marked
-    labels with that bit set, and ``bits`` holds the marked labels' bits, one
-    row per label.  An exact, noiseless run builds no array."""
+    ``rng``, held to the readout bound.  ``bits`` and ``ones`` are the marked
+    labels' :func:`_bit_table`; an exact, noiseless run builds no array."""
     on, off = state.weights
     dim, size, shots = 1 << state.qubit_count, state.heavy.size, model.shots
     sigma = model.gaussian_noise_sigma
@@ -271,6 +286,12 @@ def _read_one(
     return _check_ev(ev, sigma)
 
 
+def _bit_table(state: ClassState) -> tuple[np.ndarray, list[int]]:
+    """The marked labels' bits, qubit k in column k - 1, and each qubit's ones."""
+    bits = (state.heavy[:, None] >> _SHIFTS[:state.qubit_count]) & 1
+    return bits, bits.sum(axis=0).tolist()
+
+
 def measure_classes(state: ClassState, model: EnsembleModel) -> list[float]:
     """EVs of every qubit of one run on a two-amplitude state, qubit k at
     entry k - 1, as :func:`measure_all` reads the dense state, without
@@ -280,8 +301,38 @@ def measure_classes(state: ClassState, model: EnsembleModel) -> list[float]:
     where a marked label weighs less than an unmarked one, raises
     ``ValueError``; an exact read takes every state.
     """
-    bits = _bits(state.heavy, range(1, state.qubit_count + 1))
-    return _read(state, model, bits.sum(axis=0).tolist(), bits, _run_generator(model))
+    bits, ones = _bit_table(state)
+    return _read(state, model, ones, bits, _run_generator(model))
+
+
+def _search_runs(
+    marked: MarkedSet, iterations: int, model: EnsembleModel
+) -> tuple[list[float], Callable[[int, int], float]]:
+    """A search's runs after ``iterations`` steps on ``marked`` (see the
+    module docstring): the plain run's EVs, qubit k at entry k - 1, and
+    ``correlated(stage, key)``, qubit ``stage + 1``'s EV in the run correlated
+    on the ``stage`` prefix bits, held from qubit 1 down in the top bits of
+    ``key``.  Raises ``ValueError`` before any draw past the crossing."""
+    state = class_state(marked, iterations)
+    if state.weights[0] < state.weights[1]:
+        raise ValueError(f"at m = {iterations} a marked label weighs less than an unmarked one")
+    qubit_count, rng = state.qubit_count, _run_generator(model)
+    bits, ones = _bit_table(state)
+    # Bit i of a label is bit L - 1 - i of its key.
+    keys = np.sort(bits @ _KEY_WEIGHTS[-qubit_count:]).tolist()
+
+    def correlated(stage: int, key: int) -> float:
+        # The kept labels' keys lie in [key, key + 2 half), the upper half
+        # with the target bit set; the others have that bit flipped.
+        half = 1 << (qubit_count - 1 - stage)
+        low = bisect_left(keys, key)
+        mid = bisect_left(keys, key + half, low)
+        high = bisect_left(keys, key + 2 * half, mid)
+        # The kept labels' ones plus the other labels' zeros.
+        flipped = 2 * (high - mid) + len(keys) - (high - low) - ones[stage]
+        return _read_one(state, model, flipped, rng)
+
+    return _read(state, model, ones, bits, rng), correlated
 
 
 def sign_error_rate(

@@ -1,0 +1,94 @@
+"""Byte identity of every benchmark op, against checked-in digests.
+
+Every op of ``perfbench/workloads.py`` for seeds 1-3 and passes 0-2 (5,292
+ops) runs through ``cli.main`` in process.  Each op is hashed as SHA-256
+over ``json.dumps([argv, code, stdout, stderr])``; ``benchmark_bytes.json``
+holds one short digest per op, one SHA-256 per workload over its ops in
+seed, pass and op order, the SHA-256 over all ops, workloads in
+``WORKLOADS`` order, and the numpy version that drew them.  Sampled ops
+read numpy's ``Generator`` streams, so a mismatch names both numpy
+versions beside the first ops whose digest moved.
+
+A change that means to alter outputs re-records the file explicitly:
+
+    PYTHONPATH=src python tests/test_benchmark_bytes.py
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORD = Path(__file__).with_name("benchmark_bytes.json")
+SEEDS = (1, 2, 3)
+PASSES = (0, 1, 2)
+DIGEST_CHARS = 12  # of each op's SHA-256, in the record
+SHOWN = 5  # moved ops a failure names
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, loaded by path: ``perfbench`` is no package."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_ops():
+    """(workload, argv, bytes hashed) of every op, in record order."""
+    from grover_ev.cli import main
+
+    workloads = load_workloads()
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for pass_index in PASSES:
+                for argv in workloads.generate(name, seed, pass_index):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main(list(argv))
+                    yield name, argv, json.dumps([argv, code, out.getvalue(),
+                                                  err.getvalue()]).encode()
+
+
+def measure():
+    """The record of this checkout, and every op's (workload, argv) in record order."""
+    overall, per_workload, digests, argvs = hashlib.sha256(), {}, [], []
+    for name, argv, text in run_ops():
+        overall.update(text)
+        per_workload.setdefault(name, hashlib.sha256()).update(text)
+        digests.append(hashlib.sha256(text).hexdigest()[:DIGEST_CHARS])
+        argvs.append((name, argv))
+    record = {
+        "numpy": np.__version__,
+        "overall": overall.hexdigest(),
+        "workloads": {name: h.hexdigest() for name, h in per_workload.items()},
+        "ops": digests,
+    }
+    return record, argvs
+
+
+def test_benchmark_ops_print_the_recorded_bytes():
+    recorded = json.loads(RECORD.read_text())
+    current, argvs = measure()
+    assert len(argvs) == len(recorded["ops"]) == 5292
+    if all(current[key] == recorded[key] for key in ("overall", "workloads", "ops")):
+        return
+    moved = [i for i, (now, then) in enumerate(zip(current["ops"], recorded["ops"]))
+             if now != then]
+    lines = [f"{len(moved)} of {len(argvs)} benchmark ops print other bytes than recorded "
+             f"(numpy {current['numpy']} now, {recorded['numpy']} in the record); the first:"]
+    lines += [f"  op {i} ({argvs[i][0]}): {' '.join(argvs[i][1])}" for i in moved[:SHOWN]]
+    raise AssertionError("\n".join(lines))
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    RECORD.write_text(json.dumps(measure()[0], indent=1) + "\n")
+    print(f"wrote {RECORD}")

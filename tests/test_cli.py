@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grover_ev
-from grover_ev import cli, core, filtering
+from grover_ev import cli, core, measurement
 from grover_ev.cli import CSV_COLUMNS, main
 
 
@@ -315,8 +315,8 @@ def test_search_past_the_crossing_exits_two_before_any_run(tmp_path, capsys, mon
     def refuse(*args, **kwargs):
         raise AssertionError("the search read a run")
 
-    monkeypatch.setattr(filtering, "_read", refuse)
-    monkeypatch.setattr(filtering, "_read_one", refuse)
+    for name in ("_run_generator", "_read", "_read_one"):
+        monkeypatch.setattr(measurement, name, refuse)
     assert run_cli(capsys, *argv, "--shots", "4096") == (2, "", message)
 
 
@@ -1055,12 +1055,14 @@ def test_json_writer_rejects_what_json_rejects(bad):
 
 
 def _csv_module_text(rows):
-    """The CSV bytes ``csv.writer`` gives for the header and ``rows``."""
+    """The CSV bytes ``csv.writer`` gives for the header and ``rows``, each a
+    tuple of fields in ``CSV_COLUMNS`` order."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([cli._fmt_field(row[col]) for col in CSV_COLUMNS])
+        assert len(row) == len(CSV_COLUMNS)
+        writer.writerow([cli._fmt_field(field) for field in row])
     return buffer.getvalue()
 
 
@@ -1075,7 +1077,7 @@ _CSV_FIELDS = (
                 max_size=6))
 @example([])  # the header alone
 def test_csv_writer_gives_the_csv_module_bytes(fields):
-    rows = [dict(zip(CSV_COLUMNS, row)) for row in fields]
+    rows = [tuple(row) for row in fields]
     assert cli._csv_text(rows) == _csv_module_text(rows)
 
 

@@ -1,8 +1,10 @@
 """Filter predicate, correlation operation, two-run averaging, bit extraction."""
 
+import ast
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import measure_all
 
 EXACT = EnsembleModel()
+run_generator = measurement._run_generator
 
 
 def filtered_out(labels, s_bits):
@@ -232,27 +235,22 @@ def prefix_key(prefix, stage, qubits):
     return sum((prefix >> i & 1) << (qubits - 1 - i) for i in range(stage))
 
 
-def key_table(locations, qubits):
-    """Each qubit's count of ones over ``locations``, and their sorted keys."""
-    ones = [sum(location >> i & 1 for location in locations) for i in range(qubits)]
-    return ones, sorted(prefix_key(location, qubits, qubits) for location in locations)
-
-
 def check_stage_against_formula(locations, n, m, atol):
-    """Check ``filtering._stage`` under exact readout at every anchor and
-    stage against the enumeration formula scaled by A_m, within 1e-12
-    relative or ``atol``.  A tie is exactly 0 on both sides, so the bit is
-    the formula's sign.  Returns the number of stages checked."""
-    state = class_state(MarkedSet(locations, n), m)
-    qubits = state.qubit_count
-    plain = measure_classes(state, EXACT)
+    """Check ``filtering._stage``, driven through the search's reader, under
+    exact readout at every anchor and stage against the enumeration formula
+    scaled by A_m, within 1e-12 relative or ``atol``.  A tie is exactly 0 on
+    both sides, so the bit is the formula's sign.  Returns the number of
+    stages checked."""
+    marked = MarkedSet(locations, n)
+    plain, correlated = measurement._search_runs(marked, m, EXACT)
+    assert plain == measure_classes(class_state(marked, m), EXACT)
+    qubits = len(plain)
     scale = attenuation(n, len(locations), m)
-    ones, keys = key_table(locations, qubits)
     for anchor in locations:
         for stage in range(qubits):
             prefix = anchor & ((1 << stage) - 1)
             key = prefix_key(prefix, stage, qubits)
-            ev, bit = filtering._stage(state, plain, ones, keys, key, stage, EXACT, None, 0.0)
+            ev, bit = filtering._stage(plain, correlated, key, stage, 0.0)
             expected = filtered_ev_formula(
                 locations, low_bits(anchor, stage), stage + 1, scale
             )
@@ -287,33 +285,52 @@ def test_stage_ev_matches_formula_at_62_qubits():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(2, 62), st.data())
 def test_stage_count_reads_as_the_moved_labels(qubits, data):
-    # A stage reads its correlated run off one count, found by bisecting the
-    # sorted keys.  Its EV, and every draw it makes, are bit for bit those
-    # _read_one gives from the target's ones over the marked labels the
+    # The reader reads a correlated run off one count, found by bisecting
+    # the sorted keys.  A stage's EV, and every draw the reader makes, are
+    # bit for bit those _read and _read_one give from one generator: the
+    # plain run, then the target's ones over the marked labels the
     # correlation moves, counted here, exact or sampled, with or without
-    # noise, at every L up to 62.  Labels one bit
-    # flip apart share long prefixes, so deep stages keep several labels.
+    # noise, at every L up to 62.  Labels one bit flip apart share long
+    # prefixes, so deep stages keep several labels.  The reader rejects a
+    # state past the crossing before any draw.
     n = 1 << qubits
     free = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
     flips = data.draw(st.lists(st.tuples(st.sampled_from(free), st.integers(0, qubits - 1)),
                                max_size=8))
     locations = sorted({*free, *(label ^ 1 << bit for label, bit in flips)})[: n - 1]
-    state = class_state(MarkedSet(tuple(locations), n), data.draw(st.integers(0, 40)))
+    marked, m = MarkedSet(tuple(locations), n), data.draw(st.integers(0, 40))
+    state = class_state(marked, m)
     stage = data.draw(st.integers(1, qubits - 1))
     anchor = data.draw(st.one_of(st.sampled_from(locations), st.integers(0, n - 1)))
     prefix = anchor & ((1 << stage) - 1)
     model = EnsembleModel(shots=data.draw(st.sampled_from((0, 64, 4096, 10**12))),
                           seed=data.draw(st.integers(0, 2**64 - 1)),
                           gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))))
-    plain = measure_classes(state, EXACT)
+    built = []
+
+    def recorded_generator(model):
+        built.append(run_generator(model))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurement, "_run_generator", recorded_generator)
+        if state.weights[0] < state.weights[1]:
+            with pytest.raises(ValueError, match=f"^at m = {m} a marked label weighs less"):
+                measurement._search_runs(marked, m, model)
+            assert built == []
+            return
+        plain, correlated = measurement._search_runs(marked, m, model)
+        ev, bit = filtering._stage(plain, correlated, prefix_key(prefix, stage, qubits),
+                                   stage, 0.0)
     moved = filtering._correlated_labels(state.heavy, stage + 1, prefix)
     moved_ones = sum(int(label) >> stage & 1 for label in moved)
-    rng, reference = measurement._run_generator(model), measurement._run_generator(model)
-    ones, keys = key_table(locations, qubits)
-    ev, bit = filtering._stage(state, plain, ones, keys, prefix_key(prefix, stage, qubits),
-                               stage, model, rng, 0.0)
+    label_bits = np.array([[label >> i & 1 for i in range(qubits)] for label in locations])
+    reference = run_generator(model)
+    assert plain == measurement._read(state, model, label_bits.sum(axis=0).tolist(),
+                                      label_bits, reference)
     expected = (plain[stage] + measurement._read_one(state, model, moved_ones, reference)) / 2.0
     assert ev == expected and bit == decide_sign(expected, 0.0)
+    (rng,) = built
     if rng is not None:
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -343,6 +360,33 @@ def test_extract_single_item_no_branching():
     assert result.branch_events == 0
     # two iterates per run plus one verification query
     assert result.total_oracle_invocations == 2 * 3 + 1
+
+
+def test_extract_location_reads_only_the_readers_evs(monkeypatch):
+    # The search loop sees EVs alone.  A stub reader's plain run spells
+    # location 7 (bits 1, 1, 1, 0 from qubit 1) except at stage 2, which
+    # ties at 0 in both runs: the search branches there, tries bit 0 first,
+    # fails verification on 3, backtracks and verifies 7.  Each correlated
+    # read is asked for by (stage, key), the key holding the prefix bits from
+    # qubit 1 down in its top bits.
+    plain = [-0.5, -0.5, 0.0, 0.5]
+    asked, reads = [], []
+
+    def correlated(stage, key):
+        reads.append((stage, key))
+        return plain[stage]
+
+    def stub_reader(marked, iterations, model):
+        asked.append((marked, iterations, model))
+        return plain, correlated
+
+    monkeypatch.setattr(filtering, "_search_runs", stub_reader)
+    marked, model = MarkedSet((7,), 16), EnsembleModel(shots=64, seed=5)
+    result = extract_location(marked, 3, model, 0.0)
+    assert asked == [(marked, 3, model)]
+    assert reads == [(1, 0b1000), (2, 0b1100), (3, 0b1100), (3, 0b1110)]
+    assert (result.location, result.total_runs, result.branch_events,
+            result.verification_queries, result.total_oracle_invocations) == (7, 5, 1, 2, 17)
 
 
 def test_extract_branches_on_split_bit():
@@ -433,8 +477,8 @@ def test_extract_rejects_states_past_the_crossing(monkeypatch, model):
     def refuse(*args, **kwargs):
         raise AssertionError("the search read a run")
 
-    monkeypatch.setattr(filtering, "_read", refuse)
-    monkeypatch.setattr(filtering, "_read_one", refuse)
+    for name in ("_run_generator", "_read", "_read_one"):
+        monkeypatch.setattr(measurement, name, refuse)
     for locations, n, m in [((3, 9, 12), 16, 3), ((0, 1, 2), 4, 1), ((1, 2, 4, 6, 7), 8, 1)]:
         with pytest.raises(ValueError, match=f"^at m = {m} a marked label weighs less"):
             extract_location(MarkedSet(locations, n), m, model, 0.0)
@@ -476,7 +520,7 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     # and one noise value.
     qubits = 16
     reads = []
-    read, read_one = filtering._read, filtering._read_one
+    read, read_one = measurement._read, measurement._read_one
 
     def counted_reads(state, model, ones, bits, rng):
         reads.append(("_read", list(ones), rng))
@@ -486,8 +530,8 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
         reads.append(("_read_one", None, rng))
         return read_one(state, model, ones, rng)
 
-    monkeypatch.setattr(filtering, "_read", counted_reads)
-    monkeypatch.setattr(filtering, "_read_one", counted_one)
+    monkeypatch.setattr(measurement, "_read", counted_reads)
+    monkeypatch.setattr(measurement, "_read_one", counted_one)
     built = record_generators(monkeypatch)
     model = EnsembleModel(shots=1024, seed=2, gaussian_noise_sigma=0.05)
     result = extract_location(MarkedSet((40503,), 1 << qubits), 59, model, 0.16)
@@ -515,14 +559,14 @@ def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, location
     # measure_classes call reads from the same state and model.  At N = 16,
     # M = 3, m = 2 is past m_stand = 1 with a marked label still the heavier.
     reads = []
-    read = filtering._read
+    read = measurement._read
 
     def recorded(*args, **kwargs):
         evs = read(*args, **kwargs)
         reads.append(evs)
         return evs
 
-    monkeypatch.setattr(filtering, "_read", recorded)
+    monkeypatch.setattr(measurement, "_read", recorded)
     marked = MarkedSet(locations, n)
     try:
         extract_location(marked, m, model, 0.0)
@@ -530,3 +574,20 @@ def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, location
         pass
     assert reads[0] == measure_classes(class_state(marked, m), model)
     assert len(reads[0]) == n.bit_length() - 1
+
+
+def test_filtering_reads_no_label_table():
+    # The search loop reads EVs through one reader: filtering imports from
+    # measurement only the model, the sign rule, the reader and the dense
+    # readout the benchmark's tracer wraps there, and no bisection.
+    tree = ast.parse(Path(filtering.__file__).read_text())
+    from_measurement, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            if node.module == "measurement" and node.level == 1:
+                from_measurement.update(alias.name for alias in node.names)
+    assert from_measurement == {"EnsembleModel", "decide_sign", "_search_runs", "measure_all"}
+    assert "bisect" not in imported
