@@ -20,13 +20,11 @@ against ``--sweep``) and fills in an omitted ``--a-th`` as min(5/sqrt(shots),
 ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0 success, 1
 search failure (its JSON names the reason), 2 usage or configuration error.
 
-:func:`main` builds the parser, its command parsers and each command's
-table of defaults and required flags once.  An argv of a command word and
-exact ``--flag value`` pairs is read off that command parser's own action
-table; any other argv that starts with a command word is parsed by that
-command's parser, and every other argv by the top-level parser.  Help,
-usage and error text are argparse's own on every path.  A
-JSON payload is written by :func:`_json_text`, which gives the bytes of
+:func:`main` builds the parser and each command's table of defaults and
+required flags once.  An argv of a command word and exact ``--flag value``
+pairs is read off that command parser's own action table; any other argv
+goes to the top-level parser, so help, usage and errors are argparse's own.
+A JSON payload is written by :func:`_json_text`, which gives the bytes of
 ``json.dumps(payload, indent=2)`` without ``json``'s pure-Python indent path.
 """
 
@@ -324,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "for expectation-value quantum computers.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    # main() parses an argv that starts with a command word with its parser alone.
-    parser.command_parsers = commands.choices
 
     plan = commands.add_parser("plan", help="print the truncation plan")
     _add_common_flags(plan)
@@ -354,28 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
-    """:func:`build_parser`, its command parsers by name, and each command's
-    :func:`_pair_table`, built on the first :func:`main` call and reused."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """:func:`build_parser` and each command's :func:`_pair_table` by command
+    word, built on the first :func:`main` call and reused."""
     parser = build_parser()
-    commands = parser.command_parsers
-    return parser, commands, {name: _pair_table(command) for name, command in commands.items()}
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    return parser, {name: _pair_table(name, command) for name, command in commands.items()}
 
 
-def _pair_table(command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
-    """What :func:`_read_pairs` reads off ``command``: its option strings'
-    actions, the default of every action that has one, and the required
-    actions."""
+def _pair_table(name: str, command: argparse.ArgumentParser) -> tuple[dict, dict, set]:
+    """What :func:`_read_pairs` reads off command ``name``'s parser: its
+    option strings' actions, the command word and the default of every action
+    that has one, and the required actions."""
     actions = command._actions
-    defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    defaults = {"command": name,
+                **{a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}}
     return command._option_string_actions, defaults, {a for a in actions if a.required}
 
 
 def _read_pairs(table: tuple[dict, dict, set], words: list) -> argparse.Namespace | None:
-    """The namespace ``command.parse_known_args(words)`` gives, read off the
-    command's :func:`_pair_table`, when ``words`` are exact ``--flag value``
-    pairs of one-value actions, no value starting with ``-``; None on
-    anything argparse must judge."""
+    """The namespace the top-level ``parse_args`` gives a command word and
+    ``words``, read off that command's :func:`_pair_table`, when ``words``
+    are exact ``--flag value`` pairs of one-value actions, no value starting
+    with ``-``; None on anything argparse must judge."""
     if len(words) % 2:
         return None
     options, defaults, required = table
@@ -399,21 +396,13 @@ def _read_pairs(table: tuple[dict, dict, set], words: list) -> argparse.Namespac
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """``parse_args`` of the top-level parser, with an argv that starts with a
-    command word read by :func:`_read_pairs` or that command's parser alone:
-    the top-level parser would only hand every string after the word on to it."""
-    parser, commands, tables = _parser()
+    """``parse_args`` of the top-level parser, with an argv of a command word
+    and exact pairs read by :func:`_read_pairs` instead."""
+    parser, tables = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _read_pairs(tables[argv[0]], argv[1:])
-    if args is None:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    table = tables.get(argv[0]) if argv else None
+    args = _read_pairs(table, argv[1:]) if table else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -169,14 +169,14 @@ def grover_angle(universe_size: int, marked_count: int) -> float:
     """Rotation angle per amplification step, sin(theta/2) = sqrt(M/N).
 
     For a single marked item this satisfies cos(theta) = 1 - 2/N.  The one
-    check of (N, M): N a power of two of at most 2**62, and 1 <= M < N.
+    check of (N, M), integers: N a power of two of at most 2**62, and 1 <= M < N.
     """
-    if universe_size > 1 << 62:
+    if operator.index(universe_size) > 1 << 62:
         # Planning is checked up to here; far past it M/N underflows to theta = 0.
         raise ValueError(f"universe_size must be at most 2**62, got N={universe_size}")
     if universe_size < 2 or universe_size & (universe_size - 1):
         raise ValueError(f"universe_size must be a power of two >= 2, got N={universe_size}")
-    if marked_count < 1 or marked_count >= universe_size:
+    if operator.index(marked_count) < 1 or marked_count >= universe_size:
         raise ValueError(
             f"marked_count must satisfy 1 <= M < N, got M={marked_count}, N={universe_size}"
         )
@@ -185,7 +185,7 @@ def grover_angle(universe_size: int, marked_count: int) -> float:
 
 def half_angle(universe_size: int, marked_count: int, iterations: int) -> float:
     """(2m+1) theta / 2 after ``iterations`` = m >= 0 amplification steps."""
-    if iterations < 0:
+    if operator.index(iterations) < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     return (2 * iterations + 1) * grover_angle(universe_size, marked_count) / 2.0
 

@@ -34,6 +34,7 @@ determined prefix as the integer those bits spell.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -157,7 +158,7 @@ def extract_location(
     ``"exhausted"`` once every live branch fails verification, or
     ``"budget"`` when a stage needs a run past ``RUN_BUDGET_PER_QUBIT * L``.
     """
-    if iterations < 1:
+    if operator.index(iterations) < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     plain, correlated = _search_runs(marked, iterations, model)
     qubit_count = len(plain)

@@ -43,6 +43,7 @@ bisections give each count in O(log M) and no label is moved.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -73,11 +74,11 @@ class EnsembleModel:
     gaussian_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.shots < 0:
+        if operator.index(self.shots) < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if self.shots >= 2**63:
             raise ValueError(f"shots must be below 2**63, got {self.shots}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         sigma = self.gaussian_noise_sigma
         if not (math.isfinite(sigma) and sigma >= 0):

@@ -11,6 +11,7 @@ curve and an integer correction: O(1) work for any N <= 2**62.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import grover_angle, returns_to_uniform
@@ -52,7 +53,7 @@ def attenuation(universe_size: int, marked_count: int, iterations: int) -> float
     Zero before any amplification, close to one at the standard stopping
     point for N >> M.  Checks (N, M) and m, then reads :func:`_attenuation`.
     """
-    if iterations < 0:
+    if operator.index(iterations) < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     theta = grover_angle(universe_size, marked_count)
     return _attenuation(universe_size, marked_count, theta, iterations)

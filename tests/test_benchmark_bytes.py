@@ -1,19 +1,21 @@
 """Byte identity of every benchmark op, against checked-in digests.
 
 Every op of ``perfbench/workloads.py`` for seeds 1-3 and passes 0-2 (5,292
-ops) runs through ``cli.main`` in process.  Each op is hashed as SHA-256
-over ``json.dumps([argv, code, stdout, stderr])``; ``benchmark_bytes.json``
-holds one short digest per op, one SHA-256 per workload over its ops in
-seed, pass and op order, the SHA-256 over all ops, workloads in
-``WORKLOADS`` order, and the numpy version that drew them.  Sampled ops
-read numpy's ``Generator`` streams, so a mismatch names both numpy
-versions beside the first ops whose digest moved.
+ops) runs through ``cli.main`` in process, with argparse's parse methods
+refused: every op is read off the command pair tables.  Each op is hashed
+as SHA-256 over ``json.dumps([argv, code, stdout, stderr])``;
+``benchmark_bytes.json`` holds one short digest per op, one SHA-256 per
+workload over its ops in seed, pass and op order, the SHA-256 over all ops,
+workloads in ``WORKLOADS`` order, and the numpy version that drew them.
+Sampled ops read numpy's ``Generator`` streams, so a mismatch names both
+numpy versions beside the first ops whose digest moved.
 
 A change that means to alter outputs re-records the file explicitly:
 
     PYTHONPATH=src python tests/test_benchmark_bytes.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -74,9 +76,16 @@ def measure():
     return record, argvs
 
 
-def test_benchmark_ops_print_the_recorded_bytes():
+def refuse(*args, **kwargs):
+    raise AssertionError("a benchmark op reached argparse")
+
+
+def test_benchmark_ops_print_the_recorded_bytes(monkeypatch):
     recorded = json.loads(RECORD.read_text())
-    current, argvs = measure()
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        patch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        current, argvs = measure()
     assert len(argvs) == len(recorded["ops"]) == 5292
     if all(current[key] == recorded[key] for key in ("overall", "workloads", "ops")):
         return

@@ -907,6 +907,8 @@ DISPATCH_ARGVS = [
     ["plan", "--n", "16", "-x"], ["plan", "--n", "16", "--", "--m", "3"],
     ["plan", "--n", "x"], ["plan", "--n", "16", "--format", "xml"],
     ["plan"], ["sweep", "--n", "16"], ["plan", "--n", "16", "--seed", "-3"],
+    ["plan", "--n", "16", "plan"], ["search"],
+    ["sweep", "--n", "16", "--sweep", "m", "--values", "0..2", "--bogus", "1"],
     PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV,
 ]
 
@@ -923,13 +925,35 @@ def _parsed(capsys, parse, argv):
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
 def test_command_dispatch_parses_as_the_full_parser(capsys, argv):
-    # main parses an argv that starts with a command word with that
-    # command's parser alone; help, usage and error text, exit code and the
-    # namespace must be what the top-level parse_args gives on this Python.
+    # main reads an argv of a command word and exact --flag value pairs off
+    # that command's pair table, and gives every other argv to the top-level
+    # parser: help, usage and error text, exit code and the namespace must be
+    # what the top-level parse_args gives on this Python.
     dispatched = _parsed(capsys, cli._parse, argv)
     full = _parsed(capsys, cli.build_parser().parse_args, argv)
     assert dispatched == full
     assert dispatched[0] in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in DISPATCH_ARGVS if argv[:1] in (["plan"], ["search"], ["sweep"])
+     and argv not in (PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV)],
+    ids=" ".join,
+)
+def test_other_command_argvs_go_to_the_top_level_parser(capsys, monkeypatch, argv):
+    # An argv that starts with a command word but is not exact pairs is
+    # parsed by the top-level parser, not by the command's parser alone.
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    _parsed(capsys, cli._parse, argv)
+    assert progs[:1] == ["grover-ev"]
 
 
 _ODD_VALUES = ["16", " 16 ", "-1", "-0.0", "", "x", "1e-9", "nan", "résultats/α☃.csv",
@@ -945,7 +969,7 @@ def _command_argvs(draw):
     wrong kind, and some abbreviations, ``--flag=value`` forms, ``-h``, ``--``
     and lone words."""
     word = draw(st.sampled_from(sorted(cli._parser()[1])))
-    table = cli._parser()[1][word]._option_string_actions
+    table = cli._parser()[1][word][0]
     flags = sorted(flag for flag, action in table.items() if action.nargs is None)
     required = [flag for flag in flags if table[flag].required and draw(st.integers(0, 9))]
     extra = draw(st.lists(st.sampled_from(flags + ["--he", "--fo", "--m-c", "--bogus"]),

@@ -106,6 +106,31 @@ def test_marked_set_reads_integer_locations_as_ints():
         MarkedSet([3.7], 16)
 
 
+_INTEGER_INPUTS = {
+    "grover_angle-N": lambda x: grover_angle(x, 1),
+    "grover_angle-M": lambda x: grover_angle(16, x),
+    "make_plan-M": lambda x: make_plan(16, x, 0.1),
+    "attenuation-m": lambda x: attenuation(16, 1, x),
+    "class_state-m": lambda x: class_state(MarkedSet([3, 9], 16), x),
+    "extract_location-m": lambda x: extract_location(MarkedSet([3, 9], 16), x,
+                                                     EnsembleModel(), 0.0),
+    "EnsembleModel-shots": lambda x: EnsembleModel(shots=x, seed=1),
+    "EnsembleModel-seed": lambda x: EnsembleModel(seed=x),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, "16"])
+@pytest.mark.parametrize("call", _INTEGER_INPUTS.values(), ids=_INTEGER_INPUTS)
+def test_integer_inputs_are_read_as_integers(call, value):
+    # N, M, an iterate count, shots and seed go through operator.index in the
+    # check that bounds them: a float or a string raises TypeError there, as
+    # range(1.5) does, and is never truncated or compared.  A numpy integer
+    # is read as an integer.
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(value)
+    call(np.int64(2))
+
+
 def test_marked_set_holds_one_read_only_label_array():
     # The int64 labels are built once with the set and are not a field:
     # equality, hashing, repr and the fields read the tuple and N alone.
