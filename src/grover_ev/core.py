@@ -71,8 +71,9 @@ class MarkedSet:
     ``locations`` is stored as a strictly increasing tuple of ints (each
     read by ``operator.index``: no float or string is truncated); membership
     is the oracle predicate (1 for marked, 0 otherwise).  ``labels`` holds
-    the same locations as a read-only int64 array, built once with the set;
-    it is not a field, so equality and repr read the two fields alone.
+    the same locations as a read-only int64 array, built once with the set.
+    Neither the labels nor the memo of :meth:`ones` is a field, so equality
+    and repr read the two fields alone.
     """
 
     locations: tuple[int, ...]
@@ -96,10 +97,18 @@ class MarkedSet:
         labels = np.array(locs, dtype=np.int64)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_ones", {})
 
     @property
     def count(self) -> int:
         return len(self.locations)
+
+    def ones(self, k: int) -> int:
+        """How many locations have bit ``k`` set (``k = 1`` least
+        significant), counted once per set and ``k``."""
+        if k not in self._ones:
+            self._ones[k] = int(np.count_nonzero(self.labels & (1 << (k - 1))))
+        return self._ones[k]
 
     def __contains__(self, x: int) -> bool:
         i = bisect_left(self.locations, x)

@@ -16,8 +16,10 @@ qubit of one run as a Python float (a search's correlated run, a sweep row's
 exact reference).  :func:`sign_error_rate` reads its own blocks of
 trials, one qubit over many runs; a block of one trial is, draw for draw,
 one :func:`_read_one` call.  All read a count by :func:`_count_evs` and hold each EV to
-:func:`_check_ev`.  One qubit k is one ``Binomial(shots, p_k)``, ``p_k``
-exact from the weights and k's marked ones.
+:func:`_check_ev`, but for a noiseless block of sampled trials: its counts
+fix their signs, so :func:`_sign_errors` scores them as integers, held to
+[0, shots], with no EV built.  One qubit k is one ``Binomial(shots, p_k)``,
+``p_k`` exact from the weights and k's marked ones.
 A whole run, where a marked label weighs at least as much as an unmarked
 one (``on >= off``): the Born distribution is uniform over all N labels (bits
 independent fair coins) with weight ``off N / total`` and uniform over the M
@@ -239,6 +241,27 @@ def _count_evs(counts, shots: int):
     return (shots - 2 * counts) * 1.0 / shots
 
 
+def _sign_errors(counts: np.ndarray, shots: int, truth: int) -> int:
+    """How many of ``counts`` (int64 counts of ones over ``shots`` shots, no
+    noise) read a sign other than ``truth``.  A count c reads the sign of
+    ``shots - 2 c``, as :func:`_count_evs` does, found against the
+    ``shots // 2`` bounds so that no ``2 c`` overflows past 2^62.  Raises
+    ``ValueError`` unless every count lies in [0, shots]."""
+    # Viewed as unsigned, a negative count lies past every shot count.
+    if not counts.view(np.uint64).max() <= shots:
+        bad = next(c for c in counts.tolist() if not 0 <= c <= shots)
+        raise ValueError(f"count outside [0, {shots}]: {bad}")
+    if truth > 0:
+        wrong = counts >= (shots + 1) // 2
+    elif truth < 0:
+        wrong = counts <= shots // 2
+    elif shots % 2:
+        return counts.size
+    else:
+        wrong = counts != shots // 2
+    return int(np.count_nonzero(wrong))
+
+
 def _read(
     state: ClassState, model: EnsembleModel, ones: Sequence[int], bits: np.ndarray,
     rng: np.random.Generator | None,
@@ -350,13 +373,17 @@ def sign_error_rate(
     The reference is the sign of the exact EV, undecided when it is 0; a
     trial errs when the sign it reads (:func:`decide_sign` at threshold 0)
     differs, so a zero readout of a decidable qubit errs.  Qubit k's marked
-    ones are counted once; the exact EV is read from that count by
-    :func:`_read_one`, and all trials draw from ``default_rng(model.seed)``
-    in blocks of at most ``_BLOCK_DRAWS``: one vector of
-    ``Binomial(shots, p_k)`` counts (the exact EV when ``shots`` is 0), then
-    one of noise, so a block of one trial is one :func:`_read_one` call,
-    draw for draw.  O(M + trials) time and O(_BLOCK_DRAWS) memory whatever the shot count
-    and register size.  Exact, noiseless readout runs one trial.
+    ones are counted once per marked set (:meth:`MarkedSet.ones`); the exact
+    EV is read from that count by :func:`_read_one`, and all trials draw
+    from ``default_rng(model.seed)`` in blocks of at most ``_BLOCK_DRAWS``:
+    one vector of ``Binomial(shots, p_k)`` counts (the exact EV when
+    ``shots`` is 0), then one of noise, so a block of one trial is one
+    :func:`_read_one` call, draw for draw.  A noiseless block of counts is
+    scored on the counts themselves by :func:`_sign_errors`: the sign of
+    ``shots - 2 c`` is that of the EV ``_count_evs`` reads, so the rate is
+    the same to the bit.  O(M + trials) time for a set's first row (O(trials)
+    after) and O(_BLOCK_DRAWS) memory, whatever the shot count and register
+    size.  Exact, noiseless readout runs one trial.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
@@ -364,7 +391,7 @@ def sign_error_rate(
     trials = 1 if shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
     _check_qubit(state, k)
-    ones = int(np.count_nonzero(state.heavy & (1 << (k - 1))))
+    ones = marked.ones(k)
     exact = _read_one(state, _EXACT, ones, None)
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = (exact > 0) - (exact < 0)
@@ -373,6 +400,9 @@ def sign_error_rate(
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):
         runs = min(_BLOCK_DRAWS, trials - start)
+        if shots and not sigma:
+            errors += _sign_errors(rng.binomial(shots, p, runs), shots, truth)
+            continue
         if shots:
             evs = _count_evs(rng.binomial(shots, p, runs), shots)
         else:

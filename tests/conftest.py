@@ -310,6 +310,10 @@ class RecordingGenerator:
         self._rng = real(seed)
         self.draws = []
 
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
     def __getattr__(self, name):
         method = getattr(self._rng, name)
 

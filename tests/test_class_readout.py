@@ -13,6 +13,7 @@ fixed seeds and states its power.
 """
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from conftest import (
     EXACT_ATOL,
+    RecordingGenerator,
     assert_counts_match,
     assert_rate_matches,
     bit_of,
@@ -31,7 +33,7 @@ from conftest import (
     reference_extract_location,
     sign_error_probability,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
@@ -47,6 +49,7 @@ from grover_ev import (
     sign_error_rate,
 )
 from grover_ev import measurement
+from grover_ev.cli import main
 from grover_ev.core import (
     StateVector,
     apply_grover,
@@ -106,13 +109,16 @@ def one_qubit_evs(state, model, k, reads):
 
 def one_trial_blocks(marked, iterations, k, model, trials):
     """``sign_error_rate`` with ``_BLOCK_DRAWS`` at 1: its rate, every trial's
-    EV as it is held to the readout bound, and the one generator it builds
-    (None when it builds none)."""
+    EV, and the one generator it builds (None when it builds none).  A block
+    read as EVs is recorded as it is held to the readout bound; a noiseless
+    block of counts, scored on the counts and held to [0, shots] instead,
+    reaches no bound check, so its EV is rebuilt from its recorded count by
+    ``_count_evs``."""
     built, evs = [], []
     run_generator, check = measurement._run_generator, measurement._check_ev_bound
 
     def recorded_generator(run):
-        built.append(run_generator(run))
+        built.append(run_generator(run) and RecordingGenerator(run.seed, np.random.default_rng))
         return built[-1]
 
     def recorded_check(block, sigma):
@@ -125,6 +131,10 @@ def one_trial_blocks(marked, iterations, k, model, trials):
         patch.setattr(measurement, "_check_ev_bound", recorded_check)
         rate = sign_error_rate(marked, iterations, k, model, trials=trials)
     (rng,) = built
+    if model.shots and not model.gaussian_noise_sigma:
+        assert evs == [] and {name for name, _ in rng.draws} == {"binomial"}
+        counts = np.concatenate([draw for _, draw in rng.draws])
+        evs = measurement._count_evs(counts, model.shots).tolist()
     return rate, evs, rng
 
 
@@ -522,6 +532,94 @@ def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
     monkeypatch.setattr(measurement, "_check_ev_bound", counted)
     assert sign_error_rate(marked, 2, 1, EnsembleModel(seed=5), trials=200) == 0.0
     assert checks == [(float, exact, 0.0), (np.ndarray, exact, 0.0)]
+
+
+# A marked set on 16 labels, read at m = 1 on qubit 1, for each sign of the
+# reference: label 0 has bit 1 clear, label 1 has it set, and {1, 2} splits.
+REFERENCE_SETS = {1: MarkedSet((0,), 16), -1: MarkedSet((1,), 16), 0: MarkedSet((1, 2), 16)}
+COUNT_SHOTS = (1, 2, 3, 64, 3**37, 2**60, 2**63 - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from((1, -1, 0)), st.sampled_from(COUNT_SHOTS),
+       st.one_of(st.none(), st.floats(0.999, 1.0), st.floats(0.0, 1.0)),
+       st.sampled_from((1, 1023, 1024, 1025, 2049)), st.integers(0, 2**64 - 1))
+@example(1, 2**63 - 1, 1.0 - 1e-12, 1025, 0)
+@example(-1, 2**63 - 1, 1.0 - 1e-12, 2049, 1)
+@example(0, 2**63 - 1, 0.5, 1024, 2)
+@example(0, 2**60, 0.5, 1023, 3)
+@example(-1, 3**37, None, 1, 4)
+def test_noiseless_rate_reads_each_counts_sign(truth, shots, p, trials, seed):
+    # A noiseless sampled rate is the wrong-sign share of sign(_count_evs(c))
+    # over the counts it drew, for each reference sign, across block edges,
+    # and for counts past 2^62, where 2 c would overflow int64: p (the
+    # chance of a one) is drawn near 1 as well as the set's own (None).
+    # Each sign is also checked on Python ints, which do not overflow.
+    marked = REFERENCE_SETS[truth]
+    assert np.sign(measure_classes(class_state(marked, 1), EXACT)[0]) == truth
+    with pytest.MonkeyPatch.context() as patch:
+        built = record_generators(patch)
+        if p is not None:
+            patch.setattr(measurement, "_ones_probability", lambda state, ones: p)
+        rate = sign_error_rate(marked, 1, 1, EnsembleModel(shots=shots, seed=seed), trials=trials)
+    (rng,) = built
+    # One block of counts per _BLOCK_DRAWS trials, and no noise.
+    blocks = len(range(0, trials, _BLOCK_DRAWS))
+    assert [name for name, _ in rng.draws] == ["binomial"] * blocks
+    counts = np.concatenate([draw for _, draw in rng.draws])
+    assert counts.size == trials
+    signs = np.sign(measurement._count_evs(counts, shots))
+    assert rate == np.count_nonzero(signs != truth) / trials
+    exact_signs = [(shots > 2 * c) - (shots < 2 * c) for c in counts.tolist()]
+    assert signs.tolist() == exact_signs
+    if p is not None and p > 0.75 and shots == 2**63 - 1:
+        assert counts.min() > 2**62
+
+
+class BadCounts:
+    """A generator stand-in whose binomial counts are fair, but for one
+    count set to ``bad(shots)``."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def binomial(self, shots, p, size):
+        counts = np.random.default_rng(0).binomial(shots, p, size)
+        counts[size // 2] = self.bad(shots)
+        return counts
+
+
+@pytest.mark.parametrize("truth", [1, -1, 0])
+@pytest.mark.parametrize("shots", [1, 64, 2**60, 2**63 - 2])
+@pytest.mark.parametrize("bad", [lambda shots: shots + 1, lambda shots: -1,
+                                 lambda shots: -2**63], ids=["shots+1", "-1", "-2^63"])
+def test_noiseless_counts_outside_the_shots_raise(monkeypatch, truth, shots, bad):
+    # The count check is the readout bound of a noiseless block: a count
+    # outside [0, shots] raises ValueError naming it, whatever the reference.
+    monkeypatch.setattr(measurement, "_run_generator", lambda model: BadCounts(bad))
+    model = EnsembleModel(shots=shots, seed=1)
+    with pytest.raises(ValueError) as excinfo:
+        sign_error_rate(REFERENCE_SETS[truth], 1, 1, model, trials=5)
+    assert str(excinfo.value) == f"count outside [0, {shots}]: {bad(shots)}"
+
+
+def test_two_sweep_rows_on_one_set_count_its_ones_once(monkeypatch):
+    # A sweep holds one explicit set across its rows, and qubit 1's marked
+    # ones are counted on the first row alone: the one count_nonzero over
+    # the labels, not over a block's booleans.
+    counted = []
+    real = np.count_nonzero
+
+    def spy(a, *args, **kwargs):
+        if np.asarray(a).dtype != bool:
+            counted.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    argv = ["sweep", "--n", "64", "--marked", "5,9,40", "--sweep", "shots",
+            "--values", "16,32,0", "--trials", "20", "--out", os.devnull]
+    assert main(argv) == 0
+    assert len(counted) == 1
 
 
 def test_search_builds_no_statevector(monkeypatch):

@@ -150,6 +150,25 @@ def test_marked_set_holds_one_read_only_label_array():
     assert MarkedSet((wide, 0), 2**62).labels.tolist() == [0, wide]
 
 
+def test_marked_set_counts_each_qubits_ones_once(monkeypatch):
+    # ones(k) counts the locations with bit k set on the first call for k and
+    # reads the memo after; the memo is no field, so equality and hashing
+    # do not see it.
+    marked = MarkedSet([1, 3, 6, 12], 16)
+    counted = []
+    real = np.count_nonzero
+
+    def spy(a, *args, **kwargs):
+        counted.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    assert [marked.ones(k) for k in (1, 2, 3, 4, 1, 2, 3, 4)] == [2, 2, 2, 1] * 2
+    assert len(counted) == 4
+    assert type(marked.ones(1)) is int
+    assert marked == MarkedSet([1, 3, 6, 12], 16) and hash(marked) == hash(MarkedSet([12, 6, 3, 1], 16))
+
+
 def test_full_marked_set_fails_the_angle_check():
     # MarkedSet leaves M < N to grover_angle, the one check of (N, M).
     full = MarkedSet((0, 1, 2, 3), 4)
