@@ -35,7 +35,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 from .core import MarkedSet, draw_marked_set
@@ -260,18 +259,22 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
 
 
 def _sweep_row(
-    config: dict, model: EnsembleModel, plan_of, explicit_on, var: str, value, index: int,
-    trials: int,
+    config: dict, model: EnsembleModel, plans: dict, explicit_sets: dict, var: str, value,
+    index: int, trials: int,
 ) -> tuple:
     row_seed = model.seed ^ index
     n = value if var == "N" else config["n"]
     a_th = value if var == "a_th" else config["a_th"]
-    plan = plan_of(n, a_th, math.copysign(1.0, a_th))
-    marked = (explicit_on(n, plan.N) if config["marked"] is not None
-              else _marked_set(n, plan.N, config, row_seed))
+    key = (n, a_th, math.copysign(1.0, a_th))
+    if (plan := plans.get(key)) is None:
+        plan = plans[key] = make_plan(n, config["m_count"], a_th)
+    if config["marked"] is None:
+        marked = _marked_set(n, plan.N, config, row_seed)
+    elif (marked := explicit_sets.get((n, plan.N))) is None:
+        marked = explicit_sets[n, plan.N] = _marked_set(n, plan.N, config, 0)
     m = value if var == "m" else _iterations(config, plan)
     shots = value if var == "shots" else model.shots
-    row_model = replace(model, shots=shots, seed=row_seed)
+    row_model = EnsembleModel(shots, row_seed, model.gaussian_noise_sigma)
     error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials)
     return _csv_row(plan, m, error_rate, row_seed)
 
@@ -280,16 +283,16 @@ def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials
     # One plan per (register, a_th) of this sweep, the sign keying -0.0 apart
     # from 0.0, and one explicit marked set per register; a drawn set is drawn
     # in its row, from the row's seed.
-    plan_of = functools.cache(lambda n, a_th, _sign: make_plan(n, config["m_count"], a_th))
-    explicit_on = functools.cache(lambda n, register: _marked_set(n, register, config, 0))
-    rows = [_sweep_row(config, model, plan_of, explicit_on, var, v, i, trials)
+    plans: dict = {}
+    explicit_sets: dict = {}
+    rows = [_sweep_row(config, model, plans, explicit_sets, var, v, i, trials)
             for i, v in enumerate(values)]
     _emit(_csv_text(rows), config["out"])
     audit = {
         "config": config,
         "sweep": {"variable": var, "values": values, "trials": trials},
     }
-    print(json.dumps(audit), file=sys.stderr)
+    sys.stderr.write(json.dumps(audit) + "\n")
     return 0
 
 

@@ -650,6 +650,10 @@ INVALID_INPUTS = {
     # checks it.
     "plan --marked 1,1": (["plan", "--marked", "1,1"], "must be distinct: (1, 1)"),
     "plan --marked 99": (["plan", "--marked", "99"], "must lie in [0, 16): (99,)"),
+    # The plan CSV reads A_m at --m through the checking attenuation.
+    "plan --format csv --m -1": (
+        ["plan", "--format", "csv", "--m", "-1"],
+        "iterations must be >= 0, got -1"),
 }
 
 
@@ -810,6 +814,71 @@ def test_sweep_row_whose_plan_fails_exits_two(capsys, var, values, message):
         "--sweep", var, "--values", values, "--trials", "3",
     )
     assert (code, out, err) == (2, "", message)
+
+
+def test_sweep_row_whose_model_fails_exits_two_before_any_output(capsys, monkeypatch):
+    # Row 0 reads its rate; row 1's model then fails its shot check, and the
+    # whole sweep exits 2 with no CSV line and no audit line.
+    rated = []
+    rate = cli.sign_error_rate
+
+    def counting_rate(*args, **kwargs):
+        rated.append(args[3].shots)
+        return rate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sign_error_rate", counting_rate)
+    code, out, err = run_cli(capsys, "sweep", "--n", "1024", "--marked", "5",
+                             "--sweep", "shots", "--values", "64,-1")
+    assert (code, out, err) == (2, "", "error: shots must be >= 0, got -1\n")
+    assert rated == [64]
+
+
+def _field(value) -> str:
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1024", "--marked", "5,77", "--shots", "256", "--sweep", "m", "--values", "0..4"],
+    ["--n", "1024", "--marked", "37", "--a-th", "0.25", "--sweep", "shots",
+     "--values", "0,1,64,4096"],
+    # At 2 or 4 shots many counts tie, and the noise alone decides those reads.
+    ["--n", "256", "--m-count", "3", "--shots", "2", "--sigma", "0.01",
+     "--sweep", "m", "--values", "0..3"],
+    ["--n", "256", "--marked", "9", "--shots", "4", "--sigma", "0.01", "--m", "3",
+     "--sweep", "a_th", "--values", "0.1,0.0,-0.0,0.5"],
+    # 2M >= N at N = 4: that row is read on 8 labels.
+    ["--marked", "1,2,3", "--shots", "64", "--sweep", "N", "--values", "4,8,16,4"],
+    ["--m-count", "2", "--shots", "64", "--sigma", "0.01", "--sweep", "N",
+     "--values", "4,8,64"],
+])
+def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
+    # Every CSV row is rebuilt from the library: the plan on (n, M, a_th),
+    # the set placed on the plan's register, the rate of a model with the
+    # row's shots and seed XOR i, and A_m at 12 significant digits.
+    argv = [*argv, "--trials", "7", "--seed", "41"]
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert code == 0
+    args = cli._parse(["sweep", *argv])
+    config, model = cli._resolve_config(args)
+    values = cli._parse_sweep_values(args.sweep_var, args.values)
+    rows = parse_csv(out)
+    assert len(rows) == len(values)
+    var = args.sweep_var
+    for i, (value, row) in enumerate(zip(values, rows)):
+        seed = 41 ^ i
+        n = value if var == "N" else config["n"]
+        a_th = value if var == "a_th" else config["a_th"]
+        plan = grover_ev.make_plan(n, config["m_count"], a_th)
+        chosen = (grover_ev.MarkedSet(config["marked"], n) if config["marked"] is not None
+                  else core.draw_marked_set(n, config["m_count"], seed))
+        marked = grover_ev.MarkedSet(chosen.locations, plan.N)
+        m = value if var == "m" else config["m"] if config["m"] is not None else plan.m_trunc
+        shots = value if var == "shots" else model.shots
+        readout = grover_ev.EnsembleModel(shots, seed, model.gaussian_noise_sigma)
+        rate = grover_ev.sign_error_rate(marked, m, 1, readout, trials=7)
+        expected = (plan.N, plan.M, m, plan.a_th, grover_ev.attenuation(plan.N, plan.M, m),
+                    plan.m_stand, plan.m_trunc, plan.m_trunc_estimate, rate, seed)
+        assert [row[c] for c in CSV_COLUMNS] == [_field(f) for f in expected], (i, row)
 
 
 # ------------------------------------------------------------- output routing
