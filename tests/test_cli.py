@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -881,6 +882,105 @@ def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
         assert [row[c] for c in CSV_COLUMNS] == [_field(f) for f in expected], (i, row)
 
 
+# ------------------------------------------------------- whole command lines
+
+def _result(out):
+    return json.loads(out)["result"]
+
+
+def _plan(out):
+    return json.loads(out)["plan"]
+
+
+def _rates(out):
+    return [float(row["ev_sign_error_rate"]) for row in parse_csv(out)]
+
+
+def _shell_lines(out):
+    """The count that ``printf '%s\\n' "$(command)" | wc -l`` gives."""
+    return len(out.rstrip("\n").split("\n"))
+
+
+# Each command line, keyed by the line itself, with its exit code, a reader
+# of its stdout and a condition on what the reader returns (None: the exit
+# code alone).
+COMMAND_LINES = {
+    "search --n 256 --marked 3,77,200 --shots 1024 --seed 1": (
+        0, _result, lambda r: r["total_runs"] == 8),
+    # The two-amplitude path runs at every N a plan takes, up to 2^62.
+    f"search --n {2**62} --m-count 4": (0, _result, lambda r: r["total_runs"] == 62),
+    f"search --n {2**62} --m-count 4 --shots 4096 --seed 1": (
+        0, _result, lambda r: r["total_runs"] == 62),
+    # 2^16 marked labels at L = 62: the keys are sorted once and each stage
+    # reads its correlated run off three bisections of them.
+    f"search --n {2**62} --m-count 65536": (
+        0, _result,
+        lambda r: r["total_runs"] == 62 and len(r["bits"]) == 62 and r["verified"] is True),
+    # A noisy sampled search draws every run from one generator and still
+    # takes L runs.
+    "search --n 16777216 --m-count 4 --shots 4096 --sigma 0.01 --seed 3": (
+        0, _result, lambda r: r["total_runs"] == 24),
+    # A sampled search that backtracks through failed candidates, then
+    # verifies a location.
+    "search --n 16 --marked 9 --a-th 0 --shots 2 --seed 11 --m 1": (
+        0, _result,
+        lambda r: (r["total_runs"], r["branch_events"], r["oracle_invocations"]) == (8, 5, 13)),
+    f"sweep --m-count 1 --shots 64 --sweep N --values 16,{2**62} --trials 4": (0, None, None),
+    # A sweep plans once per register and signed a_th: each threshold keeps
+    # its own m_trunc, and a -0.0 row still prints -0.
+    "sweep --n 1024 --marked 5 --shots 64 --sweep a_th --values 0.1,0.5 --trials 3": (
+        0, parse_csv, lambda rows: len(rows) == 2 and rows[0]["m_trunc"] != rows[1]["m_trunc"]),
+    "sweep --n 1024 --marked 5 --shots 64 --sweep a_th --values 0.0,-0.0 --trials 3": (
+        0, parse_csv, lambda rows: [r["a_th"] for r in rows] == ["0", "-0"]),
+    # A row's trials are binomial counts, whatever the shot count.
+    "sweep --n 1024 --m-count 3 --shots 10000 --sweep m --values 0..2 --trials 3": (
+        0, _shell_lines, lambda lines: lines == 4),
+    "sweep --n 64 --marked 37 --shots 64 --sweep m --values 0..3": (
+        0, _shell_lines, lambda lines: lines == 5),
+    # A noiseless trial is read off its count.  Qubit 1 of {1, 2} has exact
+    # EV 0: at 63 shots no count ties, so every trial errs, and at 64 the
+    # ties read 0 and are right.  At 2^63 - 1 shots every count passes 2^62,
+    # where 2 c would overflow int64, and each still reads the right sign.
+    "sweep --n 1024 --marked 1,2 --sweep shots --values 63,64 --trials 50 --seed 3": (
+        0, _rates, lambda r: r[0] == 1 and r[1] < 1),
+    f"sweep --n 16 --marked 3 --a-th 0.25 --sweep shots --values {2**63 - 1} --trials 20"
+    " --seed 1": (0, _rates, lambda r: r == [0.0]),
+    "sweep --m-count 1 --a-th 0.25 --shots 64 --sweep m --values 0..3 --trials 4": (
+        2, None, None),
+    "sweep --n 1024 --sweep m --values 0..1 --trials 1000001": (2, None, None),
+    # Where 2M >= N the search runs on one extra qubit: L + 1 runs, and the
+    # result still renders the database's L bits.  plan and sweep read the
+    # same 2N labels: N 16, m_stand 1.
+    "search --n 8 --m-count 5": (
+        0, _result,
+        lambda r: r["total_runs"] == 4 and len(r["bits"]) == 3 and r["verified"] is True),
+    "plan --n 8 --m-count 5": (0, _plan, lambda p: p["N"] == 16 and p["m_stand"] >= 1),
+    "sweep --n 8 --m-count 5 --sweep m --values 1 --shots 64 --trials 3": (
+        0, parse_csv,
+        lambda rows: len(rows) == 1 and rows[0]["N"] == "16" and float(rows[0]["A_m"]) > 0),
+    # An explicit-set N sweep across 2M >= N: at N = 4 the set {1, 2, 3} is
+    # read on 8 labels, the register N = 8 reads too.
+    "sweep --marked 1,2,3 --shots 64 --sweep N --values 4,8,16 --trials 4 --seed 5": (
+        0, parse_csv,
+        lambda rows: [(r["N"], r["A_m"]) for r in rows]
+        == [("8", "0.75"), ("8", "0.75"), ("16", "0.9375")]),
+}
+
+# Wall-clock bounds, in seconds, that a command line must also keep.
+COMMAND_LINE_SECONDS = {f"search --n {2**62} --m-count 65536": 30}
+
+
+@pytest.mark.parametrize("line", list(COMMAND_LINES))
+def test_command_line(capsys, line):
+    code, read, check = COMMAND_LINES[line]
+    started = time.perf_counter()
+    result = run_cli(capsys, *line.split())
+    elapsed = time.perf_counter() - started
+    assert elapsed < COMMAND_LINE_SECONDS.get(line, math.inf), elapsed
+    assert result[0] == code, result
+    assert check is None or check(read(result[1])), result
+
+
 # ------------------------------------------------------------- output routing
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -978,8 +1078,24 @@ DISPATCH_ARGVS = [
     ["plan"], ["sweep", "--n", "16"], ["plan", "--n", "16", "--seed", "-3"],
     ["plan", "--n", "16", "plan"], ["search"],
     ["sweep", "--n", "16", "--sweep", "m", "--values", "0..2", "--bogus", "1"],
+    ["frobnicate"], ["plan", "--help"], ["sweep", "--n", "16", "--sweep", "m"],
     PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV,
 ]
+
+# What some of these argvs must give: the exit code, stdout (None: not
+# checked) and a pattern that stderr's last line must match in full (None:
+# not checked).  argparse words the choices in --format xml's error
+# differently across Python versions, so only the start of that line is fixed.
+CONSOLE_USAGE = {
+    "--help": (0, None, None),
+    "plan --help": (0, None, None),
+    "frobnicate": (2, "", None),
+    "plan --n 16 --bogus": (2, "", "grover-ev: error: unrecognized arguments: --bogus"),
+    "plan --n 16 --format xml": (
+        2, "", "grover-ev plan: error: argument --format: invalid choice: 'xml'.*"),
+    "sweep --n 16 --sweep m": (
+        2, "", "grover-ev sweep: error: the following arguments are required: --values"),
+}
 
 
 def _parsed(capsys, parse, argv):
@@ -1002,6 +1118,12 @@ def test_command_dispatch_parses_as_the_full_parser(capsys, argv):
     full = _parsed(capsys, cli.build_parser().parse_args, argv)
     assert dispatched == full
     assert dispatched[0] in (0, 2)
+    checked = CONSOLE_USAGE.get(" ".join(argv))
+    if checked:
+        code, out, last_line = checked
+        assert dispatched[0] == code
+        assert out is None or dispatched[1] == out
+        assert last_line is None or re.fullmatch(last_line, dispatched[2].splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -1100,6 +1222,7 @@ PAIR_ARGVS = [
     ["sweep", "--n", "4096", "--marked", "5,99", "--a-th", "0.25", "--shots", "1024",
      "--sweep", "m", "--values", "0..8", "--trials", "20", "--seed", "3"],
     PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV,
+    pytest.param(["plan", "--n", "1024", "--a-th", "0.25"], id="plan --n 1024 --a-th 0.25"),
 ]
 
 
@@ -1107,7 +1230,10 @@ PAIR_ARGVS = [
 def test_exact_pairs_need_no_argparse_parse(capsys, monkeypatch, argv):
     # Every benchmark op is a command word and exact --flag value pairs: main
     # runs it, with the same bytes, when argparse's parse methods cannot run.
+    # With its first pair written as one --flag=value word, the argv goes to
+    # argparse and still prints those bytes.
     expected = run_cli(capsys, *argv)
+    assert run_cli(capsys, argv[0], f"{argv[1]}={argv[2]}", *argv[3:]) == expected
 
     def refuse(*args, **kwargs):
         raise AssertionError("argparse parse called")
