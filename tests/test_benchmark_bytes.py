@@ -13,6 +13,10 @@ numpy versions beside the first ops whose digest moved.
 A change that means to alter outputs re-records the file explicitly:
 
     PYTHONPATH=src python tests/test_benchmark_bytes.py
+
+Both a failure and a re-record report the moved ops per workload, exact ops
+(a ``plan``, or ``--shots 0`` at sigma 0, which draw nothing) apart from
+sampled ones: a change to the random streams moves sampled ops alone.
 """
 
 import argparse
@@ -76,6 +80,29 @@ def measure():
     return record, argvs
 
 
+def draws(argv):
+    """Whether an op samples: a search or sweep with shots or noise, or a
+    sweep over shots (every benchmark one reads 64 shots or more)."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    return argv[0] != "plan" and (int(flags.get("--shots", "0")) != 0
+                                  or float(flags.get("--sigma", "0")) != 0.0
+                                  or flags.get("--sweep") == "shots")
+
+
+def moved_lines(moved, argvs):
+    """One line per workload: how many of its exact and of its sampled ops
+    are among the op indices ``moved``."""
+    tally = {}
+    for i, (name, argv) in enumerate(argvs):
+        kinds = tally.setdefault(name, {"exact": [0, 0], "sampled": [0, 0]})
+        count = kinds["sampled" if draws(argv) else "exact"]
+        count[0] += i in moved
+        count[1] += 1
+    return [f"  {name}: " + ", ".join(f"{m} of {total} {kind} ops moved"
+                                     for kind, (m, total) in kinds.items() if total)
+            for name, kinds in tally.items()]
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("a benchmark op reached argparse")
 
@@ -92,12 +119,18 @@ def test_benchmark_ops_print_the_recorded_bytes(monkeypatch):
     moved = [i for i, (now, then) in enumerate(zip(current["ops"], recorded["ops"]))
              if now != then]
     lines = [f"{len(moved)} of {len(argvs)} benchmark ops print other bytes than recorded "
-             f"(numpy {current['numpy']} now, {recorded['numpy']} in the record); the first:"]
+             f"(numpy {current['numpy']} now, {recorded['numpy']} in the record):"]
+    lines += moved_lines(set(moved), argvs) + ["the first:"]
     lines += [f"  op {i} ({argvs[i][0]}): {' '.join(argvs[i][1])}" for i in moved[:SHOWN]]
     raise AssertionError("\n".join(lines))
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    RECORD.write_text(json.dumps(measure()[0], indent=1) + "\n")
+    record, argvs = measure()
+    if RECORD.exists():
+        old = json.loads(RECORD.read_text())["ops"]
+        moved = {i for i, (now, then) in enumerate(zip(record["ops"], old)) if now != then}
+        print("\n".join([f"{len(moved)} of {len(argvs)} ops moved:", *moved_lines(moved, argvs)]))
+    RECORD.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {RECORD}")

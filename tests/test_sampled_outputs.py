@@ -20,7 +20,7 @@ held to what they must be in distribution:
 
 The ops are all those of the byte gate (seeds 1-3, passes 0-2): 972 sweeps
 over shots, m and N at M = 1 and 2, whose m = 0 rows and M = 2 sets split on
-qubit 1 read an exact EV of 0, and 486 sampled searches.  q is computed
+qubit 1 read an exact EV of 0, and 972 sampled searches.  q is computed
 once per distinct (N, M, marked ones, m, shots) cell.
 """
 
