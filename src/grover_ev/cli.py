@@ -8,17 +8,18 @@ Subcommands::
 
 Every output embeds the resolved settings as a plain dict, and the readout
 settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
-randomness derives from ``--seed``: sweep row ``i`` draws all its error
-trials, counts and noise, from one generator seeded ``seed XOR i``; a search
-draws all its runs in turn from one seeded ``seed``.  Every command works on
-the register ``make_plan`` names, 2N labels where 2M >= N; a search or sweep
-row reads its two-amplitude state, so none builds a statevector.  This module
-only parses (lists, ranges, ``--m-count`` against ``--marked``, ``--n``
-against ``--sweep``) and fills in an omitted ``--a-th`` as min(5/sqrt(shots),
-1/M), or min(1e-9, 1/M) when exact; the library checks every other rule once,
-``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.  Either raises
-``ValueError``, printed as ``error: <rule>``.  Exit codes: 0 success, 1
-search failure (its JSON names the reason), 2 usage or configuration error.
+randomness derives from ``--seed`` by ``core.stream``: a search draws its set
+and runs from ``(seed, DRAW or READ, 0)``, sweep row ``i`` (CSV ``seed XOR i``)
+from ``(seed XOR i, DRAW or ROW, i)``, one-to-one in (seed, i).  Every command
+works on the register ``make_plan`` names, 2N labels where 2M >= N; a search
+or sweep row reads its two-amplitude state, so none builds a statevector.
+This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
+``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
+min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
+every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
+Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
+success, 1 search failure (its JSON names the reason), 2 usage or
+configuration error.
 
 :func:`main` builds the parser and each command's table of defaults and
 required flags once.  An argv of a command word and exact ``--flag value``
@@ -128,11 +129,11 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
     return config, model
 
 
-def _marked_set(n: int, register: int, config: dict, seed: int) -> MarkedSet:
-    """``config``'s explicit locations, or its ``m_count`` drawn by ``seed``,
-    on [0, n), placed on ``register``."""
+def _marked_set(n: int, register: int, config: dict, seed: int, index: int = 0) -> MarkedSet:
+    """``config``'s explicit locations, or its ``m_count`` drawn by ``(seed,
+    index)``, on [0, n), placed on ``register``."""
     marked, count = config["marked"], config["m_count"]
-    chosen = MarkedSet(marked, n) if marked is not None else draw_marked_set(n, count, seed)
+    chosen = MarkedSet(marked, n) if marked is not None else draw_marked_set(n, count, seed, index)
     return chosen if register == n else MarkedSet(chosen.locations, register)
 
 
@@ -269,20 +270,20 @@ def _sweep_row(
     if (plan := plans.get(key)) is None:
         plan = plans[key] = make_plan(n, config["m_count"], a_th)
     if config["marked"] is None:
-        marked = _marked_set(n, plan.N, config, row_seed)
+        marked = _marked_set(n, plan.N, config, row_seed, index)
     elif (marked := explicit_sets.get((n, plan.N))) is None:
         marked = explicit_sets[n, plan.N] = _marked_set(n, plan.N, config, 0)
     m = value if var == "m" else _iterations(config, plan)
     shots = value if var == "shots" else model.shots
     row_model = EnsembleModel(shots, row_seed, model.gaussian_noise_sigma)
-    error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials)
+    error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials, row=index)
     return _csv_row(plan, m, error_rate, row_seed)
 
 
 def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
     # One plan per (register, a_th) of this sweep, the sign keying -0.0 apart
     # from 0.0, and one explicit marked set per register; a drawn set is drawn
-    # in its row, from the row's seed.
+    # in its row, from the row's stream.
     plans: dict = {}
     explicit_sets: dict = {}
     rows = [_sweep_row(config, model, plans, explicit_sets, var, v, i, trials)

@@ -1,12 +1,12 @@
 """Marked sets, the rotation angles, and the dense statevector reference.
 
-:class:`MarkedSet` (at most :data:`MAX_MARKED` locations) and its seeded
-draw, :func:`draw_marked_set`; the Grover angles and :func:`class_amplitudes`,
-the two-amplitude closed form every command uses; and the dense reference:
-the :class:`StateVector` register, the oracle, diffusion and iterate, and
-:func:`closed_form_state`.  Bit ``k`` of a basis label ``x`` (1-indexed,
-``k = 1`` least significant) is the value of qubit ``k``.  All operations
-are pure: an input state is never mutated.
+:class:`MarkedSet` (at most :data:`MAX_MARKED` locations) and its draw,
+:func:`draw_marked_set`; :func:`stream`, which names every random stream; the
+Grover angles and :func:`class_amplitudes`, the two-amplitude closed form every
+command uses; and the dense reference: the :class:`StateVector` register, the
+oracle, diffusion and iterate, and :func:`closed_form_state`.  Bit ``k`` of a
+basis label ``x`` (1-indexed, ``k = 1`` least significant) is the value of
+qubit ``k``.  All operations are pure: an input state is never mutated.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ NORM_ATOL = 1e-9
 # Most locations a marked set holds.  A draw permutes all N labels only when
 # N < 50 M, so this also bounds that permutation to 2**22 labels (32 MiB).
 MAX_MARKED = 1 << 16
+
+DRAW, READ, ROW = 0, 1, 2  # a random stream's purpose: its key's word 1 >> 32
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,27 @@ def _check_marked_count(count: int) -> None:
         raise ValueError(f"a marked set holds at most {MAX_MARKED} locations, got {count}")
 
 
-def draw_marked_set(universe_size: int, count: int, seed: int) -> MarkedSet:
-    """``count`` distinct locations drawn from [0, N) by ``default_rng(seed)``,
-    checked against ``MAX_MARKED`` before anything is drawn."""
+class _Key(tuple, np.random.bit_generator.ISeedSequence):
+    """A Philox key's two words, handed over as they are by ``generate_state``."""
+    def generate_state(self, n_words, dtype=np.uint64):
+        return np.array(self, dtype=np.uint64)
+
+
+def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
+    """The random stream named (seed, purpose, index), built fresh: ``Philox``
+    keyed ``[seed, purpose << 32 | index]``, unhashed (Salmon, Moraes, Dror &
+    Shaw, SC '11), so two names are two streams.  Purposes: ``DRAW`` a marked
+    set, ``READ`` a search's runs or one read, ``ROW`` a sweep row's trials."""
+    if not 0 <= index < 1 << 32:
+        raise ValueError(f"a stream index must be in [0, 2**32), got {index}")
+    return np.random.Generator(np.random.Philox(_Key((seed, purpose << 32 | index))))
+
+
+def draw_marked_set(universe_size: int, count: int, seed: int, index: int = 0) -> MarkedSet:
+    """``count`` distinct locations drawn from [0, N) by ``stream(seed, DRAW,
+    index)``, checked against ``MAX_MARKED`` before anything is drawn."""
     _check_marked_count(count)
-    locations = np.random.default_rng(seed).choice(universe_size, size=count, replace=False)
+    locations = stream(seed, DRAW, index).choice(universe_size, size=count, replace=False)
     return MarkedSet(np.sort(locations).tolist(), universe_size)
 
 

@@ -4,9 +4,9 @@ An expectation-value machine reads out one number per qubit: the ensemble
 average of sigma_z(k) (Gershenfeld & Chuang, Science 275, 350 (1997)).
 ``shots = 0`` models an infinite ensemble (exact EVs); ``shots = n > 0``
 reports the mean over ``n`` ensemble members, fixed by each qubit's count of
-ones over the run's one shared set of shots.  A read, a sweep row or a
-search draws from one generator, ``default_rng(seed)``: each run's counts (or
-dense shot labels), then its noise, truncated at 3 sigma: |ev| <= 1 + 3*sigma.
+ones over the run's one shared set of shots.  A read or a search draws from
+``core.stream(seed, READ, 0)``, sweep row i from ``stream(seed, ROW, i)``: each
+run's counts (or shot labels), then its noise, clipped at 3 sigma: |ev| <= 1 + 3*sigma.
 
 Every two-amplitude read is a whole run or one qubit, read by counts
 (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
@@ -34,7 +34,7 @@ reference.
 A search reads its runs through :func:`_search_runs`, from the marked
 labels alone with no statevector: one plain run on every qubit, as
 :func:`measure_classes` reads it, then each later stage's correlated run
-on its target qubit alone, all in turn from one ``default_rng(seed)``.
+on its target qubit alone, all in turn from one ``stream(seed, READ, 0)``.
 The correlation only permutes labels, so a correlated run is fixed by its
 target qubit's count of ones over the moved labels.  The reader sorts the
 marked labels once as L-bit keys, bits from qubit 1 down, in
@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MarkedSet, StateVector, class_amplitudes, qubit_values
+from .core import READ, ROW, MarkedSet, StateVector, class_amplitudes, qubit_values, stream
 
 
 # Most trials a sign-error rate draws at once: memory stays O(_BLOCK_DRAWS).
@@ -124,11 +124,11 @@ def exact_ev(state: StateVector, k: int) -> float:
     return float(np.sum(probs[bits == 0]) - np.sum(probs[bits == 1]))
 
 
-def _run_generator(model: EnsembleModel) -> np.random.Generator | None:
-    """The one generator a read, a sweep row or a search draws its counts
-    and noise from; None for exact, noiseless readout, which draws nothing."""
+def _run_generator(model: EnsembleModel, purpose: int = READ, index: int = 0):
+    """``stream(model.seed, purpose, index)``, which a read or a search draws
+    its counts and noise from; None for exact, noiseless readout."""
     if model.shots or model.gaussian_noise_sigma:
-        return np.random.default_rng(model.seed)
+        return stream(model.seed, purpose, index)
     return None
 
 
@@ -320,7 +320,7 @@ def measure_classes(state: ClassState, model: EnsembleModel) -> list[float]:
     """EVs of every qubit of one run on a two-amplitude state, qubit k at
     entry k - 1, as :func:`measure_all` reads the dense state, without
     building it: exact in O(M L) (the dense entries, to rounding), or
-    sampled by counts from ``default_rng(model.seed)``, O(M L) at every shot
+    sampled by counts from ``stream(model.seed, READ, 0)``, O(M L) at every shot
     count (see the module docstring).  A sampled read past the crossing,
     where a marked label weighs less than an unmarked one, raises
     ``ValueError``; an exact read takes every state.
@@ -366,6 +366,7 @@ def sign_error_rate(
     model: EnsembleModel,
     *,
     trials: int = 200,
+    row: int = 0,
 ) -> float:
     """Fraction of seeded readout trials that misjudge the sign of qubit k
     after ``iterations`` steps on ``marked``.
@@ -375,7 +376,7 @@ def sign_error_rate(
     differs, so a zero readout of a decidable qubit errs.  Qubit k's marked
     ones are counted once per marked set (:meth:`MarkedSet.ones`); the exact
     EV is read from that count by :func:`_read_one`, and all trials draw
-    from ``default_rng(model.seed)`` in blocks of at most ``_BLOCK_DRAWS``:
+    from ``stream(model.seed, ROW, row)`` in blocks of at most ``_BLOCK_DRAWS``:
     one vector of ``Binomial(shots, p_k)`` counts (the exact EV when
     ``shots`` is 0), then one of noise, so a block of one trial is one
     :func:`_read_one` call, draw for draw.  A noiseless block of counts is
@@ -396,7 +397,7 @@ def sign_error_rate(
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = (exact > 0) - (exact < 0)
     p = _ones_probability(state, ones)
-    rng = _run_generator(model)
+    rng = _run_generator(model, ROW, row)
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):
         runs = min(_BLOCK_DRAWS, trials - start)

@@ -21,7 +21,7 @@ from grover_ev import (
     decide_sign,
     make_plan,
 )
-from grover_ev import measurement
+from grover_ev import core, measurement
 
 # Tolerance for cases that are exact up to floating-point rounding
 # (involutions, analytically exact expectation values).
@@ -111,12 +111,12 @@ def reference_extract_location(marked, iterations, model, a_th):
     tuple of bits: the plain run is read on every qubit, each correlated run
     on its target qubit from that qubit's ones over the moved labels, and a
     stage averages the target qubit's two EVs.  Every run reads in turn from
-    one generator, ``default_rng(seed)``, and the search gives up rather
-    than make run ``4 L + 1``."""
+    one generator, the search's stream ``(seed, READ, 0)``, and the search
+    gives up rather than make run ``4 L + 1``."""
     state = class_state(marked, iterations)
     qubit_count, locations = state.qubit_count, state.heavy
     sampled = model.shots or model.gaussian_noise_sigma
-    rng = np.random.default_rng(model.seed) if sampled else None
+    rng = core.stream(model.seed, core.READ, 0) if sampled else None
     label_bits = (locations[:, None] >> np.arange(qubit_count)) & 1
     plain = measurement._read(state, model, label_bits.sum(axis=0).tolist(), label_bits, rng)
     total_runs, branch_events, verifications = 1, 0, 0
@@ -303,11 +303,13 @@ def assert_rate_matches(errors, trials, probability, bound=5.0):
 
 class RecordingGenerator:
     """A numpy ``Generator`` that keeps every array it hands out, by method,
-    in ``draws``: a stand-in for ``np.random.default_rng``."""
+    in ``draws``: a stand-in for the stream ``core.stream`` names by ``key``,
+    (seed, purpose, index), with the key's seed in ``seed``."""
 
-    def __init__(self, seed, real):
-        self.seed = seed
-        self._rng = real(seed)
+    def __init__(self, key, real):
+        self.key = key
+        self.seed = key[0]
+        self._rng = real(*key)
         self.draws = []
 
     @property
@@ -325,16 +327,31 @@ class RecordingGenerator:
         return recorded
 
 
-def record_generators(monkeypatch):
-    """Replace ``np.random.default_rng`` with :class:`RecordingGenerator`;
-    return the list every generator built from then on is appended to."""
-    built = []
-    real = np.random.default_rng
+def generator_state(rng):
+    """``rng``'s bit-generator state with every array as a list, so that two
+    states compare by ``==``: a Philox state holds its counter, key and
+    buffer as arrays."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
 
-    def build(seed=None):
-        rng = RecordingGenerator(seed, real)
+    return plain(rng.bit_generator.state)
+
+
+def record_generators(monkeypatch):
+    """Replace the one stream function, ``core.stream``, with
+    :class:`RecordingGenerator` at both names it is looked up by (``core``
+    for a marked-set draw, ``measurement`` for every read); return the list
+    every generator built from then on is appended to."""
+    built = []
+    real = core.stream
+
+    def build(seed, purpose, index):
+        rng = RecordingGenerator((seed, purpose, index), real)
         built.append(rng)
         return rng
 
-    monkeypatch.setattr(np.random, "default_rng", build)
+    for module in (core, measurement):
+        monkeypatch.setattr(module, "stream", build)
     return built

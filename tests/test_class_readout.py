@@ -21,12 +21,12 @@ import numpy as np
 import pytest
 from conftest import (
     EXACT_ATOL,
-    RecordingGenerator,
     assert_counts_match,
     assert_rate_matches,
     bit_of,
     class_born_weights,
     count_check_power,
+    generator_state,
     low_bits,
     ones_probabilities,
     record_generators,
@@ -51,6 +51,7 @@ from grover_ev import (
 from grover_ev import measurement
 from grover_ev.cli import main
 from grover_ev.core import (
+    ROW,
     StateVector,
     apply_grover,
     closed_form_state,
@@ -109,28 +110,25 @@ def one_qubit_evs(state, model, k, reads):
 
 def one_trial_blocks(marked, iterations, k, model, trials):
     """``sign_error_rate`` with ``_BLOCK_DRAWS`` at 1: its rate, every trial's
-    EV, and the one generator it builds (None when it builds none).  A block
-    read as EVs is recorded as it is held to the readout bound; a noiseless
-    block of counts, scored on the counts and held to [0, shots] instead,
-    reaches no bound check, so its EV is rebuilt from its recorded count by
-    ``_count_evs``."""
-    built, evs = [], []
-    run_generator, check = measurement._run_generator, measurement._check_ev_bound
-
-    def recorded_generator(run):
-        built.append(run_generator(run) and RecordingGenerator(run.seed, np.random.default_rng))
-        return built[-1]
+    EV, and the one generator it builds, row 0's stream (None when it builds
+    none).  A block read as EVs is recorded as it is held to the readout
+    bound; a noiseless block of counts, scored on the counts and held to
+    [0, shots] instead, reaches no bound check, so its EV is rebuilt from its
+    recorded count by ``_count_evs``."""
+    evs = []
+    check = measurement._check_ev_bound
 
     def recorded_check(block, sigma):
         evs.extend(block.tolist())
         return check(block, sigma)
 
     with pytest.MonkeyPatch.context() as patch:
+        built = record_generators(patch)
         patch.setattr(measurement, "_BLOCK_DRAWS", 1)
-        patch.setattr(measurement, "_run_generator", recorded_generator)
         patch.setattr(measurement, "_check_ev_bound", recorded_check)
         rate = sign_error_rate(marked, iterations, k, model, trials=trials)
-    (rng,) = built
+    (rng,) = built or [None]
+    assert rng is None or rng.key == (model.seed, ROW, 0)
     if model.shots and not model.gaussian_noise_sigma:
         assert evs == [] and {name for name, _ in rng.draws} == {"binomial"}
         counts = np.concatenate([draw for _, draw in rng.draws])
@@ -140,14 +138,14 @@ def one_trial_blocks(marked, iterations, k, model, trials):
 
 def assert_trials_are_one_qubit_reads(marked, iterations, k, model, trials):
     """A rate read one trial per block is ``trials`` successive ``_read_one``
-    reads from one ``default_rng(seed)`` (one read when exact and
+    reads from one stream, ``(seed, ROW, 0)`` (one read when exact and
     noiseless), each a Python float: each trial's EV bit for bit, the rate
     as their wrong-sign share, and both generators in the same state at the
     end.  Returns the reads."""
     state = class_state(marked, iterations)
     ones = ones_of(state, k)
     rate, evs, rng = one_trial_blocks(marked, iterations, k, model, trials)
-    reference = measurement._run_generator(model)
+    reference = measurement._run_generator(model, ROW, 0)
     reads = [measurement._read_one(state, model, ones, reference)
              for _ in range(trials if reference else 1)]
     assert all(type(read) is float for read in reads)
@@ -155,7 +153,7 @@ def assert_trials_are_one_qubit_reads(marked, iterations, k, model, trials):
     truth = np.sign(measurement._read_one(state, EXACT, ones, None))
     assert rate == sum(np.sign(read) != truth for read in reads) / len(reads)
     if reference is not None:
-        assert rng.bit_generator.state == reference.bit_generator.state
+        assert generator_state(rng) == generator_state(reference)
     return reads
 
 
@@ -456,20 +454,20 @@ def test_counts_past_the_standard_count_match_dense_weights(
 
 
 def test_sign_error_rate_builds_its_tables_once(monkeypatch):
-    # The one thing a row builds to draw from, default_rng(row seed), is
-    # built once whatever the trial count; every trial's count and noise
-    # come from it.  Exact, noiseless readout builds none.
+    # The one thing a row builds to draw from, its stream (row seed, ROW,
+    # row), is built once whatever the trial count; every trial's count and
+    # noise come from it.  Exact, noiseless readout builds none.
     built = record_generators(monkeypatch)
     marked = MarkedSet((3, 17), 32)
-    for model, trials, generators in [
-        (EnsembleModel(shots=64, seed=5), 3000, 1),
-        (EnsembleModel(shots=64, seed=5, gaussian_noise_sigma=0.05), 2500, 1),
-        (EnsembleModel(seed=5, gaussian_noise_sigma=0.05), 20, 1),
-        (EnsembleModel(seed=5), 20, 0),
+    for model, trials, row, generators in [
+        (EnsembleModel(shots=64, seed=5), 3000, 0, 1),
+        (EnsembleModel(shots=64, seed=5, gaussian_noise_sigma=0.05), 2500, 7, 1),
+        (EnsembleModel(seed=5, gaussian_noise_sigma=0.05), 20, 99_999, 1),
+        (EnsembleModel(seed=5), 20, 3, 0),
     ]:
         built.clear()
-        sign_error_rate(marked, 2, 1, model, trials=trials)
-        assert [rng.seed for rng in built] == [model.seed] * generators
+        sign_error_rate(marked, 2, 1, model, trials=trials, row=row)
+        assert [rng.key for rng in built] == [(model.seed, ROW, row)] * generators
 
 
 def test_sign_error_rate_draws_bounded_blocks(monkeypatch):
@@ -527,7 +525,7 @@ def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
         checks.append((type(evs), evs.tolist(), sigma))
         return check(evs, sigma)
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(measurement, "stream", refuse)
     monkeypatch.setattr(measurement, "_check_ev", counted_one)
     monkeypatch.setattr(measurement, "_check_ev_bound", counted)
     assert sign_error_rate(marked, 2, 1, EnsembleModel(seed=5), trials=200) == 0.0
@@ -596,7 +594,7 @@ class BadCounts:
 def test_noiseless_counts_outside_the_shots_raise(monkeypatch, truth, shots, bad):
     # The count check is the readout bound of a noiseless block: a count
     # outside [0, shots] raises ValueError naming it, whatever the reference.
-    monkeypatch.setattr(measurement, "_run_generator", lambda model: BadCounts(bad))
+    monkeypatch.setattr(measurement, "stream", lambda *key: BadCounts(bad))
     model = EnsembleModel(shots=shots, seed=1)
     with pytest.raises(ValueError) as excinfo:
         sign_error_rate(REFERENCE_SETS[truth], 1, 1, model, trials=5)

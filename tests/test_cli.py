@@ -140,7 +140,7 @@ def test_search_handles_cancellation(capsys):
 def test_search_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "8", "--marked", "5",
-        "--a-th", "0", "--shots", "2", "--seed", "4", "--m", "1",
+        "--a-th", "0", "--shots", "2", "--seed", "20", "--m", "1",
     )
     assert code == 1
     payload = json.loads(out)
@@ -152,7 +152,7 @@ def test_search_failure_exit_code(capsys):
 def test_search_budget_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "search", "--n", "256", "--marked", "77",
-        "--a-th", "0.1", "--shots", "2", "--seed", "2",
+        "--a-th", "0.1", "--shots", "2", "--seed", "15",
     )
     assert code == 1
     payload = json.loads(out)
@@ -316,7 +316,7 @@ def test_search_past_the_crossing_exits_two_before_any_run(tmp_path, capsys, mon
     def refuse(*args, **kwargs):
         raise AssertionError("the search read a run")
 
-    for name in ("_run_generator", "_read", "_read_one"):
+    for name in ("stream", "_read", "_read_one"):
         monkeypatch.setattr(measurement, name, refuse)
     assert run_cli(capsys, *argv, "--shots", "4096") == (2, "", message)
 
@@ -854,8 +854,9 @@ def _field(value) -> str:
 ])
 def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
     # Every CSV row is rebuilt from the library: the plan on (n, M, a_th),
-    # the set placed on the plan's register, the rate of a model with the
-    # row's shots and seed XOR i, and A_m at 12 significant digits.
+    # the set (drawn from stream (seed XOR i, DRAW, i)) placed on the plan's
+    # register, the rate of a model with the row's shots and seed XOR i read
+    # from its row's stream, row=i, and A_m at 12 significant digits.
     argv = [*argv, "--trials", "7", "--seed", "41"]
     code, out, _ = run_cli(capsys, "sweep", *argv)
     assert code == 0
@@ -871,15 +872,29 @@ def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
         a_th = value if var == "a_th" else config["a_th"]
         plan = grover_ev.make_plan(n, config["m_count"], a_th)
         chosen = (grover_ev.MarkedSet(config["marked"], n) if config["marked"] is not None
-                  else core.draw_marked_set(n, config["m_count"], seed))
+                  else core.draw_marked_set(n, config["m_count"], seed, i))
         marked = grover_ev.MarkedSet(chosen.locations, plan.N)
         m = value if var == "m" else config["m"] if config["m"] is not None else plan.m_trunc
         shots = value if var == "shots" else model.shots
         readout = grover_ev.EnsembleModel(shots, seed, model.gaussian_noise_sigma)
-        rate = grover_ev.sign_error_rate(marked, m, 1, readout, trials=7)
+        rate = grover_ev.sign_error_rate(marked, m, 1, readout, trials=7, row=i)
         expected = (plan.N, plan.M, m, plan.a_th, grover_ev.attenuation(plan.N, plan.M, m),
                     plan.m_stand, plan.m_trunc, plan.m_trunc_estimate, rate, seed)
         assert [row[c] for c in CSV_COLUMNS] == [_field(f) for f in expected], (i, row)
+
+
+def test_rows_that_share_a_csv_seed_draw_apart(capsys):
+    # Row 1 at --seed 0 and row 0 at --seed 1 both print seed 1 (seed XOR i),
+    # but they read the streams (1, ROW, 1) and (1, ROW, 0), so their rates
+    # differ.  When each row drew from default_rng(seed XOR i) they were one
+    # stream and printed one rate.
+    argv = ["sweep", "--n", "1024", "--marked", "5", "--shots", "64", "--sweep", "m",
+            "--values", "0,0", "--trials", "1000"]
+    _, first, _ = run_cli(capsys, *argv, "--seed", "0")
+    _, second, _ = run_cli(capsys, *argv, "--seed", "1")
+    row_one, row_zero = parse_csv(first)[1], parse_csv(second)[0]
+    assert row_one["seed"] == row_zero["seed"] == "1"
+    assert row_one["ev_sign_error_rate"] != row_zero["ev_sign_error_rate"]
 
 
 # ------------------------------------------------------- whole command lines
@@ -922,7 +937,7 @@ COMMAND_LINES = {
         0, _result, lambda r: r["total_runs"] == 24),
     # A sampled search that backtracks through failed candidates, then
     # verifies a location.
-    "search --n 16 --marked 9 --a-th 0 --shots 2 --seed 11 --m 1": (
+    "search --n 16 --marked 9 --a-th 0 --shots 2 --seed 9 --m 1": (
         0, _result,
         lambda r: (r["total_runs"], r["branch_events"], r["oracle_invocations"]) == (8, 5, 13)),
     f"sweep --m-count 1 --shots 64 --sweep N --values 16,{2**62} --trials 4": (0, None, None),

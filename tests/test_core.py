@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import grover_matrix, random_marked_locations, record_generators
+from conftest import generator_state, grover_matrix, random_marked_locations, record_generators
 
 from grover_ev import (
     EnsembleModel,
@@ -19,8 +19,13 @@ from grover_ev import (
     grover_angle,
     make_plan,
 )
+from grover_ev import measurement
+from grover_ev.cli import MAX_SWEEP_VALUES
 from grover_ev.core import (
+    DRAW,
     MAX_MARKED,
+    READ,
+    ROW,
     StateVector,
     apply_diffusion,
     apply_grover,
@@ -29,6 +34,7 @@ from grover_ev.core import (
     draw_marked_set,
     new_uniform,
     qubit_values,
+    stream,
 )
 from grover_ev.cli import main
 
@@ -183,11 +189,14 @@ def test_full_marked_set_fails_the_angle_check():
 
 
 def test_marked_draw_is_numpy_choice_without_replacement():
-    # The draw is Generator.choice(N, M, replace=False) on default_rng(seed),
-    # so every drawn set is the one earlier versions drew, sorted.
-    for n, count, seed in [(16, 3, 0), (1024, 7, 5), (2**62, 4, 1), (2**17, MAX_MARKED, 2)]:
-        expected = np.random.default_rng(seed).choice(n, size=count, replace=False)
-        marked = draw_marked_set(n, count, seed)
+    # The draw is Generator.choice(N, M, replace=False) on the stream
+    # (seed, DRAW, index), a Philox generator keyed [seed, DRAW << 32 | index],
+    # sorted.
+    for n, count, seed, index in [(16, 3, 0, 0), (1024, 7, 5, 3), (2**62, 4, 1, 0),
+                                  (2**17, MAX_MARKED, 2, MAX_SWEEP_VALUES - 1)]:
+        philox = np.random.Philox(key=np.array([seed, DRAW << 32 | index], dtype=np.uint64))
+        expected = np.random.Generator(philox).choice(n, size=count, replace=False)
+        marked = draw_marked_set(n, count, seed, index)
         assert marked.locations == tuple(sorted(int(x) for x in expected))
         assert {type(x) for x in marked.locations} == {int}
         assert marked.universe_size == n
@@ -207,6 +216,53 @@ def test_marked_count_is_bounded_before_any_draw(monkeypatch):
         with pytest.raises(ValueError, match=f"at most {MAX_MARKED} locations, got {count}$"):
             draw_marked_set(n, count, 0)
     assert built == []
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("purpose", [DRAW, READ, ROW])
+@pytest.mark.parametrize("index", [0, MAX_SWEEP_VALUES - 1])
+def test_stream_is_philox_keyed_by_its_name(seed, purpose, index):
+    # A stream hands Philox its key through a small ISeedSequence, unhashed:
+    # it is, state and draws alike, the generator Philox(key=[seed,
+    # purpose << 32 | index]) builds, so a numpy change to that route fails here.
+    ours = stream(seed, purpose, index)
+    # The key as a uint64 array: numpy casts a list through float64, which
+    # cannot hold 2**64 - 1.
+    key = np.array([seed, purpose << 32 | index], dtype=np.uint64)
+    theirs = np.random.Generator(np.random.Philox(key=key))
+    assert generator_state(ours) == generator_state(theirs)
+    for rng in (ours, theirs):
+        assert rng.bit_generator.state["state"]["key"].tolist() == [seed, purpose << 32 | index]
+    assert ours.binomial(1024, 0.3, 20).tolist() == theirs.binomial(1024, 0.3, 20).tolist()
+    assert ours.normal(0.0, 0.05, 3).tolist() == theirs.normal(0.0, 0.05, 3).tolist()
+    assert ours.choice(2**40, 4, replace=False).tolist() == theirs.choice(
+        2**40, 4, replace=False).tolist()
+    assert generator_state(ours) == generator_state(theirs)
+
+
+def test_distinct_names_are_distinct_streams():
+    # No two names on a small grid share a stream, where seed XOR index
+    # repeats: (0, ROW, 1) and (1, ROW, 0) differ, as do one name's three
+    # purposes.  An index takes the low 32 bits of word 1 alone.
+    firsts = {tuple(stream(seed, purpose, index).bit_generator.random_raw(2).tolist())
+              for seed in range(4) for purpose in (DRAW, READ, ROW) for index in range(4)}
+    assert len(firsts) == 4 * 3 * 4
+    for index in (-1, 2**32):
+        with pytest.raises(ValueError, match=r"stream index must be in \[0, 2\*\*32\)"):
+            stream(0, ROW, index)
+
+
+def test_a_set_draw_and_its_search_readout_are_uncorrelated():
+    # A search with --m-count draws its set from (seed, DRAW, 0) and reads its
+    # runs from (seed, READ, 0).  Over 20,000 seeds at N = 2^16, M = 3, the
+    # smallest drawn label and the first count the readout's generator draws
+    # correlate within 5 standard errors, |r| <= 5 / sqrt(20,000) = 0.035.
+    # When both were default_rng(seed), one stream, they read r = 0.22.
+    seeds = range(20_000)
+    labels = [draw_marked_set(1 << 16, 3, seed).locations[0] for seed in seeds]
+    counts = [measurement._run_generator(EnsembleModel(shots=4096, seed=seed)).binomial(4096, 0.3)
+              for seed in seeds]
+    assert abs(np.corrcoef(labels, counts)[0, 1]) <= 5 / math.sqrt(len(seeds))
 
 
 # --------------------------------------------------------------------- oracle

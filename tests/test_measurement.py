@@ -18,7 +18,7 @@ from grover_ev import (
     make_plan,
     sign_error_rate,
 )
-from grover_ev.core import StateVector, closed_form_state, new_uniform
+from grover_ev.core import ROW, StateVector, closed_form_state, new_uniform, stream
 from grover_ev.measurement import _check_ev_bound, exact_ev, measure_all, sampled_ev
 
 
@@ -288,12 +288,12 @@ def test_sign_error_rate_agrees_with_per_trial_readouts():
 
 
 def test_sign_error_rate_trial_seeds_wrap():
-    # A row seed at the top of the range, 2**64 - 1, seeds the row's
-    # generator like any other: the rate is that of the counts
-    # default_rng(2**64 - 1) draws as Binomial(shots, p_1), p_1 = (1 - EV) / 2.
+    # A row seed at the top of the range, 2**64 - 1, keys the row's
+    # generator like any other: the rate is that of the counts the stream
+    # (2**64 - 1, ROW, 0) draws as Binomial(shots, p_1), p_1 = (1 - EV) / 2.
     marked = MarkedSet((1,), 16)
     ev = exact_ev(closed_form_state(4, marked, 1), 1)
-    ones = np.random.default_rng(2**64 - 1).binomial(4, (1 - ev) / 2, 3)
+    ones = stream(2**64 - 1, ROW, 0).binomial(4, (1 - ev) / 2, 3)
     wrong = [decide_sign((4 - 2 * one) / 4, 0.0) != decide_sign(ev, 0.0) for one in ones]
     rate = sign_error_rate(marked, 1, 1, EnsembleModel(shots=4, seed=2**64 - 1), trials=3)
     assert 0 < rate < 1
