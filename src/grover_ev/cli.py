@@ -8,18 +8,17 @@ Subcommands::
 
 Every output embeds the resolved settings as a plain dict, and the readout
 settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
-randomness derives from ``--seed`` by ``core.stream``: a search draws its set
-and runs from ``(seed, DRAW or READ, 0)``, sweep row ``i`` (CSV ``seed XOR i``)
-from ``(seed XOR i, DRAW or ROW, i)``, one-to-one in (seed, i).  Every command
-works on the register ``make_plan`` names, 2N labels where 2M >= N; a search
-or sweep row reads its two-amplitude state, so none builds a statevector.
-This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
-``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
-min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
-every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
-Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
-success, 1 search failure (its JSON names the reason), 2 usage or
-configuration error.
+randomness derives from ``--seed`` by ``core.stream``: a search reads ``(seed,
+DRAW or READ, 0)``, sweep row ``i`` (CSV seed ``seed XOR i``) ``(seed XOR i,
+DRAW or ROW, i)``.  Every command works on the register ``make_plan`` names,
+2N labels where 2M >= N; a search or sweep row reads its two-amplitude state,
+so none builds a statevector.  This module only parses (lists, ranges,
+``--m-count`` against ``--marked``, ``--n`` against ``--sweep``) and fills in
+an omitted ``--a-th`` as min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when
+exact; the library checks every other rule once, ``make_plan`` the one on
+``a_th``: 0 <= a_th <= 1/M.  Either raises ``ValueError``, printed as
+``error: <rule>``.  Exit codes: 0 success, 1 search failure (its JSON names
+the reason), 2 usage or configuration error.
 
 :func:`main` builds the parser and each command's table of defaults and
 required flags once.  An argv of a command word and exact ``--flag value``

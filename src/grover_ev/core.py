@@ -11,6 +11,7 @@ qubit ``k``.  All operations are pure: an input state is never mutated.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -29,7 +30,7 @@ NORM_ATOL = 1e-9
 # N < 50 M, so this also bounds that permutation to 2**22 labels (32 MiB).
 MAX_MARKED = 1 << 16
 
-DRAW, READ, ROW = 0, 1, 2  # a random stream's purpose: its key's word 1 >> 32
+DRAW, READ, ROW = 0, 1, 2  # a stream's purpose: a marked set, a search or read, a sweep row
 
 
 @dataclass(frozen=True)
@@ -123,20 +124,20 @@ def _check_marked_count(count: int) -> None:
         raise ValueError(f"a marked set holds at most {MAX_MARKED} locations, got {count}")
 
 
-class _Key(tuple, np.random.bit_generator.ISeedSequence):
-    """A Philox key's two words, handed over as they are by ``generate_state``."""
-    def generate_state(self, n_words, dtype=np.uint64):
-        return np.array(self, dtype=np.uint64)
+@functools.cache
+def _key_type() -> type:
+    """A tuple that hands Philox its two key words as they are, as numpy's
+    ISeedSequence; built on first use, so importing grover_ev loads no numpy.random."""
+    return type("Key", (tuple, np.random.bit_generator.ISeedSequence), {
+        "generate_state": lambda self, n_words, dtype=None: np.array(self, dtype=np.uint64)})
 
 
 def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
-    """The random stream named (seed, purpose, index), built fresh: ``Philox``
-    keyed ``[seed, purpose << 32 | index]``, unhashed (Salmon, Moraes, Dror &
-    Shaw, SC '11), so two names are two streams.  Purposes: ``DRAW`` a marked
-    set, ``READ`` a search's runs or one read, ``ROW`` a sweep row's trials."""
+    """The stream named (seed, purpose, index), built fresh: ``Philox`` keyed
+    ``[seed, purpose << 32 | index]``, unhashed (Salmon et al., SC '11): two names, two streams."""
     if not 0 <= index < 1 << 32:
         raise ValueError(f"a stream index must be in [0, 2**32), got {index}")
-    return np.random.Generator(np.random.Philox(_Key((seed, purpose << 32 | index))))
+    return np.random.Generator(np.random.Philox(_key_type()((seed, purpose << 32 | index))))
 
 
 def draw_marked_set(universe_size: int, count: int, seed: int, index: int = 0) -> MarkedSet:

@@ -1,6 +1,10 @@
 """The package exports the production API; the dense reference stays on its modules."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import grover_ev
 
@@ -28,3 +32,18 @@ def test_package_exports_exactly_the_production_api():
         home = importlib.import_module(f"grover_ev.{module}")
         for name in names:
             assert hasattr(home, name), f"grover_ev.{module}.{name}"
+
+
+def test_importing_the_command_line_loads_no_numpy_random():
+    # numpy 2 loads numpy.random on first use, and a stream builds its key
+    # type on first use too, so a process that draws nothing (a plan, an exact
+    # search) never pays for importing it: importing the command line loads
+    # it only where importing numpy does.
+    src = str(Path(grover_ev.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, numpy; print('numpy.random' in sys.modules); "
+            "import grover_ev.cli; print('numpy.random' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    with_numpy, with_cli = child.stdout.split()
+    assert with_cli == with_numpy
