@@ -89,6 +89,11 @@ def draws(argv):
                                   or flags.get("--sweep") == "shots")
 
 
+def moved_ops(now, then):
+    """The indices of the ops whose digests differ between two op lists."""
+    return [i for i, (a, b) in enumerate(zip(now, then)) if a != b]
+
+
 def moved_lines(moved, argvs):
     """One line per workload: how many of its exact and of its sampled ops
     are among the op indices ``moved``."""
@@ -116,8 +121,7 @@ def test_benchmark_ops_print_the_recorded_bytes(monkeypatch):
     assert len(argvs) == len(recorded["ops"]) == 5292
     if all(current[key] == recorded[key] for key in ("overall", "workloads", "ops")):
         return
-    moved = [i for i, (now, then) in enumerate(zip(current["ops"], recorded["ops"]))
-             if now != then]
+    moved = moved_ops(current["ops"], recorded["ops"])
     lines = [f"{len(moved)} of {len(argvs)} benchmark ops print other bytes than recorded "
              f"(numpy {current['numpy']} now, {recorded['numpy']} in the record):"]
     lines += moved_lines(set(moved), argvs) + ["the first:"]
@@ -129,8 +133,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     record, argvs = measure()
     if RECORD.exists():
-        old = json.loads(RECORD.read_text())["ops"]
-        moved = {i for i, (now, then) in enumerate(zip(record["ops"], old)) if now != then}
+        moved = set(moved_ops(record["ops"], json.loads(RECORD.read_text())["ops"]))
         print("\n".join([f"{len(moved)} of {len(argvs)} ops moved:", *moved_lines(moved, argvs)]))
     RECORD.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {RECORD}")
