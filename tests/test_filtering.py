@@ -512,9 +512,9 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     # L = 16 with one marked label; at this threshold the search branches
     # 34 times and backtracks through 33 verifications in 47 runs, inside the
     # 4 L budget.  It builds one generator, the stream (1, READ, 0), and every
-    # run reads from it in turn: the plain run its counts and noise on every qubit, then
-    # each correlated run, read by the one-qubit reader, one binomial count
-    # and one noise value.
+    # run reads from it in turn: the plain run its counts and noise on every
+    # qubit, then each correlated run, read by the one-qubit reader, one
+    # binomial count and one noise value.
     qubits = 16
     reads = []
     read, read_one = measurement._read, measurement._read_one
