@@ -10,21 +10,26 @@ Every output embeds the resolved settings as a plain dict, and the readout
 settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
 randomness derives from ``--seed`` by ``core.stream``: a search reads ``(seed,
 DRAW or READ, 0)``, sweep row ``i`` (CSV seed ``seed XOR i``) ``(seed XOR i,
-DRAW or ROW, i)``.  Every command works on the register ``make_plan`` names,
-2N labels where 2M >= N; a search or sweep row reads its two-amplitude state,
-so none builds a statevector.  This module only parses (lists, ranges,
-``--m-count`` against ``--marked``, ``--n`` against ``--sweep``) and fills in
-an omitted ``--a-th`` as min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when
-exact; the library checks every other rule once, ``make_plan`` the one on
-``a_th``: 0 <= a_th <= 1/M.  Either raises ``ValueError``, printed as
-``error: <rule>``.  Exit codes: 0 success, 1 search failure (its JSON names
-the reason), 2 usage or configuration error.
+DRAW or ROW, i)``.  So a search's drawn set and its readout are independent,
+and the row key is one-to-one in (seed, i): row 1 of ``--seed 0`` and row 0
+of ``--seed 1`` both print seed 1 and read two streams.  Every command works
+on the register ``make_plan`` names, 2N labels where 2M >= N; a search or
+sweep row reads its two-amplitude state, so none builds a statevector.
+This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
+``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
+min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
+every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
+Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
+success, 1 search failure (its JSON names the reason), 2 usage or
+configuration error.
 
 :func:`main` builds the parser and each command's table of defaults and
 required flags once.  An argv of a command word and exact ``--flag value``
 pairs is read off that command parser's own action table; any other argv
 goes to the top-level parser, so help, usage and errors are argparse's own.
-A JSON payload is written by :func:`_json_text`, which gives the bytes of
+Either way the namespace is the one argparse gives, and a call leaves
+nothing behind that changes the next call's output.  A JSON payload is
+written by :func:`_json_text`, which gives the bytes of
 ``json.dumps(payload, indent=2)`` without ``json``'s pure-Python indent path.
 """
 
@@ -281,8 +286,11 @@ def _sweep_row(
 
 def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
     # One plan per (register, a_th) of this sweep, the sign keying -0.0 apart
-    # from 0.0, and one explicit marked set per register; a drawn set is drawn
-    # in its row, from the row's stream.
+    # from 0.0 since each row prints its own a_th, and one explicit marked set
+    # per register, so its marked ones are counted in its first row only
+    # (MarkedSet.ones); a drawn set is drawn in its row, from the row's
+    # stream.  Both memos are plain dicts of this call, so none outlives it,
+    # and each row builds its own readout model.
     plans: dict = {}
     explicit_sets: dict = {}
     rows = [_sweep_row(config, model, plans, explicit_sets, var, v, i, trials)
@@ -319,6 +327,7 @@ def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser on each call; :func:`main` builds one and reuses it."""
     parser = argparse.ArgumentParser(
         prog="grover-ev",
         description="Plan and simulate truncated/filtered Grover searches "
@@ -375,7 +384,11 @@ def _read_pairs(table: tuple[dict, dict, set], words: list) -> argparse.Namespac
     """The namespace the top-level ``parse_args`` gives a command word and
     ``words``, read off that command's :func:`_pair_table`, when ``words``
     are exact ``--flag value`` pairs of one-value actions, no value starting
-    with ``-``; None on anything argparse must judge."""
+    with ``-``: each value takes its flag's type and choices, and the last of
+    a repeated flag wins, as argparse does.  None on anything argparse must
+    judge: an abbreviation, ``--flag=value``, ``-h``, ``--``, an odd word
+    count, a value that fails its type or choices, or a missing required
+    flag."""
     if len(words) % 2:
         return None
     options, defaults, required = table
@@ -409,6 +422,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when None) and return its exit
+    code; callable any number of times in one process.  A usage error raises
+    ``SystemExit(2)``, as argparse does."""
     args = _parse(argv)
     try:
         config, model = _resolve_config(args)

@@ -30,7 +30,9 @@ NORM_ATOL = 1e-9
 # N < 50 M, so this also bounds that permutation to 2**22 labels (32 MiB).
 MAX_MARKED = 1 << 16
 
-DRAW, READ, ROW = 0, 1, 2  # a stream's purpose: a marked set, a search or read, a sweep row
+# A stream's purpose: a marked-set draw; a search's runs, or one
+# measure_classes or measure_all read; a sweep row's trials.
+DRAW, READ, ROW = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,14 @@ class StateVector:
 class MarkedSet:
     """The set of marked database locations defining the search oracle.
 
-    ``locations`` is stored as a strictly increasing tuple of ints (each
-    read by ``operator.index``: no float or string is truncated); membership
-    is the oracle predicate (1 for marked, 0 otherwise).  ``labels`` holds
-    the same locations as a read-only int64 array, built once with the set.
-    Neither the labels nor the memo of :meth:`ones` is a field, so equality
-    and repr read the two fields alone.
+    ``locations`` is stored as a strictly increasing tuple of ints, each
+    read by ``operator.index``: Python ints, bools and numpy integers are
+    taken, and a float or a string (``3.7``, ``"3"``) raises ``ValueError``
+    rather than being truncated.  Membership is the oracle predicate (1 for
+    marked, 0 otherwise).  ``labels`` holds the same locations as a
+    read-only int64 array, built once with the set and shared by every
+    ``class_state`` of it.  Neither the labels nor the memo of :meth:`ones`
+    is a field, so equality, hashing and repr read the two fields alone.
     """
 
     locations: tuple[int, ...]
@@ -132,11 +136,19 @@ def _key_type() -> type:
         "generate_state": lambda self, n_words, dtype=None: np.array(self, dtype=np.uint64)})
 
 
-def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
-    """The stream named (seed, purpose, index), built fresh: ``Philox`` keyed
-    ``[seed, purpose << 32 | index]``, unhashed (Salmon et al., SC '11): two names, two streams."""
-    if not 0 <= index < 1 << 32:
+def check_stream_index(index: int) -> None:
+    """Reject a stream index outside [0, 2**32), the low half of a key word."""
+    if not 0 <= operator.index(index) < 1 << 32:
         raise ValueError(f"a stream index must be in [0, 2**32), got {index}")
+
+
+def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
+    """The stream named (seed, purpose, index), built fresh: numpy's
+    counter-based ``Philox`` (Salmon et al., SC '11) keyed
+    ``[seed, purpose << 32 | index]``, unhashed.  Word 0 is the model's seed,
+    word 1 the purpose (``DRAW``, ``READ`` or ``ROW``) in its high half and
+    the index in its low half, so two names are two streams."""
+    check_stream_index(index)
     return np.random.Generator(np.random.Philox(_key_type()((seed, purpose << 32 | index))))
 
 
@@ -223,7 +235,9 @@ def class_amplitudes(universe_size: int, marked_count: int, iterations: int) -> 
 
     Every marked label carries sin[(2m+1)theta/2]/sqrt(M) and every unmarked
     one cos[(2m+1)theta/2]/sqrt(N-M); ``iterations = 0`` gives the uniform
-    state.  Returns ``(marked, unmarked)``.
+    state.  Returns ``(marked, unmarked)``; where every label weighs the
+    same (:func:`returns_to_uniform`), ``|on| = |off|`` exactly, so the EVs
+    are exactly 0, not rounding residue.
     """
     angle = half_angle(universe_size, marked_count, iterations)
     on = math.sin(angle) / math.sqrt(marked_count)

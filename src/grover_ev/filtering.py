@@ -12,7 +12,9 @@ consistent items.  :func:`extract_location` reads only states with
 ``A_m >= 0``, where a marked label weighs at least as much as an unmarked
 one, so under exact readout a nonzero EV is at least ``A_m / M`` in
 magnitude and its sign names a bit that some consistent item carries, while
-a tie at exactly 0 means the consistent items split evenly.
+a tie at exactly 0 means the consistent items split evenly, so either branch
+still holds a marked item.  Under sampling, all of ``A_m / M > a_th`` is
+margin over the noise.
 A stage, :func:`_stage`, decides its bit by :func:`decide_sign` at the
 caller's threshold; the command line passes 0, so each bit is read by its
 sign.  An undecided EV (a tie, or any magnitude up to a positive threshold)

@@ -26,10 +26,11 @@ independent fair coins) with weight ``off N / total`` and uniform over the M
 marked labels with the rest, so ``K ~ Binomial(shots, (on - off) M / total)``
 marked draws split by a ``Multinomial(K, 1/M each)``, and qubit k's ones are
 ``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set.  Past the
-crossing (``on < off``) a sampled whole run raises ``ValueError``; no search
-reads such a state.  A whole run costs O(M L), one qubit O(M) or O(1) given
-its count, at every shot count.  The dense :func:`measure_all` is the
-reference.
+crossing (``on < off``, which only an explicit m reaches) a sampled whole run
+raises ``ValueError``; exact reads and one-qubit reads take every state, and
+no search reads such a state.  A whole run costs O(M L), one qubit O(M) or
+O(1) given its count, at every shot count, and no read allocates memory that
+grows with ``shots``.  The dense :func:`measure_all` is the reference.
 
 A search reads its runs through :func:`_search_runs`, from the marked
 labels alone with no statevector: one plain run on every qubit, as
@@ -39,7 +40,8 @@ The correlation only permutes labels, so a correlated run is fixed by its
 target qubit's count of ones over the moved labels.  The reader sorts the
 marked labels once as L-bit keys, bits from qubit 1 down, in
 O(M L + M log M); a prefix keeps one contiguous run of keys, so three
-bisections give each count in O(log M) and no label is moved.
+bisections give each count in O(log M) and no label is moved.  A search
+thus costs O(M L + M log M + runs log M) whatever ``shots`` is.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import READ, ROW, MarkedSet, StateVector, class_amplitudes, qubit_values, stream
+from .core import READ, ROW, MarkedSet, StateVector, check_stream_index, class_amplitudes
+from .core import qubit_values, stream
 
 
 # Most trials a sign-error rate draws at once: memory stays O(_BLOCK_DRAWS).
@@ -69,7 +72,11 @@ _KEY_WEIGHTS = 1 << np.arange(61, -1, -1, dtype=np.int64)
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Finite-ensemble readout model: shot count, RNG seed, readout noise."""
+    """Finite-ensemble readout model: shot count, RNG seed, readout noise.
+
+    Checked here: ``shots`` in [0, 2**63), as each count is drawn as a signed
+    64-bit integer, ``seed`` in [0, 2**64), and a finite sigma >= 0.
+    """
 
     shots: int = 0
     seed: int = 0
@@ -113,7 +120,7 @@ def _check_ev_bound(evs: np.ndarray, sigma: float) -> None:
 
 def _check_qubit(state: StateVector | ClassState, k: int) -> None:
     """Reject a qubit index outside the register, 1..L."""
-    if not 1 <= k <= state.qubit_count:
+    if not 1 <= operator.index(k) <= state.qubit_count:
         raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
 
 
@@ -245,8 +252,11 @@ def _sign_errors(counts: np.ndarray, shots: int, truth: int) -> int:
     """How many of ``counts`` (int64 counts of ones over ``shots`` shots, no
     noise) read a sign other than ``truth``.  A count c reads the sign of
     ``shots - 2 c``, as :func:`_count_evs` does, found against the
-    ``shots // 2`` bounds so that no ``2 c`` overflows past 2^62.  Raises
-    ``ValueError`` unless every count lies in [0, shots]."""
+    ``shots // 2`` bounds so that no ``2 c`` overflows past 2^62: a ``+``
+    truth errs at ``c >= (shots + 1) // 2``, a ``-`` truth at
+    ``c <= shots // 2``, and an undecided one unless ``shots`` is even and
+    ``c == shots // 2``.  Raises ``ValueError`` unless every count lies in
+    [0, shots]: the readout bound of a noiseless count."""
     # Viewed as unsigned, a negative count lies past every shot count.
     if not counts.view(np.uint64).max() <= shots:
         bad = next(c for c in counts.tolist() if not 0 <= c <= shots)
@@ -298,7 +308,7 @@ def _read_one(
 ) -> float:
     """The EV of one qubit in one run whose marked labels carry ``ones`` ones
     on it, as a Python float with no array built: one count, then one noise
-    value, from ``rng``.  O(1)."""
+    value, from ``rng``; exact, ``(on - off)(M - 2 ones)``.  O(1)."""
     sigma = model.gaussian_noise_sigma
     if model.shots:
         ev = _count_evs(rng.binomial(model.shots, _ones_probability(state, ones)), model.shots)
@@ -371,9 +381,11 @@ def sign_error_rate(
     """Fraction of seeded readout trials that misjudge the sign of qubit k
     after ``iterations`` steps on ``marked``.
 
-    The reference is the sign of the exact EV, undecided when it is 0; a
-    trial errs when the sign it reads (:func:`decide_sign` at threshold 0)
-    differs, so a zero readout of a decidable qubit errs.  Qubit k's marked
+    The reference is the sign of the exact EV, undecided when it is 0 (two
+    marked labels split on qubit k, m = 0, or a state back at equal
+    weights); a trial errs when the sign it reads (:func:`decide_sign` at
+    threshold 0) differs, so a zero readout of a decidable qubit errs, and
+    so does every decided readout of an undecided one.  Qubit k's marked
     ones are counted once per marked set (:meth:`MarkedSet.ones`); the exact
     EV is read from that count by :func:`_read_one`, and all trials draw
     from ``stream(model.seed, ROW, row)`` in blocks of at most ``_BLOCK_DRAWS``:
@@ -384,10 +396,14 @@ def sign_error_rate(
     ``shots - 2 c`` is that of the EV ``_count_evs`` reads, so the rate is
     the same to the bit.  O(M + trials) time for a set's first row (O(trials)
     after) and O(_BLOCK_DRAWS) memory, whatever the shot count and register
-    size.  Exact, noiseless readout runs one trial.
+    size.  Exact, noiseless readout runs one trial, since every trial would
+    read the same EV.  Whatever the readout, a ``row`` outside [0, 2**32)
+    raises ``ValueError`` (:func:`~grover_ev.core.check_stream_index`), and a
+    ``k``, ``trials`` or ``row`` that is not an integer raises ``TypeError``.
     """
-    if not 1 <= trials <= MAX_TRIALS:
+    if not 1 <= operator.index(trials) <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    check_stream_index(row)
     shots, sigma = model.shots, model.gaussian_noise_sigma
     trials = 1 if shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)

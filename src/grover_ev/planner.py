@@ -27,8 +27,10 @@ class TruncationPlan:
     ``m_trunc_estimate`` is the closed form
     m_stand * (2/pi) * arcsin(sqrt(r + (1 - r) M/N)) with r = a_th/a_stand =
     M a_th (a_stand = 1/M), so for M >= 2 it tracks the search's step count
-    (:func:`search_iterations`), not ``m_trunc``.  ``saturated`` flags a
-    threshold no attenuation reaches by ``m_stand``; ``m_trunc`` is then that.
+    (:func:`search_iterations`), not ``m_trunc``: at N = 2**20, M = 4 and
+    a_th = 0.2, ``m_trunc`` is 119, the estimate 283.3, and a search runs at
+    m = 283.  ``saturated`` flags a threshold no attenuation reaches by
+    ``m_stand``; ``m_trunc`` is then that.
     """
 
     N: int
@@ -83,7 +85,10 @@ def _truncation_point(
     on one register: ``theta`` and ``m_stand`` are those of (n, m_count).
 
     Inverts A_m = a_th in closed form, then steps that guess against
-    :func:`_attenuation` at ``theta`` until A(m - 1) <= a_th < A(m).  Returns
+    :func:`_attenuation` at ``theta``, the angle the caller has checked,
+    until A(m - 1) <= a_th < A(m).  Only the saturation probe at ``m_stand``
+    goes through the public :func:`attenuation`, the same expression behind
+    the (N, M) check.  Returns
     (m, saturated); saturated means A(m_stand) does not clear the threshold,
     as for any a_th >= 1.
     """
@@ -103,8 +108,11 @@ def make_plan(universe_size: int, marked_count: int, a_th: float) -> TruncationP
     Raises ValueError unless 0 <= a_th <= 1/M (NaN fails), or if 2N > 2**62."""
     theta = grover_angle(universe_size, marked_count)
     if 2 * marked_count >= universe_size:
-        # One extra qubit, 0 on every marked label, halves M/N so that a marked
-        # label outweighs an unmarked one (Nielsen & Chuang 2000, sec. 6.1.4).
+        # On N labels m_stand would be 0 or 1, and no step reads a sign: at
+        # M = N/2 every label keeps the same weight, and past it a marked label
+        # weighs less.  One extra qubit, 0 on every marked label, halves M/N so
+        # that a marked label outweighs an unmarked one and m_stand >= 1
+        # (Nielsen & Chuang 2000, sec. 6.1.4); the location stays below N.
         if universe_size == 1 << 62:
             raise ValueError("2M >= N is read on 2N labels, and 2N = 2**63 is past 2**62")
         universe_size *= 2

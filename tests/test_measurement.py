@@ -221,6 +221,31 @@ def test_sign_error_rate_rejects_qubits_outside_the_register(model, k):
         sign_error_rate(MarkedSet((5,), 16), 1, k, model, trials=3)
 
 
+@pytest.mark.parametrize("model", [EnsembleModel(), EnsembleModel(shots=64, seed=1)],
+                         ids=["exact", "sampled"])
+@pytest.mark.parametrize("row", [-1, 2**32])
+def test_sign_error_rate_rejects_rows_outside_the_stream_index(model, row):
+    # An exact, noiseless rate builds no stream, and still rejects the row
+    # with the message a stream gives.
+    with pytest.raises(ValueError, match=rf"^a stream index must be in \[0, 2\*\*32\), got {row}$"):
+        sign_error_rate(MarkedSet((5,), 16), 1, 1, model, trials=3, row=row)
+
+
+@pytest.mark.parametrize("model", [EnsembleModel(), EnsembleModel(shots=64, seed=1)],
+                         ids=["exact", "sampled"])
+@pytest.mark.parametrize("name", ["k", "trials", "row"])
+def test_sign_error_rate_rejects_a_float_count(model, name):
+    # Each float lies in range, so only its type is wrong: it raises as
+    # range(1.0) does rather than being read as an integer.  Qubit 1's
+    # marked ones are counted first, so the memo cannot answer for k = 1.0.
+    marked = MarkedSet((5,), 16)
+    marked.ones(1)
+    counts = {"k": 1, "trials": 3, "row": 0}
+    counts[name] = float(counts[name])
+    with pytest.raises(TypeError):
+        sign_error_rate(marked, 1, counts["k"], model, trials=counts["trials"], row=counts["row"])
+
+
 def test_sign_error_rate_counts_wrong_signs():
     # Three-shot readout of a 0.75-signal qubit (per-shot minority
     # probability 0.125, odd count so no ties): majority-wrong probability
