@@ -195,27 +195,19 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _fmt_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _csv_text(lines: list[str]) -> str:
+    """The header and ``lines``, as ``csv.writer`` writes them: no field needs quoting."""
+    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 
-def _csv_text(rows: list[tuple]) -> str:
-    """The header and rows, as ``csv.writer`` writes them: no field needs quoting."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join([_fmt_field(field) for field in row]) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> tuple:
-    """One CSV row, its fields in ``CSV_COLUMNS`` order: the plan's (N, M,
+def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> str:
+    """One CSV line, its fields in ``CSV_COLUMNS`` order: the plan's (N, M,
     a_th) and counts, the attenuation at iterate count ``m``, and the
-    sign-error rate (None in a plan row)."""
-    return (plan.N, plan.M, m, plan.a_th, attenuation(plan.N, plan.M, m), plan.m_stand,
-            plan.m_trunc, plan.m_trunc_estimate, error_rate, seed)
+    sign-error rate (empty in a plan row).  Integers are written by ``str``
+    and floats by ``:.12g``; an integer ``a_th`` is 0 or 1, the same either way."""
+    rate = "" if error_rate is None else f"{error_rate:.12g}"
+    return (f"{plan.N},{plan.M},{m},{plan.a_th:.12g},{attenuation(plan.N, plan.M, m):.12g},"
+            f"{plan.m_stand},{plan.m_trunc},{plan.m_trunc_estimate:.12g},{rate},{seed}")
 
 
 def _iterations(config: dict, plan) -> int:
@@ -263,39 +255,34 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
     return 0
 
 
-def _sweep_row(
-    config: dict, model: EnsembleModel, plans: dict, explicit_sets: dict, var: str, value,
-    index: int, trials: int,
-) -> tuple:
-    row_seed = model.seed ^ index
-    n = value if var == "N" else config["n"]
-    a_th = value if var == "a_th" else config["a_th"]
-    key = (n, a_th, math.copysign(1.0, a_th))
-    if (plan := plans.get(key)) is None:
-        plan = plans[key] = make_plan(n, config["m_count"], a_th)
-    if config["marked"] is None:
-        marked = _marked_set(n, plan.N, config, row_seed, index)
-    elif (marked := explicit_sets.get((n, plan.N))) is None:
-        marked = explicit_sets[n, plan.N] = _marked_set(n, plan.N, config, 0)
-    m = value if var == "m" else _iterations(config, plan)
-    shots = value if var == "shots" else model.shots
-    row_model = EnsembleModel(shots, row_seed, model.gaussian_noise_sigma)
-    error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials, row=index)
-    return _csv_row(plan, m, error_rate, row_seed)
-
-
 def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
     # One plan per (register, a_th) of this sweep, the sign keying -0.0 apart
     # from 0.0 since each row prints its own a_th, and one explicit marked set
-    # per register, so its marked ones are counted in its first row only
-    # (MarkedSet.ones); a drawn set is drawn in its row, from the row's
-    # stream.  Both memos are plain dicts of this call, so none outlives it,
-    # and each row builds its own readout model.
+    # per n, whose register plan.N follows from n, so its marked ones are
+    # counted in its first row only (MarkedSet.ones); a drawn set is drawn in
+    # its row, from the row's stream.  Both memos are plain dicts of this
+    # call, so none outlives it, and each row builds its own readout model.
     plans: dict = {}
     explicit_sets: dict = {}
-    rows = [_sweep_row(config, model, plans, explicit_sets, var, v, i, trials)
-            for i, v in enumerate(values)]
-    _emit(_csv_text(rows), config["out"])
+
+    def row(index: int, value) -> str:
+        row_seed = model.seed ^ index
+        n = value if var == "N" else config["n"]
+        a_th = value if var == "a_th" else config["a_th"]
+        key = (n, a_th, math.copysign(1.0, a_th))
+        if (plan := plans.get(key)) is None:
+            plan = plans[key] = make_plan(n, config["m_count"], a_th)
+        if config["marked"] is None:
+            marked = _marked_set(n, plan.N, config, row_seed, index)
+        elif (marked := explicit_sets.get(n)) is None:
+            marked = explicit_sets[n] = _marked_set(n, plan.N, config, 0)
+        m = value if var == "m" else _iterations(config, plan)
+        shots = value if var == "shots" else model.shots
+        row_model = EnsembleModel(shots, row_seed, model.gaussian_noise_sigma)
+        error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials, row=index)
+        return _csv_row(plan, m, error_rate, row_seed)
+
+    _emit(_csv_text([row(i, v) for i, v in enumerate(values)]), config["out"])
     audit = {
         "config": config,
         "sweep": {"variable": var, "values": values, "trials": trials},

@@ -112,7 +112,9 @@ class MarkedSet:
 
     def ones(self, k: int) -> int:
         """How many locations have bit ``k`` set (``k = 1`` least
-        significant), counted once per set and ``k``."""
+        significant), counted once per set and ``k``; ``k`` is checked by
+        :func:`check_qubit_index` on the register of ``universe_size`` labels."""
+        check_qubit_index(k, (self.universe_size - 1).bit_length())
         if k not in self._ones:
             self._ones[k] = int(np.count_nonzero(self.labels & (1 << (k - 1))))
         return self._ones[k]
@@ -160,10 +162,15 @@ def draw_marked_set(universe_size: int, count: int, seed: int, index: int = 0) -
     return MarkedSet(np.sort(locations).tolist(), universe_size)
 
 
+def check_qubit_index(k: int, qubit_count: int) -> None:
+    """Reject a qubit index outside the register's qubits, 1..qubit_count."""
+    if not 1 <= operator.index(k) <= qubit_count:
+        raise ValueError(f"qubit index {k} out of range 1..{qubit_count}")
+
+
 def qubit_values(qubit_count: int, k: int) -> np.ndarray:
     """Value of qubit ``k`` (bit ``k`` of the label) for every basis label."""
-    if not 1 <= k <= qubit_count:
-        raise ValueError(f"qubit index {k} out of range 1..{qubit_count}")
+    check_qubit_index(k, qubit_count)
     labels = np.arange(1 << qubit_count)
     return (labels >> (k - 1)) & 1
 

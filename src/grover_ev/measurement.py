@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import READ, ROW, MarkedSet, StateVector, check_stream_index, class_amplitudes
-from .core import qubit_values, stream
+from .core import check_qubit_index, qubit_values, stream
 
 
 # Most trials a sign-error rate draws at once: memory stays O(_BLOCK_DRAWS).
@@ -118,12 +118,6 @@ def _check_ev_bound(evs: np.ndarray, sigma: float) -> None:
             _check_ev(ev, sigma)
 
 
-def _check_qubit(state: StateVector | ClassState, k: int) -> None:
-    """Reject a qubit index outside the register, 1..L."""
-    if not 1 <= operator.index(k) <= state.qubit_count:
-        raise ValueError(f"qubit index {k} out of range 1..{state.qubit_count}")
-
-
 def exact_ev(state: StateVector, k: int) -> float:
     """Exact ensemble average of sigma_z(k): P(bit k = 0) - P(bit k = 1)."""
     bits = qubit_values(state.qubit_count, k)
@@ -166,7 +160,7 @@ def _label_evs(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
 def sampled_ev(state: StateVector, k: int, model: EnsembleModel) -> float:
     """Estimate of sigma_z(k) under the given ensemble model: qubit k of
     :func:`measure_all`."""
-    _check_qubit(state, k)
+    check_qubit_index(k, state.qubit_count)
     return measure_all(state, model)[k - 1]
 
 
@@ -407,7 +401,6 @@ def sign_error_rate(
     shots, sigma = model.shots, model.gaussian_noise_sigma
     trials = 1 if shots == 0 and sigma == 0.0 else trials
     state = class_state(marked, iterations)
-    _check_qubit(state, k)
     ones = marked.ones(k)
     exact = _read_one(state, _EXACT, ones, None)
     # The exact sign is decide_sign at 0 (undecided 0).

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import grover_ev
@@ -835,7 +835,17 @@ def test_sweep_row_whose_model_fails_exits_two_before_any_output(capsys, monkeyp
 
 
 def _field(value) -> str:
+    """A CSV field as the CSV form writes it: None empty, a float by
+    ``:.12g``, an int by ``str``."""
+    if value is None:
+        return ""
     return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _row_fields(plan, m, rate, seed) -> tuple:
+    """A CSV row's fields in ``CSV_COLUMNS`` order, from the library alone."""
+    return (plan.N, plan.M, m, plan.a_th, grover_ev.attenuation(plan.N, plan.M, m),
+            plan.m_stand, plan.m_trunc, plan.m_trunc_estimate, rate, seed)
 
 
 @pytest.mark.parametrize("argv", [
@@ -851,6 +861,8 @@ def _field(value) -> str:
     ["--marked", "1,2,3", "--shots", "64", "--sweep", "N", "--values", "4,8,16,4"],
     ["--m-count", "2", "--shots", "64", "--sigma", "0.01", "--sweep", "N",
      "--values", "4,8,64"],
+    # A range gives integer thresholds, 0 and 1, each written by str.
+    ["--n", "16", "--marked", "3", "--shots", "64", "--sweep", "a_th", "--values", "0..1"],
 ])
 def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
     # Every CSV row is rebuilt from the library: the plan on (n, M, a_th),
@@ -878,8 +890,7 @@ def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
         shots = value if var == "shots" else model.shots
         readout = grover_ev.EnsembleModel(shots, seed, model.gaussian_noise_sigma)
         rate = grover_ev.sign_error_rate(marked, m, 1, readout, trials=7, row=i)
-        expected = (plan.N, plan.M, m, plan.a_th, grover_ev.attenuation(plan.N, plan.M, m),
-                    plan.m_stand, plan.m_trunc, plan.m_trunc_estimate, rate, seed)
+        expected = _row_fields(plan, m, rate, seed)
         assert [row[c] for c in CSV_COLUMNS] == [_field(f) for f in expected], (i, row)
 
 
@@ -1290,29 +1301,43 @@ def test_json_writer_rejects_what_json_rejects(bad):
 
 def _csv_module_text(rows):
     """The CSV bytes ``csv.writer`` gives for the header and ``rows``, each a
-    tuple of fields in ``CSV_COLUMNS`` order."""
+    tuple of fields in ``CSV_COLUMNS`` order written by :func:`_field`."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         assert len(row) == len(CSV_COLUMNS)
-        writer.writerow([cli._fmt_field(field) for field in row])
+        writer.writerow([_field(field) for field in row])
     return buffer.getvalue()
 
 
-_CSV_FIELDS = (
-    st.none() | st.integers(-2**80, 2**80) | st.floats()
-    | st.sampled_from([1e-09, -0.0, 0.1])
-)
+@st.composite
+def _csv_rows(draw):
+    """The arguments of one CSV row as the program writes it: a plan on
+    N = 2**L, L in 1..62, with 2M >= N as often as not below L = 62 (where 2N
+    would pass 2**62), an a_th in [0, 1/M] (the integers of a range
+    included), an m from 0 to past m_stand, a rate or None, and a 64-bit seed."""
+    qubits = draw(st.integers(1, 62))
+    n = 1 << qubits
+    if draw(st.booleans()) and qubits < 62:
+        m_count = draw(st.integers(n // 2, n - 1))
+    else:
+        m_count = draw(st.integers(1, max(1, n // 2 - 1)))
+    a_th = draw(st.sampled_from([-0.0, 0.0, 1e-09, 1 / m_count, 0, 1])
+                | st.floats(0.0, 1 / m_count))
+    assume(a_th <= 1 / m_count)
+    plan = grover_ev.make_plan(n, m_count, a_th)
+    m = draw(st.integers(0, 2 * plan.m_stand + 2))
+    rate = draw(st.none() | st.floats(0.0, 1.0))
+    return plan, m, rate, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.lists(_CSV_FIELDS, min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)),
-                max_size=6))
+@given(st.lists(_csv_rows(), max_size=6))
 @example([])  # the header alone
-def test_csv_writer_gives_the_csv_module_bytes(fields):
-    rows = [tuple(row) for row in fields]
-    assert cli._csv_text(rows) == _csv_module_text(rows)
+def test_csv_writer_gives_the_csv_module_bytes(rows):
+    lines = [cli._csv_row(*row) for row in rows]
+    assert cli._csv_text(lines) == _csv_module_text([_row_fields(*row) for row in rows])
 
 
 @pytest.mark.parametrize("argv", [
@@ -1327,8 +1352,8 @@ def test_plan_csv_is_the_csv_module_bytes(capsys, argv):
     args = cli._parse(["plan", *argv])
     config, model = cli._resolve_config(args)
     plan = grover_ev.make_plan(config["n"], config["m_count"], config["a_th"])
-    row = cli._csv_row(plan, cli._iterations(config, plan), None, model.seed)
-    assert out == _csv_module_text([row])
+    m = config["m"] if config["m"] is not None else plan.m_trunc
+    assert out == _csv_module_text([_row_fields(plan, m, None, model.seed)])
 
 
 @pytest.mark.parametrize("argv", [PLAN_ARGV, SEARCH_ARGV, SWEEP_ARGV])

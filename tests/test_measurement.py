@@ -215,10 +215,14 @@ def test_sign_error_rate_exact_readout_is_zero():
 
 @pytest.mark.parametrize("model", [EnsembleModel(), EnsembleModel(shots=64, seed=1)],
                          ids=["exact", "sampled"])
-@pytest.mark.parametrize("k", [0, 5, 99, -1])
+@pytest.mark.parametrize("k", [0, 5, 99, -1, 70])
 def test_sign_error_rate_rejects_qubits_outside_the_register(model, k):
+    # MarkedSet.ones holds the same rule on its own register, so no k past
+    # it shifts or overflows.
     with pytest.raises(ValueError, match=rf"^qubit index {k} out of range 1\.\.4$"):
         sign_error_rate(MarkedSet((5,), 16), 1, k, model, trials=3)
+    with pytest.raises(ValueError, match=rf"^qubit index {k} out of range 1\.\.4$"):
+        MarkedSet((3, 5), 16).ones(k)
 
 
 @pytest.mark.parametrize("model", [EnsembleModel(), EnsembleModel(shots=64, seed=1)],
@@ -244,6 +248,11 @@ def test_sign_error_rate_rejects_a_float_count(model, name):
     counts[name] = float(counts[name])
     with pytest.raises(TypeError):
         sign_error_rate(marked, 1, counts["k"], model, trials=counts["trials"], row=counts["row"])
+    if name == "k":
+        # MarkedSet.ones rejects it on a fresh set and after ones(1) alike.
+        for counted in (MarkedSet((3, 5), 16), marked):
+            with pytest.raises(TypeError):
+                counted.ones(1.0)
 
 
 def test_sign_error_rate_counts_wrong_signs():
