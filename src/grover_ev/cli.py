@@ -8,13 +8,14 @@ Subcommands::
 
 Every output embeds the resolved settings as a plain dict, and the readout
 settings are one :class:`~grover_ev.measurement.EnsembleModel`.  All
-randomness derives from ``--seed`` by ``core.stream``: a search reads ``(seed,
-DRAW or READ, 0)``, sweep row ``i`` (CSV seed ``seed XOR i``) ``(seed XOR i,
-DRAW or ROW, i)``.  So a search's drawn set and its readout are independent,
-and the row key is one-to-one in (seed, i): row 1 of ``--seed 0`` and row 0
-of ``--seed 1`` both print seed 1 and read two streams.  Every command works
-on the register ``make_plan`` names, 2N labels where 2M >= N; a search or
-sweep row reads its two-amplitude state, so none builds a statevector.
+randomness derives from ``--seed`` by ``core.stream``.  A ``--m-count`` set
+is drawn from ``(seed, DRAW, 0)`` (:func:`_marked_set`), so every sweep row
+at one size reads the set a search of that size prints.  A search reads its
+runs from ``(seed, READ, 0)``, sweep row ``i`` (CSV seed ``seed XOR i``) from
+``(seed XOR i, ROW, i)``: row 1 of ``--seed 0`` and row 0 of ``--seed 1``
+both print seed 1 and read two streams.  Every command works on the
+register ``make_plan`` names, 2N labels where 2M >= N; a search or sweep
+row reads its two-amplitude state, so none builds a statevector.
 This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
 ``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
 min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
@@ -133,11 +134,12 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
     return config, model
 
 
-def _marked_set(n: int, register: int, config: dict, seed: int, index: int = 0) -> MarkedSet:
-    """``config``'s explicit locations, or its ``m_count`` drawn by ``(seed,
-    index)``, on [0, n), placed on ``register``."""
-    marked, count = config["marked"], config["m_count"]
-    chosen = MarkedSet(marked, n) if marked is not None else draw_marked_set(n, count, seed, index)
+def _marked_set(n: int, register: int, config: dict) -> MarkedSet:
+    """``config``'s explicit locations, or its ``m_count`` drawn by its seed,
+    on [0, n), placed on ``register``: the one place a command builds its set."""
+    marked = config["marked"]
+    chosen = (MarkedSet(marked, n) if marked is not None
+              else draw_marked_set(n, config["m_count"], config["seed"]))
     return chosen if register == n else MarkedSet(chosen.locations, register)
 
 
@@ -219,9 +221,8 @@ def _iterations(config: dict, plan) -> int:
 def cmd_plan(config: dict, model: EnsembleModel) -> int:
     plan = make_plan(config["n"], config["m_count"], config["a_th"])
     if config["marked"] is not None:
-        # An explicit list is checked as a search checks it; --m-count alone
-        # names only M, so no location is drawn.
-        MarkedSet(config["marked"], config["n"])
+        # An explicit list is checked as a search's is; a count draws nothing.
+        _marked_set(config["n"], plan.N, config)
     if config["format"] == "csv":
         row = _csv_row(plan, _iterations(config, plan), None, model.seed)
         _emit(_csv_text([row]), config["out"])
@@ -233,7 +234,7 @@ def cmd_plan(config: dict, model: EnsembleModel) -> int:
 
 def cmd_search(config: dict, model: EnsembleModel) -> int:
     plan = make_plan(config["n"], config["m_count"], config["a_th"])
-    marked = _marked_set(config["n"], plan.N, config, model.seed)
+    marked = _marked_set(config["n"], plan.N, config)
     iterations = config["m"] if config["m"] is not None else search_iterations(plan)
     resolved = {**config, "marked": list(marked.locations), "m": iterations}
     try:
@@ -257,13 +258,12 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
 
 def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
     # One plan per (register, a_th) of this sweep, the sign keying -0.0 apart
-    # from 0.0 since each row prints its own a_th, and one explicit marked set
-    # per n, whose register plan.N follows from n, so its marked ones are
-    # counted in its first row only (MarkedSet.ones); a drawn set is drawn in
-    # its row, from the row's stream.  Both memos are plain dicts of this
-    # call, so none outlives it, and each row builds its own readout model.
+    # from 0.0 since each row prints its own a_th, and one marked set per n
+    # (plan.N follows from n), so its ones are counted in its first row only
+    # (MarkedSet.ones).  Both memos are plain dicts of this call, so none
+    # outlives it, and each row builds its own readout model.
     plans: dict = {}
-    explicit_sets: dict = {}
+    marked_sets: dict = {}
 
     def row(index: int, value) -> str:
         row_seed = model.seed ^ index
@@ -272,10 +272,8 @@ def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials
         key = (n, a_th, math.copysign(1.0, a_th))
         if (plan := plans.get(key)) is None:
             plan = plans[key] = make_plan(n, config["m_count"], a_th)
-        if config["marked"] is None:
-            marked = _marked_set(n, plan.N, config, row_seed, index)
-        elif (marked := explicit_sets.get(n)) is None:
-            marked = explicit_sets[n] = _marked_set(n, plan.N, config, 0)
+        if (marked := marked_sets.get(n)) is None:
+            marked = marked_sets[n] = _marked_set(n, plan.N, config)
         m = value if var == "m" else _iterations(config, plan)
         shots = value if var == "shots" else model.shots
         row_model = EnsembleModel(shots, row_seed, model.gaussian_noise_sigma)

@@ -154,11 +154,11 @@ def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_key_type()((seed, purpose << 32 | index))))
 
 
-def draw_marked_set(universe_size: int, count: int, seed: int, index: int = 0) -> MarkedSet:
+def draw_marked_set(universe_size: int, count: int, seed: int) -> MarkedSet:
     """``count`` distinct locations drawn from [0, N) by ``stream(seed, DRAW,
-    index)``, checked against ``MAX_MARKED`` before anything is drawn."""
+    0)``, one set per (N, count, seed), checked against ``MAX_MARKED`` first."""
     _check_marked_count(count)
-    locations = stream(seed, DRAW, index).choice(universe_size, size=count, replace=False)
+    locations = stream(seed, DRAW, 0).choice(universe_size, size=count, replace=False)
     return MarkedSet(np.sort(locations).tolist(), universe_size)
 
 

@@ -781,8 +781,9 @@ def test_sweep_plans_once_per_register_and_threshold(capsys, monkeypatch, var, v
     (["--marked", "5"], "N", "1024,4096,1024,65536", 3),
     # Where 2M >= N a set is checked on the database, then placed on 2N labels.
     (["--n", "8", "--marked", "1,2,3,4,5"], "m", "0..3", 2),
-    # A drawn set is drawn in each row, from the row's seed.
-    (["--m-count", "2"], "m", "0..8", 9),
+    # A drawn set is drawn once per n, from (seed, DRAW, 0), as a search draws it.
+    (["--m-count", "2"], "m", "0..8", 1),
+    (["--m-count", "2"], "N", "1024,4096,1024,65536", 3),
 ])
 def test_sweep_builds_an_explicit_marked_set_once_per_register(
     capsys, monkeypatch, marked, var, values, builds
@@ -802,6 +803,57 @@ def test_sweep_builds_an_explicit_marked_set_once_per_register(
     for run in (1, 2):
         assert run_cli(capsys, *argv)[:2] == (code, expected)
         assert len(built) == run * builds, built
+
+
+@pytest.mark.parametrize("seed", ["0", "3", "17", "41"])
+@pytest.mark.parametrize("flags", [
+    ["--n", "256", "--m-count", "2", "--shots", "128", "--sweep", "a_th",
+     "--values", "0.05,0.1,0.25", "--trials", "10"],
+    ["--n", "1024", "--m-count", "3", "--sweep", "shots", "--values", "1,3,64,5000",
+     "--trials", "37"],
+    ["--n", "4096", "--m-count", "4", "--shots", "256", "--sigma", "0.01", "--sweep", "m",
+     "--values", "0..5", "--trials", "20"],
+    # Where 2M >= N the set is drawn on the database and read on 2N labels.
+    ["--n", "8", "--m-count", "5", "--shots", "64", "--sweep", "m", "--values", "0..2",
+     "--trials", "9"],
+])
+def test_a_drawn_sweep_reads_the_set_a_search_prints(capsys, flags, seed):
+    # One database per sweep: every row of an m, shots or a_th sweep given
+    # --m-count reads the set `search` prints for that --n, --m-count and
+    # --seed, so its CSV is the CSV of the same sweep given that set.
+    code, drawn, _ = run_cli(capsys, "sweep", *flags, "--seed", seed)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "search", "--n", flags[1], "--m-count", flags[3],
+                           "--seed", seed)
+    assert code in (0, 1)
+    marked = ",".join(map(str, json.loads(out)["config"]["marked"]))
+    code, explicit, _ = run_cli(capsys, "sweep", *flags, "--seed", seed, "--marked", marked)
+    assert code == 0
+    assert drawn == explicit
+
+
+@pytest.mark.parametrize("seed", [0, 9, 41])
+def test_an_n_sweep_row_reads_the_draw_at_its_size(capsys, monkeypatch, seed):
+    # Each row reads draw_marked_set(n, M, seed) at its own size n, placed on
+    # the plan's register (8 labels at n = 4, where 2M >= N); a size that
+    # comes back reads the same set.
+    read = []
+    rate = cli.sign_error_rate
+
+    def recording_rate(marked, *args, **kwargs):
+        read.append(marked)
+        return rate(marked, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sign_error_rate", recording_rate)
+    values = [4, 64, 1024, 4, 64, 2**40]
+    code, _, _ = run_cli(capsys, "sweep", "--m-count", "2", "--shots", "64", "--sweep", "N",
+                         "--values", ",".join(map(str, values)), "--trials", "3",
+                         "--seed", str(seed))
+    assert code == 0
+    assert len(read) == len(values)
+    for n, marked in zip(values, read):
+        assert marked.locations == core.draw_marked_set(n, 2, seed).locations
+        assert marked.universe_size == grover_ev.make_plan(n, 2, 0.0).N
 
 
 @pytest.mark.parametrize("var, values, message", [
@@ -866,7 +918,7 @@ def _row_fields(plan, m, rate, seed) -> tuple:
 ])
 def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
     # Every CSV row is rebuilt from the library: the plan on (n, M, a_th),
-    # the set (drawn from stream (seed XOR i, DRAW, i)) placed on the plan's
+    # the set (drawn from stream (seed, DRAW, 0)) placed on the plan's
     # register, the rate of a model with the row's shots and seed XOR i read
     # from its row's stream, row=i, and A_m at 12 significant digits.
     argv = [*argv, "--trials", "7", "--seed", "41"]
@@ -884,7 +936,7 @@ def test_each_sweep_row_is_the_public_calls_on_its_seed(capsys, argv):
         a_th = value if var == "a_th" else config["a_th"]
         plan = grover_ev.make_plan(n, config["m_count"], a_th)
         chosen = (grover_ev.MarkedSet(config["marked"], n) if config["marked"] is not None
-                  else core.draw_marked_set(n, config["m_count"], seed, i))
+                  else core.draw_marked_set(n, config["m_count"], 41))
         marked = grover_ev.MarkedSet(chosen.locations, plan.N)
         m = value if var == "m" else config["m"] if config["m"] is not None else plan.m_trunc
         shots = value if var == "shots" else model.shots

@@ -190,13 +190,11 @@ def test_full_marked_set_fails_the_angle_check():
 
 def test_marked_draw_is_numpy_choice_without_replacement():
     # The draw is Generator.choice(N, M, replace=False) on the stream
-    # (seed, DRAW, index), a Philox generator keyed [seed, DRAW << 32 | index],
-    # sorted.
-    for n, count, seed, index in [(16, 3, 0, 0), (1024, 7, 5, 3), (2**62, 4, 1, 0),
-                                  (2**17, MAX_MARKED, 2, MAX_SWEEP_VALUES - 1)]:
-        philox = np.random.Philox(key=np.array([seed, DRAW << 32 | index], dtype=np.uint64))
+    # (seed, DRAW, 0), a Philox generator keyed [seed, DRAW << 32 | 0], sorted.
+    for n, count, seed in [(16, 3, 0), (1024, 7, 5), (2**62, 4, 1), (2**17, MAX_MARKED, 2)]:
+        philox = np.random.Philox(key=np.array([seed, DRAW << 32 | 0], dtype=np.uint64))
         expected = np.random.Generator(philox).choice(n, size=count, replace=False)
-        marked = draw_marked_set(n, count, seed, index)
+        marked = draw_marked_set(n, count, seed)
         assert marked.locations == tuple(sorted(int(x) for x in expected))
         assert {type(x) for x in marked.locations} == {int}
         assert marked.universe_size == n

@@ -11,8 +11,15 @@ sampled, a threshold sweep whose rows at 0.0 and -0.0 print 0 and -0, and
 two rejected inputs.
 Every output is a pure function of its argv, so a refactor that keeps
 behaviour keeps every byte.
+
+A change that means to alter outputs re-records the file explicitly, from
+the argvs it holds, and is told the argv of every entry whose bytes moved:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -20,7 +27,8 @@ import pytest
 
 from grover_ev.cli import main
 
-CASES = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+RECORD = Path(__file__).with_name("golden_cli.json")
+CASES = json.loads(RECORD.read_text())
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
@@ -28,3 +36,19 @@ def test_cli_output_is_byte_identical(case, capsys):
     code = main(list(case["argv"]))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def record(argv: list[str]) -> dict:
+    """The entry of one argv: its exit code and the bytes it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+if __name__ == "__main__":
+    cases = [record(case["argv"]) for case in CASES]
+    moved = [" ".join(new["argv"]) for new, old in zip(cases, CASES) if new != old]
+    print("\n".join([f"{len(moved)} of {len(cases)} entries moved:", *moved]))
+    RECORD.write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {RECORD}")
