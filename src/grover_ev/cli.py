@@ -43,11 +43,11 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .core import MarkedSet, draw_marked_set
+from .core import ROW, MarkedSet, draw_marked_set, stream
 from .core import closed_form_state  # noqa: F401  unused; perfbench/tracer.py wraps it here
 from .filtering import SearchFailure, extract_location
 from .measurement import EnsembleModel, sign_error_rate
-from .planner import attenuation, make_plan, search_iterations
+from .planner import _attenuation, attenuation, make_plan, search_iterations
 
 CSV_COLUMNS = [
     "N", "M", "m", "a_th", "A_m",
@@ -202,13 +202,15 @@ def _csv_text(lines: list[str]) -> str:
     return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 
-def _csv_row(plan, m: int, error_rate: float | None, seed: int) -> str:
+def _csv_row(plan, m: int, error_rate: float | None, seed: int, a_m: float | None = None) -> str:
     """One CSV line, its fields in ``CSV_COLUMNS`` order: the plan's (N, M,
-    a_th) and counts, the attenuation at iterate count ``m``, and the
-    sign-error rate (empty in a plan row).  Integers are written by ``str``
-    and floats by ``:.12g``; an integer ``a_th`` is 0 or 1, the same either way."""
+    a_th) and counts, ``a_m`` (the attenuation at iterate count ``m``; by the
+    checking ``attenuation`` when None), and the sign-error rate (empty in a
+    plan row).  Integers by ``str``, floats by ``:.12g``; an integer ``a_th``
+    is 0 or 1, the same either way."""
     rate = "" if error_rate is None else f"{error_rate:.12g}"
-    return (f"{plan.N},{plan.M},{m},{plan.a_th:.12g},{attenuation(plan.N, plan.M, m):.12g},"
+    a_m = attenuation(plan.N, plan.M, m) if a_m is None else a_m
+    return (f"{plan.N},{plan.M},{m},{plan.a_th:.12g},{a_m:.12g},"
             f"{plan.m_stand},{plan.m_trunc},{plan.m_trunc_estimate:.12g},{rate},{seed}")
 
 
@@ -257,13 +259,16 @@ def cmd_search(config: dict, model: EnsembleModel) -> int:
 
 
 def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials: int) -> int:
-    # One plan per (register, a_th) of this sweep, the sign keying -0.0 apart
-    # from 0.0 since each row prints its own a_th, and one marked set per n
-    # (plan.N follows from n), so its ones are counted in its first row only
-    # (MarkedSet.ones).  Both memos are plain dicts of this call, so none
-    # outlives it, and each row builds its own readout model.
+    # One plan per (register, a_th), the sign keying -0.0 apart from 0.0 as each
+    # row prints its a_th, and one marked set per n (plan.N follows from n), so
+    # its ones are counted once (MarkedSet.ones): plain dicts of this call, so
+    # none outlives it.  A sampled sweep builds one generator that each row
+    # re-keys to its own stream (core.rekey); a row reads A_m off its plan's
+    # checked theta once sign_error_rate has checked m.
     plans: dict = {}
     marked_sets: dict = {}
+    sampled = model.gaussian_noise_sigma or (any(values) if var == "shots" else model.shots)
+    rng = stream(model.seed, ROW, 0) if sampled else None
 
     def row(index: int, value) -> str:
         row_seed = model.seed ^ index
@@ -277,8 +282,8 @@ def cmd_sweep(config: dict, model: EnsembleModel, var: str, values: list, trials
         m = value if var == "m" else _iterations(config, plan)
         shots = value if var == "shots" else model.shots
         row_model = EnsembleModel(shots, row_seed, model.gaussian_noise_sigma)
-        error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials, row=index)
-        return _csv_row(plan, m, error_rate, row_seed)
+        error_rate = sign_error_rate(marked, m, 1, row_model, trials=trials, row=index, rng=rng)
+        return _csv_row(plan, m, error_rate, row_seed, _attenuation(plan.N, plan.M, plan.theta, m))
 
     _emit(_csv_text([row(i, v) for i, v in enumerate(values)]), config["out"])
     audit = {

@@ -1,12 +1,12 @@
 """Marked sets, the rotation angles, and the dense statevector reference.
 
 :class:`MarkedSet` (at most :data:`MAX_MARKED` locations) and its draw,
-:func:`draw_marked_set`; :func:`stream`, which names every random stream; the
-Grover angles and :func:`class_amplitudes`, the two-amplitude closed form every
-command uses; and the dense reference: the :class:`StateVector` register, the
-oracle, diffusion and iterate, and :func:`closed_form_state`.  Bit ``k`` of a
-basis label ``x`` (1-indexed, ``k = 1`` least significant) is the value of
-qubit ``k``.  All operations are pure: an input state is never mutated.
+:func:`draw_marked_set`; :func:`stream`, which names every random stream, and
+:func:`rekey`, which moves a built one to another name; the Grover angles and
+:func:`class_amplitudes`, the two-amplitude closed form; and the dense
+reference: :class:`StateVector`, the oracle, diffusion and iterate, and
+:func:`closed_form_state`.  Bit ``k`` of a label ``x`` (1-indexed, ``k = 1``
+least significant) is qubit ``k``'s value.  No operation mutates a state.
 """
 
 from __future__ import annotations
@@ -144,14 +144,26 @@ def check_stream_index(index: int) -> None:
         raise ValueError(f"a stream index must be in [0, 2**32), got {index}")
 
 
-def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
-    """The stream named (seed, purpose, index), built fresh: numpy's
-    counter-based ``Philox`` (Salmon et al., SC '11) keyed
-    ``[seed, purpose << 32 | index]``, unhashed.  Word 0 is the model's seed,
-    word 1 the purpose (``DRAW``, ``READ`` or ``ROW``) in its high half and
-    the index in its low half, so two names are two streams."""
+def _key(seed: int, purpose: int, index: int) -> tuple[int, int]:
+    """The Philox key of stream (seed, purpose, index): word 0 the seed, word 1
+    the purpose in its high half and the checked index in its low half."""
     check_stream_index(index)
-    return np.random.Generator(np.random.Philox(_key_type()((seed, purpose << 32 | index))))
+    return seed, purpose << 32 | index
+
+
+def stream(seed: int, purpose: int, index: int) -> np.random.Generator:
+    """The stream (seed, purpose, index), built fresh: numpy's counter-based
+    ``Philox`` (Salmon et al., SC '11) keyed by :func:`_key`, unhashed."""
+    return np.random.Generator(np.random.Philox(_key_type()(_key(seed, purpose, index))))
+
+
+def rekey(rng: np.random.Generator, seed: int, purpose: int, index: int) -> np.random.Generator:
+    """``rng``, built by :func:`stream`, moved to stream (seed, purpose, index):
+    the state ``stream`` builds (key, counter 0, an empty buffer), in a fifth of its time."""
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {
+        "counter": (0, 0, 0, 0), "key": _key(seed, purpose, index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def draw_marked_set(universe_size: int, count: int, seed: int) -> MarkedSet:

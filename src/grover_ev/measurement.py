@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import READ, ROW, MarkedSet, StateVector, check_stream_index, class_amplitudes
-from .core import check_qubit_index, qubit_values, stream
+from .core import check_qubit_index, qubit_values, rekey, stream
 
 
 # Most trials a sign-error rate draws at once: memory stays O(_BLOCK_DRAWS).
@@ -125,11 +125,12 @@ def exact_ev(state: StateVector, k: int) -> float:
     return float(np.sum(probs[bits == 0]) - np.sum(probs[bits == 1]))
 
 
-def _run_generator(model: EnsembleModel, purpose: int = READ, index: int = 0):
-    """``stream(model.seed, purpose, index)``, which a read or a search draws
-    its counts and noise from; None for exact, noiseless readout."""
+def _run_generator(model: EnsembleModel, purpose: int = READ, index: int = 0, rng=None):
+    """``stream(model.seed, purpose, index)``, or ``rng`` re-keyed to it: what a
+    read or a search draws its counts and noise from; None for exact, noiseless readout."""
     if model.shots or model.gaussian_noise_sigma:
-        return stream(model.seed, purpose, index)
+        key = (model.seed, purpose, index)
+        return stream(*key) if rng is None else rekey(rng, *key)
     return None
 
 
@@ -371,6 +372,7 @@ def sign_error_rate(
     *,
     trials: int = 200,
     row: int = 0,
+    rng: np.random.Generator | None = None,
 ) -> float:
     """Fraction of seeded readout trials that misjudge the sign of qubit k
     after ``iterations`` steps on ``marked``.
@@ -382,7 +384,8 @@ def sign_error_rate(
     so does every decided readout of an undecided one.  Qubit k's marked
     ones are counted once per marked set (:meth:`MarkedSet.ones`); the exact
     EV is read from that count by :func:`_read_one`, and all trials draw
-    from ``stream(model.seed, ROW, row)`` in blocks of at most ``_BLOCK_DRAWS``:
+    from ``stream(model.seed, ROW, row)``, or ``rng`` re-keyed to it (one
+    generator serves a sweep; the same rate to the bit), in blocks of at most ``_BLOCK_DRAWS``:
     one vector of ``Binomial(shots, p_k)`` counts (the exact EV when
     ``shots`` is 0), then one of noise, so a block of one trial is one
     :func:`_read_one` call, draw for draw.  A noiseless block of counts is
@@ -406,7 +409,7 @@ def sign_error_rate(
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = (exact > 0) - (exact < 0)
     p = _ones_probability(state, ones)
-    rng = _run_generator(model, ROW, row)
+    rng = _run_generator(model, ROW, row, rng)
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):
         runs = min(_BLOCK_DRAWS, trials - start)

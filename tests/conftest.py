@@ -21,7 +21,7 @@ from grover_ev import (
     decide_sign,
     make_plan,
 )
-from grover_ev import core, measurement
+from grover_ev import cli, core, measurement
 
 # Tolerance for cases that are exact up to floating-point rounding
 # (involutions, analytically exact expectation values).
@@ -304,13 +304,15 @@ def assert_rate_matches(errors, trials, probability, bound=5.0):
 class RecordingGenerator:
     """A numpy ``Generator`` that keeps every array it hands out, by method,
     in ``draws``: a stand-in for the stream ``core.stream`` names by ``key``,
-    (seed, purpose, index), with the key's seed in ``seed``."""
+    (seed, purpose, index), with the key's seed in ``seed``.  Each name
+    ``core.rekey`` moves it to is appended to ``rekeys``."""
 
     def __init__(self, key, real):
         self.key = key
         self.seed = key[0]
         self._rng = real(*key)
         self.draws = []
+        self.rekeys = []
 
     @property
     def bit_generator(self):
@@ -341,17 +343,26 @@ def generator_state(rng):
 
 def record_generators(monkeypatch):
     """Replace the one stream function, ``core.stream``, with
-    :class:`RecordingGenerator` at both names it is looked up by (``core``
-    for a marked-set draw, ``measurement`` for every read); return the list
-    every generator built from then on is appended to."""
+    :class:`RecordingGenerator` at every name it is looked up by (``core``
+    for a marked-set draw, ``measurement`` for every read, ``cli`` for a
+    sweep's one generator), and wrap ``core.rekey`` at both of its names so
+    that each move is recorded in the generator's ``rekeys``; return the
+    list every generator built from then on is appended to."""
     built = []
-    real = core.stream
+    real, real_rekey = core.stream, core.rekey
 
     def build(seed, purpose, index):
         rng = RecordingGenerator((seed, purpose, index), real)
         built.append(rng)
         return rng
 
-    for module in (core, measurement):
+    def rekey(rng, seed, purpose, index):
+        moved = real_rekey(rng, seed, purpose, index)
+        rng.rekeys.append((seed, purpose, index))
+        return moved
+
+    for module in (core, measurement, cli):
         monkeypatch.setattr(module, "stream", build)
+    for module in (core, measurement):
+        monkeypatch.setattr(module, "rekey", rekey)
     return built

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from conftest import record_generators
 
 import grover_ev
 from grover_ev import cli, core, measurement
@@ -958,6 +959,40 @@ def test_rows_that_share_a_csv_seed_draw_apart(capsys):
     row_one, row_zero = parse_csv(first)[1], parse_csv(second)[0]
     assert row_one["seed"] == row_zero["seed"] == "1"
     assert row_one["ev_sign_error_rate"] != row_zero["ev_sign_error_rate"]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["--shots", "256", "--sweep", "m", "--values", "0..8"], range(9)),
+    (["--sigma", "0.01", "--sweep", "m", "--values", "0..8"], range(9)),
+    (["--sweep", "m", "--values", "0..8"], []),
+    # Only the sampled rows of a shots sweep re-key; all-exact ones build none.
+    (["--sweep", "shots", "--values", "0,64,0,256"], [1, 3]),
+    (["--sweep", "shots", "--values", "0,0"], []),
+])
+def test_a_sweep_builds_one_generator_and_rekeys_it_per_row(monkeypatch, capsys, argv, rows):
+    # A sampled sweep builds one generator and moves it to row i's stream
+    # (seed XOR i, ROW, i) before that row draws; each rate of an m sweep is
+    # the one sign_error_rate reads from a stream of its own.  Exact,
+    # noiseless rows read no stream, so a sweep of them builds none.
+    argv = ["sweep", "--n", "1024", "--marked", "5,77", *argv, "--trials", "20", "--seed", "41"]
+    _, expected, _ = run_cli(capsys, *argv)
+    built = record_generators(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+    if not rows:
+        assert built == []
+        return
+    (rng,) = built
+    assert rng.key == (41, core.ROW, 0)
+    assert rng.rekeys == [(41 ^ i, core.ROW, i) for i in rows]
+    args = cli._parse(argv)
+    config, model = cli._resolve_config(args)
+    if args.sweep_var == "m":
+        marked = cli._marked_set(1024, 1024, config)
+        for i, row in enumerate(parse_csv(out)):
+            readout = grover_ev.EnsembleModel(model.shots, 41 ^ i, model.gaussian_noise_sigma)
+            rate = measurement.sign_error_rate(marked, i, 1, readout, trials=20, row=i)
+            assert float(row["ev_sign_error_rate"]) == rate
 
 
 # ------------------------------------------------------- whole command lines

@@ -34,6 +34,7 @@ from grover_ev.core import (
     draw_marked_set,
     new_uniform,
     qubit_values,
+    rekey,
     stream,
 )
 from grover_ev.cli import main
@@ -236,6 +237,47 @@ def test_stream_is_philox_keyed_by_its_name(seed, purpose, index):
     assert ours.choice(2**40, 4, replace=False).tolist() == theirs.choice(
         2**40, 4, replace=False).tolist()
     assert generator_state(ours) == generator_state(theirs)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("purpose", [DRAW, READ, ROW])
+@pytest.mark.parametrize("index", [0, 2**32 - 1])
+def test_a_rekeyed_generator_is_the_named_stream(seed, purpose, index):
+    # A generator that has drawn (a binomial block, a normal value and one
+    # 32-bit value, so that half a 64-bit word is held and the buffer is part
+    # used), moved by rekey, is in the state a fresh stream of that name
+    # starts in, and draws what it draws.
+    ours = stream(5, ROW, 7)
+    ours.binomial(1024, 0.3, 20)
+    ours.normal(0.0, 0.05)
+    ours.integers(0, 2**32, dtype=np.uint32)
+    held = ours.bit_generator.state
+    assert held["has_uint32"] == 1 and held["buffer_pos"] < 4
+    assert rekey(ours, seed, purpose, index) is ours
+    theirs = stream(seed, purpose, index)
+    assert generator_state(ours) == generator_state(theirs)
+    assert ours.binomial(1024, 0.3, 20).tolist() == theirs.binomial(1024, 0.3, 20).tolist()
+    assert ours.normal(0.0, 0.05, 3).tolist() == theirs.normal(0.0, 0.05, 3).tolist()
+    weights = [0.25] * 4
+    assert ours.multinomial(500, weights).tolist() == theirs.multinomial(500, weights).tolist()
+    assert ours.choice(2**40, 4, replace=False).tolist() == theirs.choice(
+        2**40, 4, replace=False).tolist()
+    assert generator_state(ours) == generator_state(theirs)
+
+
+def test_rekey_checks_the_index_as_stream_does():
+    # An index outside [0, 2**32) raises stream's ValueError, and the
+    # generator keeps the state it had.
+    rng = stream(3, ROW, 5)
+    rng.normal()
+    before = generator_state(rng)
+    for index in (-1, 2**32):
+        with pytest.raises(ValueError) as built:
+            stream(3, ROW, index)
+        with pytest.raises(ValueError) as moved:
+            rekey(rng, 3, ROW, index)
+        assert str(moved.value) == str(built.value)
+        assert generator_state(rng) == before
 
 
 def test_distinct_names_are_distinct_streams():
