@@ -7,13 +7,13 @@ modules: :mod:`grover_ev.core`, :mod:`grover_ev.measurement` and
 
 Integer inputs are read through ``operator.index`` in the check that bounds
 them: N and M (``grover_angle``, so ``make_plan``), an iterate count
-(``half_angle``, ``attenuation``, ``class_state``, ``extract_location``),
+(``attenuation``, which ``class_state`` calls, and ``extract_location``),
 ``EnsembleModel``'s shots and seed, and ``sign_error_rate``'s qubit, trials
 and row.  A float or a string raises ``TypeError`` there, as ``range(1.5)``
 does, and numpy integers and bools are taken.
 """
 
-from .core import MarkedSet, class_amplitudes, grover_angle
+from .core import MarkedSet, grover_angle
 from .filtering import SearchFailure, SearchResult, extract_location
 from .measurement import (
     ClassState,
@@ -28,7 +28,6 @@ from .planner import TruncationPlan, attenuation, make_plan
 __all__ = [
     "MarkedSet",
     "grover_angle",
-    "class_amplitudes",
     "EnsembleModel",
     "ClassState",
     "class_state",

@@ -2,11 +2,11 @@
 
 :class:`MarkedSet` (at most :data:`MAX_MARKED` locations) and its draw,
 :func:`draw_marked_set`; :func:`stream`, which names every random stream, and
-:func:`rekey`, which moves a built one to another name; the Grover angles and
-:func:`class_amplitudes`, the two-amplitude closed form; and the dense
-reference: :class:`StateVector`, the oracle, diffusion and iterate, and
-:func:`closed_form_state`.  Bit ``k`` of a label ``x`` (1-indexed, ``k = 1``
-least significant) is qubit ``k``'s value.  No operation mutates a state.
+:func:`rekey`, which moves a built one to another name; :func:`grover_angle`,
+the one check of (N, M); and the dense reference: :class:`StateVector`, the
+oracle, diffusion and iterate, and :func:`closed_form_state` with its two
+amplitudes, :func:`class_amplitudes`.  Bit ``k`` of a label ``x`` (1-indexed,
+``k = 1`` least significant) is qubit ``k``'s value.  No operation mutates a state.
 """
 
 from __future__ import annotations
@@ -243,14 +243,14 @@ def grover_angle(universe_size: int, marked_count: int) -> float:
 
 
 def half_angle(universe_size: int, marked_count: int, iterations: int) -> float:
-    """(2m+1) theta / 2 after ``iterations`` = m >= 0 amplification steps."""
+    """(2m+1) theta / 2 after ``iterations`` = m >= 0 steps, for :func:`class_amplitudes`."""
     if operator.index(iterations) < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     return (2 * iterations + 1) * grover_angle(universe_size, marked_count) / 2.0
 
 
 def class_amplitudes(universe_size: int, marked_count: int, iterations: int) -> tuple[float, float]:
-    """The two amplitudes of the state after ``iterations`` amplification steps.
+    """The dense reference's two amplitudes after ``iterations`` amplification steps.
 
     Every marked label carries sin[(2m+1)theta/2]/sqrt(M) and every unmarked
     one cos[(2m+1)theta/2]/sqrt(N-M); ``iterations = 0`` gives the uniform

@@ -18,15 +18,17 @@ trials, one qubit over many runs; a block of one trial is, draw for draw,
 one :func:`_read_one` call.  All read a count by :func:`_count_evs` and hold each EV to
 :func:`_check_ev`, but for a noiseless block of sampled trials: its counts
 fix their signs, so :func:`_sign_errors` scores them as integers, held to
-[0, shots], with no EV built.  One qubit k is one ``Binomial(shots, p_k)``,
-``p_k`` exact from the weights and k's marked ones.
-A whole run, where a marked label weighs at least as much as an unmarked
-one (``on >= off``): the Born distribution is uniform over all N labels (bits
-independent fair coins) with weight ``off N / total`` and uniform over the M
-marked labels with the rest, so ``K ~ Binomial(shots, (on - off) M / total)``
+[0, shots], with no EV built.  Every read starts from the state's EV
+attenuation A_m (:class:`ClassState`): qubit k's exact EV is
+``EV_k = A_m (M - 2 ones_k) / M``, where ones_k of the M marked labels have
+bit k set, and one qubit is one ``Binomial(shots, (1 - EV_k) / 2)``.
+A whole run, where ``A_m >= 0`` (a marked label weighs at least as much as
+an unmarked one): the Born distribution is uniform over all N labels (bits
+independent fair coins) with weight ``1 - A_m`` and uniform over the M
+marked labels with weight ``A_m``, so ``K ~ Binomial(shots, A_m)``
 marked draws split by a ``Multinomial(K, 1/M each)``, and qubit k's ones are
 ``Binomial(shots - K, 1/2)`` plus the marked draws with bit k set.  Past the
-crossing (``on < off``, which only an explicit m reaches) a sampled whole run
+crossing (``A_m < 0``, which only an explicit m reaches) a sampled whole run
 raises ``ValueError``; exact reads and one-qubit reads take every state, and
 no search reads such a state.  A whole run costs O(M L), one qubit O(M) or
 O(1) given its count, at every shot count, and no read allocates memory that
@@ -54,8 +56,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import READ, ROW, MarkedSet, StateVector, check_stream_index, class_amplitudes
+from .core import READ, ROW, MarkedSet, StateVector, check_stream_index
 from .core import check_qubit_index, qubit_values, rekey, stream
+from .planner import attenuation
 
 
 # Most trials a sign-error rate draws at once: memory stays O(_BLOCK_DRAWS).
@@ -205,35 +208,24 @@ def measure_all(state: StateVector, model: EnsembleModel) -> list[float]:
 class ClassState:
     """A two-amplitude state, in the form :func:`measure_classes` reads.
 
-    Each label in ``heavy`` has Born weight ``weights[0]`` (on) and every
-    other label of the ``qubit_count``-qubit register ``weights[1]`` (off).
+    The labels in ``heavy`` share one amplitude and every other label of the
+    ``qubit_count``-qubit register another, so the state is its EV
+    attenuation A_m, ``attenuation``: qubit k reads A_m (M - 2 ones_k) / M,
+    where ones_k of the M labels in ``heavy`` have bit k set.
     """
 
     qubit_count: int
     heavy: np.ndarray
-    weights: tuple[float, float]
+    attenuation: float
 
 
 def class_state(marked: MarkedSet, iterations: int) -> ClassState:
-    """The two-amplitude state after ``iterations`` steps on ``marked``.
-
-    ``heavy`` is the marked set's own read-only label array, and
-    ``weights`` the Born weight of one marked and of one unmarked label.
-    The universe must be a power of two (checked by ``grover_angle``).
+    """The two-amplitude state after ``iterations`` steps on ``marked``:
+    ``attenuation`` is ``planner.attenuation`` (which checks m, then N and M),
+    and ``heavy`` the marked set's own read-only label array.
     """
-    n = marked.universe_size
-    on, off = class_amplitudes(n, marked.count, iterations)
-    return ClassState(n.bit_length() - 1, marked.labels, (on * on, off * off))
-
-
-def _ones_probability(state: ClassState, ones: int) -> float:
-    """P(bit k = 1) for one shot of a two-amplitude state whose marked labels
-    carry ``ones`` ones on qubit k.  Every term is >= 0, so the ratio lies in
-    [0, 1] in floats too."""
-    on, off = state.weights
-    dim, size = 1 << state.qubit_count, state.heavy.size
-    total = off * (dim - size) + on * size
-    return (off * (dim // 2 - ones) + on * ones) / total
+    a = attenuation(marked.universe_size, marked.count, iterations)
+    return ClassState(marked.universe_size.bit_length() - 1, marked.labels, a)
 
 
 def _count_evs(counts, shots: int):
@@ -275,24 +267,21 @@ def _read(
     floats: exact, or counts (see the module docstring), then noise, all from
     ``rng``, held to the readout bound.  ``bits`` and ``ones`` are the marked
     labels' :func:`_bit_table`; an exact, noiseless run builds no array."""
-    on, off = state.weights
-    dim, size, shots = 1 << state.qubit_count, state.heavy.size, model.shots
+    a, size, shots = state.attenuation, state.heavy.size, model.shots
     sigma = model.gaussian_noise_sigma
     if shots == 0:
-        # off, spread evenly over all labels, cancels.
-        evs = [(on - off) * (size - 2 * k) for k in ones]
+        evs = [a * (size - 2 * k) / size for k in ones]
         if sigma:
             return _noisy(np.array(evs), sigma, rng).tolist()
-        # Every EV is (on - off) times an integer, so the largest |ev| is
-        # within the bound only if every EV is: a NaN or inf factor fails it.
+        # Every EV is A_m / M times an integer, so the largest |ev| is within
+        # the bound only if every EV is: a NaN or inf factor fails it.
         if not max(map(abs, evs)) <= _ev_bound(0.0) + 1e-12:
             for ev in evs:
                 _check_ev(ev, 0.0)
         return evs
-    if on < off:
+    if a < 0:
         raise ValueError("a marked label weighs less than an unmarked one")
-    total = off * (dim - size) + on * size
-    marked = rng.binomial(shots, (on - off) * size / total)
+    marked = rng.binomial(shots, a)
     counts = rng.binomial(shots - marked, 0.5, state.qubit_count)
     counts += rng.multinomial(marked, [1.0 / size] * size) @ bits
     return _noisy(_count_evs(counts, shots), sigma, rng).tolist()
@@ -302,14 +291,13 @@ def _read_one(
     state: ClassState, model: EnsembleModel, ones: int, rng: np.random.Generator | None
 ) -> float:
     """The EV of one qubit in one run whose marked labels carry ``ones`` ones
-    on it, as a Python float with no array built: one count, then one noise
-    value, from ``rng``; exact, ``(on - off)(M - 2 ones)``.  O(1)."""
-    sigma = model.gaussian_noise_sigma
+    on it, as a Python float with no array built: exact, A_m (M - 2 ones) / M;
+    sampled, one ``Binomial(shots, (1 - exact) / 2)`` count of ones; then one
+    noise value, all from ``rng``.  O(1)."""
+    sigma, size = model.gaussian_noise_sigma, state.heavy.size
+    ev = state.attenuation * (size - 2 * ones) / size
     if model.shots:
-        ev = _count_evs(rng.binomial(model.shots, _ones_probability(state, ones)), model.shots)
-    else:
-        on, off = state.weights
-        ev = (on - off) * (state.heavy.size - 2 * ones)
+        ev = _count_evs(rng.binomial(model.shots, (1.0 - ev) / 2.0), model.shots)
     if sigma:
         ev += min(max(rng.normal(0.0, sigma), -3.0 * sigma), 3.0 * sigma)
     return _check_ev(ev, sigma)
@@ -343,7 +331,7 @@ def _search_runs(
     on the ``stage`` prefix bits, held from qubit 1 down in the top bits of
     ``key``.  Raises ``ValueError`` before any draw past the crossing."""
     state = class_state(marked, iterations)
-    if state.weights[0] < state.weights[1]:
+    if state.attenuation < 0:
         raise ValueError(f"at m = {iterations} a marked label weighs less than an unmarked one")
     qubit_count, rng = state.qubit_count, _run_generator(model)
     bits, ones = _bit_table(state)
@@ -386,8 +374,8 @@ def sign_error_rate(
     EV is read from that count by :func:`_read_one`, and all trials draw
     from ``stream(model.seed, ROW, row)``, or ``rng`` re-keyed to it (one
     generator serves a sweep; the same rate to the bit), in blocks of at most ``_BLOCK_DRAWS``:
-    one vector of ``Binomial(shots, p_k)`` counts (the exact EV when
-    ``shots`` is 0), then one of noise, so a block of one trial is one
+    one vector of ``Binomial(shots, (1 - exact) / 2)`` counts (the exact EV
+    when ``shots`` is 0), then one of noise, so a block of one trial is one
     :func:`_read_one` call, draw for draw.  A noiseless block of counts is
     scored on the counts themselves by :func:`_sign_errors`: the sign of
     ``shots - 2 c`` is that of the EV ``_count_evs`` reads, so the rate is
@@ -408,7 +396,7 @@ def sign_error_rate(
     exact = _read_one(state, _EXACT, ones, None)
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = (exact > 0) - (exact < 0)
-    p = _ones_probability(state, ones)
+    p = (1.0 - exact) / 2.0
     rng = _run_generator(model, ROW, row, rng)
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):

@@ -41,7 +41,7 @@ from grover_ev import (
     EnsembleModel,
     MarkedSet,
     SearchFailure,
-    class_amplitudes,
+    attenuation,
     class_state,
     extract_location,
     make_plan,
@@ -54,6 +54,7 @@ from grover_ev.core import (
     ROW,
     StateVector,
     apply_grover,
+    class_amplitudes,
     closed_form_state,
     grover_angle,
     new_uniform,
@@ -77,6 +78,8 @@ def dense_state(marked, iterations):
 
 
 def class_weights(universe_size, marked_count, iterations):
+    """The Born weight of one marked and of one unmarked label, from the
+    dense reference's two amplitudes."""
     on, off = class_amplitudes(universe_size, marked_count, iterations)
     return on * on, off * off
 
@@ -199,10 +202,10 @@ def marked_runs(draw):
 @given(marked_runs())
 def test_exact_readout_matches_dense_reference(case):
     qubits, marked, m, runs = case
-    weights = class_weights(marked.universe_size, marked.count, m)
+    a_m = attenuation(marked.universe_size, marked.count, m)
     for info, dense, heavy in runs:
         expected = measure_all(dense, EXACT)
-        got = measure_classes(ClassState(qubits, heavy, weights), EXACT)
+        got = measure_classes(ClassState(qubits, heavy, a_m), EXACT)
         assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL, info
 
 
@@ -231,7 +234,7 @@ def test_sampled_record_matches_dense_record():
         if correlation:
             heavy = np.array([correlated_image(x, *correlation) for x in locations])
             dense = apply_correlation(dense, *correlation)
-        state = ClassState(len(qubits), heavy, weights)
+        state = ClassState(len(qubits), heavy, attenuation(n, marked.count, m))
         born = dense.probabilities()
         assert np.max(np.abs(born - class_born_weights(len(qubits), heavy, weights))) <= EXACT_ATOL
         uniform_weight = weights[1] * n
@@ -248,7 +251,7 @@ def test_sampled_record_matches_dense_record():
 
 def test_one_qubit_readout_keeps_the_record_bound():
     # Not a state: both heavy labels have bit 2 clear, so qubit 2 reads 1.5.
-    state = ClassState(2, np.array([0, 1]), (0.75, 0.0))
+    state = ClassState(2, np.array([0, 1]), 1.5)
     with pytest.raises(ValueError, match="EV outside"):
         measure_classes(state, EXACT)
     with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: 1\.5$"):
@@ -280,6 +283,65 @@ def test_one_qubit_reader_is_the_block_reader_on_one_run(qubits, data):
                                       data.draw(st.integers(1, 6)))
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 62), st.data())
+def test_readout_is_the_papers_formula(qubits, data):
+    # A two-amplitude state is its attenuation: class_state's is the
+    # planner's A_m bit for bit, every exact EV is A_m (M - 2 ones_k) / M bit
+    # for bit, and every one-shot chance of a one, (1 - EV) / 2, lies in
+    # [0, 1], so a count can be drawn at it: any set of up to 8 labels (M >=
+    # N/2 too, at small L), m in 0..40 and the m past the crossing.
+    n = 1 << qubits
+    locations = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=min(8, n - 1), unique=True))
+    size = len(locations)
+    past = round(math.pi / grover_angle(n, size) - 0.5)
+    iterations = data.draw(st.one_of(st.integers(0, 40), st.just(past)))
+    state = class_state(MarkedSet(tuple(locations), n), iterations)
+    a_m = attenuation(n, size, iterations)
+    assert state.attenuation.hex() == a_m.hex()
+    evs = measure_classes(state, EXACT)
+    ones = [ones_of(state, k) for k in range(1, qubits + 1)]
+    assert [ev.hex() for ev in evs] == [(a_m * (size - 2 * c) / size).hex() for c in ones]
+    assert all(0.0 <= (1.0 - ev) / 2.0 <= 1.0 for ev in evs)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+@pytest.mark.parametrize("locations, n, m, a_m", [
+    # M/N = 1/4 at m = 1: A_m = 1, and an unmarked label weighs 0.
+    ((1,), 4, 1, 1.0),
+    ((0, 5, 6, 11), 16, 1, 1.0),
+    # M/N = 3/4 at m = 1 mod 3: A_m = -3, and a marked label weighs 0.
+    ((0, 1, 2), 4, 1, -3.0),
+    ((0, 1, 2), 4, 4, -3.0),
+    ((1, 2, 3, 4, 5, 6), 8, 1, -3.0),
+])
+def test_zero_weight_states_read_by_counts(locations, n, m, a_m, sigma):
+    # Where one label class weighs 0, a one-shot chance of a one is exactly
+    # 0 or 1 on a qubit that reads +-1, and numpy draws at it: every
+    # sampled read runs, and a qubit whose exact EV is +-1 reads its sign in
+    # every trial (the noise is clipped below 1).  A whole run at A_m = 1
+    # draws every shot on a marked label; one at A_m = -3 is past the
+    # crossing and raises before it draws.
+    marked = MarkedSet(locations, n)
+    state = class_state(marked, m)
+    assert state.attenuation == a_m
+    model = EnsembleModel(shots=1024, seed=7, gaussian_noise_sigma=sigma)
+    exact = measure_classes(state, EXACT)
+    sure = [abs(ev) == 1.0 for ev in exact]
+    assert any(sure) or len(locations) > 1
+    for k, ev in enumerate(exact, start=1):
+        rate = sign_error_rate(marked, m, k, model, trials=50)
+        assert rate == 0.0 or not sure[k - 1]
+    if a_m < 0:
+        with pytest.raises(ValueError, match="weighs less than an unmarked one"):
+            measure_classes(state, model)
+        return
+    got = measure_classes(state, model)
+    for read, ev, certain in zip(got, exact, sure):
+        assert abs(read - ev) <= 3 * sigma + 1e-12 or not certain
+
+
 def test_one_qubit_reader_clips_noise_as_the_block_reader():
     # Over 10,000 trials the noise passes 3 sigma about 13 times on each side
     # (at seed 0 it does so on both); every trial, clipped or not, is a
@@ -299,7 +361,7 @@ def test_whole_runs_match_dense_readout(qubits, data):
     # A whole run: exact readout gives the dense entries to rounding, and
     # sampled readout counts whose means and covariance over 200 seeds lie
     # within 6 standard errors of the closed form over the dense state's
-    # Born weights.  Past the crossing (on < off) a sampled run is rejected.
+    # Born weights.  Past the crossing (A_m < 0) a sampled run is rejected.
     # Power: a p_k off by 1/sqrt(shots) moves its mean by 2 sqrt(200) = 28
     # standard errors or more.
     n = 1 << qubits
@@ -313,15 +375,15 @@ def test_whole_runs_match_dense_readout(qubits, data):
     model = EnsembleModel(shots=shots, seed=data.draw(st.integers(0, 2**64 - 1)))
     dense = closed_form_state(qubits, marked, iterations)
     state = class_state(marked, iterations)
-    on, off = state.weights
+    a_m = state.attenuation
     if shots == 0:
         got = measure_classes(state, model)
         assert all(type(ev) is float for ev in got)
         assert np.max(np.abs(np.subtract(got, measure_all(dense, model)))) <= EXACT_ATOL
         # Read as Python floats, each is the float64 array expression's EV.
         ones = np.array([ones_of(state, k) for k in range(1, qubits + 1)])
-        assert got == ((on - off) * (count - 2 * ones)).tolist()
-    elif on < off:
+        assert got == (a_m * (count - 2 * ones) / count).tolist()
+    elif a_m < 0:
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
             measure_classes(state, model)
     else:
@@ -423,7 +485,7 @@ def test_reads_at_the_largest_shot_count_are_exact_to_within_1e_4():
 def test_counts_past_the_standard_count_match_dense_weights(
     monkeypatch, locations, n, m, qubits
 ):
-    # Past m_stand (on < off) a marked label weighs less than an unmarked
+    # Past m_stand (A_m < 0) a marked label weighs less than an unmarked
     # one (at N = 4 with 3 marked labels and m = 1, about 1e-33, so every
     # shot lands on the unmarked label and each count is exact), and no
     # search reads such a state.  A sampled whole run raises before its
@@ -434,8 +496,7 @@ def test_counts_past_the_standard_count_match_dense_weights(
     # 1/sqrt(shots) moves its mean by 20 standard errors or more.
     marked = MarkedSet(locations, n)
     state = class_state(marked, m)
-    on, off = state.weights
-    assert on < off
+    assert state.attenuation < 0
     with monkeypatch.context() as patch:
         built = record_generators(patch)
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
@@ -532,6 +593,18 @@ def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
     assert checks == [(float, exact, 0.0), (np.ndarray, exact, 0.0)]
 
 
+def at_chance(build, p):
+    """``build``, a stream function, with each built generator's binomial
+    counts drawn at chance ``p`` of a one, whatever chance it is asked for."""
+    def forced(*key):
+        rng = build(*key)
+        binomial = rng.binomial
+        rng.binomial = lambda shots, asked, size: binomial(shots, p, size)
+        return rng
+
+    return forced
+
+
 # A marked set on 16 labels, read at m = 1 on qubit 1, for each sign of the
 # reference: label 0 has bit 1 clear, label 1 has it set, and {1, 2} splits.
 REFERENCE_SETS = {1: MarkedSet((0,), 16), -1: MarkedSet((1,), 16), 0: MarkedSet((1, 2), 16)}
@@ -551,14 +624,15 @@ def test_noiseless_rate_reads_each_counts_sign(truth, shots, p, trials, seed):
     # A noiseless sampled rate is the wrong-sign share of sign(_count_evs(c))
     # over the counts it drew, for each reference sign, across block edges,
     # and for counts past 2^62, where 2 c would overflow int64: p (the
-    # chance of a one) is drawn near 1 as well as the set's own (None).
+    # chance of a one) is drawn near 1 as well as the set's own (None); the
+    # row's generator draws its counts at that p in place of the one asked.
     # Each sign is also checked on Python ints, which do not overflow.
     marked = REFERENCE_SETS[truth]
     assert np.sign(measure_classes(class_state(marked, 1), EXACT)[0]) == truth
     with pytest.MonkeyPatch.context() as patch:
         built = record_generators(patch)
         if p is not None:
-            patch.setattr(measurement, "_ones_probability", lambda state, ones: p)
+            patch.setattr(measurement, "stream", at_chance(measurement.stream, p))
         rate = sign_error_rate(marked, 1, 1, EnsembleModel(shots=shots, seed=seed), trials=trials)
     (rng,) = built
     # One block of counts per _BLOCK_DRAWS trials, and no noise.
@@ -685,7 +759,8 @@ def exact_error_probability(marked, iterations, k, model):
     """The chance one trial of ``model`` misreads qubit k's sign, from the
     Born weights enumerated over every label and the exact binomial."""
     state = class_state(marked, iterations)
-    born = class_born_weights(state.qubit_count, state.heavy, state.weights)
+    weights = class_weights(marked.universe_size, marked.count, iterations)
+    born = class_born_weights(state.qubit_count, state.heavy, weights)
     exact = measure_classes(state, EXACT)[k - 1]
     p = ones_probabilities(born, [k])[0]
     return sign_error_probability(model.shots, p, exact, model.gaussian_noise_sigma)

@@ -857,6 +857,52 @@ def test_an_n_sweep_row_reads_the_draw_at_its_size(capsys, monkeypatch, seed):
         assert marked.universe_size == grover_ev.make_plan(n, 2, 0.0).N
 
 
+@pytest.mark.parametrize("flags, features", [
+    (["--n", "64", "--marked", "5,9,40", "--shots", "64", "--sweep", "m", "--values", "0..12"],
+     {"past"}),
+    # 2M >= N: the set is read on 2N labels, and m = 2 is past the crossing there.
+    (["--n", "4", "--marked", "0,1,2", "--shots", "64", "--sweep", "m", "--values", "0..4"],
+     {"doubled", "past"}),
+    (["--marked", "1,2", "--m", "2", "--shots", "64", "--sweep", "N",
+      "--values", f"4,8,1024,{2**40}"], {"doubled"}),
+    (["--n", "256", "--marked", "3,77", "--shots", "64", "--sweep", "a_th",
+      "--values", "0,0.01,0.1,0.5"], set()),
+    (["--n", "1024", "--marked", "5", "--m", "50", "--sweep", "shots", "--values", "0,64,4096"],
+     {"past"}),
+], ids=["m", "m-2N", "N", "a_th", "shots"])
+def test_a_sweep_row_prints_the_attenuation_its_trials_read(capsys, monkeypatch, flags, features):
+    # Each row's trials read one two-amplitude state, class_state of the
+    # row's set on the plan's register at the row's m, and the row's A_m
+    # column is that state's attenuation as the CSV writes a float.
+    read = []
+    build = measurement.class_state
+
+    def recording_state(marked, iterations):
+        state = build(marked, iterations)
+        read.append((marked, iterations, state))
+        return state
+
+    monkeypatch.setattr(measurement, "class_state", recording_state)
+    code, out, _ = run_cli(capsys, "sweep", *flags, "--trials", "5", "--seed", "3")
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(read) == len(rows)
+    marked = [int(x) for x in flags[flags.index("--marked") + 1].split(",")]
+    values = flags[flags.index("--values") + 1].split(",")
+    seen = set()
+    for i, (row, (row_set, m, state)) in enumerate(zip(rows, read)):
+        n = int(values[i]) if "N" in flags else int(flags[flags.index("--n") + 1])
+        register = 2 * n if 2 * len(marked) >= n else n
+        assert (row_set.universe_size, len(marked), m) == (register, int(row["M"]), int(row["m"]))
+        assert int(row["N"]) == register and row_set.locations == tuple(marked)
+        assert row["A_m"] == f"{state.attenuation:.12g}"
+        on_register = build(grover_ev.MarkedSet(marked, register), m)
+        assert row["A_m"] == f"{on_register.attenuation:.12g}"
+        seen |= {"past"} if state.attenuation < 0 else set()
+        seen |= {"doubled"} if register > n else set()
+    assert seen == features
+
+
 @pytest.mark.parametrize("var, values, message", [
     ("a_th", "0.1,2.0", "error: a_th must satisfy 0 <= a_th <= 1/M = 1.0, got 2.0\n"),
     ("a_th", "0.1,nan", "error: a_th must satisfy 0 <= a_th <= 1/M = 1.0, got nan\n"),

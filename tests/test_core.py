@@ -13,7 +13,6 @@ from grover_ev import (
     EnsembleModel,
     MarkedSet,
     attenuation,
-    class_amplitudes,
     class_state,
     extract_location,
     grover_angle,
@@ -30,6 +29,7 @@ from grover_ev.core import (
     apply_diffusion,
     apply_grover,
     apply_oracle,
+    class_amplitudes,
     closed_form_state,
     draw_marked_set,
     new_uniform,

@@ -310,7 +310,7 @@ def test_stage_count_reads_as_the_moved_labels(qubits, data):
                           gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))))
     with pytest.MonkeyPatch.context() as patch:
         built = record_generators(patch)
-        if state.weights[0] < state.weights[1]:
+        if state.attenuation < 0:
             with pytest.raises(ValueError, match=f"^at m = {m} a marked label weighs less"):
                 measurement._search_runs(marked, m, model)
             assert built == []
@@ -493,8 +493,7 @@ def test_extract_runs_states_back_at_equal_weights():
     # still verifies a marked label by backtracking.
     for locations, n, m in [((1, 3, 5, 7, 9, 11, 13, 15), 16, 1), ((0, 3), 4, 3),
                             ((2, 7, 8, 13), 16, 2)]:
-        on, off = class_state(MarkedSet(locations, n), m).weights
-        assert on == off
+        assert class_state(MarkedSet(locations, n), m).attenuation == 0.0
         result = extract_location(MarkedSet(locations, n), m, EXACT, 0.0)
         assert result.location in locations
         assert result.branch_events >= n.bit_length() - 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import grover_ev
 
 PRODUCTION = [
-    "MarkedSet", "grover_angle", "class_amplitudes",
+    "MarkedSet", "grover_angle",
     "EnsembleModel", "ClassState", "class_state", "measure_classes", "decide_sign",
     "sign_error_rate",
     "SearchFailure", "SearchResult", "extract_location",
@@ -18,7 +18,8 @@ PRODUCTION = [
 
 DENSE_REFERENCE = {
     "core": ["StateVector", "new_uniform", "apply_oracle", "apply_diffusion", "apply_grover",
-             "closed_form_state", "qubit_values", "MAX_QUBITS", "NORM_ATOL"],
+             "closed_form_state", "class_amplitudes", "half_angle", "qubit_values",
+             "MAX_QUBITS", "NORM_ATOL"],
     "filtering": ["apply_correlation"],
     "measurement": ["exact_ev", "measure_all", "sampled_ev"],
 }
