@@ -7,7 +7,7 @@ modules: :mod:`grover_ev.core`, :mod:`grover_ev.measurement` and
 
 Integer inputs are read through ``operator.index`` in the check that bounds
 them: N and M (``grover_angle``, so ``make_plan``), an iterate count
-(``attenuation``, which ``class_state`` calls, and ``extract_location``),
+(``attenuation``, which ``measure_classes`` calls, and ``extract_location``),
 ``EnsembleModel``'s shots and seed, and ``sign_error_rate``'s qubit, trials
 and row.  A float or a string raises ``TypeError`` there, as ``range(1.5)``
 does, and numpy integers and bools are taken.
@@ -16,9 +16,7 @@ does, and numpy integers and bools are taken.
 from .core import MarkedSet, grover_angle
 from .filtering import SearchFailure, SearchResult, extract_location
 from .measurement import (
-    ClassState,
     EnsembleModel,
-    class_state,
     decide_sign,
     measure_classes,
     sign_error_rate,
@@ -29,8 +27,6 @@ __all__ = [
     "MarkedSet",
     "grover_angle",
     "EnsembleModel",
-    "ClassState",
-    "class_state",
     "measure_classes",
     "decide_sign",
     "sign_error_rate",

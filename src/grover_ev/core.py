@@ -79,7 +79,7 @@ class MarkedSet:
     rather than being truncated.  Membership is the oracle predicate (1 for
     marked, 0 otherwise).  ``labels`` holds the same locations as a
     read-only int64 array, built once with the set and shared by every
-    ``class_state`` of it.  Neither the labels nor the memo of :meth:`ones`
+    two-amplitude read of it.  Neither the labels nor the memo of :meth:`ones`
     is a field, so equality, hashing and repr read the two fields alone.
     """
 

@@ -18,8 +18,9 @@ trials, one qubit over many runs; a block of one trial is, draw for draw,
 one :func:`_read_one` call.  All read a count by :func:`_count_evs` and hold each EV to
 :func:`_check_ev`, but for a noiseless block of sampled trials: its counts
 fix their signs, so :func:`_sign_errors` scores them as integers, held to
-[0, shots], with no EV built.  Every read starts from the state's EV
-attenuation A_m (:class:`ClassState`): qubit k's exact EV is
+[0, shots], with no EV built.  A run after m steps is fixed by the marked
+set and its EV attenuation ``A_m = planner.attenuation(N, M, m)``, which
+every read takes: qubit k's exact EV is
 ``EV_k = A_m (M - 2 ones_k) / M``, where ones_k of the M marked labels have
 bit k set, and one qubit is one ``Binomial(shots, (1 - EV_k) / 2)``.
 A whole run, where ``A_m >= 0`` (a marked label weighs at least as much as
@@ -204,30 +205,6 @@ def measure_all(state: StateVector, model: EnsembleModel) -> list[float]:
     return _noisy(base, model.gaussian_noise_sigma, rng).tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class ClassState:
-    """A two-amplitude state, in the form :func:`measure_classes` reads.
-
-    The labels in ``heavy`` share one amplitude and every other label of the
-    ``qubit_count``-qubit register another, so the state is its EV
-    attenuation A_m, ``attenuation``: qubit k reads A_m (M - 2 ones_k) / M,
-    where ones_k of the M labels in ``heavy`` have bit k set.
-    """
-
-    qubit_count: int
-    heavy: np.ndarray
-    attenuation: float
-
-
-def class_state(marked: MarkedSet, iterations: int) -> ClassState:
-    """The two-amplitude state after ``iterations`` steps on ``marked``:
-    ``attenuation`` is ``planner.attenuation`` (which checks m, then N and M),
-    and ``heavy`` the marked set's own read-only label array.
-    """
-    a = attenuation(marked.universe_size, marked.count, iterations)
-    return ClassState(marked.universe_size.bit_length() - 1, marked.labels, a)
-
-
 def _count_evs(counts, shots: int):
     """sigma_z of ``counts`` ones over ``shots`` shots, for a Python int or an
     int64 array: ``shots - 2 counts`` rounds to a float first, as numpy
@@ -260,15 +237,16 @@ def _sign_errors(counts: np.ndarray, shots: int, truth: int) -> int:
 
 
 def _read(
-    state: ClassState, model: EnsembleModel, ones: Sequence[int], bits: np.ndarray,
+    a: float, model: EnsembleModel, ones: Sequence[int], bits: np.ndarray,
     rng: np.random.Generator | None,
 ) -> list[float]:
-    """EVs of every qubit of one run, qubit k at entry k - 1, as Python
-    floats: exact, or counts (see the module docstring), then noise, all from
-    ``rng``, held to the readout bound.  ``bits`` and ``ones`` are the marked
-    labels' :func:`_bit_table`; an exact, noiseless run builds no array."""
-    a, size, shots = state.attenuation, state.heavy.size, model.shots
-    sigma = model.gaussian_noise_sigma
+    """EVs of every qubit of one run at attenuation ``a``, qubit k at entry
+    k - 1, as Python floats: exact, or counts (see the module docstring), then
+    noise, all from ``rng``, held to the readout bound.  ``bits`` and ``ones``
+    are the marked labels' :func:`_bit_table` (M rows, L columns); an exact,
+    noiseless run builds no array."""
+    size, qubit_count = bits.shape
+    shots, sigma = model.shots, model.gaussian_noise_sigma
     if shots == 0:
         evs = [a * (size - 2 * k) / size for k in ones]
         if sigma:
@@ -282,20 +260,21 @@ def _read(
     if a < 0:
         raise ValueError("a marked label weighs less than an unmarked one")
     marked = rng.binomial(shots, a)
-    counts = rng.binomial(shots - marked, 0.5, state.qubit_count)
+    counts = rng.binomial(shots - marked, 0.5, qubit_count)
     counts += rng.multinomial(marked, [1.0 / size] * size) @ bits
     return _noisy(_count_evs(counts, shots), sigma, rng).tolist()
 
 
 def _read_one(
-    state: ClassState, model: EnsembleModel, ones: int, rng: np.random.Generator | None
+    a: float, size: int, model: EnsembleModel, ones: int, rng: np.random.Generator | None
 ) -> float:
-    """The EV of one qubit in one run whose marked labels carry ``ones`` ones
-    on it, as a Python float with no array built: exact, A_m (M - 2 ones) / M;
-    sampled, one ``Binomial(shots, (1 - exact) / 2)`` count of ones; then one
-    noise value, all from ``rng``.  O(1)."""
-    sigma, size = model.gaussian_noise_sigma, state.heavy.size
-    ev = state.attenuation * (size - 2 * ones) / size
+    """The EV of one qubit in one run at attenuation ``a`` whose ``size``
+    marked labels carry ``ones`` ones on it, as a Python float with no array
+    built: exact, A_m (M - 2 ones) / M; sampled, one
+    ``Binomial(shots, (1 - exact) / 2)`` count of ones; then one noise value,
+    all from ``rng``.  O(1)."""
+    sigma = model.gaussian_noise_sigma
+    ev = a * (size - 2 * ones) / size
     if model.shots:
         ev = _count_evs(rng.binomial(model.shots, (1.0 - ev) / 2.0), model.shots)
     if sigma:
@@ -303,23 +282,26 @@ def _read_one(
     return _check_ev(ev, sigma)
 
 
-def _bit_table(state: ClassState) -> tuple[np.ndarray, list[int]]:
+def _bit_table(marked: MarkedSet) -> tuple[np.ndarray, list[int]]:
     """The marked labels' bits, qubit k in column k - 1, and each qubit's ones."""
-    bits = (state.heavy[:, None] >> _SHIFTS[:state.qubit_count]) & 1
+    qubit_count = marked.universe_size.bit_length() - 1
+    bits = (marked.labels[:, None] >> _SHIFTS[:qubit_count]) & 1
     return bits, bits.sum(axis=0).tolist()
 
 
-def measure_classes(state: ClassState, model: EnsembleModel) -> list[float]:
-    """EVs of every qubit of one run on a two-amplitude state, qubit k at
-    entry k - 1, as :func:`measure_all` reads the dense state, without
-    building it: exact in O(M L) (the dense entries, to rounding), or
+def measure_classes(marked: MarkedSet, iterations: int, model: EnsembleModel) -> list[float]:
+    """EVs of every qubit of one run after ``iterations`` steps on ``marked``,
+    qubit k at entry k - 1, as :func:`measure_all` reads the dense state,
+    without building it: exact in O(M L) (the dense entries, to rounding), or
     sampled by counts from ``stream(model.seed, READ, 0)``, O(M L) at every shot
-    count (see the module docstring).  A sampled read past the crossing,
-    where a marked label weighs less than an unmarked one, raises
-    ``ValueError``; an exact read takes every state.
+    count (see the module docstring).  ``planner.attenuation`` checks m, then
+    N and M.  A sampled read past the crossing, where a marked label weighs
+    less than an unmarked one, raises ``ValueError``; an exact read takes
+    every state.
     """
-    bits, ones = _bit_table(state)
-    return _read(state, model, ones, bits, _run_generator(model))
+    a = attenuation(marked.universe_size, marked.count, iterations)
+    bits, ones = _bit_table(marked)
+    return _read(a, model, ones, bits, _run_generator(model))
 
 
 def _search_runs(
@@ -330,11 +312,12 @@ def _search_runs(
     ``correlated(stage, key)``, qubit ``stage + 1``'s EV in the run correlated
     on the ``stage`` prefix bits, held from qubit 1 down in the top bits of
     ``key``.  Raises ``ValueError`` before any draw past the crossing."""
-    state = class_state(marked, iterations)
-    if state.attenuation < 0:
+    a = attenuation(marked.universe_size, marked.count, iterations)
+    if a < 0:
         raise ValueError(f"at m = {iterations} a marked label weighs less than an unmarked one")
-    qubit_count, rng = state.qubit_count, _run_generator(model)
-    bits, ones = _bit_table(state)
+    rng = _run_generator(model)
+    bits, ones = _bit_table(marked)
+    size, qubit_count = bits.shape
     # Bit i of a label is bit L - 1 - i of its key.
     keys = np.sort(bits @ _KEY_WEIGHTS[-qubit_count:]).tolist()
 
@@ -347,9 +330,9 @@ def _search_runs(
         high = bisect_left(keys, key + 2 * half, mid)
         # The kept labels' ones plus the other labels' zeros.
         flipped = 2 * (high - mid) + len(keys) - (high - low) - ones[stage]
-        return _read_one(state, model, flipped, rng)
+        return _read_one(a, size, model, flipped, rng)
 
-    return _read(state, model, ones, bits, rng), correlated
+    return _read(a, model, ones, bits, rng), correlated
 
 
 def sign_error_rate(
@@ -369,9 +352,10 @@ def sign_error_rate(
     marked labels split on qubit k, m = 0, or a state back at equal
     weights); a trial errs when the sign it reads (:func:`decide_sign` at
     threshold 0) differs, so a zero readout of a decidable qubit errs, and
-    so does every decided readout of an undecided one.  Qubit k's marked
-    ones are counted once per marked set (:meth:`MarkedSet.ones`); the exact
-    EV is read from that count by :func:`_read_one`, and all trials draw
+    so does every decided readout of an undecided one.  A_m is one
+    ``planner.attenuation`` call, which checks m, then N and M; qubit k's
+    marked ones are counted once per marked set (:meth:`MarkedSet.ones`); the
+    exact EV is read from both by :func:`_read_one`, and all trials draw
     from ``stream(model.seed, ROW, row)``, or ``rng`` re-keyed to it (one
     generator serves a sweep; the same rate to the bit), in blocks of at most ``_BLOCK_DRAWS``:
     one vector of ``Binomial(shots, (1 - exact) / 2)`` counts (the exact EV
@@ -391,9 +375,8 @@ def sign_error_rate(
     check_stream_index(row)
     shots, sigma = model.shots, model.gaussian_noise_sigma
     trials = 1 if shots == 0 and sigma == 0.0 else trials
-    state = class_state(marked, iterations)
-    ones = marked.ones(k)
-    exact = _read_one(state, _EXACT, ones, None)
+    a = attenuation(marked.universe_size, marked.count, iterations)
+    exact = _read_one(a, marked.count, _EXACT, marked.ones(k), None)
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = (exact > 0) - (exact < 0)
     p = (1.0 - exact) / 2.0

@@ -17,7 +17,6 @@ from grover_ev import (
     SearchFailure,
     SearchResult,
     attenuation,
-    class_state,
     decide_sign,
     make_plan,
 )
@@ -113,12 +112,12 @@ def reference_extract_location(marked, iterations, model, a_th):
     stage averages the target qubit's two EVs.  Every run reads in turn from
     one generator, the search's stream ``(seed, READ, 0)``, and the search
     gives up rather than make run ``4 L + 1``."""
-    state = class_state(marked, iterations)
-    qubit_count, locations = state.qubit_count, state.heavy
+    a_m = attenuation(marked.universe_size, marked.count, iterations)
+    qubit_count, locations = marked.universe_size.bit_length() - 1, marked.labels
     sampled = model.shots or model.gaussian_noise_sigma
     rng = core.stream(model.seed, core.READ, 0) if sampled else None
     label_bits = (locations[:, None] >> np.arange(qubit_count)) & 1
-    plain = measurement._read(state, model, label_bits.sum(axis=0).tolist(), label_bits, rng)
+    plain = measurement._read(a_m, model, label_bits.sum(axis=0).tolist(), label_bits, rng)
     total_runs, branch_events, verifications = 1, 0, 0
     pending, bits = [], ()
     while True:
@@ -138,7 +137,7 @@ def reference_extract_location(marked, iterations, model, a_th):
                 low = locations & ((1 << len(bits)) - 1)
                 moved = np.where(low == prefix, locations, locations ^ (1 << (target - 1)))
                 ones = int(((moved >> (target - 1)) & 1).sum())
-                correlated = measurement._read_one(state, model, ones, rng)
+                correlated = measurement._read_one(a_m, marked.count, model, ones, rng)
                 total_runs += 1
                 ev = (plain[target - 1] + correlated) / 2.0
             bit = decide_sign(ev, a_th)

@@ -37,12 +37,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grover_ev import (
-    ClassState,
     EnsembleModel,
     MarkedSet,
     SearchFailure,
     attenuation,
-    class_state,
     extract_location,
     make_plan,
     measure_classes,
@@ -84,30 +82,34 @@ def class_weights(universe_size, marked_count, iterations):
     return on * on, off * off
 
 
-def reads_of(state, model, reads):
-    """The per-qubit ones of ``reads`` whole runs of ``state`` at consecutive
-    seeds from ``model.seed`` (mod 2**64), one row per run."""
+def reads_of(marked, iterations, model, reads):
+    """The per-qubit ones of ``reads`` whole runs after ``iterations`` steps
+    on ``marked`` at consecutive seeds from ``model.seed`` (mod 2**64), one
+    row per run."""
     rows = []
     for t in range(reads):
         run = replace(model, seed=(model.seed + t) % 2**64)
-        evs = np.array(measure_classes(state, run))
+        evs = np.array(measure_classes(marked, iterations, run))
         rows.append(np.rint((1.0 - evs) * model.shots / 2.0))
     return np.array(rows)
 
 
-def ones_of(state, k):
-    """How many of the state's marked labels have bit k set."""
-    return sum(bit_of(int(label), k) for label in state.heavy)
+def ones_of(marked, k):
+    """How many of the marked labels have bit k set."""
+    return sum(bit_of(label, k) for label in marked.locations)
 
 
-def one_qubit_evs(state, model, k, reads):
-    """Qubit k's EVs of ``reads`` one-qubit runs of ``state``, read by
-    ``_read_one`` from generators seeded ``model.seed + t`` (mod 2**64)."""
-    ones = ones_of(state, k)
+def one_qubit_evs(marked, iterations, model, k, reads):
+    """Qubit k's EVs of ``reads`` one-qubit runs after ``iterations`` steps on
+    ``marked``, read by ``_read_one`` at the planner's A_m from generators
+    seeded ``model.seed + t`` (mod 2**64)."""
+    a_m = attenuation(marked.universe_size, marked.count, iterations)
+    ones = ones_of(marked, k)
     evs = []
     for t in range(reads):
         run = replace(model, seed=(model.seed + t) % 2**64)
-        evs.append(measurement._read_one(state, run, ones, measurement._run_generator(run)))
+        rng = measurement._run_generator(run)
+        evs.append(measurement._read_one(a_m, marked.count, run, ones, rng))
     return np.array(evs)
 
 
@@ -145,15 +147,15 @@ def assert_trials_are_one_qubit_reads(marked, iterations, k, model, trials):
     noiseless), each a Python float: each trial's EV bit for bit, the rate
     as their wrong-sign share, and both generators in the same state at the
     end.  Returns the reads."""
-    state = class_state(marked, iterations)
-    ones = ones_of(state, k)
+    a_m = attenuation(marked.universe_size, marked.count, iterations)
+    ones = ones_of(marked, k)
     rate, evs, rng = one_trial_blocks(marked, iterations, k, model, trials)
     reference = measurement._run_generator(model, ROW, 0)
-    reads = [measurement._read_one(state, model, ones, reference)
+    reads = [measurement._read_one(a_m, marked.count, model, ones, reference)
              for _ in range(trials if reference else 1)]
     assert all(type(read) is float for read in reads)
     assert [ev.hex() for ev in evs] == [read.hex() for read in reads]
-    truth = np.sign(measurement._read_one(state, EXACT, ones, None))
+    truth = np.sign(measurement._read_one(a_m, marked.count, EXACT, ones, None))
     assert rate == sum(np.sign(read) != truth for read in reads) / len(reads)
     if reference is not None:
         assert generator_state(rng) == generator_state(reference)
@@ -171,9 +173,10 @@ def correlated_image(label, target, s_bits):
 def marked_runs(draw):
     """A marked set with L <= 10 and M <= 4, an iterate count, and every
     correlated run whose prefix is the low bits of a marked label or of one
-    more drawn label: ``(correlation, dense state, heavy labels)`` triples,
+    more drawn label: ``(correlation, dense state, marked images)`` triples,
     where the correlation is ``(target, s_bits)`` and None for the plain run,
-    which comes first."""
+    which comes first.  The correlation permutes labels, so the images form
+    a marked set with the same N and M, and so the same A_m."""
     qubits = draw(st.integers(1, 10))
     n = 1 << qubits
     count = draw(st.integers(1, min(4, n - 1)))
@@ -184,28 +187,26 @@ def marked_runs(draw):
     iterations = draw(st.integers(0, 12))
     marked = MarkedSet(tuple(locations), n)
     plain = dense_state(marked, iterations)
-    runs = [(None, plain, np.array(marked.locations))]
+    runs = [(None, plain, marked)]
     prefixes = {
         (length + 1, low_bits(anchor, length))
         for anchor in (*marked.locations, probe)
         for length in range(1, qubits)
     }
     for target, s_bits in sorted(prefixes):
-        heavy = np.array([correlated_image(x, target, s_bits) for x in marked.locations])
-        runs.append(
-            ((target, s_bits), apply_correlation(plain, target, s_bits), heavy)
-        )
+        image = tuple(correlated_image(x, target, s_bits) for x in marked.locations)
+        dense = apply_correlation(plain, target, s_bits)
+        runs.append(((target, s_bits), dense, MarkedSet(image, n)))
     return qubits, marked, iterations, runs
 
 
 @settings(max_examples=60, deadline=None)
 @given(marked_runs())
 def test_exact_readout_matches_dense_reference(case):
-    qubits, marked, m, runs = case
-    a_m = attenuation(marked.universe_size, marked.count, m)
-    for info, dense, heavy in runs:
+    _, marked, m, runs = case
+    for info, dense, image in runs:
         expected = measure_all(dense, EXACT)
-        got = measure_classes(ClassState(qubits, heavy, a_m), EXACT)
+        got = measure_classes(image, m, EXACT)
         assert np.max(np.abs(np.subtract(got, expected))) <= EXACT_ATOL, info
 
 
@@ -228,20 +229,20 @@ def test_sampled_record_matches_dense_record():
     ]:
         marked = MarkedSet(locations, n)
         qubits = range(1, n.bit_length())
-        heavy = np.array(locations)
+        image = marked
         weights = class_weights(n, marked.count, m)
         dense = dense_state(marked, m)
         if correlation:
-            heavy = np.array([correlated_image(x, *correlation) for x in locations])
+            image = MarkedSet(tuple(correlated_image(x, *correlation) for x in locations), n)
             dense = apply_correlation(dense, *correlation)
-        state = ClassState(len(qubits), heavy, attenuation(n, marked.count, m))
         born = dense.probabilities()
-        assert np.max(np.abs(born - class_born_weights(len(qubits), heavy, weights))) <= EXACT_ATOL
+        expected = class_born_weights(len(qubits), image.labels, weights)
+        assert np.max(np.abs(born - expected)) <= EXACT_ATOL
         uniform_weight = weights[1] * n
         mean_power, pair_power = count_check_power(born, qubits, shots, reads, uniform_weight)
         assert mean_power > 48 and (pair_power > 15 if correlation else uniform_weight < 1e-30)
         model = EnsembleModel(shots=shots, seed=21)
-        assert_counts_match(reads_of(state, model, reads), born, qubits, shots)
+        assert_counts_match(reads_of(image, m, model, reads), born, qubits, shots)
         dense_ones = [
             np.rint((1.0 - np.array(measure_all(dense, replace(model, seed=21 + t)))) * shots / 2)
             for t in range(reads)
@@ -250,12 +251,13 @@ def test_sampled_record_matches_dense_record():
 
 
 def test_one_qubit_readout_keeps_the_record_bound():
-    # Not a state: both heavy labels have bit 2 clear, so qubit 2 reads 1.5.
-    state = ClassState(2, np.array([0, 1]), 1.5)
-    with pytest.raises(ValueError, match="EV outside"):
-        measure_classes(state, EXACT)
+    # Not a state's A_m: both marked labels have bit 2 clear, so qubit 2
+    # reads 1.5.
+    bits, ones = measurement._bit_table(MarkedSet((0, 1), 4))
     with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: 1\.5$"):
-        measurement._read_one(state, EXACT, 0, None)
+        measurement._read(1.5, EXACT, ones, bits, None)
+    with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: 1\.5$"):
+        measurement._read_one(1.5, 2, EXACT, 0, None)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -286,9 +288,9 @@ def test_one_qubit_reader_is_the_block_reader_on_one_run(qubits, data):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.integers(1, 62), st.data())
 def test_readout_is_the_papers_formula(qubits, data):
-    # A two-amplitude state is its attenuation: class_state's is the
-    # planner's A_m bit for bit, every exact EV is A_m (M - 2 ones_k) / M bit
-    # for bit, and every one-shot chance of a one, (1 - EV) / 2, lies in
+    # A two-amplitude state is its attenuation: every exact EV is the
+    # planner's A_m times (M - 2 ones_k) / M, bit for bit, and every
+    # one-shot chance of a one, (1 - EV) / 2, lies in
     # [0, 1], so a count can be drawn at it: any set of up to 8 labels (M >=
     # N/2 too, at small L), m in 0..40 and the m past the crossing.
     n = 1 << qubits
@@ -297,11 +299,10 @@ def test_readout_is_the_papers_formula(qubits, data):
     size = len(locations)
     past = round(math.pi / grover_angle(n, size) - 0.5)
     iterations = data.draw(st.one_of(st.integers(0, 40), st.just(past)))
-    state = class_state(MarkedSet(tuple(locations), n), iterations)
+    marked = MarkedSet(tuple(locations), n)
     a_m = attenuation(n, size, iterations)
-    assert state.attenuation.hex() == a_m.hex()
-    evs = measure_classes(state, EXACT)
-    ones = [ones_of(state, k) for k in range(1, qubits + 1)]
+    evs = measure_classes(marked, iterations, EXACT)
+    ones = [ones_of(marked, k) for k in range(1, qubits + 1)]
     assert [ev.hex() for ev in evs] == [(a_m * (size - 2 * c) / size).hex() for c in ones]
     assert all(0.0 <= (1.0 - ev) / 2.0 <= 1.0 for ev in evs)
 
@@ -324,10 +325,9 @@ def test_zero_weight_states_read_by_counts(locations, n, m, a_m, sigma):
     # draws every shot on a marked label; one at A_m = -3 is past the
     # crossing and raises before it draws.
     marked = MarkedSet(locations, n)
-    state = class_state(marked, m)
-    assert state.attenuation == a_m
+    assert attenuation(n, marked.count, m) == a_m
     model = EnsembleModel(shots=1024, seed=7, gaussian_noise_sigma=sigma)
-    exact = measure_classes(state, EXACT)
+    exact = measure_classes(marked, m, EXACT)
     sure = [abs(ev) == 1.0 for ev in exact]
     assert any(sure) or len(locations) > 1
     for k, ev in enumerate(exact, start=1):
@@ -335,9 +335,9 @@ def test_zero_weight_states_read_by_counts(locations, n, m, a_m, sigma):
         assert rate == 0.0 or not sure[k - 1]
     if a_m < 0:
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
-            measure_classes(state, model)
+            measure_classes(marked, m, model)
         return
-    got = measure_classes(state, model)
+    got = measure_classes(marked, m, model)
     for read, ev, certain in zip(got, exact, sure):
         assert abs(read - ev) <= 3 * sigma + 1e-12 or not certain
 
@@ -348,7 +348,7 @@ def test_one_qubit_reader_clips_noise_as_the_block_reader():
     # _read_one read bit for bit.
     sigma = 0.05
     marked = MarkedSet((3, 9, 12), 16)
-    exact = measurement._read_one(class_state(marked, 1), EXACT, 1, None)
+    exact = measurement._read_one(attenuation(16, 3, 1), 3, EXACT, 1, None)
     model = EnsembleModel(seed=0, gaussian_noise_sigma=sigma)
     reads = assert_trials_are_one_qubit_reads(marked, 1, 2, model, 10_000)
     clipped = {read > exact for read in reads if abs(read - exact) > 3 * sigma - 1e-12}
@@ -374,20 +374,19 @@ def test_whole_runs_match_dense_readout(qubits, data):
     shots = data.draw(st.sampled_from((0, 64, 1024)))
     model = EnsembleModel(shots=shots, seed=data.draw(st.integers(0, 2**64 - 1)))
     dense = closed_form_state(qubits, marked, iterations)
-    state = class_state(marked, iterations)
-    a_m = state.attenuation
+    a_m = attenuation(n, count, iterations)
     if shots == 0:
-        got = measure_classes(state, model)
+        got = measure_classes(marked, iterations, model)
         assert all(type(ev) is float for ev in got)
         assert np.max(np.abs(np.subtract(got, measure_all(dense, model)))) <= EXACT_ATOL
         # Read as Python floats, each is the float64 array expression's EV.
-        ones = np.array([ones_of(state, k) for k in range(1, qubits + 1)])
+        ones = np.array([ones_of(marked, k) for k in range(1, qubits + 1)])
         assert got == (a_m * (count - 2 * ones) / count).tolist()
     elif a_m < 0:
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
-            measure_classes(state, model)
+            measure_classes(marked, iterations, model)
     else:
-        ones = reads_of(state, model, 200)
+        ones = reads_of(marked, iterations, model, 200)
         assert_counts_match(ones, dense.probabilities(), range(1, qubits + 1), shots, bound=6.0)
 
 
@@ -398,10 +397,10 @@ def test_readout_noise_is_a_clipped_normal_per_qubit():
     # each within 5 standard errors.  Power: noise shared by all qubits
     # gives a correlation of 1, 44 standard errors.
     sigma, reads = 0.05, 2000
-    state = class_state(MarkedSet((3, 9, 12), 16), 1)
-    exact = np.array(measure_classes(state, EXACT))
+    marked = MarkedSet((3, 9, 12), 16)
+    exact = np.array(measure_classes(marked, 1, EXACT))
     noise = np.array([
-        measure_classes(state, EnsembleModel(seed=t, gaussian_noise_sigma=sigma))
+        measure_classes(marked, 1, EnsembleModel(seed=t, gaussian_noise_sigma=sigma))
         for t in range(reads)
     ]) - exact
     assert np.abs(noise).max() <= 3 * sigma + 1e-12
@@ -432,9 +431,9 @@ def test_uniform_reads_at_62_qubits_are_unbiased():
     # of 0 on every qubit, the top and bottom ones included.  Power: a qubit
     # whose bit is always 0 (as the lowest bits past L = 53 are when a label
     # comes from one float draw) reads a mean of 1, 640 standard errors out.
-    state = class_state(MarkedSet((5, 2**62 - 1), 2**62), 0)
+    marked = MarkedSet((5, 2**62 - 1), 2**62)
     evs = np.array([
-        measure_classes(state, EnsembleModel(shots=1024, seed=t))
+        measure_classes(marked, 0, EnsembleModel(shots=1024, seed=t))
         for t in range(400)
     ])
     assert evs.shape == (400, 62)
@@ -449,13 +448,11 @@ def test_label_reads_past_the_standard_count_take_any_shot_count():
     huge = EnsembleModel(shots=10**12, seed=1)
     marked = MarkedSet((3, 9, 12), 16)
     assert make_plan(16, 3, 0.0).m_stand == 1
-    past = class_state(marked, 3)
-    got = one_qubit_evs(past, huge, 2, 1)[0]
-    assert abs(got - measure_classes(past, EXACT)[1]) <= 1e-4
-    state = class_state(marked, 1)
-    got = measure_classes(state, huge)
+    got = one_qubit_evs(marked, 3, huge, 2, 1)[0]
+    assert abs(got - measure_classes(marked, 3, EXACT)[1]) <= 1e-4
+    got = measure_classes(marked, 1, huge)
     assert len(got) == 4
-    assert np.max(np.abs(np.subtract(got, measure_classes(state, EXACT)))) <= 1e-4
+    assert np.max(np.abs(np.subtract(got, measure_classes(marked, 1, EXACT)))) <= 1e-4
 
 
 def test_reads_at_the_largest_shot_count_are_exact_to_within_1e_4():
@@ -464,11 +461,10 @@ def test_reads_at_the_largest_shot_count_are_exact_to_within_1e_4():
     # error is below 1e-9), with no overflow on the way.
     top = EnsembleModel(shots=2**63 - 1, seed=1)
     marked = MarkedSet((3, 9, 12), 16)
-    state = class_state(marked, 1)
-    got = measure_classes(state, top)
-    assert np.max(np.abs(np.subtract(got, measure_classes(state, EXACT)))) <= 1e-4
-    past = class_state(marked, 3)
-    assert abs(one_qubit_evs(past, top, 2, 1)[0] - measure_classes(past, EXACT)[1]) <= 1e-4
+    got = measure_classes(marked, 1, top)
+    assert np.max(np.abs(np.subtract(got, measure_classes(marked, 1, EXACT)))) <= 1e-4
+    past = one_qubit_evs(marked, 3, top, 2, 1)[0]
+    assert abs(past - measure_classes(marked, 3, EXACT)[1]) <= 1e-4
     assert sign_error_rate(marked, 1, 1, top, trials=50) == 0.0
 
 
@@ -495,22 +491,21 @@ def test_counts_past_the_standard_count_match_dense_weights(
     # the closed form over the dense Born weights.  Power: a p_k off by
     # 1/sqrt(shots) moves its mean by 20 standard errors or more.
     marked = MarkedSet(locations, n)
-    state = class_state(marked, m)
-    assert state.attenuation < 0
+    assert attenuation(n, marked.count, m) < 0
     with monkeypatch.context() as patch:
         built = record_generators(patch)
         with pytest.raises(ValueError, match="weighs less than an unmarked one"):
-            measure_classes(state, EnsembleModel(shots=64, seed=1))
+            measure_classes(marked, m, EnsembleModel(shots=64, seed=1))
     (rng,) = built
     assert rng.draws == []
-    dense = closed_form_state(state.qubit_count, marked, m)
-    exact = measure_classes(state, EXACT)
+    dense = closed_form_state(n.bit_length() - 1, marked, m)
+    exact = measure_classes(marked, m, EXACT)
     assert np.max(np.abs(np.subtract(exact, measure_all(dense, EXACT)))) <= EXACT_ATOL
     shots, reads = 1000, 300
     born = dense.probabilities()
     for k in qubits:
         assert count_check_power(born, [k], shots, reads, 0.0)[0] > 20
-        evs = one_qubit_evs(state, EnsembleModel(shots=shots, seed=40), k, reads)
+        evs = one_qubit_evs(marked, m, EnsembleModel(shots=shots, seed=40), k, reads)
         assert_counts_match(np.rint((1.0 - evs[:, None]) * shots / 2.0), born, [k], shots)
 
 
@@ -571,7 +566,7 @@ def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
     # single trial, that same EV, is held to it as an array, as every block
     # of trials is.
     marked = MarkedSet((3, 17), 32)
-    exact = measure_classes(class_state(marked, 2), EXACT)[:1]
+    exact = measure_classes(marked, 2, EXACT)[:1]
     checks = []
     check_one, check = measurement._check_ev, measurement._check_ev_bound
 
@@ -628,7 +623,7 @@ def test_noiseless_rate_reads_each_counts_sign(truth, shots, p, trials, seed):
     # row's generator draws its counts at that p in place of the one asked.
     # Each sign is also checked on Python ints, which do not overflow.
     marked = REFERENCE_SETS[truth]
-    assert np.sign(measure_classes(class_state(marked, 1), EXACT)[0]) == truth
+    assert np.sign(measure_classes(marked, 1, EXACT)[0]) == truth
     with pytest.MonkeyPatch.context() as patch:
         built = record_generators(patch)
         if p is not None:
@@ -758,10 +753,10 @@ def error_rate_cases(draw):
 def exact_error_probability(marked, iterations, k, model):
     """The chance one trial of ``model`` misreads qubit k's sign, from the
     Born weights enumerated over every label and the exact binomial."""
-    state = class_state(marked, iterations)
     weights = class_weights(marked.universe_size, marked.count, iterations)
-    born = class_born_weights(state.qubit_count, state.heavy, weights)
-    exact = measure_classes(state, EXACT)[k - 1]
+    qubits = marked.universe_size.bit_length() - 1
+    born = class_born_weights(qubits, marked.labels, weights)
+    exact = measure_classes(marked, iterations, EXACT)[k - 1]
     p = ones_probabilities(born, [k])[0]
     return sign_error_probability(model.shots, p, exact, model.gaussian_noise_sigma)
 
@@ -779,9 +774,8 @@ def test_sign_error_rate_matches_per_trial_class_readouts(case):
     probability = exact_error_probability(marked, iterations, k, model)
     rate = sign_error_rate(marked, iterations, k, model, trials=2000)
     assert_rate_matches(round(rate * 2000), 2000, probability)
-    state = class_state(marked, iterations)
-    truth = np.sign(measure_classes(state, EXACT)[k - 1])
-    wrong = np.count_nonzero(np.sign(one_qubit_evs(state, model, k, 300)) != truth)
+    truth = np.sign(measure_classes(marked, iterations, EXACT)[k - 1])
+    wrong = np.count_nonzero(np.sign(one_qubit_evs(marked, iterations, model, k, 300)) != truth)
     assert_rate_matches(wrong, 300, probability)
 
 
@@ -802,7 +796,7 @@ def test_sign_error_rate_across_block_edges(monkeypatch, shots, trials, location
     # counts are one binomial stream, so every block size gives one rate.
     marked = MarkedSet(locations, 1024)
     model = EnsembleModel(shots=shots, seed=2**64 - 2, gaussian_noise_sigma=sigma)
-    truth = np.sign(measure_classes(class_state(marked, 1), EXACT)[0])
+    truth = np.sign(measure_classes(marked, 1, EXACT)[0])
     built = record_generators(monkeypatch)
     rates = set()
     for block in sorted({1, 2, max(1, trials - 1), trials, trials + 1}):

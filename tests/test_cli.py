@@ -871,34 +871,39 @@ def test_an_n_sweep_row_reads_the_draw_at_its_size(capsys, monkeypatch, seed):
      {"past"}),
 ], ids=["m", "m-2N", "N", "a_th", "shots"])
 def test_a_sweep_row_prints_the_attenuation_its_trials_read(capsys, monkeypatch, flags, features):
-    # Each row's trials read one two-amplitude state, class_state of the
-    # row's set on the plan's register at the row's m, and the row's A_m
-    # column is that state's attenuation as the CSV writes a float.
-    read = []
-    build = measurement.class_state
+    # Each row's trials read the row's set on the plan's register, at the
+    # A_m of one measurement.attenuation call at the row's m, and the row's
+    # A_m column is that call's value as the CSV writes a float.
+    sets, reads = [], []
+    rate, real = cli.sign_error_rate, measurement.attenuation
 
-    def recording_state(marked, iterations):
-        state = build(marked, iterations)
-        read.append((marked, iterations, state))
-        return state
+    def recording_rate(marked, *args, **kwargs):
+        sets.append(marked)
+        return rate(marked, *args, **kwargs)
 
-    monkeypatch.setattr(measurement, "class_state", recording_state)
+    def recording_attenuation(n, count, iterations):
+        a_m = real(n, count, iterations)
+        reads.append((n, count, iterations, a_m))
+        return a_m
+
+    monkeypatch.setattr(cli, "sign_error_rate", recording_rate)
+    monkeypatch.setattr(measurement, "attenuation", recording_attenuation)
     code, out, _ = run_cli(capsys, "sweep", *flags, "--trials", "5", "--seed", "3")
     assert code == 0
     rows = parse_csv(out)
-    assert len(read) == len(rows)
+    assert len(sets) == len(reads) == len(rows)
     marked = [int(x) for x in flags[flags.index("--marked") + 1].split(",")]
     values = flags[flags.index("--values") + 1].split(",")
     seen = set()
-    for i, (row, (row_set, m, state)) in enumerate(zip(rows, read)):
+    for i, (row, row_set, (size, count, m, a_m)) in enumerate(zip(rows, sets, reads)):
         n = int(values[i]) if "N" in flags else int(flags[flags.index("--n") + 1])
         register = 2 * n if 2 * len(marked) >= n else n
-        assert (row_set.universe_size, len(marked), m) == (register, int(row["M"]), int(row["m"]))
+        assert (size, count, m) == (register, int(row["M"]), int(row["m"]))
+        assert (row_set.universe_size, row_set.count) == (register, len(marked))
         assert int(row["N"]) == register and row_set.locations == tuple(marked)
-        assert row["A_m"] == f"{state.attenuation:.12g}"
-        on_register = build(grover_ev.MarkedSet(marked, register), m)
-        assert row["A_m"] == f"{on_register.attenuation:.12g}"
-        seen |= {"past"} if state.attenuation < 0 else set()
+        assert row["A_m"] == f"{a_m:.12g}"
+        assert row["A_m"] == f"{grover_ev.attenuation(register, len(marked), m):.12g}"
+        seen |= {"past"} if a_m < 0 else set()
         seen |= {"doubled"} if register > n else set()
     assert seen == features
 

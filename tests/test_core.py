@@ -13,10 +13,11 @@ from grover_ev import (
     EnsembleModel,
     MarkedSet,
     attenuation,
-    class_state,
     extract_location,
     grover_angle,
     make_plan,
+    measure_classes,
+    sign_error_rate,
 )
 from grover_ev import measurement
 from grover_ev.cli import MAX_SWEEP_VALUES
@@ -118,7 +119,8 @@ _INTEGER_INPUTS = {
     "grover_angle-M": lambda x: grover_angle(16, x),
     "make_plan-M": lambda x: make_plan(16, x, 0.1),
     "attenuation-m": lambda x: attenuation(16, 1, x),
-    "class_state-m": lambda x: class_state(MarkedSet([3, 9], 16), x),
+    "measure_classes-m": lambda x: measure_classes(MarkedSet([3, 9], 16), x, EnsembleModel()),
+    "sign_error_rate-m": lambda x: sign_error_rate(MarkedSet([3, 9], 16), x, 1, EnsembleModel()),
     "extract_location-m": lambda x: extract_location(MarkedSet([3, 9], 16), x,
                                                      EnsembleModel(), 0.0),
     "EnsembleModel-shots": lambda x: EnsembleModel(shots=x, seed=1),
@@ -150,9 +152,11 @@ def test_marked_set_holds_one_read_only_label_array():
     assert repr(marked) == "MarkedSet(locations=(1, 3, 9), universe_size=16)"
     assert marked == MarkedSet((1, 3, 9), 16) and hash(marked) == hash(MarkedSet((9, 1, 3), 16))
     assert marked != MarkedSet((1, 3, 9), 32)
-    # Every class_state of the set reads that one array; no row rebuilds it.
-    first, second = class_state(marked, 1), class_state(marked, 2)
-    assert first.heavy is marked.labels and second.heavy is marked.labels
+    # Every two-amplitude read builds its bit table from that one array and
+    # N alone; no read rebuilds the labels from the tuple.
+    labels_only = SimpleNamespace(labels=marked.labels, universe_size=16)
+    bits, ones = measurement._bit_table(labels_only)
+    assert bits.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 0, 1]] and ones == [3, 1, 0, 1]
     wide = 2**62 - 1
     assert MarkedSet((wide, 0), 2**62).labels.tolist() == [0, wide]
 
@@ -181,7 +185,8 @@ def test_full_marked_set_fails_the_angle_check():
     full = MarkedSet((0, 1, 2, 3), 4)
     message = "marked_count must satisfy 1 <= M < N, got M=4, N=4"
     for call in (
-        lambda: class_state(full, 1),
+        lambda: measure_classes(full, 1, EnsembleModel()),
+        lambda: sign_error_rate(full, 1, 1, EnsembleModel()),
         lambda: extract_location(full, 1, EnsembleModel(), 0.1),
     ):
         with pytest.raises(ValueError) as excinfo:
@@ -438,13 +443,14 @@ def test_angle_rejects_bad_counts(n, m):
 @pytest.mark.parametrize("n", [0, 1, 3, 17, 2**40 + 1])
 def test_every_entry_point_rejects_non_power_of_two(n):
     # grover_angle makes the one check; MarkedSet cannot hold N <= 1, so
-    # class_state gets a stand-in with the fields it reads.
-    stand_in = SimpleNamespace(universe_size=n, count=1, locations=(0,))
+    # the two-amplitude reads get a stand-in with the fields they check.
+    stand_in = SimpleNamespace(universe_size=n, count=1)
     for call in (
         lambda: grover_angle(n, 1),
         lambda: attenuation(n, 1, 1),
         lambda: make_plan(n, 1, 0.1),
-        lambda: class_state(stand_in, 1),
+        lambda: measure_classes(stand_in, 1, EnsembleModel()),
+        lambda: sign_error_rate(stand_in, 1, 1, EnsembleModel()),
     ):
         with pytest.raises(ValueError, match=f"power of two >= 2, got N={n}$"):
             call()
@@ -464,7 +470,8 @@ def register_entry(entry, qubits, capsys):
     library = {
         "new_uniform": lambda: new_uniform(qubits),
         "closed_form_state": lambda: closed_form_state(qubits, marked, 1),
-        "class_state": lambda: class_state(marked, 1),
+        "measure_classes": lambda: measure_classes(marked, 1, EnsembleModel()),
+        "sign_error_rate": lambda: sign_error_rate(marked, 1, 1, EnsembleModel()),
         "extract_location": lambda: extract_location(marked, 1, EnsembleModel(), 0.0),
     }
     if entry in library:
@@ -486,7 +493,8 @@ def register_entry(entry, qubits, capsys):
 
 @pytest.mark.parametrize(
     "entry",
-    ["new_uniform", "closed_form_state", "class_state", "extract_location", "search", "sweep"],
+    ["new_uniform", "closed_form_state", "measure_classes", "sign_error_rate", "extract_location",
+     "search", "sweep"],
 )
 def test_register_cap_has_one_message(entry, capsys):
     # The dense reference holds at most MAX_QUBITS = 24 qubits.  The

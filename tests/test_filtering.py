@@ -25,7 +25,6 @@ from grover_ev import (
     MarkedSet,
     SearchFailure,
     attenuation,
-    class_state,
     decide_sign,
     extract_location,
     make_plan,
@@ -245,7 +244,7 @@ def check_stage_against_formula(locations, n, m, atol):
     stages checked."""
     marked = MarkedSet(locations, n)
     plain, correlated = measurement._search_runs(marked, m, EXACT)
-    assert plain == measure_classes(class_state(marked, m), EXACT)
+    assert plain == measure_classes(marked, m, EXACT)
     qubits = len(plain)
     scale = attenuation(n, len(locations), m)
     for anchor in locations:
@@ -301,7 +300,7 @@ def test_stage_count_reads_as_the_moved_labels(qubits, data):
                                max_size=8))
     locations = sorted({*free, *(label ^ 1 << bit for label, bit in flips)})[: n - 1]
     marked, m = MarkedSet(tuple(locations), n), data.draw(st.integers(0, 40))
-    state = class_state(marked, m)
+    a_m = attenuation(n, marked.count, m)
     stage = data.draw(st.integers(1, qubits - 1))
     anchor = data.draw(st.one_of(st.sampled_from(locations), st.integers(0, n - 1)))
     prefix = anchor & ((1 << stage) - 1)
@@ -310,7 +309,7 @@ def test_stage_count_reads_as_the_moved_labels(qubits, data):
                           gaussian_noise_sigma=data.draw(st.sampled_from((0.0, 0.05))))
     with pytest.MonkeyPatch.context() as patch:
         built = record_generators(patch)
-        if state.attenuation < 0:
+        if a_m < 0:
             with pytest.raises(ValueError, match=f"^at m = {m} a marked label weighs less"):
                 measurement._search_runs(marked, m, model)
             assert built == []
@@ -318,13 +317,14 @@ def test_stage_count_reads_as_the_moved_labels(qubits, data):
         plain, correlated = measurement._search_runs(marked, m, model)
         ev, bit = filtering._stage(plain, correlated, prefix_key(prefix, stage, qubits),
                                    stage, 0.0)
-    moved = filtering._correlated_labels(state.heavy, stage + 1, prefix)
+    moved = filtering._correlated_labels(marked.labels, stage + 1, prefix)
     moved_ones = sum(int(label) >> stage & 1 for label in moved)
     label_bits = np.array([[label >> i & 1 for i in range(qubits)] for label in locations])
     reference = run_generator(model)
-    assert plain == measurement._read(state, model, label_bits.sum(axis=0).tolist(),
+    assert plain == measurement._read(a_m, model, label_bits.sum(axis=0).tolist(),
                                       label_bits, reference)
-    expected = (plain[stage] + measurement._read_one(state, model, moved_ones, reference)) / 2.0
+    target_ev = measurement._read_one(a_m, marked.count, model, moved_ones, reference)
+    expected = (plain[stage] + target_ev) / 2.0
     assert ev == expected and bit == decide_sign(expected, 0.0)
     (rng,) = built or [None]
     if rng is not None:
@@ -493,7 +493,7 @@ def test_extract_runs_states_back_at_equal_weights():
     # still verifies a marked label by backtracking.
     for locations, n, m in [((1, 3, 5, 7, 9, 11, 13, 15), 16, 1), ((0, 3), 4, 3),
                             ((2, 7, 8, 13), 16, 2)]:
-        assert class_state(MarkedSet(locations, n), m).attenuation == 0.0
+        assert attenuation(n, len(locations), m) == 0.0
         result = extract_location(MarkedSet(locations, n), m, EXACT, 0.0)
         assert result.location in locations
         assert result.branch_events >= n.bit_length() - 1
@@ -524,13 +524,13 @@ def test_correlated_runs_read_only_their_target_qubit(monkeypatch):
     reads = []
     read, read_one = measurement._read, measurement._read_one
 
-    def counted_reads(state, model, ones, bits, rng):
+    def counted_reads(a, model, ones, bits, rng):
         reads.append(("_read", list(ones), rng))
-        return read(state, model, ones, bits, rng)
+        return read(a, model, ones, bits, rng)
 
-    def counted_one(state, model, ones, rng):
+    def counted_one(a, size, model, ones, rng):
         reads.append(("_read_one", None, rng))
-        return read_one(state, model, ones, rng)
+        return read_one(a, size, model, ones, rng)
 
     monkeypatch.setattr(measurement, "_read", counted_reads)
     monkeypatch.setattr(measurement, "_read_one", counted_one)
@@ -574,7 +574,7 @@ def test_sampled_search_plain_run_reads_as_measure_classes(monkeypatch, location
         extract_location(marked, m, model, 0.0)
     except SearchFailure:
         pass
-    assert reads[0] == measure_classes(class_state(marked, m), model)
+    assert reads[0] == measure_classes(marked, m, model)
     assert len(reads[0]) == n.bit_length() - 1
 
 

@@ -10,8 +10,7 @@ import grover_ev
 
 PRODUCTION = [
     "MarkedSet", "grover_angle",
-    "EnsembleModel", "ClassState", "class_state", "measure_classes", "decide_sign",
-    "sign_error_rate",
+    "EnsembleModel", "measure_classes", "decide_sign", "sign_error_rate",
     "SearchFailure", "SearchResult", "extract_location",
     "TruncationPlan", "attenuation", "make_plan",
 ]
