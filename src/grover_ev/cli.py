@@ -17,8 +17,9 @@ both print seed 1 and read two streams.  Every command works on the
 register ``make_plan`` names, 2N labels where 2M >= N; a search or sweep
 row reads its two-amplitude state, so none builds a statevector.
 This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
-``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` as
-min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact; the library checks
+``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` with five
+standard deviations of a plain run's EV, min(5 sqrt(1/shots + sigma^2), 1/M)
+(no 1/shots when exact; min(1e-9, 1/M) when noiseless too); the library checks
 every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
 Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
 success, 1 search failure (its JSON names the reason), 2 usage or
@@ -111,11 +112,12 @@ def _resolve_config(args: argparse.Namespace) -> tuple[dict, EnsembleModel]:
     else:
         m_count = args.m_count if args.m_count is not None else 1
     model = EnsembleModel(shots=args.shots, seed=args.seed, gaussian_noise_sigma=args.sigma)
-    # An omitted --a-th: five standard errors of a shots-shot mean (1e-9 when
-    # exact), capped at 1/M.  An M below 1 goes on to make_plan, which rejects it.
-    a_th = args.a_th
+    # An omitted --a-th: five standard deviations of a plain run's EV (module docstring),
+    # 5/sqrt(shots) to the bit at sigma = 0.  An M below 1 goes to make_plan, which rejects it.
+    a_th, shots, sigma = args.a_th, model.shots, model.gaussian_noise_sigma
     if a_th is None:
-        noise = 5.0 / math.sqrt(model.shots) if model.shots else 1e-9
+        noise = (5.0 / math.sqrt(shots) * math.sqrt(1.0 + shots * sigma * sigma) if shots
+                 else 5.0 * sigma or 1e-9)
         a_th = min(noise, 1.0 / max(m_count, 1))
 
     config = {
@@ -307,7 +309,8 @@ def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> 
                      help="EV threshold, 0 <= a_th <= 1/M: plan and sweep step counts "
                           "clear it with A_m, a search's with the one-item EV A_m/M, and "
                           "a search reads each bit by its EV's sign (default: "
-                          "min(5/sqrt(shots), 1/M), or min(1e-9, 1/M) when exact)")
+                          "min(5*sqrt(1/shots + sigma^2), 1/M), no 1/shots term when "
+                          "exact, and min(1e-9, 1/M) when exact and noiseless)")
     sub.add_argument("--shots", type=int, default=0,
                      help="ensemble samples per run, below 2^63; 0 = exact EVs")
     sub.add_argument("--sigma", type=float, default=0.0,

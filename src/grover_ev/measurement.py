@@ -10,10 +10,11 @@ run's counts (or shot labels), then its noise, clipped at 3 sigma: |ev| <= 1 + 3
 
 Every two-amplitude read is a whole run or one qubit, read by counts
 (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
-:func:`_read` reads every qubit of one run as a list of Python floats (an
-exact, noiseless run without building an array), and :func:`_read_one` one
-qubit of one run as a Python float (a search's correlated run, a sweep row's
-exact reference).  :func:`sign_error_rate` reads its own blocks of
+:func:`_read` reads every qubit of one run as a list of Python floats, and
+:func:`_read_one` one qubit of one run as a Python float (a search's
+correlated run, a sweep row's exact reference).  Every exact EV is read by
+:func:`_read_one`, so :func:`_read` draws only a sampled run's counts itself.
+:func:`sign_error_rate` reads its own blocks of
 trials, one qubit over many runs; a block of one trial is, draw for draw,
 one :func:`_read_one` call.  All read a count by :func:`_count_evs` and hold each EV to
 :func:`_check_ev`, but for a noiseless block of sampled trials: its counts
@@ -114,14 +115,6 @@ def _check_ev(ev: float, sigma: float) -> float:
     return ev
 
 
-def _check_ev_bound(evs: np.ndarray, sigma: float) -> None:
-    """Hold every EV of an array to :func:`_check_ev`, naming the first past
-    the bound.  All pass when the largest |ev| does (NaN if any EV is NaN)."""
-    if not np.abs(evs).max(initial=0.0) <= _ev_bound(sigma) + 1e-12:
-        for ev in evs.tolist():
-            _check_ev(ev, sigma)
-
-
 def exact_ev(state: StateVector, k: int) -> float:
     """Exact ensemble average of sigma_z(k): P(bit k = 0) - P(bit k = 1)."""
     bits = qubit_values(state.qubit_count, k)
@@ -186,10 +179,14 @@ def decide_sign(ev: float, threshold: float) -> int | None:
 
 def _noisy(base: np.ndarray, sigma: float, rng: np.random.Generator | None) -> np.ndarray:
     """The EVs in ``base`` plus their readout noise from ``rng``, clipped at
-    3 sigma (none when sigma is 0), held to the readout bound."""
+    3 sigma (none when sigma is 0), each held to :func:`_check_ev`, which
+    names the first past the bound.  All pass when the largest |ev| does
+    (NaN if any EV is NaN)."""
     if sigma:
         base = base + np.clip(rng.normal(0.0, sigma, base.size), -3.0 * sigma, 3.0 * sigma)
-    _check_ev_bound(base, sigma)
+    if not np.abs(base).max(initial=0.0) <= _ev_bound(sigma) + 1e-12:
+        for ev in base.tolist():
+            _check_ev(ev, sigma)
     return base
 
 
@@ -241,28 +238,19 @@ def _read(
     rng: np.random.Generator | None,
 ) -> list[float]:
     """EVs of every qubit of one run at attenuation ``a``, qubit k at entry
-    k - 1, as Python floats: exact, or counts (see the module docstring), then
-    noise, all from ``rng``, held to the readout bound.  ``bits`` and ``ones``
-    are the marked labels' :func:`_bit_table` (M rows, L columns); an exact,
-    noiseless run builds no array."""
+    k - 1, as Python floats: exact, one :func:`_read_one` per qubit, or counts
+    (see the module docstring), then noise, all from ``rng``, held to the
+    readout bound.  ``bits`` and ``ones`` are the marked labels'
+    :func:`_bit_table` (M rows, L columns)."""
     size, qubit_count = bits.shape
-    shots, sigma = model.shots, model.gaussian_noise_sigma
-    if shots == 0:
-        evs = [a * (size - 2 * k) / size for k in ones]
-        if sigma:
-            return _noisy(np.array(evs), sigma, rng).tolist()
-        # Every EV is A_m / M times an integer, so the largest |ev| is within
-        # the bound only if every EV is: a NaN or inf factor fails it.
-        if not max(map(abs, evs)) <= _ev_bound(0.0) + 1e-12:
-            for ev in evs:
-                _check_ev(ev, 0.0)
-        return evs
+    if model.shots == 0:
+        return [_read_one(a, size, model, k, rng) for k in ones]
     if a < 0:
         raise ValueError("a marked label weighs less than an unmarked one")
-    marked = rng.binomial(shots, a)
-    counts = rng.binomial(shots - marked, 0.5, qubit_count)
+    marked = rng.binomial(model.shots, a)
+    counts = rng.binomial(model.shots - marked, 0.5, qubit_count)
     counts += rng.multinomial(marked, [1.0 / size] * size) @ bits
-    return _noisy(_count_evs(counts, shots), sigma, rng).tolist()
+    return _noisy(_count_evs(counts, model.shots), model.gaussian_noise_sigma, rng).tolist()
 
 
 def _read_one(
@@ -272,7 +260,7 @@ def _read_one(
     marked labels carry ``ones`` ones on it, as a Python float with no array
     built: exact, A_m (M - 2 ones) / M; sampled, one
     ``Binomial(shots, (1 - exact) / 2)`` count of ones; then one noise value,
-    all from ``rng``.  O(1)."""
+    all from ``rng``, held to :func:`_check_ev`.  O(1)."""
     sigma = model.gaussian_noise_sigma
     ev = a * (size - 2 * ones) / size
     if model.shots:
@@ -365,18 +353,20 @@ def sign_error_rate(
     ``shots - 2 c`` is that of the EV ``_count_evs`` reads, so the rate is
     the same to the bit.  O(M + trials) time for a set's first row (O(trials)
     after) and O(_BLOCK_DRAWS) memory, whatever the shot count and register
-    size.  Exact, noiseless readout runs one trial, since every trial would
-    read the same EV.  Whatever the readout, a ``row`` outside [0, 2**32)
-    raises ``ValueError`` (:func:`~grover_ev.core.check_stream_index`), and a
-    ``k``, ``trials`` or ``row`` that is not an integer raises ``TypeError``.
+    size.  Exact, noiseless readout reads no trial: its rate is 0 once the
+    exact EV is read and bounded, as every trial would read that EV.  Whatever
+    the readout, a ``row`` outside [0, 2**32) raises ``ValueError``
+    (:func:`~grover_ev.core.check_stream_index`), and a ``k``, ``trials`` or
+    ``row`` that is not an integer raises ``TypeError``.
     """
     if not 1 <= operator.index(trials) <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     check_stream_index(row)
     shots, sigma = model.shots, model.gaussian_noise_sigma
-    trials = 1 if shots == 0 and sigma == 0.0 else trials
     a = attenuation(marked.universe_size, marked.count, iterations)
     exact = _read_one(a, marked.count, _EXACT, marked.ones(k), None)
+    if not (shots or sigma):
+        return 0.0
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = (exact > 0) - (exact < 0)
     p = (1.0 - exact) / 2.0

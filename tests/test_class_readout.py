@@ -49,6 +49,7 @@ from grover_ev import (
 from grover_ev import measurement
 from grover_ev.cli import main
 from grover_ev.core import (
+    READ,
     ROW,
     StateVector,
     apply_grover,
@@ -116,21 +117,23 @@ def one_qubit_evs(marked, iterations, model, k, reads):
 def one_trial_blocks(marked, iterations, k, model, trials):
     """``sign_error_rate`` with ``_BLOCK_DRAWS`` at 1: its rate, every trial's
     EV, and the one generator it builds, row 0's stream (None when it builds
-    none).  A block read as EVs is recorded as it is held to the readout
-    bound; a noiseless block of counts, scored on the counts and held to
-    [0, shots] instead, reaches no bound check, so its EV is rebuilt from its
-    recorded count by ``_count_evs``."""
+    none).  A block read as EVs is recorded as ``_noisy`` returns it, noisy
+    and held to the readout bound; a noiseless block of counts, scored on the
+    counts and held to [0, shots] instead, reaches no ``_noisy``, so its EV is
+    rebuilt from its recorded count by ``_count_evs``.  An exact, noiseless
+    rate reads no trial, so it records none."""
     evs = []
-    check = measurement._check_ev_bound
+    noisy = measurement._noisy
 
-    def recorded_check(block, sigma):
+    def recorded_noisy(base, sigma, rng):
+        block = noisy(base, sigma, rng)
         evs.extend(block.tolist())
-        return check(block, sigma)
+        return block
 
     with pytest.MonkeyPatch.context() as patch:
         built = record_generators(patch)
         patch.setattr(measurement, "_BLOCK_DRAWS", 1)
-        patch.setattr(measurement, "_check_ev_bound", recorded_check)
+        patch.setattr(measurement, "_noisy", recorded_noisy)
         rate = sign_error_rate(marked, iterations, k, model, trials=trials)
     (rng,) = built or [None]
     assert rng is None or rng.key == (model.seed, ROW, 0)
@@ -143,20 +146,21 @@ def one_trial_blocks(marked, iterations, k, model, trials):
 
 def assert_trials_are_one_qubit_reads(marked, iterations, k, model, trials):
     """A rate read one trial per block is ``trials`` successive ``_read_one``
-    reads from one stream, ``(seed, ROW, 0)`` (one read when exact and
-    noiseless), each a Python float: each trial's EV bit for bit, the rate
-    as their wrong-sign share, and both generators in the same state at the
-    end.  Returns the reads."""
+    reads from one stream, ``(seed, ROW, 0)`` (no read when exact and
+    noiseless, and a rate of 0), each a Python float: each trial's EV bit for
+    bit, the rate as their wrong-sign share, and both generators in the same
+    state at the end.  Returns the reads."""
     a_m = attenuation(marked.universe_size, marked.count, iterations)
     ones = ones_of(marked, k)
     rate, evs, rng = one_trial_blocks(marked, iterations, k, model, trials)
     reference = measurement._run_generator(model, ROW, 0)
     reads = [measurement._read_one(a_m, marked.count, model, ones, reference)
-             for _ in range(trials if reference else 1)]
+             for _ in range(trials if reference else 0)]
     assert all(type(read) is float for read in reads)
     assert [ev.hex() for ev in evs] == [read.hex() for read in reads]
     truth = np.sign(measurement._read_one(a_m, marked.count, EXACT, ones, None))
-    assert rate == sum(np.sign(read) != truth for read in reads) / len(reads)
+    errors = sum(np.sign(read) != truth for read in reads)
+    assert rate == (errors / len(reads) if reads else 0.0)
     if reference is not None:
         assert generator_state(rng) == generator_state(reference)
     return reads
@@ -283,6 +287,40 @@ def test_one_qubit_reader_is_the_block_reader_on_one_run(qubits, data):
     assert_trials_are_one_qubit_reads(MarkedSet(tuple(locations), n), iterations,
                                       data.draw(st.integers(1, qubits)), model,
                                       data.draw(st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 62), st.data())
+def test_exact_whole_run_is_one_qubit_reads(qubits, data):
+    # An exact whole run reads, qubit by qubit, what successive _read_one
+    # calls read from one (seed, READ, 0) stream, bit for bit and draw for
+    # draw: one noise value per qubit in qubit order, or no generator when
+    # noiseless.  Every L up to 62, up to 8 labels, and both sides of the
+    # crossing, since an exact read takes every state.
+    n = 1 << qubits
+    locations = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=min(8, n - 1), unique=True))
+    size = len(locations)
+    past = round(math.pi / grover_angle(n, size) - 0.5)
+    iterations = data.draw(st.one_of(st.integers(0, 40), st.just(past)))
+    marked = MarkedSet(tuple(locations), n)
+    model = EnsembleModel(0, data.draw(st.integers(0, 2**64 - 1)),
+                          data.draw(st.sampled_from((0.0, 0.05))))
+    with pytest.MonkeyPatch.context() as patch:
+        built = record_generators(patch)
+        evs = measure_classes(marked, iterations, model)
+    a_m = attenuation(n, size, iterations)
+    reference = measurement._run_generator(model)
+    reads = [measurement._read_one(a_m, size, model, ones_of(marked, k), reference)
+             for k in range(1, qubits + 1)]
+    assert all(type(ev) is float for ev in evs)
+    assert [ev.hex() for ev in evs] == [read.hex() for read in reads]
+    if reference is None:
+        assert built == []
+    else:
+        (rng,) = built
+        assert rng.key == (model.seed, READ, 0)
+        assert generator_state(rng) == generator_state(reference)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -560,15 +598,15 @@ def test_sign_error_rate_memory_is_bounded():
     assert peaks[1] <= 2 * peaks[0], peaks
 
 
-def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
+def test_exact_noiseless_sign_error_rate_is_zero_and_reads_no_trial(monkeypatch):
     # No generator is built and nothing is drawn; the exact EV is read once
     # for the reference sign, as a float held to the readout bound, and the
-    # single trial, that same EV, is held to it as an array, as every block
-    # of trials is.
+    # rate is 0 with no trial read, since every trial would read that EV: no
+    # array of EVs reaches _noisy, which holds every block of trials.
     marked = MarkedSet((3, 17), 32)
     exact = measure_classes(marked, 2, EXACT)[:1]
     checks = []
-    check_one, check = measurement._check_ev, measurement._check_ev_bound
+    check_one, noisy = measurement._check_ev, measurement._noisy
 
     def refuse(*args):
         raise AssertionError("an exact, noiseless rate drew samples")
@@ -577,15 +615,15 @@ def test_exact_noiseless_sign_error_rate_reads_one_trial(monkeypatch):
         checks.append((type(ev), [ev], sigma))
         return check_one(ev, sigma)
 
-    def counted(evs, sigma):
+    def counted(evs, sigma, rng):
         checks.append((type(evs), evs.tolist(), sigma))
-        return check(evs, sigma)
+        return noisy(evs, sigma, rng)
 
     monkeypatch.setattr(measurement, "stream", refuse)
     monkeypatch.setattr(measurement, "_check_ev", counted_one)
-    monkeypatch.setattr(measurement, "_check_ev_bound", counted)
+    monkeypatch.setattr(measurement, "_noisy", counted)
     assert sign_error_rate(marked, 2, 1, EnsembleModel(seed=5), trials=200) == 0.0
-    assert checks == [(float, exact, 0.0), (np.ndarray, exact, 0.0)]
+    assert checks == [(float, exact, 0.0)]
 
 
 def at_chance(build, p):

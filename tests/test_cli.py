@@ -202,6 +202,54 @@ def test_default_threshold_policy(capsys):
         assert json.loads(out)["config"]["a_th"] == expected
 
 
+def test_noiseless_default_threshold_keeps_every_shot_count_bit_for_bit():
+    # At sigma = 0 the noise-aware default is min(5/sqrt(shots), 1/M) to the
+    # bit, capped at 1/M = 1 below 25 shots: 5 sqrt(1/shots) differs from it
+    # at 1,834 of the shot counts below 5,000.
+    parser = cli.build_parser()
+    for shots in [*range(1, 5000), 3**37, 2**63 - 1]:
+        args = parser.parse_args(["plan", "--n", "1024", "--m-count", "1", "--shots", str(shots)])
+        config, _ = cli._resolve_config(args)
+        assert config["a_th"].hex() == min(5.0 / math.sqrt(shots), 1.0).hex(), shots
+
+
+@pytest.mark.parametrize("sigma, m_count", [
+    ("0.01", 1), ("0.05", 2), ("0.3", 4), ("1e-300", 1), ("1e300", 1),
+])
+def test_exact_noisy_default_threshold_is_five_sigma(capsys, sigma, m_count):
+    # At shots = 0 the default is min(5 sigma, 1/M): no 1/shots term, and
+    # 0.3 (1.5 in all) and 1e300 are capped at 1/M.
+    code, out, _ = run_cli(capsys, "plan", "--n", "1024", "--m-count", str(m_count),
+                           "--sigma", sigma)
+    assert code == 0
+    assert json.loads(out)["config"]["a_th"] == min(5.0 * float(sigma), 1.0 / m_count)
+
+
+@pytest.mark.parametrize("shots", [1, 4096, 2**63 - 1])
+def test_sampled_noisy_default_threshold_is_five_deviations(capsys, shots):
+    # Five standard deviations of a plain run's EV, 5 sqrt(1/shots + sigma^2),
+    # to rounding, capped at 1/M; a sigma whose square overflows gives 1/M.
+    for sigma in (0.05, 0.1, 1e200):
+        code, out, _ = run_cli(capsys, "plan", "--n", "1024", "--m-count", "2",
+                               "--shots", str(shots), "--sigma", str(sigma))
+        assert code == 0
+        expected = min(5.0 * math.sqrt(1.0 / shots + sigma * sigma), 0.5)
+        assert json.loads(out)["config"]["a_th"] == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_noisy_exact_search_clears_the_noise_by_default(capsys, seed):
+    # At sigma = 0.05 the default threshold is 0.25, past the clipped noise
+    # (0.15), so every bit reads its sign; the noiseless margin, 1e-9, ran
+    # at m = 1, where the noise swamps the signal, and every seed failed.
+    code, out, err = run_cli(capsys, "search", "--n", "1024", "--marked", "37",
+                             "--sigma", "0.05", "--seed", str(seed))
+    assert code == 0, out + err
+    payload = json.loads(out)
+    assert payload["config"]["a_th"] == 0.25
+    assert payload["result"]["location"] == 37
+
+
 @pytest.mark.parametrize("argv, a_th", [
     (["search", "--n", "1024", "--marked", "5", "--shots", "16"], 1.0),
     (["search", "--n", "1024", "--m-count", "7", "--shots", "1024"], 1 / 7),

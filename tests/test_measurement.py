@@ -19,7 +19,7 @@ from grover_ev import (
     sign_error_rate,
 )
 from grover_ev.core import ROW, StateVector, closed_form_state, new_uniform, stream
-from grover_ev.measurement import _check_ev_bound, exact_ev, measure_all, sampled_ev
+from grover_ev.measurement import _noisy, exact_ev, measure_all, sampled_ev
 
 
 # ------------------------------------------------------------------- exact_ev
@@ -191,20 +191,29 @@ def test_measure_all_deterministic():
 
 
 def test_ev_bound_widens_with_noise_and_rejects_nan():
-    # The whole array is checked, NaN included, and the message names the
-    # first EV past the bound, not the whole block.
-    _check_ev_bound(np.array([1.2, -1.2]), 0.1)
+    # _noisy holds the whole array to the bound, NaN included, and the
+    # message names the first EV past the bound, not the whole block.
+    # Noiseless, each EV is checked as it is; at sigma = 0.1 the noise,
+    # clipped at 3 sigma, keeps +-1.0 surely within 1 + 3 sigma (some reach
+    # it) and leaves NaN and +-inf surely past it.
+    pair = np.array([1.0, -1.0])
+    assert _noisy(pair, 0.0, None) is pair
     with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: 1\.2$"):
-        _check_ev_bound(np.array([1.2]), 0.0)
-    with pytest.raises(ValueError, match=r"^EV outside \[-1\.3\d*, 1\.3\d*\]: nan$"):
-        _check_ev_bound(np.array([0.5, float("nan")]), 0.1)
+        _noisy(np.array([1.2]), 0.0, None)
+    with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: nan$"):
+        _noisy(np.array([0.5, float("nan")]), 0.0, None)
     block = np.full(1024, 0.5)
     block[[700, 900]] = -1.5, 2.0
     with pytest.raises(ValueError, match=r"^EV outside \[-1\.0, 1\.0\]: -1\.5$"):
-        _check_ev_bound(block, 0.0)
+        _noisy(block, 0.0, None)
+    rng = stream(3, ROW, 0)
+    noisy = _noisy(np.tile(pair, 512), 0.1, rng)
+    assert np.abs(noisy).max() == 1.0 + 3.0 * 0.1
+    with pytest.raises(ValueError, match=r"^EV outside \[-1\.3\d*, 1\.3\d*\]: nan$"):
+        _noisy(np.array([0.5, float("nan")]), 0.1, rng)
     for inf in ("inf", "-inf"):
         with pytest.raises(ValueError, match=rf"^EV outside \[-1\.3\d*, 1\.3\d*\]: {inf}$"):
-            _check_ev_bound(np.array([0.5, float(inf), 1.2]), 0.1)
+            _noisy(np.array([0.5, float(inf), 1.0]), 0.1, rng)
 
 
 # ----------------------------------------------------------- sign error rates
