@@ -19,8 +19,10 @@ row reads its two-amplitude state, so none builds a statevector.
 This module only parses (lists, ranges, ``--m-count`` against ``--marked``,
 ``--n`` against ``--sweep``) and fills in an omitted ``--a-th`` with five
 standard deviations of a plain run's EV, min(5 sqrt(1/shots + sigma^2), 1/M)
-(no 1/shots when exact; min(1e-9, 1/M) when noiseless too); the library checks
-every other rule once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
+(no 1/shots when exact; min(1e-9, 1/M) when noiseless too), resolved once from
+``--shots`` and ``--sigma``, so every row of a ``--sweep shots`` grid reads that
+one value (pass ``--a-th`` to set it); the library checks every other rule
+once, ``make_plan`` the one on ``a_th``: 0 <= a_th <= 1/M.
 Either raises ``ValueError``, printed as ``error: <rule>``.  Exit codes: 0
 success, 1 search failure (its JSON names the reason), 2 usage or
 configuration error.
@@ -170,12 +172,9 @@ def _key_text(key: str) -> str:
 def _json_text(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for a payload of dicts
     with str keys, lists and scalars; ``pad`` is the newline and indent
-    before ``value``'s closing bracket.  ``json`` writes any other value (a
-    subclass, a tuple) and raises its ``TypeError`` on what it cannot write."""
+    before ``value``'s closing bracket.  ``json`` writes any other value
+    (a bare scalar, a subclass, a tuple) and raises its ``TypeError`` on what it cannot write."""
     kind = type(value)
-    scalar = _JSON_SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(value)
     if (kind is list or kind is dict) and value:
         # An item's scalar text is read off the table here; only a nested
         # container or an odd type takes another call.
@@ -310,7 +309,9 @@ def _add_common_flags(sub: argparse.ArgumentParser, n_required: bool = True) -> 
                           "clear it with A_m, a search's with the one-item EV A_m/M, and "
                           "a search reads each bit by its EV's sign (default: "
                           "min(5*sqrt(1/shots + sigma^2), 1/M), no 1/shots term when "
-                          "exact, and min(1e-9, 1/M) when exact and noiseless)")
+                          "exact, and min(1e-9, 1/M) when exact and noiseless, resolved "
+                          "once from --shots and --sigma, so every row of a --sweep shots "
+                          "grid reads that one value; pass --a-th to set it)")
     sub.add_argument("--shots", type=int, default=0,
                      help="ensemble samples per run, below 2^63; 0 = exact EVs")
     sub.add_argument("--sigma", type=float, default=0.0,

@@ -77,10 +77,9 @@ class MarkedSet:
     read by ``operator.index``: Python ints, bools and numpy integers are
     taken, and a float or a string (``3.7``, ``"3"``) raises ``ValueError``
     rather than being truncated.  Membership is the oracle predicate (1 for
-    marked, 0 otherwise).  ``labels`` holds the same locations as a
-    read-only int64 array, built once with the set and shared by every
-    two-amplitude read of it.  Neither the labels nor the memo of :meth:`ones`
-    is a field, so equality, hashing and repr read the two fields alone.
+    marked, 0 otherwise).  The set builds no array: each read builds the
+    one it reads.  The memo of :meth:`ones` is no field, so equality,
+    hashing and repr read the two fields alone.
     """
 
     locations: tuple[int, ...]
@@ -101,9 +100,6 @@ class MarkedSet:
             raise ValueError(
                 f"marked locations must lie in [0, {self.universe_size}): {locs}"
             )
-        labels = np.array(locs, dtype=np.int64)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_ones", {})
 
     @property
@@ -116,7 +112,8 @@ class MarkedSet:
         :func:`check_qubit_index` on the register of ``universe_size`` labels."""
         check_qubit_index(k, (self.universe_size - 1).bit_length())
         if k not in self._ones:
-            self._ones[k] = int(np.count_nonzero(self.labels & (1 << (k - 1))))
+            labels = np.array(self.locations, dtype=np.int64)
+            self._ones[k] = int(np.count_nonzero(labels & 1 << k - 1))
         return self._ones[k]
 
     def __contains__(self, x: int) -> bool:

@@ -122,13 +122,10 @@ def exact_ev(state: StateVector, k: int) -> float:
     return float(np.sum(probs[bits == 0]) - np.sum(probs[bits == 1]))
 
 
-def _run_generator(model: EnsembleModel, purpose: int = READ, index: int = 0, rng=None):
-    """``stream(model.seed, purpose, index)``, or ``rng`` re-keyed to it: what a
-    read or a search draws its counts and noise from; None for exact, noiseless readout."""
-    if model.shots or model.gaussian_noise_sigma:
-        key = (model.seed, purpose, index)
-        return stream(*key) if rng is None else rekey(rng, *key)
-    return None
+def _run_generator(model: EnsembleModel) -> np.random.Generator | None:
+    """``stream(model.seed, READ, 0)``, what a read or a search draws its
+    counts and noise from; None for exact, noiseless readout."""
+    return stream(model.seed, READ, 0) if model.shots or model.gaussian_noise_sigma else None
 
 
 def _born_cdf(state: StateVector) -> np.ndarray:
@@ -143,16 +140,12 @@ def _shot_labels(state: StateVector, draws: np.ndarray) -> np.ndarray:
     return np.searchsorted(_born_cdf(state), draws, side="right")
 
 
-def _bits(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Bit k of each label for each k in ``qubits``: a (labels, qubits) array of 0/1."""
-    return (labels[:, None] >> (np.asarray(qubits) - 1)) & 1
-
-
 def _label_evs(labels: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Empirical sigma_z of each qubit in ``qubits`` over the shot labels,
     counted in one pass.  Each is a mean of +-1 terms whose sum is an exact
     integer, so it equals ``np.mean(1 - 2 bit)`` bit for bit."""
-    return (labels.size - 2 * _bits(labels, qubits).sum(axis=0)) / labels.size
+    bits = (labels[:, None] >> (np.asarray(qubits) - 1)) & 1
+    return (labels.size - 2 * bits.sum(axis=0)) / labels.size
 
 
 def sampled_ev(state: StateVector, k: int, model: EnsembleModel) -> float:
@@ -271,9 +264,9 @@ def _read_one(
 
 
 def _bit_table(marked: MarkedSet) -> tuple[np.ndarray, list[int]]:
-    """The marked labels' bits, qubit k in column k - 1, and each qubit's ones."""
+    """The locations' bits, from an array built here, qubit k in column k - 1, and their ones."""
     qubit_count = marked.universe_size.bit_length() - 1
-    bits = (marked.labels[:, None] >> _SHIFTS[:qubit_count]) & 1
+    bits = (np.array(marked.locations, dtype=np.int64)[:, None] >> _SHIFTS[:qubit_count]) & 1
     return bits, bits.sum(axis=0).tolist()
 
 
@@ -343,9 +336,9 @@ def sign_error_rate(
     so does every decided readout of an undecided one.  A_m is one
     ``planner.attenuation`` call, which checks m, then N and M; qubit k's
     marked ones are counted once per marked set (:meth:`MarkedSet.ones`); the
-    exact EV is read from both by :func:`_read_one`, and all trials draw
-    from ``stream(model.seed, ROW, row)``, or ``rng`` re-keyed to it (one
-    generator serves a sweep; the same rate to the bit), in blocks of at most ``_BLOCK_DRAWS``:
+    exact EV is read from both by :func:`_read_one`.  All trials draw from the row's
+    stream, named here: ``stream(model.seed, ROW, row)``, or ``rng`` re-keyed to it
+    (one generator serves a sweep; the same rate to the bit), in blocks of at most ``_BLOCK_DRAWS``:
     one vector of ``Binomial(shots, (1 - exact) / 2)`` counts (the exact EV
     when ``shots`` is 0), then one of noise, so a block of one trial is one
     :func:`_read_one` call, draw for draw.  A noiseless block of counts is
@@ -370,7 +363,7 @@ def sign_error_rate(
     # The exact sign is decide_sign at 0 (undecided 0).
     truth = (exact > 0) - (exact < 0)
     p = (1.0 - exact) / 2.0
-    rng = _run_generator(model, ROW, row, rng)
+    rng = stream(model.seed, ROW, row) if rng is None else rekey(rng, model.seed, ROW, row)
     errors = 0
     for start in range(0, trials, _BLOCK_DRAWS):
         runs = min(_BLOCK_DRAWS, trials - start)

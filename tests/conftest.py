@@ -113,7 +113,8 @@ def reference_extract_location(marked, iterations, model, a_th):
     one generator, the search's stream ``(seed, READ, 0)``, and the search
     gives up rather than make run ``4 L + 1``."""
     a_m = attenuation(marked.universe_size, marked.count, iterations)
-    qubit_count, locations = marked.universe_size.bit_length() - 1, marked.labels
+    qubit_count = marked.universe_size.bit_length() - 1
+    locations = np.array(marked.locations, dtype=np.int64)
     sampled = model.shots or model.gaussian_noise_sigma
     rng = core.stream(model.seed, core.READ, 0) if sampled else None
     label_bits = (locations[:, None] >> np.arange(qubit_count)) & 1

@@ -57,6 +57,7 @@ from grover_ev.core import (
     closed_form_state,
     grover_angle,
     new_uniform,
+    stream,
 )
 from grover_ev.filtering import apply_correlation
 from grover_ev.measurement import (
@@ -153,7 +154,8 @@ def assert_trials_are_one_qubit_reads(marked, iterations, k, model, trials):
     a_m = attenuation(marked.universe_size, marked.count, iterations)
     ones = ones_of(marked, k)
     rate, evs, rng = one_trial_blocks(marked, iterations, k, model, trials)
-    reference = measurement._run_generator(model, ROW, 0)
+    sampled = model.shots or model.gaussian_noise_sigma
+    reference = stream(model.seed, ROW, 0) if sampled else None
     reads = [measurement._read_one(a_m, marked.count, model, ones, reference)
              for _ in range(trials if reference else 0)]
     assert all(type(read) is float for read in reads)
@@ -240,7 +242,7 @@ def test_sampled_record_matches_dense_record():
             image = MarkedSet(tuple(correlated_image(x, *correlation) for x in locations), n)
             dense = apply_correlation(dense, *correlation)
         born = dense.probabilities()
-        expected = class_born_weights(len(qubits), image.labels, weights)
+        expected = class_born_weights(len(qubits), np.array(image.locations), weights)
         assert np.max(np.abs(born - expected)) <= EXACT_ATOL
         uniform_weight = weights[1] * n
         mean_power, pair_power = count_check_power(born, qubits, shots, reads, uniform_weight)
@@ -793,7 +795,7 @@ def exact_error_probability(marked, iterations, k, model):
     Born weights enumerated over every label and the exact binomial."""
     weights = class_weights(marked.universe_size, marked.count, iterations)
     qubits = marked.universe_size.bit_length() - 1
-    born = class_born_weights(qubits, marked.labels, weights)
+    born = class_born_weights(qubits, np.array(marked.locations), weights)
     exact = measure_classes(marked, iterations, EXACT)[k - 1]
     p = ones_probabilities(born, [k])[0]
     return sign_error_probability(model.shots, p, exact, model.gaussian_noise_sigma)

@@ -281,6 +281,27 @@ def test_sweep_audit_echoes_the_capped_threshold(capsys):
     assert parse_csv(out)[0]["a_th"] == "0.1"
 
 
+@pytest.mark.parametrize("flags, a_th", [
+    (["--sigma", "0.05"], 0.25),
+    (["--shots", "4096"], 0.078125),
+    (["--shots", "64", "--sigma", "0.05"], 0.5),
+], ids=["exact-noisy", "sampled", "sampled-noisy"])
+def test_shots_sweep_rows_read_the_one_resolved_default(capsys, flags, a_th):
+    # An omitted --a-th is resolved once, from --shots and --sigma, so every
+    # row of a shots grid, and its m_trunc, reads the audit line's value.
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "1024", "--marked", "5,77", *flags, "--sweep", "shots",
+        "--values", "0,64,4096,1000000", "--trials", "20", "--seed", "4",
+    )
+    assert code == 0, err
+    assert json.loads(err)["config"]["a_th"] == a_th
+    m_trunc = grover_ev.make_plan(1024, 2, a_th).m_trunc
+    rows = parse_csv(out)
+    assert len(rows) == 4
+    assert {(row["a_th"], row["m_trunc"], row["m"]) for row in rows} \
+        == {(f"{a_th:.12g}", str(m_trunc), str(m_trunc))}
+
+
 def test_search_rejects_register_past_cap(capsys):
     # grover_angle's N <= 2**62 is the one register rule of a search.
     code, out, err = run_cli(

@@ -19,7 +19,7 @@ from grover_ev import (
     measure_classes,
     sign_error_rate,
 )
-from grover_ev import measurement
+from grover_ev import core, measurement
 from grover_ev.cli import MAX_SWEEP_VALUES
 from grover_ev.core import (
     DRAW,
@@ -140,25 +140,34 @@ def test_integer_inputs_are_read_as_integers(call, value):
     call(np.int64(2))
 
 
-def test_marked_set_holds_one_read_only_label_array():
-    # The int64 labels are built once with the set and are not a field:
-    # equality, hashing, repr and the fields read the tuple and N alone.
+def test_marked_set_is_its_two_fields_and_reads_build_from_the_locations():
+    # Equality, hashing, repr and the fields read the tuple and N alone.
     marked = MarkedSet([9, 3, 1], 16)
-    assert marked.labels.dtype == np.int64 and marked.labels.tolist() == [1, 3, 9]
-    assert not marked.labels.flags.writeable
-    with pytest.raises(ValueError):
-        marked.labels[0] = 2
     assert [f.name for f in dataclasses.fields(MarkedSet)] == ["locations", "universe_size"]
     assert repr(marked) == "MarkedSet(locations=(1, 3, 9), universe_size=16)"
     assert marked == MarkedSet((1, 3, 9), 16) and hash(marked) == hash(MarkedSet((9, 1, 3), 16))
     assert marked != MarkedSet((1, 3, 9), 32)
-    # Every two-amplitude read builds its bit table from that one array and
-    # N alone; no read rebuilds the labels from the tuple.
-    labels_only = SimpleNamespace(labels=marked.labels, universe_size=16)
-    bits, ones = measurement._bit_table(labels_only)
+    # Every two-amplitude read builds its bit table from the locations and
+    # N alone.
+    stand_in = SimpleNamespace(locations=marked.locations, universe_size=16)
+    bits, ones = measurement._bit_table(stand_in)
     assert bits.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 0, 1]] and ones == [3, 1, 0, 1]
     wide = 2**62 - 1
-    assert MarkedSet((wide, 0), 2**62).labels.tolist() == [0, wide]
+    bits, ones = measurement._bit_table(MarkedSet((wide, 0), 2**62))
+    assert bits.dtype == np.int64 and bits.tolist() == [[0] * 62, [1] * 62] and ones == [1] * 62
+
+
+def test_marked_set_builds_no_array(monkeypatch, capsys):
+    # A set that nothing reads, such as plan --marked's check set, costs no
+    # array: its construction holds the two fields and the empty ones memo.
+    def no_array(*args, **kwargs):
+        raise AssertionError("MarkedSet built an array")
+
+    monkeypatch.setattr(core.np, "array", no_array)
+    marked = MarkedSet([9, 3, 1], 16)
+    assert vars(marked) == {"locations": (1, 3, 9), "universe_size": 16, "_ones": {}}
+    assert main(["plan", "--n", "16", "--marked", "1,3,9"]) == 0
+    assert '"marked": [\n      1,\n      3,\n      9\n    ]' in capsys.readouterr().out
 
 
 def test_marked_set_counts_each_qubits_ones_once(monkeypatch):

@@ -317,7 +317,7 @@ def test_stage_count_reads_as_the_moved_labels(qubits, data):
         plain, correlated = measurement._search_runs(marked, m, model)
         ev, bit = filtering._stage(plain, correlated, prefix_key(prefix, stage, qubits),
                                    stage, 0.0)
-    moved = filtering._correlated_labels(marked.labels, stage + 1, prefix)
+    moved = filtering._correlated_labels(np.array(marked.locations), stage + 1, prefix)
     moved_ones = sum(int(label) >> stage & 1 for label in moved)
     label_bits = np.array([[label >> i & 1 for i in range(qubits)] for label in locations])
     reference = run_generator(model)
